@@ -16,7 +16,7 @@ from .gf2 import (
     kernel,
     macwilliams_transform,
 )
-from .hashfam import HashFamily, HashFamilySpec, HashFunction, apply_hash, make_family
+from .hashfam import HashFamily, HashFamilySpec, HashFunction, apply_hash
 from .universality import (
     CodeFamily,
     CodePairFamily,
@@ -105,7 +105,6 @@ __all__ = [
     "holevo",
     "kernel",
     "macwilliams_transform",
-    "make_family",
     "pauli_wiretap_state",
     "permuted_epsilon",
     "permuted_pair_epsilon",

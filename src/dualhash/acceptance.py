@@ -34,10 +34,11 @@ from .cqstate import (
     walsh_transform,
 )
 from .gf2 import LinearCode, dual
-from .hashfam import HashFamilySpec, make_family
+from .hashfam import HashFamily, HashFamilySpec
 from .simulator import counterexample_leakage, family_average_error, wiretap_eval
 from .universality import (
     CodeFamily,
+    SearchBudgetError,
     counterexample_family,
     duality_bound,
     epsilon_dual_universal,
@@ -76,7 +77,7 @@ def criterion_1(seed: int):
     for n in range(2, 9):
         for m in range(1, min(4, n - 1) + 1):
             fam = CodeFamily.from_hash_family(
-                make_family(HashFamilySpec("modified_toeplitz", n, m))
+                HashFamily(HashFamilySpec("modified_toeplitz", n, m))
             )
             if fam.t_min != n - m or fam.t_max != n - m:
                 return False, f"(n={n}, m={m}): kernel dimension not {n - m}"
@@ -134,7 +135,7 @@ def criterion_2(seed: int):
         return False, "dual of the all-subspace family is not optimally universal"
 
     # a universal_2 family (epsilon = 1) has a 2-almost dual universal dual
-    toep = CodeFamily.from_hash_family(make_family(HashFamilySpec("toeplitz", 6, 2)))
+    toep = CodeFamily.from_hash_family(HashFamily(HashFamilySpec("toeplitz", 6, 2)))
     trep = epsilon_universal(toep, "min_dim")
     if trep.epsilon != 1:
         return False, f"Toeplitz family epsilon = {trep.epsilon} != 1"
@@ -164,19 +165,19 @@ def criterion_3(seed: int):
 
     families = {
         "modified_toeplitz(6,2)": CodeFamily.from_hash_family(
-            make_family(HashFamilySpec("modified_toeplitz", 6, 2))
+            HashFamily(HashFamilySpec("modified_toeplitz", 6, 2))
         ),
         "modified_toeplitz(8,3)": CodeFamily.from_hash_family(
-            make_family(HashFamilySpec("modified_toeplitz", 8, 3))
+            HashFamily(HashFamilySpec("modified_toeplitz", 8, 3))
         ),
         "modified_toeplitz(10,4)": CodeFamily.from_hash_family(
-            make_family(HashFamilySpec("modified_toeplitz", 10, 4))
+            HashFamily(HashFamilySpec("modified_toeplitz", 10, 4))
         ),
         "toeplitz(6,2)": CodeFamily.from_hash_family(
-            make_family(HashFamilySpec("toeplitz", 6, 2))
+            HashFamily(HashFamilySpec("toeplitz", 6, 2))
         ),
         "random_linear(5,2)": CodeFamily.from_hash_family(
-            make_family(HashFamilySpec("random_linear", 5, 2))
+            HashFamily(HashFamilySpec("random_linear", 5, 2))
         ),
         "tight(6,3,3/2)": tight_family(6, 3, Fraction(3, 2), 1),
         "counterexample(6)": counterexample_family(6),
@@ -189,7 +190,7 @@ def criterion_3(seed: int):
 
     # independent spectral check of the counting-based bias on a small family
     small = CodeFamily.from_hash_family(
-        make_family(HashFamilySpec("modified_toeplitz", 4, 2))
+        HashFamily(HashFamilySpec("modified_toeplitz", 4, 2))
     )
     spectral = walsh_bias([uniform_on_code(c) for c in small.codes], small.weights)
     if spectral.delta_sq != code_bias(small).delta_sq:
@@ -211,7 +212,7 @@ def criterion_4(seed: int):
         rho = random_cq_state(key_bits, eve_dim, rng)
         m = int(rng.integers(1, min(key_bits, 6 // key_bits) + 1))
         fam = CodeFamily.from_hash_family(
-            make_family(HashFamilySpec("random_linear", key_bits, m))
+            HashFamily(HashFamilySpec("random_linear", key_bits, m))
         )
         lhs, rhs = verify_pa(rho, fam)
         if lhs > rhs + 1e-9:
@@ -239,7 +240,7 @@ def criterion_5(seed: int):
     zero-noise reliability; divergence-form identity residual."""
     for rate, t in ((1 / 3, 4), (1 / 2, 6)):
         for p in (Fraction(1, 20), Fraction(1, 10)):
-            hf = make_family(HashFamilySpec("random_linear", 12, 12 - t))
+            hf = HashFamily(HashFamilySpec("random_linear", 12, 12 - t))
             res = family_average_error(
                 hf, p, rate, epsilon=1.0, sample_count=1000, seed=seed
             )
@@ -333,7 +334,7 @@ def criterion_8(seed: int):
             c = search_permuted_code(n, t, budget, seed + s, mode="plain")
             if c.dim == t and permuted_epsilon(c) <= n + 1:
                 plain_ok += 1
-        except Exception:
+        except SearchBudgetError:
             pass
         try:
             c1, c2 = search_permuted_code(
@@ -345,7 +346,7 @@ def criterion_8(seed: int):
                 and permuted_pair_epsilon(c1, c2) <= n + 1
             ):
                 pair_ok += 1
-        except Exception:
+        except SearchBudgetError:
             pass
     if plain_ok / 50 < 0.99:
         return False, f"plain mode success rate {plain_ok}/50 < 99%"

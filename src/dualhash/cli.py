@@ -27,7 +27,7 @@ from .bounds import (
     reliability_e,
 )
 from .gf2 import parse_code
-from .hashfam import HashFamilySpec, make_family
+from .hashfam import HashFamily, HashFamilySpec
 from .simulator import (
     counterexample_leakage,
     distill_keys,
@@ -121,7 +121,7 @@ def _build_family(args) -> CodeFamily:
         if args.m is None:
             raise ValueError(f"{kind} needs -m")
         spec = HashFamilySpec(kind.replace("-", "_"), args.n, args.m)
-        return CodeFamily.from_hash_family(make_family(spec))
+        return CodeFamily.from_hash_family(HashFamily(spec))
     if kind == "counterexample":
         return counterexample_family(args.n, seed=args.seed)
     if kind == "tight":
@@ -196,7 +196,7 @@ def _cmd_simulate(args) -> int:
     if args.what == "family-average":
         spec = HashFamilySpec(args.kind.replace("-", "_"), args.n, args.m)
         res = family_average_error(
-            make_family(spec),
+            HashFamily(spec),
             _parse_fraction(args.p),
             args.R,
             epsilon=args.epsilon,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 __all__ = [
@@ -396,31 +395,3 @@ def format_code(c: LinearCode) -> str:
     lines = [f"{c.n} {c.dim}"]
     lines += [bits_to_string(r, c.n) for r in c.basis]
     return "\n".join(lines) + "\n"
-
-
-def subspaces(ambient_basis: list[int], n: int, t: int):
-    """All t-dimensional subspaces of span(ambient_basis), as LinearCodes.
-
-    Enumerates t-subsets of all nonzero vectors and dedups by canonical
-    basis; intended for small ambients (dim <= 6).
-    """
-    dim = rank(ambient_basis)
-    if dim > 16:
-        raise EnumerationCapError("ambient too large for subspace enumeration")
-    vectors = []
-    word = 0
-    gray_prev = 0
-    basis = list(rref(ambient_basis, n)[0])
-    for i in range(1, 1 << dim):
-        gray = i ^ (i >> 1)
-        word ^= basis[(gray ^ gray_prev).bit_length() - 1]
-        gray_prev = gray
-        vectors.append(word)
-    seen = set()
-    for combo in combinations(vectors, t):
-        if rank(combo) != t:
-            continue
-        canon, _ = rref(combo, n)
-        if canon not in seen:
-            seen.add(canon)
-            yield LinearCode(n, canon)

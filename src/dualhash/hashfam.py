@@ -10,7 +10,7 @@ matrices.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gf2 import (
     BinaryMatrix,
@@ -26,7 +26,6 @@ __all__ = [
     "HashFunction",
     "HashFamilySpec",
     "HashFamily",
-    "make_family",
     "apply_hash",
     "kernel_code",
     "toeplitz_matrix",
@@ -36,22 +35,14 @@ __all__ = [
     "format_hash",
 ]
 
-CLMUL_THRESHOLD = 64
-
 
 @dataclass(frozen=True)
 class HashFunction:
-    """A linear map F_2^n -> F_2^m given by an m x n matrix.
-
-    `toeplitz_shape` marks matrices of the form (T) or (T | I_m) so that
-    apply_hash can take the carry-less multiplication fast path.
-    """
+    """A linear map F_2^n -> F_2^m given by an m x n matrix."""
 
     n: int
     m: int
     matrix: BinaryMatrix
-    toeplitz_shape: str | None = None  # None, "plain", "modified"
-    diagonals: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.matrix.cols != self.n or self.matrix.nrows != self.m:
@@ -99,7 +90,6 @@ class HashFamilySpec:
     kind: str  # toeplitz | modified_toeplitz | random_linear | explicit_list | from_code_family
     n: int
     m: int
-    seed: int | None = None
     matrices: tuple[BinaryMatrix, ...] | None = None
     codes: tuple[LinearCode, ...] | None = None
 
@@ -135,17 +125,14 @@ class HashFamily:
         else:
             raise ValueError(f"unknown family kind: {kind}")
 
-    def __len__(self) -> int:
-        return self.index_space
-
     def __getitem__(self, r: int) -> HashFunction:
         if not 0 <= r < self.index_space:
             raise IndexError(r)
         kind, n, m = self.spec.kind, self.n, self.m
         if kind == "toeplitz":
-            return HashFunction(n, m, toeplitz_matrix(n, m, r), "plain", r)
+            return HashFunction(n, m, toeplitz_matrix(n, m, r))
         if kind == "modified_toeplitz":
-            return HashFunction(n, m, modified_toeplitz_matrix(n, m, r), "modified", r)
+            return HashFunction(n, m, modified_toeplitz_matrix(n, m, r))
         if kind == "random_linear":
             rows = tuple((r >> (i * n)) & ((1 << n) - 1) for i in range(m))
             return HashFunction(n, m, BinaryMatrix(rows, n))
@@ -169,51 +156,18 @@ class HashFamily:
         return [self[rng.randrange(self.index_space)] for _ in range(count)]
 
 
-def make_family(spec: HashFamilySpec) -> HashFamily:
-    return HashFamily(spec)
-
-
-def _clmul(a: int, b: int) -> int:
-    """Carry-less product of the polynomials with coefficient words a, b."""
-    acc = 0
-    while b:
-        low = b & -b
-        acc ^= a * low
-        b ^= low
-    return acc
-
-
-def _toeplitz_apply(diagonals: int, n: int, m: int, x: int) -> int:
-    """Tx for an m x n Toeplitz block via one carry-less multiplication.
-
-    The packed input word already stores x[k] at integer bit n-1-k, so the
-    product d(z) * x(z) has coefficient n+m-2-i equal to
-    sum_k d[k-i+m-1] x[k] = (Tx)_i.
-    """
-    prod = _clmul(diagonals, x)
-    y = 0
-    for i in range(m):
-        y |= ((prod >> (n + m - 2 - i)) & 1) << (m - 1 - i)
-    return y
-
-
 def apply_hash(h: HashFunction, x: BitVector) -> BitVector:
-    """y = Mx; uses carry-less multiplication for wide Toeplitz matrices."""
+    """y = Mx, one row parity per output bit."""
     if x.n != h.n:
         raise ValueError("input length mismatch")
-    if h.toeplitz_shape and h.n >= CLMUL_THRESHOLD and h.diagonals is not None:
-        if h.toeplitz_shape == "plain":
-            y = _toeplitz_apply(h.diagonals, h.n, h.m, x.value)
-        else:
-            x_head = x.value >> h.m
-            x_tail = x.value & ((1 << h.m) - 1)
-            y = _toeplitz_apply(h.diagonals, h.n - h.m, h.m, x_head) ^ x_tail
-        return BitVector(h.m, y)
     return BitVector(h.m, h.matrix.mul_vector(x.value))
 
 
 def apply_hash_schoolbook(h: HashFunction, x: BitVector) -> BitVector:
-    """Row-by-row parity oracle; the fast path must match this bit for bit."""
+    """Mx by row parities, without apply_hash's length check.
+
+    The benchmark's numpy oracle is tested against this function.
+    """
     return BitVector(h.m, h.matrix.mul_vector(x.value))
 
 

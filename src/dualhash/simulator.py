@@ -229,7 +229,7 @@ def _mc_error_prob(c1: LinearCode, p: float, trials: int, rng: random.Random,
             if rng.random() < p:
                 e |= 1 << i
         decoded = decode(c1, BitVector(c1.n, e)).value
-        if not c2.contains(e ^ decoded):
+        if not c2.contains(decoded):
             wrong += 1
     return wrong / trials
 

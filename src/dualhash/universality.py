@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 AMBIENT_CAP = 20
+FAMILY_MEMBER_CAP = 1 << 16
 TIGHT_FAMILY_CAP = 8
 
 
@@ -94,6 +95,10 @@ class CodeFamily:
     def from_hash_family(cls, hf) -> "CodeFamily":
         from .hashfam import kernel_code
 
+        if hf.index_space > FAMILY_MEMBER_CAP:
+            raise EnumerationCapError(
+                f"family of {hf.index_space} members exceeds cap {FAMILY_MEMBER_CAP}"
+            )
         return cls([kernel_code(h) for h in hf])
 
 

@@ -6,6 +6,7 @@ the same checks back the CLI `verify all` subcommand.
 
 import pytest
 
+from dualhash import acceptance
 from dualhash.acceptance import CRITERIA, run_criteria
 
 SEED = 7
@@ -29,3 +30,13 @@ def test_criterion(number):
 
 def test_every_criterion_is_covered():
     assert sorted(CRITERIA) == list(range(1, 10))
+
+
+def test_search_crash_is_reported_not_counted_as_failure(monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(acceptance, "search_permuted_code", crash)
+    result = run_criteria([8])[0]
+    assert not result.passed
+    assert "RuntimeError: boom" in result.detail

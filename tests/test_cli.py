@@ -33,6 +33,16 @@ def test_analyze_rejects_mc(capsys):
     assert "exact" in err
 
 
+def test_analyze_rejects_oversized_family_before_enumerating(capsys, monkeypatch):
+    def no_members(h):
+        raise AssertionError("member enumerated")
+
+    monkeypatch.setattr("dualhash.hashfam.kernel_code", no_members)
+    code, _, err = run(capsys, "analyze", "--kind", "toeplitz", "-n", "16", "-m", "8")
+    assert code == 2
+    assert "exceeds cap" in err
+
+
 def test_bounds_reliability_zero_noise(capsys):
     code, out, _ = run(capsys, "bounds", "reliability", "-R", "0.5", "-p", "0")
     assert code == 0
@@ -76,6 +86,15 @@ def test_simulate_family_average_reproducible(capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2  # byte-identical for identical seed and flags
+
+
+def test_simulate_family_average_monte_carlo(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--what", "family-average", "-n", "12", "-m", "8",
+        "-p", "1/20", "-R", "0.333", "--samples", "20", "--seed", "5", "--mc",
+    )
+    assert code == 0, err
+    assert json.loads(out)["param_mode"] == "monte_carlo"
 
 
 def test_simulate_error_prob_from_file(tmp_path, capsys):

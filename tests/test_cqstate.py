@@ -24,7 +24,7 @@ from dualhash.cqstate import (
     walsh_transform,
 )
 from dualhash.gf2 import LinearCode, dual
-from dualhash.hashfam import HashFamilySpec, make_family
+from dualhash.hashfam import HashFamily, HashFamilySpec
 from dualhash.universality import CodeFamily
 
 
@@ -107,7 +107,7 @@ def test_walsh_transform_validation():
 
 def test_walsh_bias_matches_code_bias():
     fam = CodeFamily.from_hash_family(
-        make_family(HashFamilySpec("modified_toeplitz", 5, 2))
+        HashFamily(HashFamilySpec("modified_toeplitz", 5, 2))
     )
     spectral = walsh_bias([uniform_on_code(c) for c in fam.codes], fam.weights)
     counted = code_bias(fam)
@@ -147,7 +147,7 @@ def test_block_identity_exact_scaling():
 def test_verify_fs08_and_pa_hold():
     rng = np.random.default_rng(3)
     fam = CodeFamily.from_hash_family(
-        make_family(HashFamilySpec("modified_toeplitz", 3, 1))
+        HashFamily(HashFamilySpec("modified_toeplitz", 3, 1))
     )
     for _ in range(10):
         rho = random_cq_state(3, 4, rng)
@@ -161,7 +161,7 @@ def test_pa_with_explicit_sigma():
     rng = np.random.default_rng(5)
     rho = random_cq_state(2, 3, rng)
     fam = CodeFamily.from_hash_family(
-        make_family(HashFamilySpec("random_linear", 2, 1))
+        HashFamily(HashFamilySpec("random_linear", 2, 1))
     )
     sigma = np.eye(3, dtype=complex) / 3
     lhs, rhs = verify_pa(rho, fam, sigma=sigma)

@@ -24,9 +24,9 @@ from dualhash.gf2 import (
     parse_code,
     rank,
     rref,
-    subspaces,
     weight_distribution,
 )
+from dualhash.universality import subspaces_of
 
 
 def random_matrix(rng, rows, cols):
@@ -173,7 +173,7 @@ def test_bits_string_roundtrip():
 
 def test_subspace_count():
     # Gaussian binomial [4 choose 2]_2 = 35
-    assert sum(1 for _ in subspaces(list(LinearCode.full(4).basis), 4, 2)) == 35
+    assert sum(1 for _ in subspaces_of(LinearCode.full(4), 2)) == 35
 
 
 def test_rref_pivots():

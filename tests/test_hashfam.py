@@ -1,4 +1,4 @@
-"""Hash family constructions and the carry-less-multiplication fast path."""
+"""Hash family constructions and hash evaluation."""
 
 import random
 
@@ -6,13 +6,13 @@ import pytest
 
 from dualhash.gf2 import BinaryMatrix, BitVector, LinearCode
 from dualhash.hashfam import (
+    HashFamily,
     HashFamilySpec,
     HashFunction,
     apply_hash,
     apply_hash_schoolbook,
     format_hash,
     kernel_code,
-    make_family,
     modified_toeplitz_dual,
     modified_toeplitz_matrix,
     parse_hash,
@@ -29,7 +29,7 @@ def test_toeplitz_constant_diagonals():
                 assert t.entry(i, k) == t.entry(i + 1, k + 1)
 
 
-def test_modified_toeplitz_shape():
+def test_modified_toeplitz_blocks():
     n, m = 6, 2
     mt = modified_toeplitz_matrix(n, m, 0b10110)
     # right m x m block is the identity
@@ -59,13 +59,20 @@ def test_modified_toeplitz_dual_pair_orthogonal():
 
 
 def test_index_spaces():
-    assert make_family(HashFamilySpec("toeplitz", 6, 2)).index_space == 1 << 7
-    assert make_family(HashFamilySpec("modified_toeplitz", 6, 2)).index_space == 1 << 5
-    assert make_family(HashFamilySpec("random_linear", 3, 2)).index_space == 1 << 6
+    assert HashFamily(HashFamilySpec("toeplitz", 6, 2)).index_space == 1 << 7
+    assert HashFamily(HashFamilySpec("modified_toeplitz", 6, 2)).index_space == 1 << 5
+    assert HashFamily(HashFamilySpec("random_linear", 3, 2)).index_space == 1 << 6
+
+
+def test_index_space_beyond_machine_word():
+    fam = HashFamily(HashFamilySpec("toeplitz", 64, 8))
+    assert fam.index_space == 2**71
+    last = fam[fam.index_space - 1]
+    assert last.matrix.rows == ((1 << 64) - 1,) * 8
 
 
 def test_random_linear_row_packing():
-    fam = make_family(HashFamilySpec("random_linear", 3, 2))
+    fam = HashFamily(HashFamilySpec("random_linear", 3, 2))
     h = fam[0b101110]
     assert h.matrix.rows == (0b110, 0b101)
 
@@ -76,7 +83,7 @@ def test_fast_path_matches_schoolbook():
         for _ in range(10):
             n = rng.randrange(64, 130)
             m = rng.randrange(1, min(n, 40))
-            fam = make_family(HashFamilySpec(kind, n, m))
+            fam = HashFamily(HashFamilySpec(kind, n, m))
             for _ in range(500):
                 h = fam[rng.randrange(fam.index_space)]
                 x = BitVector(n, rng.randrange(1 << n))
@@ -84,7 +91,7 @@ def test_fast_path_matches_schoolbook():
 
 
 def test_small_inputs_use_matrix_path():
-    fam = make_family(HashFamilySpec("modified_toeplitz", 8, 3))
+    fam = HashFamily(HashFamilySpec("modified_toeplitz", 8, 3))
     rng = random.Random(2)
     for _ in range(200):
         h = fam[rng.randrange(fam.index_space)]
@@ -92,8 +99,29 @@ def test_small_inputs_use_matrix_path():
         assert apply_hash(h, x) == apply_hash_schoolbook(h, x)
 
 
+def test_toeplitz_entries_follow_diagonal_word():
+    # bit k - i + m - 1 of the diagonal word is entry (i, k) of T; the
+    # modified matrix (T | I_m) puts the identity in its last m columns
+    rng = random.Random(11)
+    shapes = [(rng.randrange(64, 130), None) for _ in range(10)]
+    shapes += [(2, 1), (5, 3), (12, 4), (63, 20)]
+    for n, m in shapes:
+        m = m or rng.randrange(1, min(n, 40))
+        d, dm = rng.getrandbits(n + m - 1), rng.getrandbits(n - 1)
+        t = toeplitz_matrix(n, m, d)
+        mt = modified_toeplitz_matrix(n, m, dm)
+        for i in range(m):
+            for k in range(n):
+                assert t.entry(i, k) == (d >> (k - i + m - 1)) & 1
+                if k < n - m:
+                    want = (dm >> (k - i + m - 1)) & 1
+                else:
+                    want = int(k - (n - m) == i)
+                assert mt.entry(i, k) == want
+
+
 def test_modified_toeplitz_always_surjective():
-    fam = make_family(HashFamilySpec("modified_toeplitz", 7, 3))
+    fam = HashFamily(HashFamilySpec("modified_toeplitz", 7, 3))
     for h in fam:
         assert h.matrix.rank() == 3
         assert kernel_code(h).dim == 4
@@ -101,15 +129,15 @@ def test_modified_toeplitz_always_surjective():
 
 def test_from_code_family():
     codes = (LinearCode.repetition(4), LinearCode.from_strings(["1100", "0011"]))
-    fam = make_family(HashFamilySpec("from_code_family", 4, 3, codes=codes))
-    assert len(fam) == 2
+    fam = HashFamily(HashFamilySpec("from_code_family", 4, 3, codes=codes))
+    assert fam.index_space == 2
     # hashing by the parity-check matrix: the code is the kernel
     assert kernel_code(fam[0]).contains_code(codes[0])
     assert kernel_code(fam[1]).contains_code(codes[1])
 
 
 def test_sample_is_seeded():
-    fam = make_family(HashFamilySpec("toeplitz", 10, 4))
+    fam = HashFamily(HashFamilySpec("toeplitz", 10, 4))
     a = [h.matrix for h in fam.sample(20, seed=5)]
     b = [h.matrix for h in fam.sample(20, seed=5)]
     assert a == b
@@ -123,7 +151,11 @@ def test_parse_format_roundtrip():
 def test_bad_shapes_rejected():
     with pytest.raises(ValueError):
         HashFunction(3, 2, BinaryMatrix.from_strings(["101"]))
+    h = HashFunction(4, 2, BinaryMatrix.from_strings(["1011", "0110"]))
+    assert apply_hash(h, BitVector.from_string("1100")).value == 0b11
     with pytest.raises(ValueError):
-        make_family(HashFamilySpec("toeplitz", 3, 4))
+        apply_hash(h, BitVector(5, 0))
     with pytest.raises(ValueError):
-        make_family(HashFamilySpec("unknown_kind", 3, 2))
+        HashFamily(HashFamilySpec("toeplitz", 3, 4))
+    with pytest.raises(ValueError):
+        HashFamily(HashFamilySpec("unknown_kind", 3, 2))

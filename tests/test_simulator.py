@@ -1,5 +1,6 @@
 """Exact decoding simulation, family averages, distillation, wiretap."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from dualhash.bounds import binary_entropy
 from dualhash.gf2 import BitVector, LinearCode, dual
-from dualhash.hashfam import HashFamilySpec, make_family
+from dualhash.hashfam import HashFamily, HashFamilySpec, kernel_code
 from dualhash.simulator import (
+    Z_99,
+    _mc_error_prob,
     counterexample_leakage,
     decode,
     distill_keys,
@@ -101,7 +104,7 @@ def test_family_average_code_family_exact():
 
 
 def test_family_average_hash_family_with_ci():
-    hf = make_family(HashFamilySpec("random_linear", 8, 4))
+    hf = HashFamily(HashFamilySpec("random_linear", 8, 4))
     res = family_average_error(
         hf, Fraction(1, 20), R=0.5, epsilon=1.0, sample_count=50, seed=3
     )
@@ -111,8 +114,19 @@ def test_family_average_hash_family_with_ci():
     assert {b.formula_id for b in res.bounds} == {"family_average", "weighted_sum"}
 
 
+def test_monte_carlo_error_prob_matches_exact():
+    # the transmitted word is 0, so decoding fails iff the decoded word
+    # leaves C2 (here the zero code)
+    code = kernel_code(HashFamily(HashFamilySpec("random_linear", 12, 8)).sample(1, 0)[0])
+    trials = 2000
+    exact = float(exact_error_prob(code, Fraction(1, 20)))
+    est = _mc_error_prob(code, 0.05, trials, random.Random(0), None)
+    half_width = Z_99 * math.sqrt(est * (1 - est) / trials)
+    assert abs(est - exact) <= half_width
+
+
 def test_family_average_requires_seed():
-    hf = make_family(HashFamilySpec("random_linear", 6, 3))
+    hf = HashFamily(HashFamilySpec("random_linear", 6, 3))
     with pytest.raises(ValueError):
         family_average_error(hf, Fraction(1, 10), R=0.5)
 

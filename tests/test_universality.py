@@ -7,9 +7,10 @@ from math import comb
 
 import pytest
 
-from dualhash.gf2 import LinearCode, dual
-from dualhash.hashfam import HashFamilySpec, make_family
+from dualhash.gf2 import EnumerationCapError, LinearCode, dual
+from dualhash.hashfam import HashFamily, HashFamilySpec
 from dualhash.universality import (
+    FAMILY_MEMBER_CAP,
     CodeFamily,
     CodePairFamily,
     SearchBudgetError,
@@ -30,7 +31,7 @@ from dualhash.universality import (
 
 
 def hash_code_family(kind, n, m):
-    return CodeFamily.from_hash_family(make_family(HashFamilySpec(kind, n, m)))
+    return CodeFamily.from_hash_family(HashFamily(HashFamilySpec(kind, n, m)))
 
 
 def brute_epsilon(family, t):
@@ -42,6 +43,20 @@ def brute_epsilon(family, t):
         )
         best = max(best, Fraction(hit, family.total_weight))
     return best * (1 << (family.n - t))
+
+
+def test_family_size_cap_before_enumeration():
+    class Oversized:
+        index_space = FAMILY_MEMBER_CAP + 1
+
+        def __getitem__(self, r):
+            raise AssertionError("member built")
+
+        def __iter__(self):
+            raise AssertionError("family iterated")
+
+    with pytest.raises(EnumerationCapError):
+        CodeFamily.from_hash_family(Oversized())
 
 
 def test_epsilon_against_brute_force():
