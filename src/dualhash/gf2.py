@@ -373,14 +373,6 @@ def complement_basis(c1: LinearCode, c2: LinearCode) -> list[int]:
     return comp
 
 
-def coset_index(x: int, c1: LinearCode, c2: LinearCode, reps: list[int]) -> int:
-    """Index into `reps` of the coset of x in C1/C2."""
-    for i, r in enumerate(reps):
-        if c2.contains(x ^ r):
-            return i
-    raise ValueError("x is not in C1")
-
-
 def parse_code(text: str) -> LinearCode:
     """Code file format: first line "n k", then k rows of n bits."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]

@@ -1,9 +1,10 @@
 """Exact desk-scale channel simulation: decoding, family averages, key
 distillation, and wiretap security evaluation.
 
-Error probabilities are exact rationals obtained by enumerating all error
-patterns (n <= 16); Monte Carlo estimates always carry two-sided 99%
-confidence intervals and bound checks use the upper limit.
+Every decoding path uses one coset-leader table keyed by dual-code
+syndromes (n <= 16), and error probabilities are exact rationals; Monte
+Carlo estimates always carry two-sided 99% confidence intervals and bound
+checks use the upper limit.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .bounds import (
 )
 from .cqstate import d1_distance, holevo, pauli_wiretap_state
 from .gf2 import (
+    BinaryMatrix,
     BitVector,
     LinearCode,
     WeightDistribution,
@@ -75,12 +77,34 @@ class SimResult:
         return rec
 
 
+def _syndrome_table(c: LinearCode) -> tuple[BinaryMatrix, dict[int, int]]:
+    """Parity-check matrix H (rows span C^perp) and the coset leaders of C.
+
+    leaders[Hx] is the minimum-(weight, value) element of x + C: patterns
+    are walked by weight, each weight in increasing order (Gosper's hack),
+    and the first to reach a syndrome keeps it.
+    """
+    n = c.n
+    if n > ERROR_ENUM_CAP:
+        raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
+    h = BinaryMatrix(dual(c).basis, n)
+    size, leaders = 1 << h.nrows, {0: 0}
+    for weight in range(1, n + 1):
+        e = (1 << weight) - 1
+        while len(leaders) < size and e < 1 << n:
+            leaders.setdefault(h.mul_vector(e), e)
+            low = e & -e
+            nxt = e + low
+            e = ((nxt ^ e) >> 2) // low | nxt
+    return h, leaders
+
+
 def decode(c: LinearCode, y: BitVector, rule: str = "min_distance",
            p: float | None = None) -> BitVector:
     """Nearest codeword; ties go to the lexicographically smallest error.
 
     The maximum-likelihood rule needs p in (0, 1/2], where it reduces to
-    minimum Hamming distance with the same tie-break.
+    minimum Hamming distance with the same tie-break.  Needs n <= 16.
     """
     if rule == "max_likelihood":
         if p is None or not 0 < p <= 0.5:
@@ -89,27 +113,8 @@ def decode(c: LinearCode, y: BitVector, rule: str = "min_distance",
         raise ValueError(f"unknown rule: {rule}")
     if y.n != c.n:
         raise ValueError("length mismatch")
-    best_err = None
-    for cw in c.codewords():
-        e = y.value ^ cw
-        key = (e.bit_count(), e)
-        if best_err is None or key < best_err:
-            best_err = key
-    return BitVector(c.n, y.value ^ best_err[1])
-
-
-def _coset_leaders(c: LinearCode) -> list[int]:
-    """Minimum-weight (then smallest) element of each coset of F_2^n / C."""
-    leaders = []
-    for rep in cosets(LinearCode.full(c.n), c):
-        best = None
-        for cw in c.codewords():
-            e = rep ^ cw
-            key = (e.bit_count(), e)
-            if best is None or key < best:
-                best = key
-        leaders.append(best[1])
-    return leaders
+    h, leaders = _syndrome_table(c)
+    return BitVector(c.n, y.value ^ leaders[h.mul_vector(y.value)])
 
 
 def exact_error_prob(code, p, rule: str = "min_distance") -> Fraction:
@@ -128,15 +133,14 @@ def exact_error_prob(code, p, rule: str = "min_distance") -> Fraction:
         if not c1.contains_code(c2):
             raise ValueError("C2 is not a subcode of C1")
     n = c1.n
-    if n > ERROR_ENUM_CAP:
-        raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
     p = Fraction(p)
     if not 0 <= p <= Fraction(1, 2):
         raise ValueError("p must be in [0, 1/2]")
+    _, leaders = _syndrome_table(c1)
     # A received word decodes correctly iff its error pattern differs from
     # its coset leader (mod C1) by an element of C2.
     correct_by_weight = [0] * (n + 1)
-    for leader in _coset_leaders(c1):
+    for leader in leaders.values():
         for cw in c2.codewords():
             correct_by_weight[(leader ^ cw).bit_count()] += 1
     q = 1 - p
@@ -164,12 +168,13 @@ def family_average_error(
     family: a CodeFamily (full weighted average) or a HashFamily, in which
     case sample_count and seed select exact-per-member evaluation over a
     seeded sample, reported with a 99% confidence interval.  With `base`
-    given, members are decoded as coset messages modulo it... members are
-    the outer codes C1 and messages are cosets C1/base.
-    R and epsilon name the family's nominal rate and universality parameter
-    for the attached bounds.
+    given, each member is an outer code C1 containing it, and the message
+    is the coset C1/base.  R and epsilon name the family's nominal rate and
+    universality parameter for the attached bounds.
     """
     pf = Fraction(p)
+    if not 0 <= pf <= Fraction(1, 2):
+        raise ValueError("p must be in [0, 1/2]")
     if isinstance(family, CodeFamily):
         n = family.n
         values = []
@@ -222,13 +227,14 @@ def family_average_error(
 def _mc_error_prob(c1: LinearCode, p: float, trials: int, rng: random.Random,
                    base: LinearCode | None) -> float:
     c2 = base if base is not None else LinearCode.zero(c1.n)
+    h, leaders = _syndrome_table(c1)
     wrong = 0
     for _ in range(trials):
         e = 0
         for i in range(c1.n):
             if rng.random() < p:
                 e |= 1 << i
-        decoded = decode(c1, BitVector(c1.n, e)).value
+        decoded = e ^ leaders[h.mul_vector(e)]
         if not c2.contains(decoded):
             wrong += 1
     return wrong / trials
@@ -245,14 +251,13 @@ def distill_keys(
     with the outer code, output coset keys modulo the inner code.
 
     Returns (s_a, s_b, agree) where the keys are canonical coset
-    representatives of C1/C2.
+    representatives of C1/C2, found by their syndromes modulo C2.
     """
     if k_a.n != c1.n or k_b.n != c1.n:
         raise ValueError("length mismatch")
     if not c1.contains_code(c2):
         raise ValueError("C2 is not a subcode of C1")
     rng = random.Random(seed)
-    reps = cosets(c1, c2)
     r_a = 0
     for b in c1.basis:
         if rng.random() < 0.5:
@@ -260,16 +265,11 @@ def distill_keys(
     v = k_a.value ^ r_a
     r_b = v ^ k_b.value
     r_b_corrected = decode(c1, BitVector(c1.n, r_b)).value
-    s_a = _coset_rep(r_a, c2, reps)
-    s_b = _coset_rep(r_b_corrected, c2, reps)
+    h2 = BinaryMatrix(dual(c2).basis, c1.n)
+    rep_of = {h2.mul_vector(r): r for r in cosets(c1, c2)}
+    s_a = rep_of[h2.mul_vector(r_a)]
+    s_b = rep_of[h2.mul_vector(r_b_corrected)]
     return BitVector(c1.n, s_a), BitVector(c1.n, s_b), s_a == s_b
-
-
-def _coset_rep(x: int, c2: LinearCode, reps: list[int]) -> int:
-    for r in reps:
-        if c2.contains(x ^ r):
-            return r
-    raise ValueError("element is outside the outer code")
 
 
 def parse_channel(text: str) -> list[tuple[float, float, float, float]]:
@@ -352,12 +352,13 @@ def counterexample_leakage(n: int, p: float, family: CodeFamily | None = None,
     """
     if n > ERROR_ENUM_CAP:
         raise ValueError(f"n={n} exceeds cap {ERROR_ENUM_CAP}")
-    if family is None:
-        family = counterexample_family(n, seed=seed)
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
+    if family is None:
+        family = counterexample_family(n, seed=seed)
+    elif family.n != n:
+        raise ValueError(f"family length {family.n} differs from n={n}")
     size = 1 << n
-    log_noise = [None] * (n + 1)
     mi_acc = 0.0
     for code, w in zip(family.codes, family.weights):
         # I([X]; Y) = H(Y) - H(Y | coset) = n - H(C + E), C uniform on the

@@ -463,8 +463,8 @@ def search_permuted_code(
     extension: base = C2; returns (C1, C2) with C2 ⊆ C1, dim C1 = t and
       ε(C1/C2) ≤ n+1.
     dual_pair: base = C2; returns (C1, C2) with C1 ⊆ C2, dim C1 = t and
-      ε(C1^⊥/C2^⊥)... the dual pair orbit parameter ε(C2^⊥-extension) ≤ n+1,
-      obtained by running the extension search on C2^⊥.
+      ε(C1^⊥/C2^⊥) ≤ n+1, where C1^⊥ ⊇ C2^⊥ is drawn as in the extension
+      search with C2^⊥ as its base.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

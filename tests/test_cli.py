@@ -97,6 +97,38 @@ def test_simulate_family_average_monte_carlo(capsys):
     assert json.loads(out)["param_mode"] == "monte_carlo"
 
 
+@pytest.mark.parametrize("p", ["3/4", "2"])
+def test_simulate_family_average_rejects_p_before_sampling(capsys, monkeypatch, p):
+    def no_trials(*args):
+        raise AssertionError("member sampled")
+
+    monkeypatch.setattr("dualhash.simulator._mc_error_prob", no_trials)
+    code, _, err = run(
+        capsys, "simulate", "--what", "family-average", "-n", "8", "-m", "4",
+        "-p", p, "-R", "0.5", "--samples", "5", "--seed", "1", "--mc",
+    )
+    assert code == 2
+    assert "p must be in [0, 1/2]" in err
+
+
+def test_simulate_distill_refuses_length_beyond_cap(tmp_path, capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(LinearCode, "codewords", no_enumeration)
+    c1 = tmp_path / "c1.txt"
+    c1.write_text(format_code(LinearCode.full(17)))
+    c2 = tmp_path / "c2.txt"
+    c2.write_text(format_code(LinearCode.repetition(17)))
+    key = "0" * 17
+    code, _, err = run(
+        capsys, "simulate", "--what", "distill", "--c1", str(c1), "--c2", str(c2),
+        "--key-a", key, "--key-b", key, "--seed", "3",
+    )
+    assert code == 2
+    assert "exceeds enumeration cap" in err
+
+
 def test_simulate_error_prob_from_file(tmp_path, capsys):
     path = tmp_path / "rep3.txt"
     path.write_text(format_code(LinearCode.repetition(3)))

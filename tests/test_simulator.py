@@ -25,11 +25,69 @@ from dualhash.simulator import (
 from dualhash.universality import CodeFamily, counterexample_family, random_code
 
 
+def oracle_decode(c, y):
+    """Reference decoder: scan every codeword for the minimum-(weight, value)
+    error y ^ cw, and return the codeword it leaves."""
+    _, err = min(((y ^ cw).bit_count(), y ^ cw) for cw in c.codewords())
+    return y ^ err
+
+
+def oracle_error_prob(c1, c2, p):
+    """Coset-message error probability from the reference decoder: the zero
+    word is sent, and decoding fails iff the decoded word leaves C2."""
+    n = c1.n
+    return sum(
+        p**e.bit_count() * (1 - p) ** (n - e.bit_count())
+        for e in range(1 << n)
+        if not c2.contains(oracle_decode(c1, e))
+    )
+
+
 def test_decode_tie_break_example():
     # both codewords are at distance 1 from 10; the error pattern 01 is
     # lexicographically smaller than 10, so 11 wins
     c = LinearCode.from_strings(["11"])
     assert str(decode(c, BitVector.from_string("10"))) == "11"
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_decode_matches_codeword_scan(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 11)
+    c = random_code(n, rng.randrange(0, n + 1), rng)
+    for y in range(1 << n):
+        assert decode(c, BitVector(n, y)).value == oracle_decode(c, y)
+
+
+def test_exact_error_prob_nested_pairs_match_oracle():
+    # C1 = <101110, 011000>, C2 = <101110>: breaking weight ties toward the
+    # largest error pattern would give 27/250 instead of 1/10
+    c1 = LinearCode.from_strings(["101110", "011000"])
+    c2 = LinearCode.from_strings(["101110"])
+    p = Fraction(1, 10)
+    assert exact_error_prob((c1, c2), p) == oracle_error_prob(c1, c2, p) == p
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randrange(2, 8)
+        c1 = random_code(n, rng.randrange(1, n + 1), rng)
+        c2 = LinearCode.from_rows(n, c1.basis[: rng.randrange(1, c1.dim + 1)])
+        p = Fraction(rng.randrange(1, 50), 100)
+        assert exact_error_prob((c1, c2), p) == oracle_error_prob(c1, c2, p)
+
+
+def test_decoding_refused_beyond_cap_before_enumerating(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(LinearCode, "codewords", no_enumeration)
+    monkeypatch.setattr("dualhash.simulator.cosets", no_enumeration)
+    c1, c2 = LinearCode.full(17), LinearCode.repetition(17)
+    y = BitVector(17, 5)
+    with pytest.raises(ValueError, match="exceeds enumeration cap"):
+        decode(LinearCode.repetition(17), y)
+    with pytest.raises(ValueError, match="exceeds enumeration cap"):
+        distill_keys(y, y, c1, c2, seed=0)
 
 
 def test_decode_rules_agree():
@@ -215,3 +273,16 @@ def test_counterexample_custom_family():
     fam = counterexample_family(5)
     res = counterexample_leakage(5, 0.2, family=fam)
     assert res.exact_value >= 1 - binary_entropy(0.2) - 1e-9
+
+
+def test_counterexample_rejects_family_of_other_length():
+    with pytest.raises(ValueError, match="length"):
+        counterexample_leakage(4, 0.1, family=counterexample_family(6))
+
+
+def test_family_average_rejects_p_above_half_in_both_modes():
+    hf = HashFamily(HashFamilySpec("random_linear", 6, 3))
+    for mode in ("exact", "monte_carlo"):
+        for p in (Fraction(3, 4), 2, -Fraction(1, 10)):
+            with pytest.raises(ValueError, match="p must be"):
+                family_average_error(hf, p, R=0.5, mode=mode, sample_count=4, seed=1)
