@@ -401,9 +401,8 @@ def main(argv=None) -> int:
         parser.error("family-average sampling needs --seed")
     if getattr(args, "what", None) == "distill" and args.seed is None:
         parser.error("distill needs --seed")
-    if getattr(args, "what", None) == "mc" or getattr(args, "mc", False):
-        if getattr(args, "seed", None) is None and args.verb == "simulate":
-            parser.error("--mc needs --seed")
+    if getattr(args, "mc", False) and args.seed is None and args.verb == "simulate":
+        parser.error("--mc needs --seed")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -2,9 +2,10 @@
 distillation, and wiretap security evaluation.
 
 Every decoding path uses one coset-leader table keyed by dual-code
-syndromes (n <= 16), and error probabilities are exact rationals; Monte
-Carlo estimates always carry two-sided 99% confidence intervals and bound
-checks use the upper limit.
+syndromes, built in one vectorised pass over all 2^n error patterns; the
+cap n <= 16 bounds that work at 2^16 patterns.  Error probabilities are
+exact rationals; Monte Carlo estimates always carry two-sided 99%
+confidence intervals and bound checks use the upper limit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+
+import numpy as np
 
 from .bounds import (
     BoundReport,
@@ -27,7 +31,7 @@ from .gf2 import (
     BitVector,
     LinearCode,
     WeightDistribution,
-    cosets,
+    complement_basis,
     dual,
 )
 from .universality import CodeFamily, counterexample_family
@@ -77,26 +81,41 @@ class SimResult:
         return rec
 
 
-def _syndrome_table(c: LinearCode) -> tuple[BinaryMatrix, dict[int, int]]:
+@cache
+def _pattern_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hamming weight of every n-bit pattern, and its (weight, value) key.
+
+    Both arrays are indexed by the pattern; ordering patterns by key is
+    ordering them by weight, then by value.  Read-only, one pair per n;
+    callers check n <= ERROR_ENUM_CAP first, which bounds the cache.
+    """
+    weight = np.zeros(1 << n, dtype=np.int32)
+    for j in range(n):
+        weight[1 << j : 2 << j] = weight[: 1 << j] + 1
+    key = (weight << n) | np.arange(1 << n, dtype=np.int32)
+    weight.flags.writeable = key.flags.writeable = False
+    return weight, key
+
+
+def _syndrome_table(c: LinearCode) -> tuple[BinaryMatrix, list[int]]:
     """Parity-check matrix H (rows span C^perp) and the coset leaders of C.
 
-    leaders[Hx] is the minimum-(weight, value) element of x + C: patterns
-    are walked by weight, each weight in increasing order (Gosper's hack),
-    and the first to reach a syndrome keeps it.
+    leaders[Hx] is the minimum-(weight, value) element of x + C.  The table
+    comes from one vectorised pass over all 2^n patterns: the syndrome of
+    every pattern is an XOR of column syndromes, and each syndrome keeps its
+    pattern of least (weight, value) key.  n <= 16 bounds that work at 2^16.
     """
     n = c.n
     if n > ERROR_ENUM_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
     h = BinaryMatrix(dual(c).basis, n)
-    size, leaders = 1 << h.nrows, {0: 0}
-    for weight in range(1, n + 1):
-        e = (1 << weight) - 1
-        while len(leaders) < size and e < 1 << n:
-            leaders.setdefault(h.mul_vector(e), e)
-            low = e & -e
-            nxt = e + low
-            e = ((nxt ^ e) >> 2) // low | nxt
-    return h, leaders
+    syndrome = np.zeros(1 << n, dtype=np.int32)
+    for j in range(n):
+        syndrome[1 << j : 2 << j] = syndrome[: 1 << j] ^ h.mul_vector(1 << j)
+    _, key = _pattern_weights(n)
+    best = np.full(1 << h.nrows, np.iinfo(np.int32).max, dtype=np.int32)
+    np.minimum.at(best, syndrome, key)
+    return h, (best & ((1 << n) - 1)).tolist()
 
 
 def decode(c: LinearCode, y: BitVector, rule: str = "min_distance",
@@ -139,17 +158,19 @@ def exact_error_prob(code, p, rule: str = "min_distance") -> Fraction:
     _, leaders = _syndrome_table(c1)
     # A received word decodes correctly iff its error pattern differs from
     # its coset leader (mod C1) by an element of C2.
-    correct_by_weight = [0] * (n + 1)
-    for leader in leaders.values():
-        for cw in c2.codewords():
-            correct_by_weight[(leader ^ cw).bit_count()] += 1
-    q = 1 - p
-    p_correct = sum(
-        cnt * p**w * q ** (n - w)
-        for w, cnt in enumerate(correct_by_weight)
-        if cnt
+    weight, _ = _pattern_weights(n)
+    correct = np.bitwise_xor.outer(
+        np.array(leaders, dtype=np.int32),
+        np.fromiter(c2.codewords(), dtype=np.int32, count=len(c2)),
     )
-    return 1 - p_correct
+    correct_by_weight = np.bincount(weight[correct].ravel(), minlength=n + 1)
+    # With p = a/b, P(correct) = sum_w cnt_w a^w (b - a)^(n - w) / b^n.
+    a, b = p.numerator, p.denominator
+    num = sum(
+        cnt * a**w * (b - a) ** (n - w)
+        for w, cnt in enumerate(correct_by_weight.tolist())
+    )
+    return Fraction(b**n - num, b**n)
 
 
 def family_average_error(
@@ -251,7 +272,8 @@ def distill_keys(
     with the outer code, output coset keys modulo the inner code.
 
     Returns (s_a, s_b, agree) where the keys are canonical coset
-    representatives of C1/C2, found by their syndromes modulo C2.
+    representatives of C1/C2: the elements of span(complement_basis(C1, C2))
+    that `gf2.cosets` lists, found by elimination without enumerating them.
     """
     if k_a.n != c1.n or k_b.n != c1.n:
         raise ValueError("length mismatch")
@@ -265,11 +287,33 @@ def distill_keys(
     v = k_a.value ^ r_a
     r_b = v ^ k_b.value
     r_b_corrected = decode(c1, BitVector(c1.n, r_b)).value
-    h2 = BinaryMatrix(dual(c2).basis, c1.n)
-    rep_of = {h2.mul_vector(r): r for r in cosets(c1, c2)}
-    s_a = rep_of[h2.mul_vector(r_a)]
-    s_b = rep_of[h2.mul_vector(r_b_corrected)]
+    s_a, s_b = _coset_reps(c1, c2, r_a, r_b_corrected)
     return BitVector(c1.n, s_a), BitVector(c1.n, s_b), s_a == s_b
+
+
+def _coset_reps(c1: LinearCode, c2: LinearCode, *words: int) -> list[int]:
+    """Canonical representative of each word of C1 modulo C2.
+
+    C1 is the direct sum span(comp) + C2 with comp = complement_basis(C1,
+    C2), so a word r splits uniquely as s + t with s in span(comp) and t in
+    C2; s is the representative.  Elimination carries, for each echelon
+    row, its component in span(comp).
+    """
+    rows: dict[int, tuple[int, int]] = {}  # leading bit -> (row, comp part)
+    comp = complement_basis(c1, c2)
+    for v, part in [(b, b) for b in comp] + [(b, 0) for b in c2.basis]:
+        while v.bit_length() in rows:
+            row, row_part = rows[v.bit_length()]
+            v, part = v ^ row, part ^ row_part
+        rows[v.bit_length()] = (v, part)
+    reps = []
+    for r in words:
+        s = 0
+        while r:
+            row, row_part = rows[r.bit_length()]
+            r, s = r ^ row, s ^ row_part
+        reps.append(s)
+    return reps
 
 
 def parse_channel(text: str) -> list[tuple[float, float, float, float]]:

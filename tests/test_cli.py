@@ -79,6 +79,13 @@ def test_simulate_family_average_needs_seed(capsys):
     assert err.value.code == 2
 
 
+def test_simulate_mc_needs_seed(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--what", "counterexample", "-n", "5", "-p", "1/10", "--mc"])
+    assert err.value.code == 2
+    assert "--mc needs --seed" in capsys.readouterr().err
+
+
 def test_simulate_family_average_reproducible(capsys):
     argv = ["simulate", "--what", "family-average", "-n", "8", "-m", "4",
             "-p", "1/20", "-R", "0.5", "--samples", "30", "--seed", "9"]

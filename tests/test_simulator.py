@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualhash.bounds import binary_entropy
-from dualhash.gf2 import BitVector, LinearCode, dual
+from dualhash.gf2 import BinaryMatrix, BitVector, LinearCode, cosets, dual
 from dualhash.hashfam import HashFamily, HashFamilySpec, kernel_code
 from dualhash.simulator import (
     Z_99,
     _mc_error_prob,
+    _syndrome_table,
     counterexample_leakage,
     decode,
     distill_keys,
@@ -30,6 +31,36 @@ def oracle_decode(c, y):
     error y ^ cw, and return the codeword it leaves."""
     _, err = min(((y ^ cw).bit_count(), y ^ cw) for cw in c.codewords())
     return y ^ err
+
+
+def oracle_leaders(c):
+    """Reference coset-leader table: walk patterns by weight, each weight in
+    increasing order (Gosper's hack); the first to reach a syndrome keeps it."""
+    n = c.n
+    h = BinaryMatrix(dual(c).basis, n)
+    size, leaders = 1 << h.nrows, {0: 0}
+    for weight in range(1, n + 1):
+        e = (1 << weight) - 1
+        while len(leaders) < size and e < 1 << n:
+            leaders.setdefault(h.mul_vector(e), e)
+            low = e & -e
+            nxt = e + low
+            e = ((nxt ^ e) >> 2) // low | nxt
+    return [leaders[s] for s in range(size)]
+
+
+def oracle_distill_keys(k_a, k_b, c1, c2, seed):
+    """Reference distillation: the same masking draws, the codeword-scan
+    decoder, and keys looked up among all reps of cosets(c1, c2)."""
+    rng = random.Random(seed)
+    r_a = 0
+    for b in c1.basis:
+        if rng.random() < 0.5:
+            r_a ^= b
+    r_b = oracle_decode(c1, k_a.value ^ r_a ^ k_b.value)
+    h2 = BinaryMatrix(dual(c2).basis, c1.n)
+    rep_of = {h2.mul_vector(r): r for r in cosets(c1, c2)}
+    return rep_of[h2.mul_vector(r_a)], rep_of[h2.mul_vector(r_b)]
 
 
 def oracle_error_prob(c1, c2, p):
@@ -60,6 +91,29 @@ def test_decode_matches_codeword_scan(seed):
         assert decode(c, BitVector(n, y)).value == oracle_decode(c, y)
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_syndrome_table_matches_weight_ordered_walk(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 13)
+    c = random_code(n, rng.randrange(0, n + 1), rng)
+    assert _syndrome_table(c)[1] == oracle_leaders(c)
+
+
+def test_syndrome_table_edge_codes():
+    # C = {0}: every word is its own coset, and H is the identity
+    _, leaders = _syndrome_table(LinearCode.zero(7))
+    assert leaders == list(range(1 << 7))
+    # C = F_2^n: one coset, led by 0
+    _, leaders = _syndrome_table(LinearCode.full(7))
+    assert leaders == [0]
+    # n = 16, the cap: 2^(n-k) leaders, each in the coset its syndrome names
+    c = random_code(16, 9, random.Random(4))
+    h, leaders = _syndrome_table(c)
+    assert len(leaders) == 1 << (16 - 9)
+    assert all(h.mul_vector(x) == s for s, x in enumerate(leaders))
+
+
 def test_exact_error_prob_nested_pairs_match_oracle():
     # C1 = <101110, 011000>, C2 = <101110>: breaking weight ties toward the
     # largest error pattern would give 27/250 instead of 1/10
@@ -72,8 +126,9 @@ def test_exact_error_prob_nested_pairs_match_oracle():
         n = rng.randrange(2, 8)
         c1 = random_code(n, rng.randrange(1, n + 1), rng)
         c2 = LinearCode.from_rows(n, c1.basis[: rng.randrange(1, c1.dim + 1)])
-        p = Fraction(rng.randrange(1, 50), 100)
-        assert exact_error_prob((c1, c2), p) == oracle_error_prob(c1, c2, p)
+        # p = 0 exercises the 0**0 term; p = 1/2 makes a = b - a
+        for p in (Fraction(rng.randrange(1, 50), 100), Fraction(0), Fraction(1, 2)):
+            assert exact_error_prob((c1, c2), p) == oracle_error_prob(c1, c2, p)
 
 
 def test_decoding_refused_beyond_cap_before_enumerating(monkeypatch):
@@ -81,7 +136,7 @@ def test_decoding_refused_beyond_cap_before_enumerating(monkeypatch):
         raise AssertionError("enumerated")
 
     monkeypatch.setattr(LinearCode, "codewords", no_enumeration)
-    monkeypatch.setattr("dualhash.simulator.cosets", no_enumeration)
+    monkeypatch.setattr("dualhash.simulator._pattern_weights", no_enumeration)
     c1, c2 = LinearCode.full(17), LinearCode.repetition(17)
     y = BitVector(17, 5)
     with pytest.raises(ValueError, match="exceeds enumeration cap"):
@@ -197,6 +252,19 @@ def test_distill_round_trip_noiseless():
         k = BitVector(4, rng.randrange(16))
         s_a, s_b, agree = distill_keys(k, k, c1, c2, seed)
         assert agree and s_a == s_b
+
+
+def test_distill_keys_match_coset_enumeration():
+    rng = random.Random(21)
+    for _ in range(60):
+        n = rng.randrange(1, 11)
+        c1 = random_code(n, rng.randrange(0, n + 1), rng)
+        c2 = LinearCode.from_rows(n, c1.basis[: rng.randrange(0, c1.dim + 1)])
+        k_a, k_b = BitVector(n, rng.randrange(1 << n)), BitVector(n, rng.randrange(1 << n))
+        seed = rng.randrange(1000)
+        s_a, s_b, agree = distill_keys(k_a, k_b, c1, c2, seed)
+        assert (s_a.value, s_b.value) == oracle_distill_keys(k_a, k_b, c1, c2, seed)
+        assert agree == (s_a == s_b)
 
 
 def test_distill_agreement_rate_matches_exact_error():
