@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -219,7 +221,8 @@ def criterion_4(seed: int):
             return False, f"state {i}: E_r d2 = {lhs} > eps 2^-H2 = {rhs}"
         worst_gap = max(worst_gap, lhs - rhs)
 
-        member = fam.codes[int(rng.integers(0, len(fam.codes)))]
+        r = int(rng.integers(0, fam.total_weight))
+        member = fam.codes[bisect_right(list(accumulate(fam.weights)), r)]
         sigma = rho.rho_e()
         noisy = convolve(rho, [float(x) for x in uniform_on_code(member)])
         _, d2_noisy, _ = h2_d2_hmin(noisy, sigma)

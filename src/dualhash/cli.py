@@ -142,7 +142,7 @@ def _cmd_analyze(args) -> int:
         {
             "kind": args.kind,
             "n": args.n,
-            "members": len(fam),
+            "members": fam.members,
             "convention": args.convention,
             "epsilon": rep.epsilon,
             "dual_epsilon": drep.epsilon,

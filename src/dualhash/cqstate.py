@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .gf2 import LinearCode, cosets
+from .universality import epsilon_dual_universal, epsilon_universal
 
 __all__ = [
     "DensityOperator",
@@ -247,16 +248,10 @@ def code_bias(family) -> BiasReport:
 
     The character expectation of the uniform distribution on C is the
     indicator of C^perp, so delta^2 is the worst-case probability that a
-    nonzero x lands in a dual code; computed by exact counting.
+    nonzero x lands in a dual code: the dual family's measured worst case.
     """
-    counts = [0] * (1 << family.n)
-    duals = family.dual()
-    for code, w in zip(duals.codes, duals.weights):
-        for c in code.codewords():
-            counts[c] += w
-    worst_x = max(range(1, len(counts)), key=lambda x: counts[x])
-    dsq = Fraction(counts[worst_x], family.total_weight)
-    return BiasReport(math.sqrt(float(dsq)), dsq, worst_x)
+    rep = epsilon_universal(family.dual())
+    return BiasReport(math.sqrt(float(rep.max_prob)), rep.max_prob, rep.worst_x)
 
 
 def hash_marginal(rho: CQState, c: LinearCode) -> CQState:
@@ -295,8 +290,6 @@ def verify_pa(rho: CQState, family, sigma=None, epsilon=None) -> tuple[float, fl
     defaults to the measured dual-universality parameter of the family with
     the minimum-dimension convention.
     """
-    from .universality import epsilon_dual_universal
-
     h2, _, _ = h2_d2_hmin(rho, sigma)
     lhs = 0.0
     for code, w in zip(family.codes, family.weights):

@@ -59,26 +59,41 @@ class SearchBudgetError(RuntimeError):
         self.trials = trials
 
 
+def _merge(members, weights):
+    """Validate a weighted member list and merge equal members.
+
+    Returns the distinct members in first-occurrence order, their summed
+    weights, and the number of members as given.
+    """
+    members = tuple(members)
+    if not members:
+        raise ValueError("empty family")
+    weights = (1,) * len(members) if weights is None else tuple(int(w) for w in weights)
+    if len(weights) != len(members) or any(w <= 0 for w in weights):
+        raise ValueError("weights must be positive, one per member")
+    merged = {}
+    for member, w in zip(members, weights):
+        merged[member] = merged.get(member, 0) + w
+    return tuple(merged), tuple(merged.values()), len(members)
+
+
 class CodeFamily:
-    """Weighted multiset of equal-length linear codes."""
+    """Weighted multiset of equal-length linear codes.
+
+    Equal codes are merged when the family is built: ``codes`` holds the
+    distinct members in first-occurrence order and ``weights`` their summed
+    weights, so ``len()`` counts distinct members while ``members`` is the
+    number of members as given.  Every parameter depends only on the
+    distribution over codes, which merging keeps (``total_weight`` too).
+    """
 
     def __init__(self, codes, weights=None):
-        codes = tuple(codes)
-        if not codes:
-            raise ValueError("empty family")
-        n = codes[0].n
-        if any(c.n != n for c in codes):
+        self.codes, self.weights, self.members = _merge(codes, weights)
+        self.n = self.codes[0].n
+        if any(c.n != self.n for c in self.codes):
             raise ValueError("mixed code lengths")
-        if weights is None:
-            weights = (1,) * len(codes)
-        weights = tuple(int(w) for w in weights)
-        if len(weights) != len(codes) or any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive, one per member")
-        self.n = n
-        self.codes = codes
-        self.weights = weights
-        self.total_weight = sum(weights)
-        dims = [c.dim for c in codes]
+        self.total_weight = sum(self.weights)
+        dims = [c.dim for c in self.codes]
         self.t_min = min(dims)
         self.t_max = max(dims)
 
@@ -89,7 +104,9 @@ class CodeFamily:
         return iter(self.codes)
 
     def dual(self) -> "CodeFamily":
-        return CodeFamily([dual(c) for c in self.codes], self.weights)
+        fam = CodeFamily([dual(c) for c in self.codes], self.weights)
+        fam.members = self.members
+        return fam
 
     @classmethod
     def from_hash_family(cls, hf) -> "CodeFamily":
@@ -103,38 +120,30 @@ class CodeFamily:
 
 
 class CodePairFamily:
-    """Weighted multiset of nested code pairs (inner, outer), inner ⊆ outer."""
+    """Weighted multiset of nested code pairs (inner, outer), inner ⊆ outer,
+    merged like ``CodeFamily``."""
 
     def __init__(self, pairs, weights=None):
-        pairs = tuple((inner, outer) for inner, outer in pairs)
-        if not pairs:
-            raise ValueError("empty family")
-        n = pairs[0][0].n
-        for inner, outer in pairs:
-            if inner.n != n or outer.n != n:
+        self.pairs, self.weights, self.members = _merge(
+            ((inner, outer) for inner, outer in pairs), weights
+        )
+        self.n = self.pairs[0][0].n
+        for inner, outer in self.pairs:
+            if inner.n != self.n or outer.n != self.n:
                 raise ValueError("mixed code lengths")
             if not outer.contains_code(inner):
                 raise ValueError("inner code is not contained in the outer code")
-        if weights is None:
-            weights = (1,) * len(pairs)
-        weights = tuple(int(w) for w in weights)
-        if len(weights) != len(pairs) or any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive, one per member")
-        self.n = n
-        self.pairs = pairs
-        self.weights = weights
-        self.total_weight = sum(weights)
+        self.total_weight = sum(self.weights)
 
     def __len__(self):
         return len(self.pairs)
 
     def dual(self) -> "CodePairFamily":
-        return CodePairFamily(
+        fam = CodePairFamily(
             [(dual(outer), dual(inner)) for inner, outer in self.pairs], self.weights
         )
-
-    def inners(self) -> CodeFamily:
-        return CodeFamily([p[0] for p in self.pairs], self.weights)
+        fam.members = self.members
+        return fam
 
     def outers(self) -> CodeFamily:
         return CodeFamily([p[1] for p in self.pairs], self.weights)
@@ -173,18 +182,6 @@ def _membership_counts(family: CodeFamily) -> list[int]:
     return counts
 
 
-def _report_from_counts(counts, family, convention, t) -> UniversalityReport:
-    best_x, best = 1, counts[1] if len(counts) > 1 else 0
-    for x in range(1, len(counts)):
-        if counts[x] > best:
-            best, best_x = counts[x], x
-    max_prob = Fraction(best, family.total_weight)
-    eps = max_prob * (1 << (family.n - t))
-    return UniversalityReport(
-        eps, convention, family.t_min, family.t_max, family.n, best_x, max_prob
-    )
-
-
 def _pick_t(family: CodeFamily, convention: str) -> int:
     if convention == "min_dim":
         return family.t_min
@@ -193,14 +190,30 @@ def _pick_t(family: CodeFamily, convention: str) -> int:
     raise ValueError(f"unknown convention: {convention}")
 
 
+def _report_from_counts(counts, family, convention, candidates, base) -> UniversalityReport:
+    """Report the first candidate x (in scan order) of greatest count, with
+    ε = Pr[x] 2^(base - t); no candidate (a vacuous inequality) gives x = 0
+    and ε = 0."""
+    t = _pick_t(family, convention)
+    worst_x = max(candidates, key=counts.__getitem__, default=0)
+    max_prob = Fraction(counts[worst_x] if worst_x else 0, family.total_weight)
+    eps = max_prob * (1 << (base - t))
+    return UniversalityReport(
+        eps, convention, family.t_min, family.t_max, family.n, worst_x, max_prob
+    )
+
+
 def epsilon_universal(family: CodeFamily, convention: str = "min_dim") -> UniversalityReport:
     """Smallest ε with Pr[x ∈ C_r] ≤ 2^(t-n) ε for all x ≠ 0 (exact)."""
-    t = _pick_t(family, convention)
-    counts = _membership_counts(family)
-    return _report_from_counts(counts, family, convention, t)
+    n = family.n
+    return _report_from_counts(
+        _membership_counts(family), family, convention, range(1, 1 << n), n
+    )
 
 
 def _swap(convention: str) -> str:
+    if convention not in ("min_dim", "max_dim"):
+        raise ValueError(f"unknown convention: {convention}")
     return "max_dim" if convention == "min_dim" else "min_dim"
 
 
@@ -209,6 +222,9 @@ def epsilon_dual_universal(family: CodeFamily, convention: str = "min_dim") -> U
     primal family's convention, so it is swapped on the duals (a primal
     minimum dimension t corresponds to a dual maximum dimension n-t)."""
     return epsilon_universal(family.dual(), _swap(convention))
+
+
+_DUAL_VARIANT = {"subcode": "extended", "extended": "subcode", "pair": "pair"}
 
 
 def epsilon_pair(
@@ -223,59 +239,35 @@ def epsilon_pair(
     pair: over x ≠ 0, Pr[x ∈ outer_r \\ inner_r] ≤ 2^(t-n) ε.
     Dual variants measure the corresponding variant on the dual pairs.
     """
-    if variant.endswith("_dual"):
-        base = variant[: -len("_dual")]
-        swapped = {"subcode": "extended", "extended": "subcode", "pair": "pair"}[base]
-        return epsilon_pair(family.dual(), swapped, _swap(convention))
+    primal = variant.removesuffix("_dual")
+    if primal != variant and primal in _DUAL_VARIANT:
+        return epsilon_pair(family.dual(), _DUAL_VARIANT[primal], _swap(convention))
 
     n = family.n
-    if n > AMBIENT_CAP:
-        raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")
+    inners = CodeFamily([inner for inner, _ in family.pairs], family.weights)
+    outers = family.outers()
     if variant == "subcode":
-        c1 = family.pairs[0][1]
-        if any(outer != c1 for _, outer in family.pairs):
+        if len(outers) > 1:
             raise ValueError("subcode variant needs a fixed outer code")
-        sub = CodeFamily([inner for inner, _ in family.pairs], family.weights)
-        counts = _membership_counts(sub)
-        m = c1.dim
-        t = sub.t_min if convention == "min_dim" else sub.t_max
-        best_x, best = None, -1
-        for x in c1.codewords():
-            if x and counts[x] > best:
-                best, best_x = counts[x], x
-        if best_x is None:  # C1 = {0}; vacuous
-            best, best_x = 0, 0
-        max_prob = Fraction(best, sub.total_weight)
-        eps = max_prob * (1 << (m - t))
-        return UniversalityReport(eps, convention, sub.t_min, sub.t_max, n, best_x, max_prob)
-
+        c1 = outers.codes[0]
+        candidates = (x for x in c1.codewords() if x)
+        return _report_from_counts(
+            _membership_counts(inners), inners, convention, candidates, c1.dim
+        )
     if variant == "extended":
-        c1 = family.pairs[0][0]
-        if any(inner != c1 for inner, _ in family.pairs):
+        if len(inners) > 1:
             raise ValueError("extended variant needs a fixed inner code")
-        ext = CodeFamily([outer for _, outer in family.pairs], family.weights)
-        counts = _membership_counts(ext)
-        t = ext.t_min if convention == "min_dim" else ext.t_max
-        best_x, best = None, -1
-        for x in range(1, 1 << n):
-            if not c1.contains(x) and counts[x] > best:
-                best, best_x = counts[x], x
-        if best_x is None:  # C1 is the full space; vacuous
-            best, best_x = 0, 0
-        max_prob = Fraction(best, ext.total_weight)
-        eps = max_prob * (1 << (n - t))
-        return UniversalityReport(eps, convention, ext.t_min, ext.t_max, n, best_x, max_prob)
-
+        c1 = inners.codes[0]
+        candidates = (x for x in range(1, 1 << n) if not c1.contains(x))
+        return _report_from_counts(
+            _membership_counts(outers), outers, convention, candidates, n
+        )
     if variant == "pair":
-        counts = [0] * (1 << n)
-        for (inner, outer), w in zip(family.pairs, family.weights):
-            for c in outer.codewords():
-                if not inner.contains(c):
-                    counts[c] += w
-        outs = family.outers()
-        t = outs.t_min if convention == "min_dim" else outs.t_max
-        return _report_from_counts(counts, outs, convention, t)
-
+        # inner ⊆ outer, so Pr[x ∈ outer \ inner] = Pr[x ∈ outer] - Pr[x ∈ inner]
+        counts = [
+            a - b for a, b in zip(_membership_counts(outers), _membership_counts(inners))
+        ]
+        return _report_from_counts(counts, outers, convention, range(1, 1 << n), n)
     raise ValueError(f"unknown variant: {variant}")
 
 

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, output formats, reproducibility."""
 
+import csv
+import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,37 @@ def test_analyze_rejects_oversized_family_before_enumerating(capsys, monkeypatch
     code, _, err = run(capsys, "analyze", "--kind", "toeplitz", "-n", "16", "-m", "8")
     assert code == 2
     assert "exceeds cap" in err
+
+
+def test_analyze_tight_reports_members_as_given(capsys):
+    code, out, _ = run(
+        capsys, "analyze", "--kind", "tight", "-n", "7", "-t", "3", "--epsilon", "3/2",
+        "-x", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["members"] == 43059
+
+
+def readme_commands():
+    """The `dualhash` lines of the README's "Command line" block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("dualhash ")]
+
+
+def test_readme_command_line_examples(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 5
+    for argv in commands:
+        if argv[1] == "verify":  # run in full by CI's console-script step
+            continue
+        code, out, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+        if argv[1] == "sweep":
+            assert len(list(csv.reader(io.StringIO(out)))) > 1
+        else:
+            assert isinstance(json.loads(out), dict)
 
 
 def test_bounds_reliability_zero_noise(capsys):

@@ -23,7 +23,7 @@ from dualhash.cqstate import (
     walsh_bias,
     walsh_transform,
 )
-from dualhash.gf2 import LinearCode, dual
+from dualhash.gf2 import EnumerationCapError, LinearCode, dual
 from dualhash.hashfam import HashFamily, HashFamilySpec
 from dualhash.universality import CodeFamily
 
@@ -120,6 +120,16 @@ def test_code_bias_single_code():
     rep = code_bias(fam)
     # dual of the repetition code is the even-weight code; any even x hits
     assert rep.delta_sq == Fraction(1)
+
+
+def test_code_bias_refuses_oversized_family_before_enumerating(monkeypatch):
+    def no_codewords(self):
+        raise AssertionError("codewords enumerated")
+
+    fam = CodeFamily([LinearCode.repetition(21)])
+    monkeypatch.setattr(LinearCode, "codewords", no_codewords)
+    with pytest.raises(EnumerationCapError):
+        code_bias(fam)
 
 
 def test_hash_marginal_sums_cosets():

@@ -6,9 +6,13 @@ from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dualhash.cqstate import code_bias
 from dualhash.gf2 import EnumerationCapError, LinearCode, dual
 from dualhash.hashfam import HashFamily, HashFamilySpec
+from dualhash.simulator import exact_error_prob, family_average_error
 from dualhash.universality import (
     FAMILY_MEMBER_CAP,
     CodeFamily,
@@ -34,15 +38,152 @@ def hash_code_family(kind, n, m):
     return CodeFamily.from_hash_family(HashFamily(HashFamilySpec(kind, n, m)))
 
 
-def brute_epsilon(family, t):
-    """Independent oracle: direct max over x of Pr[x in C] 2^(n-t)."""
-    best = Fraction(0)
-    for x in range(1, 1 << family.n):
-        hit = sum(
-            w for c, w in zip(family.codes, family.weights) if c.contains(x)
-        )
-        best = max(best, Fraction(hit, family.total_weight))
-    return best * (1 << (family.n - t))
+SWAP = {"min_dim": "max_dim", "max_dim": "min_dim"}
+DUAL_VARIANT = {"subcode": "extended", "extended": "subcode", "pair": "pair"}
+
+
+def brute_report(members, weights, hit, candidates, base, dims, convention):
+    """Independent oracle over an unmerged member list: the first candidate x
+    of greatest weighted Pr[hit(member, x)], that probability, and
+    ε = Pr 2^(base - t); (0, 0, 0) when there is no candidate."""
+    total = sum(weights)
+    worst_x, max_prob = 0, Fraction(0)
+    for x in candidates:
+        prob = Fraction(sum(w for m, w in zip(members, weights) if hit(m, x)), total)
+        if prob > max_prob or not worst_x:
+            worst_x, max_prob = x, prob
+    t = min(dims) if convention == "min_dim" else max(dims)
+    return worst_x, max_prob, max_prob * (1 << (base - t))
+
+
+def brute_plain(codes, weights, convention):
+    n = codes[0].n
+    return brute_report(codes, weights, LinearCode.contains, range(1, 1 << n), n,
+                        [c.dim for c in codes], convention)
+
+
+def brute_pair(pairs, weights, variant, convention):
+    n = pairs[0][0].n
+    if variant.endswith("_dual"):
+        duals = [(dual(outer), dual(inner)) for inner, outer in pairs]
+        return brute_pair(duals, weights, DUAL_VARIANT[variant[:-5]], SWAP[convention])
+    inners = [inner for inner, _ in pairs]
+    outers = [outer for _, outer in pairs]
+    outer_dims = [c.dim for c in outers]
+    if variant == "subcode":
+        c1 = outers[0]
+        return brute_report(inners, weights, LinearCode.contains,
+                            [x for x in c1.codewords() if x], c1.dim,
+                            [c.dim for c in inners], convention)
+    if variant == "extended":
+        c1 = inners[0]
+        return brute_report(outers, weights, LinearCode.contains,
+                            [x for x in range(1, 1 << n) if not c1.contains(x)], n,
+                            outer_dims, convention)
+    return brute_report(pairs, weights,
+                        lambda p, x: p[1].contains(x) and not p[0].contains(x),
+                        range(1, 1 << n), n, outer_dims, convention)
+
+
+def as_tuple(rep):
+    return rep.worst_x, rep.max_prob, rep.epsilon
+
+
+@st.composite
+def member_lists(draw):
+    """A list of pool indices with repeats, and one weight per entry."""
+    size = draw(st.integers(1, 4))
+    picks = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(picks), max_size=len(picks)))
+    return size, picks, weights
+
+
+def draw_code(data, n, within=None):
+    """A code spanned by a few drawn vectors, all in `within` if given."""
+    words = list(within.codewords()) if within is not None else list(range(1 << n))
+    return LinearCode.from_rows(n, data.draw(st.lists(st.sampled_from(words), max_size=n)))
+
+
+@given(st.integers(2, 5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_merged_family_matches_brute_oracle_on_unmerged_list(n, data):
+    size, picks, weights = data.draw(member_lists())
+    pool = [draw_code(data, n) for _ in range(size)]
+    codes = [pool[i] for i in picks]
+    fam = CodeFamily(codes, weights)
+    assert fam.members == len(codes) and fam.dual().members == len(codes)
+    assert fam.total_weight == sum(weights)
+    assert len(fam) == len(set(codes)) and fam.codes == tuple(dict.fromkeys(codes))
+
+    duals = [dual(c) for c in codes]
+    for convention in ("min_dim", "max_dim"):
+        assert as_tuple(epsilon_universal(fam, convention)) == brute_plain(
+            codes, weights, convention)
+        assert as_tuple(epsilon_dual_universal(fam, convention)) == brute_plain(
+            duals, weights, SWAP[convention])
+    bias = code_bias(fam)
+    worst_x, max_prob, _ = brute_plain(duals, weights, "min_dim")
+    assert (bias.worst_x, bias.delta_sq) == (worst_x, max_prob)
+
+    p = Fraction(1, 10)
+    expected = sum(w * exact_error_prob(c, p) for c, w in zip(codes, weights))
+    got = family_average_error(fam, p, R=0.0, epsilon=float(1 << n)).exact_value
+    assert got == expected / sum(weights)
+
+    # nested pairs of each kind, with repeats
+    size, picks, weights = data.draw(member_lists())
+    c1 = draw_code(data, n)
+    pools = {"subcode": [], "extended": [], "pair": []}
+    for _ in range(size):
+        pools["subcode"].append((draw_code(data, n, within=c1), c1))
+        extra = draw_code(data, n)
+        pools["extended"].append((c1, LinearCode.from_rows(n, c1.basis + extra.basis)))
+        outer = draw_code(data, n)
+        pools["pair"].append((draw_code(data, n, within=outer), outer))
+    for kind, pool in pools.items():
+        pairs = [pool[i] for i in picks]
+        pfam = CodePairFamily(pairs, weights)
+        assert (pfam.members, pfam.total_weight) == (len(pairs), sum(weights))
+        assert len(pfam) == len(set(pairs))
+        for variant in (kind, kind + "_dual"):
+            for convention in ("min_dim", "max_dim"):
+                assert as_tuple(epsilon_pair(pfam, variant, convention)) == brute_pair(
+                    pairs, weights, variant, convention)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam, pairs: epsilon_universal(fam, "bogus"),
+    lambda fam, pairs: epsilon_dual_universal(fam, "bogus"),
+    lambda fam, pairs: epsilon_pair(pairs["subcode"], "subcode", "bogus"),
+    lambda fam, pairs: epsilon_pair(pairs["extended"], "extended", "bogus"),
+    lambda fam, pairs: epsilon_pair(pairs["pair"], "pair", "bogus"),
+    lambda fam, pairs: epsilon_pair(pairs["subcode"], "subcode_dual", "bogus"),
+    lambda fam, pairs: epsilon_pair(pairs["extended"], "extended_dual", "bogus"),
+    lambda fam, pairs: epsilon_pair(pairs["pair"], "pair_dual", "bogus"),
+], ids=["plain", "plain_dual", "subcode", "extended", "pair", "subcode_dual",
+        "extended_dual", "pair_dual"])
+def test_unknown_convention_raises(call):
+    c1, c2 = LinearCode.full(4), LinearCode.repetition(4)
+    pairs = {
+        "subcode": CodePairFamily([(c2, c1), (LinearCode.zero(4), c1)]),
+        "extended": CodePairFamily([(c2, c1), (c2, dual(LinearCode.from_strings(["1100"])))]),
+        "pair": CodePairFamily([(c2, c1)]),
+    }
+    with pytest.raises(ValueError, match="unknown convention"):
+        call(hash_code_family("toeplitz", 4, 2), pairs)
+
+
+def test_unknown_pair_variant_raises():
+    fam = CodePairFamily([(LinearCode.repetition(4), LinearCode.full(4))])
+    for variant in ("bogus", "bogus_dual"):
+        with pytest.raises(ValueError, match="unknown variant"):
+            epsilon_pair(fam, variant)
+
+
+def test_tight_family_merges_repeated_members():
+    fam = tight_family(7, 3, Fraction(3, 2), 1)
+    assert fam.members == 43059
+    assert len(fam) == 11811
 
 
 def test_family_size_cap_before_enumeration():
@@ -63,14 +204,12 @@ def test_epsilon_against_brute_force():
     rng = random.Random(9)
     for _ in range(20):
         n = rng.randrange(3, 8)
-        fam = CodeFamily(
-            [random_code(n, rng.randrange(1, n), rng) for _ in range(4)],
-            [rng.randrange(1, 5) for _ in range(4)],
-        )
-        rep = epsilon_universal(fam, "min_dim")
-        assert rep.epsilon == brute_epsilon(fam, fam.t_min)
-        rep_max = epsilon_universal(fam, "max_dim")
-        assert rep_max.epsilon == brute_epsilon(fam, fam.t_max)
+        codes = [random_code(n, rng.randrange(1, n), rng) for _ in range(4)]
+        weights = [rng.randrange(1, 5) for _ in range(4)]
+        fam = CodeFamily(codes, weights)
+        for convention in ("min_dim", "max_dim"):
+            assert as_tuple(epsilon_universal(fam, convention)) == brute_plain(
+                codes, weights, convention)
 
 
 def test_dual_convention_swap():
@@ -137,7 +276,7 @@ def test_pair_family_validation():
     c1 = LinearCode.full(4)
     c2 = LinearCode.repetition(4)
     fam = CodePairFamily([(c2, c1)])
-    assert fam.inners().codes == (c2,)
+    assert fam.pairs == ((c2, c1),)
     assert fam.outers().codes == (c1,)
     d = fam.dual()
     assert d.pairs[0] == (dual(c1), dual(c2))
@@ -219,7 +358,7 @@ def test_search_modes_and_budget_error():
 
 def test_counterexample_family_structure():
     fam = counterexample_family(5)
-    assert len(fam) == 1 << 8
+    assert fam.members == 1 << 8
     last_bit = 1
     for c in fam.codes:
         for w in c.codewords():
@@ -234,7 +373,7 @@ def test_counterexample_family_requires_seed_when_large():
     with pytest.raises(ValueError):
         counterexample_family(12, m=2)
     fam = counterexample_family(12, seed=1, m=2)
-    assert len(fam) == 1 << 10
+    assert fam.members == 1 << 10
 
 
 def test_random_code_dimension():
