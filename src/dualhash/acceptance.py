@@ -185,8 +185,9 @@ def criterion_3(seed: int):
         "counterexample(6)": counterexample_family(6),
     }
     for name, fam in families.items():
-        eps = epsilon_dual_universal(fam, "min_dim").epsilon
-        dsq = code_bias(fam).delta_sq
+        # code_bias(fam).delta_sq is this dual report's max_prob
+        drep = epsilon_dual_universal(fam, "min_dim")
+        eps, dsq = drep.epsilon, drep.max_prob
         if dsq > eps * Fraction(1, 1 << fam.t_min):
             return False, f"{name}: delta^2 = {dsq} > eps 2^-t_min"
 

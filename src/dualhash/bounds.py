@@ -277,12 +277,57 @@ def _log2_binom(n: int, k: int) -> float:
     ) / math.log(2)
 
 
+# 2.0 ** x is exactly 0.0 for x < -1075, so a term this far below the
+# largest adds exactly +0.0 to the normalised sum.
+_NEGLIGIBLE_LOG2 = 1100
+
+
+def _binomial_window_terms(n: int, S: float, p_ph: float) -> list[float]:
+    """The terms log2 W(k) - n[S-h(min(k/n,1/2))]_+ of the binomial(n, p_ph)
+    weights, in increasing k, over the window where they exceed the largest
+    term minus _NEGLIGIBLE_LOG2."""
+    lp, lq = math.log2(p_ph), math.log2(1 - p_ph)
+
+    def term(k):
+        w = _log2_binom(n, k) + k * lp + (n - k) * lq
+        expo = max(S - binary_entropy(min(k / n, 0.5)), 0.0)
+        return w - n * expo
+
+    lo, hi = 0, n
+    while hi - lo > 2:
+        m1 = lo + (hi - lo) // 3
+        m2 = hi - (hi - lo) // 3
+        if term(m1) < term(m2):
+            lo = m1 + 1
+        else:
+            hi = m2
+    peak = max(range(lo, hi + 1), key=term)
+    terms = [term(peak)]
+    floor = terms[0] - _NEGLIGIBLE_LOG2
+    k = peak - 1
+    while k >= 0 and (t := term(k)) > floor:
+        terms.append(t)
+        k -= 1
+    terms.reverse()
+    k = peak + 1
+    while k <= n and (t := term(k)) > floor:
+        terms.append(t)
+        k += 1
+    return terms
+
+
 def _phase_sum_log2(n: int, S: float, epsilon: float, W=None, p_ph=None) -> float:
     """log2 of ε Σ_k W(k) 2^(-n[S-h(min(k/n,1/2))]_+).
 
     With p_ph given, the weights are the binomial distribution computed in
     the log domain, which stays exact enough far beyond exact-rational
-    reach.
+    reach.  Its log2 terms are concave in k (log2 binom is, the linear part
+    is, and -n[S-h(min(k/n,1/2))]_+ is concave, flat past n/2), so only the
+    window around their peak where they exceed the largest minus 1100 is
+    summed.  Every term outside it contributes 2.0 ** (t - top), which is
+    exactly 0.0, so the result is the same float as the sum over all k.
+    By concavity the outward walk covers that window from any start, so the
+    peak search only keeps the window short.
     """
     terms = []
     if W is not None:
@@ -300,11 +345,7 @@ def _phase_sum_log2(n: int, S: float, epsilon: float, W=None, p_ph=None) -> floa
         elif p_ph == 1:
             terms.append(-n * max(S - binary_entropy(min(1.0, 0.5)), 0.0))
         else:
-            lp, lq = math.log2(p_ph), math.log2(1 - p_ph)
-            for k in range(n + 1):
-                w = _log2_binom(n, k) + k * lp + (n - k) * lq
-                expo = max(S - binary_entropy(min(k / n, 0.5)), 0.0)
-                terms.append(w - n * expo)
+            terms = _binomial_window_terms(n, S, p_ph)
     top = max(terms)
     total = top + math.log2(sum(2.0 ** (t - top) for t in terms))
     return total + math.log2(epsilon)

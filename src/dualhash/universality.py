@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .gf2 import (
     BinaryMatrix,
     EnumerationCapError,
@@ -43,6 +45,7 @@ __all__ = [
 ]
 
 AMBIENT_CAP = 20
+COUNT_BLOCK_WORDS = 1 << 16
 FAMILY_MEMBER_CAP = 1 << 16
 TIGHT_FAMILY_CAP = 8
 
@@ -171,15 +174,32 @@ class UniversalityReport:
 
 
 def _membership_counts(family: CodeFamily) -> list[int]:
-    """counts[x] = total weight of members containing x, for all x."""
+    """counts[x] = total weight of members containing x, for all x.
+
+    Members of equal dimension and weight are expanded together: their
+    bases are doubled into codewords in blocks of at most COUNT_BLOCK_WORDS
+    words (one member per block when a member is larger), and each block
+    adds the group's weight at its codewords.  The counts are int64, or
+    Python ints when the total weight could overflow int64, so every count
+    is exact.
+    """
     n = family.n
     if n > AMBIENT_CAP:
         raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")
-    counts = [0] * (1 << n)
+    groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for code, w in zip(family.codes, family.weights):
-        for c in code.codewords():
-            counts[c] += w
-    return counts
+        groups.setdefault((code.dim, w), []).append(code.basis)
+    counts = np.zeros(1 << n, dtype=np.int64 if family.total_weight < 1 << 63 else object)
+    for (dim, w), bases in groups.items():
+        bases = np.array(bases, dtype=np.int32)
+        per_block = max(1, COUNT_BLOCK_WORDS >> dim)
+        for start in range(0, len(bases), per_block):
+            block = bases[start:start + per_block]
+            words = np.zeros((len(block), 1 << dim), dtype=np.int32)
+            for j in range(dim):
+                words[:, 1 << j:2 << j] = words[:, :1 << j] ^ block[:, j:j + 1]
+            np.add.at(counts, words.ravel(), w)
+    return counts.tolist()
 
 
 def _pick_t(family: CodeFamily, convention: str) -> int:
@@ -190,11 +210,11 @@ def _pick_t(family: CodeFamily, convention: str) -> int:
     raise ValueError(f"unknown convention: {convention}")
 
 
-def _report_from_counts(counts, family, convention, candidates, base) -> UniversalityReport:
+def _report_from_counts(counts, family, convention, t, candidates, base) -> UniversalityReport:
     """Report the first candidate x (in scan order) of greatest count, with
     ε = Pr[x] 2^(base - t); no candidate (a vacuous inequality) gives x = 0
-    and ε = 0."""
-    t = _pick_t(family, convention)
+    and ε = 0.  Callers pick t before counting, so an unknown convention is
+    rejected before any enumeration."""
     worst_x = max(candidates, key=counts.__getitem__, default=0)
     max_prob = Fraction(counts[worst_x] if worst_x else 0, family.total_weight)
     eps = max_prob * (1 << (base - t))
@@ -206,8 +226,9 @@ def _report_from_counts(counts, family, convention, candidates, base) -> Univers
 def epsilon_universal(family: CodeFamily, convention: str = "min_dim") -> UniversalityReport:
     """Smallest ε with Pr[x ∈ C_r] ≤ 2^(t-n) ε for all x ≠ 0 (exact)."""
     n = family.n
+    t = _pick_t(family, convention)
     return _report_from_counts(
-        _membership_counts(family), family, convention, range(1, 1 << n), n
+        _membership_counts(family), family, convention, t, range(1, 1 << n), n
     )
 
 
@@ -250,24 +271,27 @@ def epsilon_pair(
         if len(outers) > 1:
             raise ValueError("subcode variant needs a fixed outer code")
         c1 = outers.codes[0]
+        t = _pick_t(inners, convention)
         candidates = (x for x in c1.codewords() if x)
         return _report_from_counts(
-            _membership_counts(inners), inners, convention, candidates, c1.dim
+            _membership_counts(inners), inners, convention, t, candidates, c1.dim
         )
     if variant == "extended":
         if len(inners) > 1:
             raise ValueError("extended variant needs a fixed inner code")
         c1 = inners.codes[0]
+        t = _pick_t(outers, convention)
         candidates = (x for x in range(1, 1 << n) if not c1.contains(x))
         return _report_from_counts(
-            _membership_counts(outers), outers, convention, candidates, n
+            _membership_counts(outers), outers, convention, t, candidates, n
         )
     if variant == "pair":
+        t = _pick_t(outers, convention)
         # inner ⊆ outer, so Pr[x ∈ outer \ inner] = Pr[x ∈ outer] - Pr[x ∈ inner]
         counts = [
             a - b for a, b in zip(_membership_counts(outers), _membership_counts(inners))
         ]
-        return _report_from_counts(counts, outers, convention, range(1, 1 << n), n)
+        return _report_from_counts(counts, outers, convention, t, range(1, 1 << n), n)
     raise ValueError(f"unknown variant: {variant}")
 
 

@@ -4,9 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualhash.bounds import (
     BoundReport,
+    _binomial_window_terms,
+    _log2_binom,
+    _phase_sum_log2,
     approach_ratio,
     binary_entropy,
     critical_rate,
@@ -152,6 +157,51 @@ def test_qkd_phase_sum_accepts_explicit_weights():
     a = qkd_bounds(16, "phase_sum", S=0.5, W=w, epsilon=1.0)
     b = qkd_bounds(16, "phase_sum", S=0.5, p_ph=0.05, epsilon=1.0)
     assert abs(a.aux["sum_log2"] - b.aux["sum_log2"]) < 1e-9
+
+
+def oracle_phase_sum_log2(n, S, epsilon, p_ph):
+    """The binomial k-sum over every k = 0..n, as a plain loop."""
+    lp, lq = math.log2(p_ph), math.log2(1 - p_ph)
+    terms = []
+    for k in range(n + 1):
+        w = _log2_binom(n, k) + k * lp + (n - k) * lq
+        expo = max(S - binary_entropy(min(k / n, 0.5)), 0.0)
+        terms.append(w - n * expo)
+    top = max(terms)
+    total = top + math.log2(sum(2.0 ** (t - top) for t in terms))
+    return total + math.log2(epsilon)
+
+
+def _near(centre, scale):
+    return st.floats(-1, 1).map(lambda u: centre + scale * u)
+
+
+phase_probabilities = st.one_of(
+    st.floats(1e-300, 1e-3),
+    _near(0.5, 1e-3),
+    st.floats(0.999, 1.0, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@given(
+    st.integers(1, 20000),
+    st.floats(0.0, 1.0),
+    st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+    phase_probabilities,
+)
+@example(20000, 0.4, 1.0, 0.05)
+@example(20000, 1.0, 0.5, 0.5)
+@example(1, 0.0, 3.0, 1e-300)
+@settings(max_examples=60, deadline=None)
+def test_phase_sum_window_equals_full_sum(n, S, epsilon, p_ph):
+    assert _phase_sum_log2(n, S, epsilon, p_ph=p_ph) == oracle_phase_sum_log2(
+        n, S, epsilon, p_ph)
+
+
+def test_phase_sum_window_is_short():
+    # 1902 of the 10^6 + 1 terms lie within 1100 of the largest
+    assert len(_binomial_window_terms(10**6, 0.4, 0.05)) < 2000
 
 
 def test_qkd_iid_and_deterministic_forms():

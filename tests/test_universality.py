@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualhash import universality
 from dualhash.cqstate import code_bias
 from dualhash.gf2 import EnumerationCapError, LinearCode, dual
 from dualhash.hashfam import HashFamily, HashFamilySpec
@@ -18,6 +19,7 @@ from dualhash.universality import (
     CodeFamily,
     CodePairFamily,
     SearchBudgetError,
+    _membership_counts,
     counterexample_family,
     duality_bound,
     epsilon_dual_universal,
@@ -151,6 +153,48 @@ def test_merged_family_matches_brute_oracle_on_unmerged_list(n, data):
                     pairs, weights, variant, convention)
 
 
+def oracle_membership_counts(family):
+    """counts[x] = total weight of members containing x, by walking every
+    member's codewords."""
+    counts = [0] * (1 << family.n)
+    for code, w in zip(family.codes, family.weights):
+        for c in code.codewords():
+            counts[c] += w
+    return counts
+
+
+@st.composite
+def weighted_families(draw, min_weight=1, max_weight=5):
+    """A family of up to eight codes of length n <= 8 and any dimension
+    0..n, with repeats and one weight per member as given."""
+    n = draw(st.integers(1, 8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = [random_code(n, draw(st.integers(0, n)), rng)
+            for _ in range(draw(st.integers(1, 4)))]
+    codes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    weights = draw(st.lists(st.integers(min_weight, max_weight),
+                            min_size=len(codes), max_size=len(codes)))
+    return CodeFamily(codes, weights)
+
+
+@given(st.one_of(weighted_families(), weighted_families(1 << 63, 1 << 70)))
+@settings(max_examples=80, deadline=None)
+def test_membership_counts_match_codeword_walk(fam):
+    counts = _membership_counts(fam)
+    assert counts == oracle_membership_counts(fam)
+    assert all(type(c) is int for c in counts)
+
+
+def test_membership_counts_blocks_and_big_weights():
+    rng = random.Random(4)
+    codes = [random_code(12, t, rng) for t in (0, 5, 9, 12) for _ in range(40)]
+    fam = CodeFamily(codes, [rng.randrange(1, 4) for _ in codes])
+    assert _membership_counts(fam) == oracle_membership_counts(fam)
+    big = CodeFamily(codes[:3], [1 << 62, 1 << 62, 3])
+    assert big.total_weight >= 1 << 63
+    assert _membership_counts(big) == oracle_membership_counts(big)
+
+
 @pytest.mark.parametrize("call", [
     lambda fam, pairs: epsilon_universal(fam, "bogus"),
     lambda fam, pairs: epsilon_dual_universal(fam, "bogus"),
@@ -162,15 +206,22 @@ def test_merged_family_matches_brute_oracle_on_unmerged_list(n, data):
     lambda fam, pairs: epsilon_pair(pairs["pair"], "pair_dual", "bogus"),
 ], ids=["plain", "plain_dual", "subcode", "extended", "pair", "subcode_dual",
         "extended_dual", "pair_dual"])
-def test_unknown_convention_raises(call):
+def test_unknown_convention_raises(call, monkeypatch):
     c1, c2 = LinearCode.full(4), LinearCode.repetition(4)
     pairs = {
         "subcode": CodePairFamily([(c2, c1), (LinearCode.zero(4), c1)]),
         "extended": CodePairFamily([(c2, c1), (c2, dual(LinearCode.from_strings(["1100"])))]),
         "pair": CodePairFamily([(c2, c1)]),
     }
+    fam = hash_code_family("toeplitz", 4, 2)
+
+    def counted(family):
+        raise AssertionError("membership counted before the convention was checked")
+
+    # the convention is rejected before any membership count
+    monkeypatch.setattr(universality, "_membership_counts", counted)
     with pytest.raises(ValueError, match="unknown convention"):
-        call(hash_code_family("toeplitz", 4, 2), pairs)
+        call(fam, pairs)
 
 
 def test_unknown_pair_variant_raises():
