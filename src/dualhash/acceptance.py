@@ -108,7 +108,7 @@ def criterion_2(seed: int):
             codes.append(random_code(n, t, rng))
         fam = CodeFamily(codes)
         rep = epsilon_universal(fam, "min_dim")
-        dual_prob = epsilon_universal(fam.dual(), "min_dim").max_prob
+        dual_prob = epsilon_dual_universal(fam, "min_dim").max_prob
         bound = duality_bound(rep.epsilon, fam.t_min, n)
         if dual_prob > bound:
             return False, f"family {i}: dual probability {dual_prob} > bound {bound}"
@@ -119,11 +119,12 @@ def criterion_2(seed: int):
         rep = epsilon_universal(fam, "min_dim")
         if rep.epsilon > eps:
             return False, f"tight family at eps={eps} measures {rep.epsilon}"
-        dualfam = fam.dual()
+        # x lies in C^perp when it is orthogonal to every basis row of C
         hit = sum(
-            w for c, w in zip(dualfam.codes, dualfam.weights) if c.contains(xv)
+            w for c, w in zip(fam.codes, fam.weights)
+            if not any((xv & row).bit_count() & 1 for row in c.basis)
         )
-        prob = Fraction(hit, dualfam.total_weight)
+        prob = Fraction(hit, fam.total_weight)
         bound = duality_bound(eps, t, n)
         if prob != bound:
             return False, f"tight family at eps={eps}: Pr = {prob} != bound {bound}"
@@ -133,7 +134,7 @@ def criterion_2(seed: int):
     grass = CodeFamily(list(subspaces_of(LinearCode.full(6), 3)))
     if epsilon_universal(grass, "min_dim").epsilon != epsilon_floor(3, 6):
         return False, "all-subspace family is not optimally universal"
-    if epsilon_universal(grass.dual(), "min_dim").epsilon != epsilon_floor(3, 6):
+    if epsilon_dual_universal(grass, "max_dim").epsilon != epsilon_floor(3, 6):
         return False, "dual of the all-subspace family is not optimally universal"
 
     # a universal_2 family (epsilon = 1) has a 2-almost dual universal dual

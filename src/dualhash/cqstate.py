@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .gf2 import LinearCode, cosets
-from .universality import epsilon_dual_universal, epsilon_universal
+from .gf2 import LinearCode, cosets, walsh_hadamard
+from .universality import epsilon_dual_universal
 
 __all__ = [
     "DensityOperator",
@@ -196,21 +196,31 @@ def convolve(rho: CQState, pw) -> CQState:
 
 
 def walsh_transform(w: list) -> list:
-    """Character sums W_hat(x) = sum_y W(y) (-1)^(x.y); exact on rationals."""
+    """Character sums W_hat(x) = sum_y W(y) (-1)^(x.y); exact on rationals.
+
+    Integers are transformed on int64, or as Python ints when a sum could
+    reach 2^63; Fractions are scaled by their common denominator,
+    transformed as integers and divided once.  Float and complex input is
+    transformed directly.
+    """
     n_vals = len(w)
     if n_vals & (n_vals - 1):
         raise ValueError("length must be a power of two")
     if n_vals > (1 << WALSH_CAP):
         raise ValueError(f"length exceeds 2^{WALSH_CAP} cap")
-    out = list(w)
-    h = 1
-    while h < n_vals:
-        for i in range(0, n_vals, 2 * h):
-            for j in range(i, i + h):
-                a, b = out[j], out[j + h]
-                out[j], out[j + h] = a + b, a - b
-        h *= 2
-    return out
+    values = list(w)
+    if any(isinstance(v, (float, complex, np.inexact)) for v in values):
+        return walsh_hadamard(np.array(values)).tolist()
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    bound = n_vals * max(map(abs, ints), default=0)
+    spectrum = walsh_hadamard(
+        np.array(ints, dtype=np.int64 if bound < 1 << 63 else object)
+    ).tolist()
+    if any(isinstance(v, Fraction) for v in values):
+        return [Fraction(v, den) for v in spectrum]
+    return spectrum
 
 
 def uniform_on_code(c: LinearCode) -> list[Fraction]:
@@ -248,9 +258,10 @@ def code_bias(family) -> BiasReport:
 
     The character expectation of the uniform distribution on C is the
     indicator of C^perp, so delta^2 is the worst-case probability that a
-    nonzero x lands in a dual code: the dual family's measured worst case.
+    nonzero x lands in a dual code: the dual family's measured worst case
+    (the same under either convention).
     """
-    rep = epsilon_universal(family.dual())
+    rep = epsilon_dual_universal(family)
     return BiasReport(math.sqrt(float(rep.max_prob)), rep.max_prob, rep.worst_x)
 
 

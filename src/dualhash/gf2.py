@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 __all__ = [
     "BitVector",
     "BinaryMatrix",
@@ -21,6 +23,7 @@ __all__ = [
     "EnumerationCapError",
     "rref",
     "rank",
+    "walsh_hadamard",
     "kernel",
     "dual",
     "weight_distribution",
@@ -178,6 +181,21 @@ def rank(rows) -> int:
     return len(reduced)
 
 
+def _is_canonical(basis, n: int) -> bool:
+    """Whether ``basis`` is what ``rref`` returns for its span, checked
+    without elimination: nonzero rows below 2^n, leading bits strictly
+    decreasing, and no row has a bit at another row's leading bit."""
+    leads = []
+    bound = 1 << n
+    for r in basis:
+        if not 0 < r < bound:
+            return False
+        bound = 1 << (r.bit_length() - 1)
+        leads.append(bound)
+    pivots = sum(leads)
+    return all(r & pivots == lead for r, lead in zip(basis, leads))
+
+
 @dataclass(frozen=True)
 class LinearCode:
     """A linear subspace of F_2^n, stored by its canonical RREF basis.
@@ -191,8 +209,7 @@ class LinearCode:
     def __post_init__(self):
         if self.n <= 0:
             raise ValueError("length must be positive")
-        canon, _ = rref(self.basis, self.n)
-        if canon != self.basis:
+        if not _is_canonical(self.basis, self.n):
             raise ValueError("basis is not in canonical RREF form; use from_rows")
 
     @classmethod
@@ -274,6 +291,28 @@ def kernel(m: BinaryMatrix) -> LinearCode:
 def dual(c: LinearCode) -> LinearCode:
     """The dual code C^perp = {y : (x,y)=0 for all x in C}."""
     return kernel(BinaryMatrix(c.basis, c.n))
+
+
+def walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform of a C-contiguous array along its last
+    axis, in place: a[..., x] becomes sum_y a[..., y] (-1)^(x.y).
+
+    One butterfly stage per bit; each stage writes a + b and a - b back
+    into the pair.  Exact on integer and object arrays as long as the
+    values fit the dtype; returns ``a``.
+    """
+    size = a.shape[-1]
+    if size & (size - 1) or not a.flags.c_contiguous:
+        raise ValueError("need a C-contiguous array with a power-of-two last axis")
+    h = 1
+    while h < size:
+        pairs = a.reshape(*a.shape[:-1], size // (2 * h), 2, h)
+        lo, hi = pairs[..., 0, :], pairs[..., 1, :]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        h *= 2
+    return a
 
 
 @dataclass(frozen=True)

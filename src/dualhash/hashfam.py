@@ -3,8 +3,7 @@
 A hash function is an m x n binary matrix applied to n-bit inputs.  The
 families here are the standard privacy-amplification constructions: all
 Toeplitz matrices, modified Toeplitz matrices (T | I), all linear maps,
-explicit lists, and families built from code families via parity-check
-matrices.
+and families built from code families via parity-check matrices.
 """
 
 from __future__ import annotations
@@ -87,10 +86,9 @@ def modified_toeplitz_dual(n: int, m: int, diagonals: int) -> BinaryMatrix:
 
 @dataclass(frozen=True)
 class HashFamilySpec:
-    kind: str  # toeplitz | modified_toeplitz | random_linear | explicit_list | from_code_family
+    kind: str  # toeplitz | modified_toeplitz | random_linear | from_code_family
     n: int
     m: int
-    matrices: tuple[BinaryMatrix, ...] | None = None
     codes: tuple[LinearCode, ...] | None = None
 
 
@@ -114,10 +112,6 @@ class HashFamily:
             self.index_space = 1 << (n - 1)
         elif kind == "random_linear":
             self.index_space = 1 << (m * n)
-        elif kind == "explicit_list":
-            if not spec.matrices:
-                raise ValueError("explicit_list needs matrices")
-            self.index_space = len(spec.matrices)
         elif kind == "from_code_family":
             if not spec.codes:
                 raise ValueError("from_code_family needs codes")
@@ -136,8 +130,6 @@ class HashFamily:
         if kind == "random_linear":
             rows = tuple((r >> (i * n)) & ((1 << n) - 1) for i in range(m))
             return HashFunction(n, m, BinaryMatrix(rows, n))
-        if kind == "explicit_list":
-            return HashFunction(n, m, self.spec.matrices[r])
         # from_code_family: parity-check matrix of the code (canonical basis
         # of the dual), padded with zero rows up to m when dim dual < m
         code = self.spec.codes[r]

@@ -33,8 +33,9 @@ from .gf2 import (
     WeightDistribution,
     complement_basis,
     dual,
+    walsh_hadamard,
 )
-from .universality import CodeFamily, counterexample_family
+from .universality import CodeFamily, _codeword_blocks, counterexample_family
 
 __all__ = [
     "SimResult",
@@ -402,20 +403,24 @@ def counterexample_leakage(n: int, p: float, family: CodeFamily | None = None,
         family = counterexample_family(n, seed=seed)
     elif family.n != n:
         raise ValueError(f"family length {family.n} differs from n={n}")
+    # I([X]; Y) = H(Y) - H(Y | coset) = n - H(C + E), C uniform on the
+    # member, E the BSC noise; the shifted conditional law is coset
+    # independent.  In the Walsh domain uniform-on-C is the indicator of
+    # C^perp and the noise is (1-2p)^wt(x), so the law of C + E is
+    # 2^-n WHT([C^perp] (1-2p)^wt), with [C^perp] = WHT([C]) / |C|.
     size = 1 << n
+    noise = np.float_power(1 - 2 * float(p), _pattern_weights(n)[0])
     mi_acc = 0.0
-    for code, w in zip(family.codes, family.weights):
-        # I([X]; Y) = H(Y) - H(Y | coset) = n - H(C + E), C uniform on the
-        # member, E the BSC noise; the shifted conditional law is coset
-        # independent.
-        dist = [0.0] * size
-        share = 1.0 / len(code)
-        for cw in code.codewords():
-            for y in range(size):
-                k = (cw ^ y).bit_count()
-                dist[y] += share * (p**k) * ((1 - p) ** (n - k))
-        h_cond = -sum(q * math.log2(q) for q in dist if q > 0)
-        mi_acc += w * (n - h_cond)
+    for dim, w, words in _codeword_blocks(family, row_words=size):
+        law = np.zeros((len(words), size))
+        law[np.arange(len(words))[:, None], words] = 1.0
+        walsh_hadamard(law)
+        law *= noise * 2.0 ** -(n + dim)
+        walsh_hadamard(law)
+        logs = np.zeros_like(law)
+        np.log2(law, out=logs, where=law > 0)
+        h_cond = -(law * logs).sum(axis=1)
+        mi_acc += w * float((n - h_cond).sum())
     mi = mi_acc / family.total_weight
     floor = 1 - binary_entropy(min(p, 1 - p))
     return SimResult(mi, n, {"p": p, "floor": floor})

@@ -25,6 +25,7 @@ from .gf2 import (
     dual,
     kernel,
     rank,
+    walsh_hadamard,
 )
 
 __all__ = [
@@ -173,63 +174,91 @@ class UniversalityReport:
         }
 
 
-def _membership_counts(family: CodeFamily) -> list[int]:
-    """counts[x] = total weight of members containing x, for all x.
+def _codeword_blocks(family, row_words: int = 1):
+    """Yield (dim, weight, words) blocks covering every distinct member.
 
     Members of equal dimension and weight are expanded together: their
-    bases are doubled into codewords in blocks of at most COUNT_BLOCK_WORDS
-    words (one member per block when a member is larger), and each block
-    adds the group's weight at its codewords.  The counts are int64, or
-    Python ints when the total weight could overflow int64, so every count
-    is exact.
+    bases are doubled into codewords, words[i] holding the 2^dim codewords
+    of one member.  A block holds at most COUNT_BLOCK_WORDS / max(2^dim,
+    row_words) members, and at least one.
     """
-    n = family.n
-    if n > AMBIENT_CAP:
-        raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")
     groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for code, w in zip(family.codes, family.weights):
         groups.setdefault((code.dim, w), []).append(code.basis)
-    counts = np.zeros(1 << n, dtype=np.int64 if family.total_weight < 1 << 63 else object)
     for (dim, w), bases in groups.items():
         bases = np.array(bases, dtype=np.int32)
-        per_block = max(1, COUNT_BLOCK_WORDS >> dim)
+        per_block = max(1, COUNT_BLOCK_WORDS // max(1 << dim, row_words))
         for start in range(0, len(bases), per_block):
             block = bases[start:start + per_block]
             words = np.zeros((len(block), 1 << dim), dtype=np.int32)
             for j in range(dim):
                 words[:, 1 << j:2 << j] = words[:, :1 << j] ^ block[:, j:j + 1]
-            np.add.at(counts, words.ravel(), w)
+            yield dim, w, words
+
+
+def _membership_counts(family: CodeFamily, dual: bool = False) -> list[int]:
+    """counts[x] = total weight of members containing x, for all x; with
+    ``dual``, of members whose dual code contains x.
+
+    Each block of codewords adds its members' weight at their codewords.
+    The dual counts need no dual code: the Walsh transform of the indicator
+    of C is 2^dim(C) times the indicator of C^perp, so adding w 2^(n-dim)
+    per member, transforming once and shifting right by n gives
+    sum_r w_r [x in C_r^perp] exactly.  The counts are int64, or Python
+    ints when a value could overflow int64 (total weight, times 2^n for
+    the dual counts, of 2^63 or more).
+    """
+    n = family.n
+    if n > AMBIENT_CAP:
+        raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")
+    bound = family.total_weight << n if dual else family.total_weight
+    counts = np.zeros(1 << n, dtype=np.int64 if bound < 1 << 63 else object)
+    for dim, w, words in _codeword_blocks(family):
+        np.add.at(counts, words.ravel(), w << (n - dim) if dual else w)
+    if dual:
+        walsh_hadamard(counts)
+        counts >>= n
     return counts.tolist()
 
 
-def _pick_t(family: CodeFamily, convention: str) -> int:
+def _dims(family: CodeFamily, dual: bool = False) -> tuple[int, int]:
+    """(t_min, t_max) of the family, or of its dual family."""
+    if dual:
+        return family.n - family.t_max, family.n - family.t_min
+    return family.t_min, family.t_max
+
+
+def _pick_t(dims: tuple[int, int], convention: str) -> int:
     if convention == "min_dim":
-        return family.t_min
+        return dims[0]
     if convention == "max_dim":
-        return family.t_max
+        return dims[1]
     raise ValueError(f"unknown convention: {convention}")
 
 
-def _report_from_counts(counts, family, convention, t, candidates, base) -> UniversalityReport:
+def _report_from_counts(counts, family, dims, convention, t, candidates, base) -> UniversalityReport:
     """Report the first candidate x (in scan order) of greatest count, with
     ε = Pr[x] 2^(base - t); no candidate (a vacuous inequality) gives x = 0
-    and ε = 0.  Callers pick t before counting, so an unknown convention is
-    rejected before any enumeration."""
+    and ε = 0.  ``dims`` is the measured family's (t_min, t_max).  Callers
+    pick t before counting, so an unknown convention is rejected before any
+    enumeration."""
     worst_x = max(candidates, key=counts.__getitem__, default=0)
     max_prob = Fraction(counts[worst_x] if worst_x else 0, family.total_weight)
     eps = max_prob * (1 << (base - t))
-    return UniversalityReport(
-        eps, convention, family.t_min, family.t_max, family.n, worst_x, max_prob
-    )
+    return UniversalityReport(eps, convention, *dims, family.n, worst_x, max_prob)
+
+
+def _plain_report(family: CodeFamily, convention: str, dual: bool) -> UniversalityReport:
+    n = family.n
+    dims = _dims(family, dual)
+    t = _pick_t(dims, convention)
+    counts = _membership_counts(family, dual)
+    return _report_from_counts(counts, family, dims, convention, t, range(1, 1 << n), n)
 
 
 def epsilon_universal(family: CodeFamily, convention: str = "min_dim") -> UniversalityReport:
     """Smallest ε with Pr[x ∈ C_r] ≤ 2^(t-n) ε for all x ≠ 0 (exact)."""
-    n = family.n
-    t = _pick_t(family, convention)
-    return _report_from_counts(
-        _membership_counts(family), family, convention, t, range(1, 1 << n), n
-    )
+    return _plain_report(family, convention, dual=False)
 
 
 def _swap(convention: str) -> str:
@@ -241,8 +270,9 @@ def _swap(convention: str) -> str:
 def epsilon_dual_universal(family: CodeFamily, convention: str = "min_dim") -> UniversalityReport:
     """Universality of the dual family; the dimension convention names the
     primal family's convention, so it is swapped on the duals (a primal
-    minimum dimension t corresponds to a dual maximum dimension n-t)."""
-    return epsilon_universal(family.dual(), _swap(convention))
+    minimum dimension t corresponds to a dual maximum dimension n-t).
+    Counted by one Walsh transform, without building any dual code."""
+    return _plain_report(family, _swap(convention), dual=True)
 
 
 _DUAL_VARIANT = {"subcode": "extended", "extended": "subcode", "pair": "pair"}
@@ -258,40 +288,49 @@ def epsilon_pair(
     extended: the inner code is a fixed C1; over x ∉ C1,
       Pr[x ∈ C_r] ≤ 2^(t-n) ε with t from the outer dims.
     pair: over x ≠ 0, Pr[x ∈ outer_r \\ inner_r] ≤ 2^(t-n) ε.
-    Dual variants measure the corresponding variant on the dual pairs.
+    Dual variants measure the corresponding variant on the dual pairs
+    (outer_r^⊥, inner_r^⊥), counted from the primal members without
+    building their duals.
     """
-    primal = variant.removesuffix("_dual")
-    if primal != variant and primal in _DUAL_VARIANT:
-        return epsilon_pair(family.dual(), _DUAL_VARIANT[primal], _swap(convention))
-
     n = family.n
     inners = CodeFamily([inner for inner, _ in family.pairs], family.weights)
     outers = family.outers()
+    primal = variant.removesuffix("_dual")
+    is_dual = primal != variant and primal in _DUAL_VARIANT
+    if is_dual:
+        # the dual pairs are (outer^⊥, inner^⊥): inner and outer trade places
+        variant, convention = _DUAL_VARIANT[primal], _swap(convention)
+        inners, outers = outers, inners
+
+    def fixed(codes: CodeFamily) -> LinearCode:
+        return dual(codes.codes[0]) if is_dual else codes.codes[0]
+
+    inner_dims, outer_dims = _dims(inners, is_dual), _dims(outers, is_dual)
     if variant == "subcode":
         if len(outers) > 1:
             raise ValueError("subcode variant needs a fixed outer code")
-        c1 = outers.codes[0]
-        t = _pick_t(inners, convention)
+        t = _pick_t(inner_dims, convention)
+        c1 = fixed(outers)
         candidates = (x for x in c1.codewords() if x)
-        return _report_from_counts(
-            _membership_counts(inners), inners, convention, t, candidates, c1.dim
-        )
+        return _report_from_counts(_membership_counts(inners, is_dual), inners,
+                                   inner_dims, convention, t, candidates, c1.dim)
     if variant == "extended":
         if len(inners) > 1:
             raise ValueError("extended variant needs a fixed inner code")
-        c1 = inners.codes[0]
-        t = _pick_t(outers, convention)
+        t = _pick_t(outer_dims, convention)
+        c1 = fixed(inners)
         candidates = (x for x in range(1, 1 << n) if not c1.contains(x))
-        return _report_from_counts(
-            _membership_counts(outers), outers, convention, t, candidates, n
-        )
+        return _report_from_counts(_membership_counts(outers, is_dual), outers,
+                                   outer_dims, convention, t, candidates, n)
     if variant == "pair":
-        t = _pick_t(outers, convention)
+        t = _pick_t(outer_dims, convention)
         # inner ⊆ outer, so Pr[x ∈ outer \ inner] = Pr[x ∈ outer] - Pr[x ∈ inner]
         counts = [
-            a - b for a, b in zip(_membership_counts(outers), _membership_counts(inners))
+            a - b for a, b in zip(_membership_counts(outers, is_dual),
+                                  _membership_counts(inners, is_dual))
         ]
-        return _report_from_counts(counts, outers, convention, t, range(1, 1 << n), n)
+        return _report_from_counts(counts, outers, outer_dims, convention, t,
+                                   range(1, 1 << n), n)
     raise ValueError(f"unknown variant: {variant}")
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualhash.cqstate import (
     CQState,
@@ -98,6 +100,39 @@ def test_walsh_transform_exact_indicator():
     d = dual(c)
     for x in range(16):
         assert spectrum[x] == (1 if d.contains(x) else 0)
+
+
+def oracle_walsh_transform(w):
+    """The pure-Python butterfly, operating on the values as given."""
+    out = list(w)
+    h = 1
+    while h < len(out):
+        for i in range(0, len(out), 2 * h):
+            for j in range(i, i + h):
+                a, b = out[j], out[j + h]
+                out[j], out[j + h] = a + b, a - b
+        h *= 2
+    return out
+
+
+def values_of(element):
+    return st.integers(0, 7).flatmap(
+        lambda k: st.lists(element, min_size=1 << k, max_size=1 << k))
+
+
+@given(st.one_of(
+    values_of(st.integers(-50, 50)),
+    values_of(st.integers(-(1 << 70), 1 << 70)),  # sums pass 2^63
+    values_of(st.fractions(max_denominator=60)),
+    values_of(st.floats(-1e6, 1e6)),
+    values_of(st.complex_numbers(max_magnitude=1e6)),
+))
+@settings(max_examples=200, deadline=None)
+def test_walsh_transform_matches_butterfly(values):
+    got = walsh_transform(values)
+    expected = oracle_walsh_transform(values)
+    assert got == expected
+    assert [type(v) for v in got] == [type(v) for v in expected]
 
 
 def test_walsh_transform_validation():

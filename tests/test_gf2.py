@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from dualhash.gf2 import (
     parse_code,
     rank,
     rref,
+    walsh_hadamard,
     weight_distribution,
 )
 from dualhash.universality import subspaces_of
@@ -86,6 +88,58 @@ def test_rref_is_canonical():
             mixed[0] ^= mixed[1]  # same span, different generators
         c2 = LinearCode.from_rows(n, mixed)
         assert c1 == c2
+
+
+@st.composite
+def bases(draw):
+    """A row tuple of length n <= 8: random rows, or a canonical basis
+    with at most one bit flipped or two rows swapped."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 1))
+    if draw(st.booleans()):
+        rows = list(rref(rows, n)[0])
+        if rows and draw(st.booleans()):
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i] ^= 1 << draw(st.integers(0, n - 1))
+        if len(rows) > 1 and draw(st.booleans()):
+            rows[0], rows[-1] = rows[-1], rows[0]
+    return n, tuple(rows)
+
+
+def accepted(n, basis):
+    try:
+        LinearCode(n, basis)
+    except ValueError as exc:
+        assert "canonical RREF" in str(exc)
+        return False
+    return True
+
+
+@given(bases())
+@settings(max_examples=300, deadline=None)
+def test_canonical_check_matches_rref(case):
+    n, basis = case
+    assert accepted(n, basis) == (rref(basis, n)[0] == basis)
+
+
+def test_out_of_range_row_rejected():
+    # rref leaves a row above 2^n unchanged, so the old check let it through
+    for n, basis in ((2, (4,)), (3, (8, 1)), (3, (-1,)), (3, (0,))):
+        with pytest.raises(ValueError, match="not in canonical RREF"):
+            LinearCode(n, basis)
+
+
+def test_walsh_hadamard_rows_in_place():
+    rng = np.random.default_rng(3)
+    rows = rng.integers(-5, 6, size=(3, 16))
+    expected = [[sum(int(v) * (-1) ** (x & y).bit_count() for y, v in enumerate(r))
+                 for x in range(16)] for r in rows]
+    out = walsh_hadamard(rows)
+    assert out is rows and rows.tolist() == expected
+    with pytest.raises(ValueError):
+        walsh_hadamard(np.zeros(6))
+    with pytest.raises(ValueError):
+        walsh_hadamard(np.zeros((4, 8))[:, ::2])
 
 
 def test_codeword_enumeration_matches_span():

@@ -52,11 +52,70 @@ ANALYZE_MODIFIED_TOEPLITZ = (
 )
 
 
+ANALYZE_TIGHT = (
+    "{\n"
+    '  "convention": "min_dim",\n'
+    '  "dual_epsilon": "93/16",\n'
+    '  "dual_report": {\n'
+    '    "convention": "max_dim",\n'
+    '    "epsilon_den": 16,\n'
+    '    "epsilon_num": 93,\n'
+    '    "t_max": 4,\n'
+    '    "t_min": 4,\n'
+    '    "worst_x": "1001101"\n'
+    "  },\n"
+    '  "epsilon": "3/2",\n'
+    '  "kind": "tight",\n'
+    '  "members": 43059,\n'
+    '  "n": 7,\n'
+    '  "report": {\n'
+    '    "convention": "min_dim",\n'
+    '    "epsilon_den": 2,\n'
+    '    "epsilon_num": 3,\n'
+    '    "t_max": 3,\n'
+    '    "t_min": 3,\n'
+    '    "worst_x": "0000010"\n'
+    "  },\n"
+    '  "seed": null\n'
+    "}\n"
+)
+
+ANALYZE_COUNTEREXAMPLE = (
+    "{\n"
+    '  "convention": "min_dim",\n'
+    '  "dual_epsilon": "32",\n'
+    '  "dual_report": {\n'
+    '    "convention": "max_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 32,\n'
+    '    "t_max": 3,\n'
+    '    "t_min": 1,\n'
+    '    "worst_x": "00000001"\n'
+    "  },\n"
+    '  "epsilon": "2",\n'
+    '  "kind": "counterexample",\n'
+    '  "members": 16384,\n'
+    '  "n": 8,\n'
+    '  "report": {\n'
+    '    "convention": "min_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 2,\n'
+    '    "t_max": 7,\n'
+    '    "t_min": 5,\n'
+    '    "worst_x": "00000010"\n'
+    "  },\n"
+    '  "seed": null\n'
+    "}\n"
+)
+
+
 @pytest.mark.parametrize("argv, expected", [
     ("sweep qkd --n-grid 10000,100000,1000000 --approach phase_sum -S 0.4 "
      "--p-ph 0.05 -l 100", SWEEP_QKD),
     ("analyze --kind modified-toeplitz -n 10 -m 4", ANALYZE_MODIFIED_TOEPLITZ),
-], ids=["sweep_qkd", "analyze_modified_toeplitz"])
+    ("analyze --kind tight -n 7 -t 3 --epsilon 3/2 -x 77", ANALYZE_TIGHT),
+    ("analyze --kind counterexample -n 8", ANALYZE_COUNTEREXAMPLE),
+], ids=["sweep_qkd", "analyze_modified_toeplitz", "analyze_tight", "analyze_counterexample"])
 def test_cli_output_bytes(capsys, argv, expected):
     assert main(argv.split()) == 0
     captured = capsys.readouterr()

@@ -343,6 +343,40 @@ def test_counterexample_custom_family():
     assert res.exact_value >= 1 - binary_entropy(0.2) - 1e-9
 
 
+def oracle_counterexample_leakage(family, p):
+    """The direct loop: the law of C + E summed codeword by codeword."""
+    n, size = family.n, 1 << family.n
+    mi_acc = 0.0
+    for code, w in zip(family.codes, family.weights):
+        dist = [0.0] * size
+        share = 1.0 / len(code)
+        for cw in code.codewords():
+            for y in range(size):
+                k = (cw ^ y).bit_count()
+                dist[y] += share * (p**k) * ((1 - p) ** (n - k))
+        h_cond = -sum(q * math.log2(q) for q in dist if q > 0)
+        mi_acc += w * (n - h_cond)
+    return mi_acc / family.total_weight
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.2, 0.5])
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_counterexample_leakage_matches_direct_loop(n, p):
+    got = counterexample_leakage(n, p).exact_value
+    expected = oracle_counterexample_leakage(counterexample_family(n), p)
+    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_counterexample_leakage_custom_family_matches_direct_loop():
+    rng = random.Random(6)
+    codes = [random_code(6, t, rng) for t in (0, 1, 3, 3, 5, 6) for _ in range(3)]
+    fam = CodeFamily(codes, [rng.randrange(1, 9) for _ in codes])
+    for p in (0.0, 0.1, 0.2, 0.5, 0.9):
+        got = counterexample_leakage(6, p, family=fam).exact_value
+        expected = oracle_counterexample_leakage(fam, p)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
 def test_counterexample_rejects_family_of_other_length():
     with pytest.raises(ValueError, match="length"):
         counterexample_leakage(4, 0.1, family=counterexample_family(6))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualhash import universality
+from dualhash import gf2, universality
 from dualhash.cqstate import code_bias
 from dualhash.gf2 import EnumerationCapError, LinearCode, dual
 from dualhash.hashfam import HashFamily, HashFamilySpec
@@ -164,9 +164,9 @@ def oracle_membership_counts(family):
 
 
 @st.composite
-def weighted_families(draw, min_weight=1, max_weight=5):
-    """A family of up to eight codes of length n <= 8 and any dimension
-    0..n, with repeats and one weight per member as given."""
+def weighted_members(draw, min_weight=1, max_weight=5):
+    """Up to eight codes of length n <= 8 and any dimension 0..n, with
+    repeats, and one weight per member as given."""
     n = draw(st.integers(1, 8))
     rng = random.Random(draw(st.integers(0, 2**32)))
     pool = [random_code(n, draw(st.integers(0, n)), rng)
@@ -174,7 +174,12 @@ def weighted_families(draw, min_weight=1, max_weight=5):
     codes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
     weights = draw(st.lists(st.integers(min_weight, max_weight),
                             min_size=len(codes), max_size=len(codes)))
-    return CodeFamily(codes, weights)
+    return codes, weights
+
+
+@st.composite
+def weighted_families(draw, min_weight=1, max_weight=5):
+    return CodeFamily(*draw(weighted_members(min_weight, max_weight)))
 
 
 @given(st.one_of(weighted_families(), weighted_families(1 << 63, 1 << 70)))
@@ -193,6 +198,81 @@ def test_membership_counts_blocks_and_big_weights():
     big = CodeFamily(codes[:3], [1 << 62, 1 << 62, 3])
     assert big.total_weight >= 1 << 63
     assert _membership_counts(big) == oracle_membership_counts(big)
+
+
+def explicit_dual_pairs(pairs):
+    return [(dual(outer), dual(inner)) for inner, outer in pairs]
+
+
+# small weights; weights whose total passes 2^63 only after the 2^n scaling
+# of the dual counts; weights whose total passes 2^63 (Python-int counts)
+@given(st.one_of(weighted_members(), weighted_members(1 << 56, 1 << 60),
+                 weighted_members(1 << 63, 1 << 70)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_dual_measures_match_explicit_dual_family(members, data):
+    codes, weights = members
+    fam = CodeFamily(codes, weights)
+    n = fam.n
+    explicit = CodeFamily([dual(c) for c in codes], weights)
+    for convention in ("min_dim", "max_dim"):
+        assert epsilon_dual_universal(fam, convention) == epsilon_universal(
+            explicit, SWAP[convention])
+    bias = code_bias(fam)
+    direct = epsilon_universal(explicit)
+    assert (bias.worst_x, bias.delta_sq) == (direct.worst_x, direct.max_prob)
+    assert type(bias.delta_sq) is Fraction
+
+    # one pair family per dual variant, built from the same members
+    fixed = draw_code(data, n)
+    pairs = {
+        "subcode": [(c, LinearCode.full(n)) for c in codes],
+        "extended": [(fixed, LinearCode.from_rows(n, fixed.basis + c.basis))
+                     for c in codes],
+        "pair": [(LinearCode.from_rows(n, c.basis[:data.draw(st.integers(0, c.dim))]), c)
+                 for c in codes],
+    }
+    for kind, members_ in pairs.items():
+        pfam = CodePairFamily(members_, weights)
+        dual_fam = CodePairFamily(explicit_dual_pairs(members_), weights)
+        for convention in ("min_dim", "max_dim"):
+            assert epsilon_pair(pfam, kind + "_dual", convention) == epsilon_pair(
+                dual_fam, DUAL_VARIANT[kind], SWAP[convention])
+
+
+def test_dual_measures_build_no_dual_code(monkeypatch):
+    fams = [hash_code_family("toeplitz", 6, 2), tight_family(5, 2, Fraction(3, 2), 3)]
+    expected = [
+        (epsilon_dual_universal(f, "min_dim"), epsilon_dual_universal(f, "max_dim"),
+         code_bias(f))
+        for f in fams
+    ]
+
+    def refuse(*args):
+        raise AssertionError("dual code built")
+
+    for module in (universality, gf2):
+        monkeypatch.setattr(module, "dual", refuse)
+        monkeypatch.setattr(module, "kernel", refuse)
+    monkeypatch.setattr(LinearCode, "dual", refuse)
+    got = [
+        (epsilon_dual_universal(f, "min_dim"), epsilon_dual_universal(f, "max_dim"),
+         code_bias(f))
+        for f in fams
+    ]
+    assert got == expected
+
+
+def test_codeword_blocks_respect_row_budget():
+    rng = random.Random(8)
+    n = 12
+    codes = [random_code(n, t, rng) for t in (0, 3, 7, 12) for _ in range(30)]
+    fam = CodeFamily(codes, [rng.randrange(1, 3) for _ in codes])
+    seen = {}
+    for dim, w, words in universality._codeword_blocks(fam, row_words=1 << n):
+        assert len(words) * (1 << n) <= max(universality.COUNT_BLOCK_WORDS, 1 << n)
+        for row in words.tolist():
+            seen[LinearCode.from_rows(n, row)] = w
+    assert seen == dict(zip(fam.codes, fam.weights))
 
 
 @pytest.mark.parametrize("call", [
