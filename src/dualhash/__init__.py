@@ -49,7 +49,6 @@ from .cqstate import (
     d1_distance,
     h2_d2_hmin,
     holevo,
-    pauli_wiretap_state,
     verify_fs08,
     verify_pa,
     walsh_bias,
@@ -105,7 +104,6 @@ __all__ = [
     "holevo",
     "kernel",
     "macwilliams_transform",
-    "pauli_wiretap_state",
     "permuted_epsilon",
     "permuted_pair_epsilon",
     "qkd_bounds",

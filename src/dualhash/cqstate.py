@@ -2,8 +2,8 @@
 
 A CQState stores a classical register over bit strings together with one
 subnormalized positive block per value (the block of key value a is
-P(a) rho_a on Eve's space).  Everything is dense numpy; Eve dimensions stay
-small (<= 256 for the Pauli wiretap builder at n = 4).
+P(a) rho_a on Eve's space).  Everything is dense numpy at desk-scale Eve
+dimensions; hashing coarse-grains the key register by syndrome label.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .gf2 import LinearCode, cosets, walsh_hadamard
+from .gf2 import LinearCode, dual, syndromes, walsh_hadamard
 from .universality import epsilon_dual_universal
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "hash_marginal",
     "verify_fs08",
     "verify_pa",
-    "pauli_wiretap_state",
     "random_cq_state",
 ]
 
@@ -266,14 +265,16 @@ def code_bias(family) -> BiasReport:
 
 
 def hash_marginal(rho: CQState, c: LinearCode) -> CQState:
-    """Coarse-grain the key register over the cosets of a code."""
+    """Coarse-grain the key register over the cosets of a code.
+
+    Key value a moves to block H a, H the canonical basis of C^perp, so the
+    blocks come out in syndrome order.
+    """
     if c.n != rho.key_length:
         raise ValueError("code length must match the key register length")
-    reps = cosets(LinearCode.full(c.n), c)
-    out = np.zeros((len(reps), rho.eve_dim, rho.eve_dim), dtype=complex)
-    for i, r in enumerate(reps):
-        for w in c.codewords():
-            out[i] += rho.blocks[r ^ w]
+    labels = syndromes(dual(c).basis, c.n)
+    out = np.zeros((1 << (c.n - c.dim), rho.eve_dim, rho.eve_dim), dtype=complex)
+    np.add.at(out, labels, rho.blocks)
     return CQState(c.n - c.dim, out, normalized=False)
 
 
@@ -311,86 +312,6 @@ def verify_pa(rho: CQState, family, sigma=None, epsilon=None) -> tuple[float, fl
     if epsilon is None:
         epsilon = float(epsilon_dual_universal(family, "min_dim").epsilon)
     return lhs, epsilon * 2.0 ** (-h2)
-
-
-def _joint_error_distribution(n: int, pxz) -> np.ndarray:
-    """Joint distribution over (x, z) pairs from per-qubit (phase, bit) tables."""
-    tables = [np.asarray(t, dtype=float) for t in pxz]
-    if len(tables) != n or any(t.shape != (4,) for t in tables):
-        raise ValueError("need one 4-entry table (p00 p01 p10 p11) per qubit")
-    for t in tables:
-        if t.min() < 0 or abs(t.sum() - 1) > 1e-9:
-            raise ValueError("each per-qubit table must be a distribution")
-    joint = np.zeros((1 << n, 1 << n))
-    for x in range(1 << n):
-        for z in range(1 << n):
-            prob = 1.0
-            for i in range(n):
-                xi = (x >> (n - 1 - i)) & 1
-                zi = (z >> (n - 1 - i)) & 1
-                prob *= tables[i][2 * xi + zi]
-            joint[x, z] = prob
-    return joint
-
-
-def _eve_block(n: int, joint: np.ndarray, a: int) -> np.ndarray:
-    """Eve's conditional state when the Z-basis key value is a.
-
-    Basis index e = x * 2^n + z over Pauli error pairs; built as a sum of
-    rank-one vectors, one per bit-error word z.
-    """
-    size = 1 << n
-    rho = np.zeros((size * size, size * size))
-    for z in range(size):
-        col = joint[:, z]
-        if col.max() == 0:
-            continue
-        phase = np.array(
-            [(-1) ** (((x & (a ^ z)).bit_count()) & 1) for x in range(size)]
-        )
-        vec = np.zeros(size * size)
-        vec[z::size] = np.sqrt(col) * phase
-        rho += np.outer(vec, vec)
-    return rho
-
-
-def pauli_wiretap_state(
-    n: int,
-    pxz,
-    c1: LinearCode | None = None,
-    c2: LinearCode | None = None,
-    mode: str = "sifted",
-) -> CQState:
-    """Alice's key register and Eve's environment after a Pauli channel.
-
-    pxz: per-qubit joint tables of (phase, bit) errors, (p00, p01, p10, p11).
-    sifted mode keys on the uniform n-bit sifted string; coset_key mode keys
-    on the coset of c2 inside c1, with the sent word drawn uniformly from
-    the coset.
-    """
-    if n > 4:
-        raise ValueError("Eve dimension 4^n; capped at n = 4")
-    joint = _joint_error_distribution(n, pxz)
-    if mode == "sifted":
-        blocks = np.array(
-            [_eve_block(n, joint, a) / (1 << n) for a in range(1 << n)]
-        )
-        return CQState(n, blocks)
-    if mode == "coset_key":
-        if c1 is None or c2 is None:
-            raise ValueError("coset_key mode needs codes c1 and c2")
-        if not c1.contains_code(c2):
-            raise ValueError("c2 must be a subcode of c1")
-        reps = cosets(c1, c2)
-        l = c1.dim - c2.dim
-        blocks = []
-        for r in reps:
-            acc = np.zeros((4**n, 4**n))
-            for w in c2.codewords():
-                acc += _eve_block(n, joint, r ^ w)
-            blocks.append(acc / (len(c2) * len(reps)))
-        return CQState(l, np.array(blocks))
-    raise ValueError(f"unknown mode: {mode}")
 
 
 def random_cq_state(key_bits: int, eve_dim: int, rng: np.random.Generator) -> CQState:

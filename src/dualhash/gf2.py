@@ -28,13 +28,12 @@ __all__ = [
     "dual",
     "weight_distribution",
     "macwilliams_transform",
-    "cosets",
+    "syndromes",
     "parse_code",
     "format_code",
 ]
 
 CODEWORD_DIM_CAP = 24
-COSET_DIM_CAP = 20
 
 
 class EnumerationCapError(ValueError):
@@ -377,28 +376,20 @@ def macwilliams_transform(w: WeightDistribution, dim: int) -> WeightDistribution
     return WeightDistribution(n, tuple(c / dual_size for c in dual_counts))
 
 
-def cosets(c1: LinearCode, c2: LinearCode) -> list[int]:
-    """Representatives of C1/C2, the zero coset first.
+def syndromes(rows, n: int) -> np.ndarray:
+    """s[x] = Hx for every x in F_2^n, H the matrix with these rows, in the
+    row order of ``BinaryMatrix.mul_vector`` (row 0 is the top bit).
 
-    Representatives are the codewords of a complement of C2 inside C1,
-    so each rep is the minimum useful canonical form and rep of [0] is 0.
+    Two words share a label iff they differ by an element of the kernel of
+    H, so with the rows spanning C^perp the labels key the cosets of C.  One
+    doubling pass: s[x + 2^j] = s[x] ^ H e_j for x < 2^j.  The array has
+    2^n entries; callers bound n.
     """
-    if c1.n != c2.n:
-        raise ValueError("length mismatch")
-    if not c1.contains_code(c2):
-        raise ValueError("C2 is not a subcode of C1")
-    k = c1.dim - c2.dim
-    if k > COSET_DIM_CAP:
-        raise EnumerationCapError(f"C1/C2 index 2^{k} exceeds cap 2^{COSET_DIM_CAP}")
-    comp = complement_basis(c1, c2)
-    reps = [0]
-    for i in range(1, 1 << k):
-        x = 0
-        for j in range(k):
-            if (i >> j) & 1:
-                x ^= comp[j]
-        reps.append(x)
-    return reps
+    h = BinaryMatrix(tuple(rows), n)
+    s = np.zeros(1 << n, dtype=np.int64)
+    for j in range(n):
+        s[1 << j : 2 << j] = s[: 1 << j] ^ h.mul_vector(1 << j)
+    return s
 
 
 def complement_basis(c1: LinearCode, c2: LinearCode) -> list[int]:

@@ -2,8 +2,7 @@
 
 A hash function is an m x n binary matrix applied to n-bit inputs.  The
 families here are the standard privacy-amplification constructions: all
-Toeplitz matrices, modified Toeplitz matrices (T | I), all linear maps,
-and families built from code families via parity-check matrices.
+Toeplitz matrices, modified Toeplitz matrices (T | I) and all linear maps.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from .gf2 import (
     LinearCode,
     bits_from_string,
     bits_to_string,
-    dual,
     kernel,
 )
 
@@ -86,10 +84,9 @@ def modified_toeplitz_dual(n: int, m: int, diagonals: int) -> BinaryMatrix:
 
 @dataclass(frozen=True)
 class HashFamilySpec:
-    kind: str  # toeplitz | modified_toeplitz | random_linear | from_code_family
+    kind: str  # toeplitz | modified_toeplitz | random_linear
     n: int
     m: int
-    codes: tuple[LinearCode, ...] | None = None
 
 
 class HashFamily:
@@ -112,10 +109,6 @@ class HashFamily:
             self.index_space = 1 << (n - 1)
         elif kind == "random_linear":
             self.index_space = 1 << (m * n)
-        elif kind == "from_code_family":
-            if not spec.codes:
-                raise ValueError("from_code_family needs codes")
-            self.index_space = len(spec.codes)
         else:
             raise ValueError(f"unknown family kind: {kind}")
 
@@ -127,16 +120,7 @@ class HashFamily:
             return HashFunction(n, m, toeplitz_matrix(n, m, r))
         if kind == "modified_toeplitz":
             return HashFunction(n, m, modified_toeplitz_matrix(n, m, r))
-        if kind == "random_linear":
-            rows = tuple((r >> (i * n)) & ((1 << n) - 1) for i in range(m))
-            return HashFunction(n, m, BinaryMatrix(rows, n))
-        # from_code_family: parity-check matrix of the code (canonical basis
-        # of the dual), padded with zero rows up to m when dim dual < m
-        code = self.spec.codes[r]
-        h = dual(code).basis
-        if len(h) > m:
-            raise ValueError("code dual dimension exceeds output length")
-        rows = tuple(h) + (0,) * (m - len(h))
+        rows = tuple((r >> (i * n)) & ((1 << n) - 1) for i in range(m))
         return HashFunction(n, m, BinaryMatrix(rows, n))
 
     def __iter__(self):

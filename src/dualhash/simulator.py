@@ -3,9 +3,11 @@ distillation, and wiretap security evaluation.
 
 Every decoding path uses one coset-leader table keyed by dual-code
 syndromes, built in one vectorised pass over all 2^n error patterns; the
-cap n <= 16 bounds that work at 2^16 patterns.  Error probabilities are
-exact rationals; Monte Carlo estimates always carry two-sided 99%
-confidence intervals and bound checks use the upper limit.
+cap n <= 16 bounds that work at 2^16 patterns.  Exact wiretap leakage comes
+from the joint (phase, bit) error histogram over syndrome labels, capped at
+n <= 10 (4^n error pairs).  Error probabilities are exact rationals; Monte
+Carlo estimates always carry two-sided 99% confidence intervals and bound
+checks use the upper limit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .bounds import (
     gallager_family_bound,
     weighted_decoding_bound,
 )
-from .cqstate import d1_distance, holevo, pauli_wiretap_state
 from .gf2 import (
     BinaryMatrix,
     BitVector,
@@ -33,6 +34,7 @@ from .gf2 import (
     WeightDistribution,
     complement_basis,
     dual,
+    syndromes,
     walsh_hadamard,
 )
 from .universality import CodeFamily, _codeword_blocks, counterexample_family
@@ -49,6 +51,8 @@ __all__ = [
 ]
 
 ERROR_ENUM_CAP = 16
+WIRETAP_EXACT_CAP = 10
+BISECT_STEPS = 64
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -110,12 +114,9 @@ def _syndrome_table(c: LinearCode) -> tuple[BinaryMatrix, list[int]]:
     if n > ERROR_ENUM_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
     h = BinaryMatrix(dual(c).basis, n)
-    syndrome = np.zeros(1 << n, dtype=np.int32)
-    for j in range(n):
-        syndrome[1 << j : 2 << j] = syndrome[: 1 << j] ^ h.mul_vector(1 << j)
     _, key = _pattern_weights(n)
     best = np.full(1 << h.nrows, np.iinfo(np.int32).max, dtype=np.int32)
-    np.minimum.at(best, syndrome, key)
+    np.minimum.at(best, syndromes(h.rows, n), key)
     return h, (best & ((1 << n) - 1)).tolist()
 
 
@@ -273,8 +274,8 @@ def distill_keys(
     with the outer code, output coset keys modulo the inner code.
 
     Returns (s_a, s_b, agree) where the keys are canonical coset
-    representatives of C1/C2: the elements of span(complement_basis(C1, C2))
-    that `gf2.cosets` lists, found by elimination without enumerating them.
+    representatives of C1/C2: elements of span(complement_basis(C1, C2)),
+    found by elimination without enumerating them.
     """
     if k_a.n != c1.n or k_b.n != c1.n:
         raise ValueError("length mismatch")
@@ -341,15 +342,32 @@ def wiretap_eval(
 ) -> SimResult:
     """Security of coset keys over a Pauli channel against the environment.
 
-    exact mode (n <= 4) diagonalizes Eve's state for the true trace
-    distance and Holevo information; phase_only (n <= 16) reports only the
-    phase-error probability and its implied bounds.  Requires identical
-    phase-error marginals across qubits.
+    exact mode (n <= 10) computes the true trace distance and Holevo
+    information from the joint error distribution; phase_only (n <= 16)
+    reports only the phase-error probability and its implied bounds.
+    Requires identical phase-error marginals across qubits.
     """
-    p_ph_each = [t[2] + t[3] for t in pxz]
+    if mode not in ("exact", "phase_only"):
+        raise ValueError(f"unknown mode: {mode}")
+    tables = [np.asarray(t, dtype=float) for t in pxz]
+    if any(t.shape != (4,) for t in tables):
+        raise ValueError("need one 4-entry table (p00 p01 p10 p11) per qubit")
+    for t in tables:
+        if not (np.all(t >= 0) and abs(t.sum() - 1) <= 1e-9):
+            raise ValueError("each per-qubit table must be a distribution")
+    if not n == c1.n == c2.n == len(tables):
+        raise ValueError(
+            f"channel has {len(tables)} qubits; n={n}, codes of length "
+            f"{c1.n} and {c2.n}"
+        )
+    if not c1.contains_code(c2):
+        raise ValueError("C2 is not a subcode of C1")
+    if mode == "exact" and n > WIRETAP_EXACT_CAP:
+        raise ValueError(f"n={n} exceeds exact wiretap cap {WIRETAP_EXACT_CAP}")
+    p_ph_each = [t[2] + t[3] for t in tables]
     if max(p_ph_each) - min(p_ph_each) > 1e-12:
         raise ValueError("qubits must share the phase-error marginal")
-    p_ph = Fraction(p_ph_each[0]).limit_denominator(10**9)
+    p_ph = Fraction(float(p_ph_each[0])).limit_denominator(10**9)
     p_ph_remaining = exact_error_prob((dual(c2), dual(c1)), p_ph)
     l = c1.dim - c2.dim
     d1_bound = 2 * math.sqrt(2) * math.sqrt(float(p_ph_remaining))
@@ -366,11 +384,7 @@ def wiretap_eval(
                              BoundReport("trace_distance", d1_bound, params),
                              BoundReport("holevo", max(chi_bound, 0.0), params),
                          ])
-    if mode != "exact":
-        raise ValueError(f"unknown mode: {mode}")
-    rho = pauli_wiretap_state(n, pxz, c1, c2, mode="coset_key")
-    d1 = d1_distance(rho)
-    chi = holevo(rho)
+    d1, chi = _coset_key_leakage(tables, c1, c2)
     params["holevo"] = chi
     return SimResult(
         d1,
@@ -383,6 +397,38 @@ def wiretap_eval(
                         dominated_quantity=chi),
         ],
     )
+
+
+def _coset_key_leakage(tables, c1: LinearCode, c2: LinearCode) -> tuple[float, float]:
+    """Trace distance from ideal and Holevo information of the coset key.
+
+    Eve's state splits into orthogonal blocks, one per bit-error word z and
+    coset K of C2^perp holding the phase-error word.  In a block, key r
+    holds the rank-one state sum_J (-1)^(r.J) sqrt(q_J) |J> over the 2^l
+    cosets J of C1^perp inside K, with q_J = P(Z = z, X in J), and Eve's
+    marginal is diag(q).  So chi = sum q log2(Q / q) with Q = sum_J q_J,
+    and each block adds ||sqrt(q) sqrt(q)^T - diag(q)||_1 to d1.  That
+    matrix has trace 0 and one positive eigenvalue lambda, so its norm is
+    2 lambda, the root in [0, Q] of sum_J q_J / (lambda + q_J) = 1.
+    """
+    n = c1.n
+    joint = reduce(np.kron, [t.reshape(2, 2) for t in tables])  # [x, z]
+    labels = syndromes(c2.basis + tuple(complement_basis(c1, c2)), n)
+    q = np.zeros((1 << c1.dim, 1 << n))
+    np.add.at(q, labels, joint)
+    q = q.reshape(1 << c2.dim, 1 << (c1.dim - c2.dim), 1 << n)  # [K, J, z]
+    big_q = q.sum(axis=1, keepdims=True)
+    support = q > 0
+    ratio = np.divide(big_q, q, out=np.ones_like(q), where=support)
+    chi = float((q * np.log2(ratio)).sum())
+    lo, hi = np.zeros_like(big_q), big_q
+    terms = np.zeros_like(q)
+    for _ in range(BISECT_STEPS):
+        mid = (lo + hi) / 2
+        np.divide(q, mid + q, out=terms, where=support)
+        above = terms.sum(axis=1, keepdims=True) > 1
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return 2 * float(lo.sum()), chi
 
 
 def counterexample_leakage(n: int, p: float, family: CodeFamily | None = None,

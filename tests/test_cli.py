@@ -198,6 +198,24 @@ def test_simulate_wiretap(tmp_path, capsys):
     assert payload["bound_trace_distance"] >= float(payload["exact_value"])
 
 
+@pytest.mark.parametrize("flags", [[], ["--phase-only"]], ids=["exact", "phase_only"])
+def test_simulate_wiretap_rejects_codes_of_other_length(tmp_path, capsys, flags):
+    # a 3-qubit channel with length-4 codes printed 0.626 (exact) and 0.271
+    chan = tmp_path / "chan.txt"
+    chan.write_text("0.9 0 0.1 0\n" * 3)
+    c1 = tmp_path / "c1.txt"
+    c1.write_text(format_code(LinearCode.full(4)))
+    c2 = tmp_path / "c2.txt"
+    c2.write_text(format_code(LinearCode.repetition(4)))
+    code, out, err = run(
+        capsys, "simulate", "--what", "wiretap", "--channel", str(chan),
+        "--c1", str(c1), "--c2", str(c2), *flags,
+    )
+    assert code == 2
+    assert out == ""
+    assert "qubits" in err
+
+
 def test_verify_single_criterion(capsys):
     code, out, _ = run(capsys, "verify", "1", "--seed", "7")
     assert code == 0

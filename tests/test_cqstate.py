@@ -1,6 +1,7 @@
 """Classical-quantum state numerics: distances, entropies, bias, hashing."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from dualhash.cqstate import (
     h2_d2_hmin,
     hash_marginal,
     holevo,
-    pauli_wiretap_state,
     random_cq_state,
     uniform_on_code,
     verify_fs08,
@@ -25,9 +25,9 @@ from dualhash.cqstate import (
     walsh_bias,
     walsh_transform,
 )
-from dualhash.gf2 import EnumerationCapError, LinearCode, dual
+from dualhash.gf2 import BinaryMatrix, EnumerationCapError, LinearCode, dual
 from dualhash.hashfam import HashFamily, HashFamilySpec
-from dualhash.universality import CodeFamily
+from dualhash.universality import CodeFamily, random_code
 
 
 def correlated_bit_state():
@@ -178,6 +178,25 @@ def test_hash_marginal_sums_cosets():
     assert abs(total - 1) < 1e-9
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_hash_marginal_matches_coset_enumeration(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    rho = random_cq_state(n, int(rng.integers(1, 4)), rng)
+    c = random_code(n, int(rng.integers(0, n + 1)), random.Random(seed))
+    # oracle: sum each coset's blocks, the coset named by its least element
+    expect = {}
+    for x in range(1 << n):
+        rep = min(x ^ w for w in c.codewords())
+        expect[rep] = expect.get(rep, 0) + rho.blocks[x]
+    marg = hash_marginal(rho, c)
+    assert marg.num_values == len(expect)
+    h = BinaryMatrix(dual(c).basis, n)
+    for rep, block in expect.items():
+        assert np.max(np.abs(marg.blocks[h.mul_vector(rep)] - block)) < 1e-15
+
+
 def test_block_identity_exact_scaling():
     rng = np.random.default_rng(7)
     rho = random_cq_state(3, 5, rng)
@@ -211,35 +230,3 @@ def test_pa_with_explicit_sigma():
     sigma = np.eye(3, dtype=complex) / 3
     lhs, rhs = verify_pa(rho, fam, sigma=sigma)
     assert lhs <= rhs + 1e-9
-
-
-def test_pauli_wiretap_sifted_state_normalizes():
-    pxz = [(0.85, 0.05, 0.07, 0.03)] * 2
-    rho = pauli_wiretap_state(2, pxz, mode="sifted")
-    assert rho.key_length == 2 and rho.eve_dim == 16
-    probs = rho.probabilities()
-    assert np.allclose(probs, 0.25)
-
-
-def test_pauli_wiretap_noiseless_is_decoupled():
-    pxz = [(1.0, 0.0, 0.0, 0.0)] * 3
-    rho = pauli_wiretap_state(
-        3, pxz, LinearCode.full(3), LinearCode.repetition(3), mode="coset_key"
-    )
-    assert d1_distance(rho) == 0.0
-    assert holevo(rho) == 0.0
-
-
-def test_pauli_wiretap_bit_errors_only_decoupled():
-    pxz = [(0.8, 0.2, 0.0, 0.0)] * 3
-    rho = pauli_wiretap_state(
-        3, pxz, LinearCode.full(3), LinearCode.repetition(3), mode="coset_key"
-    )
-    assert holevo(rho) == 0.0
-
-
-def test_pauli_wiretap_input_validation():
-    with pytest.raises(ValueError):
-        pauli_wiretap_state(5, [(1, 0, 0, 0)] * 5)  # Eve dimension cap
-    with pytest.raises(ValueError):
-        pauli_wiretap_state(2, [(0.5, 0.5, 0.5, 0.5)] * 2)  # not a distribution

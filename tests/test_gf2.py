@@ -1,4 +1,4 @@
-"""Exact GF(2) linear algebra: ranks, duals, weight enumerators, cosets."""
+"""Exact GF(2) linear algebra: ranks, duals, weight enumerators, syndromes."""
 
 import random
 from fractions import Fraction
@@ -16,7 +16,6 @@ from dualhash.gf2 import (
     bits_from_string,
     bits_to_string,
     complement_basis,
-    cosets,
     dual,
     format_code,
     kernel,
@@ -24,10 +23,11 @@ from dualhash.gf2 import (
     parse_code,
     rank,
     rref,
+    syndromes,
     walsh_hadamard,
     weight_distribution,
 )
-from dualhash.universality import subspaces_of
+from dualhash.universality import random_code, subspaces_of
 
 
 def random_matrix(rng, rows, cols):
@@ -181,18 +181,22 @@ def test_weight_distribution_examples():
     )
 
 
-def test_cosets_partition_the_outer_code():
-    c1 = LinearCode.full(4)
-    c2 = LinearCode.from_strings(["1100", "0011"])
-    reps = cosets(c1, c2)
-    assert reps[0] == 0
-    seen = set()
-    for r in reps:
-        for w in c2.codewords():
-            seen.add(r ^ w)
-    assert seen == set(range(16))
-    for x in range(16):
-        assert sum(c2.contains(x ^ r) for r in reps) == 1
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_syndromes_label_each_coset_once(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 9)
+    c = random_code(n, rng.randrange(0, n + 1), rng)
+    h = BinaryMatrix(dual(c).basis, n)
+    s = syndromes(h.rows, n)
+    assert s.tolist() == [h.mul_vector(x) for x in range(1 << n)]
+    # each label names one coset x + C, and every label is used
+    coset_of = {}
+    for x in range(1 << n):
+        rep = min(x ^ w for w in c.codewords())
+        assert coset_of.setdefault(int(s[x]), rep) == rep
+    assert sorted(coset_of) == list(range(1 << h.nrows))
+    assert len(set(coset_of.values())) == 1 << (n - c.dim)
 
 
 def test_complement_basis_spans():
@@ -207,8 +211,6 @@ def test_enumeration_caps():
     big = LinearCode.full(30)
     with pytest.raises(EnumerationCapError):
         list(big.codewords())
-    with pytest.raises(EnumerationCapError):
-        cosets(LinearCode.full(24), LinearCode.zero(24))
 
 
 def test_parse_format_roundtrip():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dualhash.gf2 import BinaryMatrix, BitVector, LinearCode
+from dualhash.gf2 import BinaryMatrix, BitVector
 from dualhash.hashfam import (
     HashFamily,
     HashFamilySpec,
@@ -125,15 +125,6 @@ def test_modified_toeplitz_always_surjective():
     for h in fam:
         assert h.matrix.rank() == 3
         assert kernel_code(h).dim == 4
-
-
-def test_from_code_family():
-    codes = (LinearCode.repetition(4), LinearCode.from_strings(["1100", "0011"]))
-    fam = HashFamily(HashFamilySpec("from_code_family", 4, 3, codes=codes))
-    assert fam.index_space == 2
-    # hashing by the parity-check matrix: the code is the kernel
-    assert kernel_code(fam[0]).contains_code(codes[0])
-    assert kernel_code(fam[1]).contains_code(codes[1])
 
 
 def test_sample_is_seeded():

@@ -4,12 +4,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualhash.bounds import binary_entropy
-from dualhash.gf2 import BinaryMatrix, BitVector, LinearCode, cosets, dual
+from dualhash.cqstate import CQState, d1_distance, holevo
+from dualhash.gf2 import BinaryMatrix, BitVector, LinearCode, complement_basis, dual
 from dualhash.hashfam import HashFamily, HashFamilySpec, kernel_code
 from dualhash.simulator import (
     Z_99,
@@ -49,9 +51,17 @@ def oracle_leaders(c):
     return [leaders[s] for s in range(size)]
 
 
+def span(basis):
+    """Every word of span(basis), zero first."""
+    words = [0]
+    for b in basis:
+        words += [w ^ b for w in words]
+    return words
+
+
 def oracle_distill_keys(k_a, k_b, c1, c2, seed):
     """Reference distillation: the same masking draws, the codeword-scan
-    decoder, and keys looked up among all reps of cosets(c1, c2)."""
+    decoder, and keys looked up among span(complement_basis(c1, c2))."""
     rng = random.Random(seed)
     r_a = 0
     for b in c1.basis:
@@ -59,7 +69,7 @@ def oracle_distill_keys(k_a, k_b, c1, c2, seed):
             r_a ^= b
     r_b = oracle_decode(c1, k_a.value ^ r_a ^ k_b.value)
     h2 = BinaryMatrix(dual(c2).basis, c1.n)
-    rep_of = {h2.mul_vector(r): r for r in cosets(c1, c2)}
+    rep_of = {h2.mul_vector(r): r for r in span(complement_basis(c1, c2))}
     return rep_of[h2.mul_vector(r_a)], rep_of[h2.mul_vector(r_b)]
 
 
@@ -314,6 +324,154 @@ def test_wiretap_exact_within_bounds():
     chi_bound = next(b for b in res.bounds if b.formula_id == "holevo")
     assert res.exact_value <= d1_bound.value + 1e-9
     assert res.params["holevo"] <= chi_bound.value + 1e-9
+
+
+def oracle_joint_error_distribution(pxz):
+    """P(x, z) over phase-error word x and bit-error word z, qubit 0 the
+    leftmost bit, by a loop over all 4^n pairs."""
+    n = len(pxz)
+    joint = np.zeros((1 << n, 1 << n))
+    for x in range(1 << n):
+        for z in range(1 << n):
+            prob = 1.0
+            for i in range(n):
+                xi = (x >> (n - 1 - i)) & 1
+                zi = (z >> (n - 1 - i)) & 1
+                prob *= pxz[i][2 * xi + zi]
+            joint[x, z] = prob
+    return joint
+
+
+def oracle_eve_block(n, joint, a):
+    """Eve's dense state when the Z-basis key value is a: basis index
+    x * 2^n + z over Pauli error pairs, one rank-one term per bit-error
+    word z."""
+    size = 1 << n
+    rho = np.zeros((size * size, size * size))
+    for z in range(size):
+        phase = np.array([(-1) ** ((x & (a ^ z)).bit_count() & 1) for x in range(size)])
+        vec = np.zeros(size * size)
+        vec[z::size] = np.sqrt(joint[:, z]) * phase
+        rho += np.outer(vec, vec)
+    return rho
+
+
+def oracle_wiretap_state(pxz, c1, c2):
+    """The dense 4^n x 4^n c-q state of the coset key of C1/C2 against the
+    environment, the sent word uniform on the key's coset; n <= 4.  With
+    (C1, C2) = (F_2^n, {0}) the key is the whole sifted string."""
+    n = len(pxz)
+    assert n <= 4
+    joint = oracle_joint_error_distribution(pxz)
+    reps = span(complement_basis(c1, c2))
+    blocks = [
+        sum(oracle_eve_block(n, joint, r ^ w) for w in c2.codewords())
+        / (len(c2) * len(reps))
+        for r in reps
+    ]
+    return CQState(c1.dim - c2.dim, np.array(blocks))
+
+
+def random_channel(n, rng):
+    """Per-qubit correlated (phase, bit) tables sharing one phase marginal."""
+    p_ph = rng.uniform(0, 0.5)
+    tables = []
+    for _ in range(n):
+        a, c = rng.dirichlet([1, 1]), rng.dirichlet([1, 1])
+        tables.append(((1 - p_ph) * a[0], (1 - p_ph) * a[1], p_ph * c[0], p_ph * c[1]))
+    return tables
+
+
+def random_nested_pair(n, rng):
+    """A random code C1 and a random subcode C2 (any dimension, C2 = {0}
+    and C2 = C1 included)."""
+    c1 = random_code(n, rng.randrange(0, n + 1), rng)
+    words = span(c1.basis)
+    rows = [rng.choice(words) for _ in range(rng.randrange(0, c1.dim + 1))]
+    return c1, LinearCode.from_rows(n, rows)
+
+
+def test_wiretap_exact_matches_dense_oracle():
+    rng, np_rng = random.Random(8), np.random.default_rng(8)
+    cases = [(n, *random_nested_pair(n, rng)) for n in (1, 2, 3, 4) for _ in range(8)]
+    cases += [(3, LinearCode.full(3), LinearCode.full(3)),  # l = 0
+              (4, LinearCode.full(4), LinearCode.zero(4)),  # sifted key
+              (4, dual(LinearCode.repetition(4)), LinearCode.zero(4))]
+    for n, c1, c2 in cases:
+        pxz = random_channel(n, np_rng)
+        res = wiretap_eval(n, pxz, c1, c2)
+        rho = oracle_wiretap_state(pxz, c1, c2)
+        assert res.params["l"] == rho.key_length
+        assert abs(res.exact_value - d1_distance(rho)) < 1e-12
+        assert abs(res.params["holevo"] - holevo(rho)) < 1e-12
+
+
+def test_wiretap_oracle_sifted_state_normalizes():
+    pxz = [(0.85, 0.05, 0.07, 0.03)] * 2
+    rho = oracle_wiretap_state(pxz, LinearCode.full(2), LinearCode.zero(2))
+    assert rho.key_length == 2 and rho.eve_dim == 16
+    assert np.allclose(rho.probabilities(), 0.25)
+
+
+@pytest.mark.parametrize("channel", [(1.0, 0.0, 0.0, 0.0), (0.8, 0.2, 0.0, 0.0)],
+                         ids=["noiseless", "bit_flips_only"])
+@pytest.mark.parametrize("n", [3, 6, 10])
+def test_wiretap_exact_phase_noiseless_channel_leaks_nothing(n, channel):
+    rng = random.Random(n)
+    pairs = [(LinearCode.full(n), LinearCode.repetition(n)),
+             (LinearCode.full(n), LinearCode.zero(n)),
+             random_nested_pair(n, rng)]
+    for c1, c2 in pairs:
+        res = wiretap_eval(n, [channel] * n, c1, c2)
+        assert res.exact_value == 0.0
+        assert res.params["holevo"] == 0.0
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_wiretap_exact_bounds_hold_beyond_dense_size(n):
+    rng, np_rng = random.Random(n), np.random.default_rng(n)
+    for p in (0.05, 0.1, 0.25):
+        pairs = [(LinearCode.full(n), LinearCode.repetition(n))]
+        pairs += [random_nested_pair(n, rng) for _ in range(3)]
+        for pxz in ([(1 - p, 0.0, p, 0.0)] * n, random_channel(n, np_rng)):
+            for c1, c2 in pairs:
+                # BoundReport raises if a dominated quantity exceeds its bound
+                res = wiretap_eval(n, pxz, c1, c2)
+                bound = {b.formula_id: b.value for b in res.bounds}
+                assert res.exact_value <= bound["trace_distance"] + 1e-9
+                assert res.params["holevo"] <= bound["holevo"] + 1e-9
+
+
+def test_wiretap_exact_refuses_n_above_cap_before_building(monkeypatch):
+    def no_kron(*args, **kwargs):
+        raise AssertionError("joint distribution built")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    pxz = [(0.9, 0.0, 0.1, 0.0)] * 11
+    with pytest.raises(ValueError, match="exceeds exact wiretap cap"):
+        wiretap_eval(11, pxz, LinearCode.full(11), LinearCode.repetition(11))
+    wiretap_eval(11, pxz, LinearCode.full(11), LinearCode.repetition(11),
+                 mode="phase_only")
+
+
+@pytest.mark.parametrize("mode", ["exact", "phase_only"])
+def test_wiretap_rejects_codes_of_other_length(mode):
+    pxz = [(0.9, 0.0, 0.1, 0.0)] * 3
+    full3, rep3 = LinearCode.full(3), LinearCode.repetition(3)
+    full4, rep4 = LinearCode.full(4), LinearCode.repetition(4)
+    for n, c1, c2 in ((3, full4, rep4), (3, full3, rep4), (3, full4, rep3),
+                      (4, full4, rep4), (4, full3, rep3)):
+        with pytest.raises(ValueError, match="qubits"):
+            wiretap_eval(n, pxz, c1, c2, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "phase_only"])
+def test_wiretap_rejects_malformed_channel_tables(mode):
+    full, rep = LinearCode.full(2), LinearCode.repetition(2)
+    for bad in ((0.5, 0.5, 0.5, 0.5), (1.2, -0.2, 0.0, 0.0), (0.9, 0.1, 0.0),
+                (float("nan"), 0.0, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="table"):
+            wiretap_eval(2, [bad] * 2, full, rep, mode=mode)
 
 
 def test_wiretap_rejects_mixed_phase_marginals():
