@@ -272,19 +272,35 @@ class LinearCode:
 
 
 def kernel(m: BinaryMatrix) -> LinearCode:
-    """The code {x : Mx = 0}; dimension = cols - rank(M)."""
+    """The code {x : Mx = 0}; dimension = cols - rank(M).
+
+    One elimination that puts each row's pivot at its lowest set bit (as an
+    integer).  The kernel vector of a free bit f is f plus the pivots of the
+    rows holding f, all below f, so f is its leading bit and it holds no
+    other free bit: taken over the free bits from the top, these vectors
+    are already the canonical basis.
+    """
     n = m.cols
-    reduced, pivots = rref(m.rows, n)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
+    reduced: dict[int, int] = {}  # pivot bit -> row
+    for row in m.rows:
+        for p, r in reduced.items():
+            if row >> p & 1:
+                row ^= r
+        if row:
+            p = (row & -row).bit_length() - 1
+            for q, r in reduced.items():
+                if r >> p & 1:
+                    reduced[q] = r ^ row
+            reduced[p] = row
     basis = []
-    for f in free:
-        x = 1 << (n - 1 - f)
-        for p, r in zip(pivots, reduced):
-            if (r >> (n - 1 - f)) & 1:
-                x |= 1 << (n - 1 - p)
-        basis.append(x)
-    return LinearCode.from_rows(n, basis)
+    for f in range(n - 1, -1, -1):
+        if f not in reduced:
+            x = 1 << f
+            for p, r in reduced.items():
+                if r >> f & 1:
+                    x |= 1 << p
+            basis.append(x)
+    return LinearCode(n, tuple(basis))
 
 
 def dual(c: LinearCode) -> LinearCode:

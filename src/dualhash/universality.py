@@ -27,6 +27,7 @@ from .gf2 import (
     rank,
     walsh_hadamard,
 )
+from .hashfam import HashFamily, HashFamilySpec, kernel_code
 
 __all__ = [
     "CodeFamily",
@@ -114,8 +115,10 @@ class CodeFamily:
 
     @classmethod
     def from_hash_family(cls, hf) -> "CodeFamily":
-        from .hashfam import kernel_code
-
+        """Kernel family of a hash family.  All linear maps are built
+        weighted from their kernels; the Toeplitz kinds are enumerated."""
+        if hf.spec.kind == "random_linear":
+            return _linear_kernel_family(hf.n, hf.m)
         if hf.index_space > FAMILY_MEMBER_CAP:
             raise EnumerationCapError(
                 f"family of {hf.index_space} members exceeds cap {FAMILY_MEMBER_CAP}"
@@ -365,45 +368,62 @@ def epsilon_floor(t: int, n: int) -> Fraction:
     return Fraction((1 << n) - (1 << (n - t)), (1 << n) - 1)
 
 
-def _rref_profiles(d: int, t: int):
-    """All full-rank t x d matrices in reduced row echelon form.
-
-    Rows are packed ints with column j at bit d-1-j.  Each t-dimensional
-    subspace of F_2^d appears exactly once.
-    """
-    if t == 0:
-        yield []
-        return
-    for pivots in combinations(range(d), t):
-        pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for i, p in enumerate(pivots)
-            for j in range(p + 1, d)
-            if j not in pivot_set
-        ]
-        base = [1 << (d - 1 - p) for p in pivots]
-        for assignment in range(1 << len(free)):
-            rows = list(base)
-            for idx, (i, j) in enumerate(free):
-                if (assignment >> idx) & 1:
-                    rows[i] |= 1 << (d - 1 - j)
-            yield rows
-
-
 def subspaces_of(code: LinearCode, t: int):
-    """All t-dimensional subspaces of a given code, each exactly once."""
+    """All t-dimensional subspaces of a given code, each exactly once.
+
+    Picks t pivot rows of the code's canonical basis; each pivot row adds
+    any set of the non-pivot rows after it.  The rows keep the pivot rows'
+    leading bits and hold no other pivot row's leading bit, so each result
+    is already in canonical RREF.
+    """
     basis = code.basis
-    d = len(basis)
-    for rows in _rref_profiles(d, t):
-        mapped = []
-        for row in rows:
-            v = 0
-            for j in range(d):
-                if (row >> (d - 1 - j)) & 1:
-                    v ^= basis[j]
-            mapped.append(v)
-        yield LinearCode.from_rows(code.n, mapped)
+    for pivots in combinations(range(len(basis)), t):
+        free = [(k, basis[j]) for k, p in enumerate(pivots)
+                for j in range(p + 1, len(basis)) if j not in pivots]
+        for assignment in range(1 << len(free)):
+            rows = [basis[p] for p in pivots]
+            for idx, (k, v) in enumerate(free):
+                if assignment >> idx & 1:
+                    rows[k] ^= v
+            yield LinearCode(code.n, tuple(rows))
+
+
+def _gaussian_binomial(n: int, k: int) -> int:
+    """[n, k]_2: the number of k-dimensional subspaces of F_2^n (0 if k > n)."""
+    num = den = 1
+    for i in range(k):
+        num *= (1 << (n - i)) - 1
+        den *= (1 << (i + 1)) - 1
+    return num // den
+
+
+def _linear_kernel_count(n: int, m: int) -> int:
+    """Distinct kernels of the m x n matrices: subspaces of codim r <= m."""
+    return sum(_gaussian_binomial(n, r) for r in range(min(m, n) + 1))
+
+
+def _linear_kernel_family(n: int, m: int) -> CodeFamily:
+    """Kernels of all 2^(mn) m x n matrices, built weighted.
+
+    Every subspace K of codimension r <= min(m, n) is the kernel of exactly
+    prod_{i<r} (2^m - 2^i) matrices, the injective maps F_2^n / K -> F_2^m.
+    The cap counts distinct members and is checked before any is built.
+    """
+    distinct = _linear_kernel_count(n, m)
+    if distinct > FAMILY_MEMBER_CAP:
+        raise EnumerationCapError(
+            f"family of {distinct} distinct members exceeds cap {FAMILY_MEMBER_CAP}"
+        )
+    codes, weights = [], []
+    weight = 1
+    for r in range(min(m, n) + 1):
+        kernels = list(subspaces_of(LinearCode.full(n), n - r))
+        codes += kernels
+        weights += [weight] * len(kernels)
+        weight *= (1 << m) - (1 << r)
+    fam = CodeFamily(codes, weights)
+    fam.members = 1 << (m * n)
+    return fam
 
 
 def tight_family(n: int, t: int, epsilon, x) -> CodeFamily:
@@ -429,24 +449,23 @@ def tight_family(n: int, t: int, epsilon, x) -> CodeFamily:
     if p < 0:
         raise ValueError("epsilon below the feasible range: mixture weight negative")
 
-    v_x = kernel(BinaryMatrix((xv,), n))
-    fam_a = list(subspaces_of(v_x, t))
-    z0 = next(z for z in range(1, 1 << n) if (z & xv).bit_count() & 1)
-    fam_b = []
-    for w in subspaces_of(v_x, t - 1):
-        for u in v_x.codewords():
-            z = u ^ z0
-            fam_b.append(LinearCode.from_rows(n, list(w.basis) + [z]))
-
+    # The mixture of A (the t-dim subspaces of V_x, weight a |B| each) and
+    # B (one member W + <z> per (t-1)-dim W in V_x and z outside V_x, weight
+    # (b - a) |A| each), merged: a t-dim S outside V_x arises 2^(t-1) times
+    # in B, once per z in S \ V_x.
+    size_a = _gaussian_binomial(n - 1, t)
+    size_b = _gaussian_binomial(n - 1, t - 1) << (n - 1)
     a, b = p.numerator, p.denominator
+    weight_in, weight_out = a * size_b, ((b - a) * size_a) << (t - 1)
     codes, weights = [], []
-    if a > 0:
-        codes += fam_a
-        weights += [a * len(fam_b)] * len(fam_a)
-    if b - a > 0:
-        codes += fam_b
-        weights += [(b - a) * len(fam_a)] * len(fam_b)
-    return CodeFamily(codes, weights)
+    for s in subspaces_of(LinearCode.full(n), t):
+        w = weight_out if any((xv & row).bit_count() & 1 for row in s.basis) else weight_in
+        if w:
+            codes.append(s)
+            weights.append(w)
+    fam = CodeFamily(codes, weights)
+    fam.members = size_a * (a > 0) + size_b * (b > a)
+    return fam
 
 
 def permuted_epsilon(c: LinearCode) -> Fraction:
@@ -552,29 +571,24 @@ def search_permuted_code(
     raise SearchBudgetError(best_eps, best, budget)
 
 
-def counterexample_family(n: int, seed: int | None = None, m: int = 2) -> CodeFamily:
+def counterexample_family(n: int, seed: int | None = None) -> CodeFamily:
     """2-almost universal family whose duals all contain e_n = (0,...,0,1).
 
-    Takes the kernels of all m x (n-1) matrices and appends a zero last bit
+    Takes the kernels of all 2 x (n-1) matrices and appends a zero last bit
     to every codeword; privacy amplification with this family leaks the
-    last input bit in full.  Fully enumerated when 2^(m(n-1)) is small,
-    otherwise a seeded sample.
+    last input bit in full.  Built weighted while its distinct members fit
+    the family cap (n <= 10), otherwise a seeded sample of 2^10 matrices.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    inner_n = n - 1
-    space = 1 << (m * inner_n)
-    if space <= 1 << 16:
-        indices = range(space)
+    if _linear_kernel_count(n - 1, 2) <= FAMILY_MEMBER_CAP:
+        inner = _linear_kernel_family(n - 1, 2)
     else:
         if seed is None:
             raise ValueError("family too large to enumerate; a seed is required")
-        rng = random.Random(seed)
-        indices = [rng.randrange(space) for _ in range(1 << 10)]
-    mask = (1 << inner_n) - 1
-    codes = []
-    for r in indices:
-        rows = tuple((r >> (i * inner_n)) & mask for i in range(m))
-        ker = kernel(BinaryMatrix(rows, inner_n))
-        codes.append(LinearCode.from_rows(n, [row << 1 for row in ker.basis]))
-    return CodeFamily(codes)
+        sample = HashFamily(HashFamilySpec("random_linear", n - 1, 2)).sample(1 << 10, seed)
+        inner = CodeFamily([kernel_code(h) for h in sample])
+    fam = CodeFamily([LinearCode(n, tuple(row << 1 for row in c.basis)) for c in inner.codes],
+                     inner.weights)
+    fam.members = inner.members
+    return fam

@@ -234,3 +234,17 @@ def test_rref_pivots():
     rows, pivots = rref([0b0111, 0b0101], 4)
     assert pivots == (1, 2)
     assert rows == (0b0101, 0b0010)
+
+
+def test_kernel_matches_solution_set():
+    """kernel() against {x : Mx = 0} found by trying every x, on matrices
+    with zero rows, repeated rows, rank deficiency and more rows than columns."""
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        rows = [rng.choice([0, rng.randrange(1 << n)]) for _ in range(rng.randrange(0, 2 * n + 2))]
+        if rows and rng.random() < 0.3:
+            rows.append(rows[0] ^ rows[-1])
+        m = BinaryMatrix(tuple(rows), n)
+        solutions = {x for x in range(1 << n) if m.mul_vector(x) == 0}
+        assert set(kernel(m).codewords()) == solutions

@@ -319,6 +319,7 @@ def test_tight_family_merges_repeated_members():
 
 def test_family_size_cap_before_enumeration():
     class Oversized:
+        spec = HashFamilySpec("toeplitz", 16, 8)
         index_space = FAMILY_MEMBER_CAP + 1
 
         def __getitem__(self, r):
@@ -500,11 +501,121 @@ def test_counterexample_family_structure():
         assert dual(c).contains(1)
 
 
-def test_counterexample_family_requires_seed_when_large():
-    with pytest.raises(ValueError):
-        counterexample_family(12, m=2)
-    fam = counterexample_family(12, seed=1, m=2)
+def test_counterexample_family_requires_seed_when_large(monkeypatch):
+    def no_walk(code, t):
+        raise AssertionError("subspaces walked")
+
+    # n = 11 is the first length past the cap; the seed is asked for first
+    monkeypatch.setattr(universality, "subspaces_of", no_walk)
+    for n in (11, 12):
+        with pytest.raises(ValueError, match="seed is required"):
+            counterexample_family(n)
+    fam = counterexample_family(12, seed=1)
     assert fam.members == 1 << 10
+
+
+def gaussian_binomial(n, k):
+    """Number of k-dim subspaces of F_2^n, by counting ordered bases."""
+    num = den = 1
+    for i in range(k):
+        num *= (1 << n) - (1 << i)
+        den *= (1 << k) - (1 << i)
+    return num // den
+
+
+def family_map(fam):
+    return dict(zip(fam.codes, fam.weights)), fam.members
+
+
+def oracle_linear_kernels(n, m):
+    """Kernels of every m x n matrix (row i in bits i*n..), merged; m > n allowed."""
+    mask = (1 << n) - 1
+    codes = [
+        gf2.kernel(gf2.BinaryMatrix(tuple((r >> (i * n)) & mask for i in range(m)), n))
+        for r in range(1 << (m * n))
+    ]
+    return family_map(CodeFamily(codes))
+
+
+def oracle_tight(n, t, epsilon, x):
+    """The A/B construction as a member list: A the t-dim subspaces of V_x,
+    B one member per (t-1)-dim W in V_x and z outside V_x."""
+    v_x = gf2.kernel(gf2.BinaryMatrix((x,), n))
+    fam_a = list(subspaces_of(v_x, t))
+    z0 = next(z for z in range(1, 1 << n) if (z & x).bit_count() & 1)
+    fam_b = [
+        LinearCode.from_rows(n, list(w.basis) + [u ^ z0])
+        for w in subspaces_of(v_x, t - 1) for u in v_x.codewords()
+    ]
+    p = duality_bound(epsilon, t, n)
+    a, b = p.numerator, p.denominator
+    codes, weights = [], []
+    if a > 0:
+        codes += fam_a
+        weights += [a * len(fam_b)] * len(fam_a)
+    if b - a > 0:
+        codes += fam_b
+        weights += [(b - a) * len(fam_a)] * len(fam_b)
+    return family_map(CodeFamily(codes, weights))
+
+
+LINEAR_SHAPES = [(n, m) for n in range(1, 13) for m in range(1, n + 1) if m * n <= 12]
+
+
+@pytest.mark.parametrize("n, m", LINEAR_SHAPES + [(5, 3), (4, 4)])
+def test_random_linear_family_matches_merged_enumeration(n, m):
+    assert family_map(hash_code_family("random_linear", n, m)) == oracle_linear_kernels(n, m)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_counterexample_family_matches_padded_enumeration(n):
+    kernels, members = oracle_linear_kernels(n - 1, 2)
+    padded = {LinearCode(n, tuple(r << 1 for r in c.basis)): w for c, w in kernels.items()}
+    assert family_map(counterexample_family(n)) == (padded, members)
+
+
+@pytest.mark.parametrize("n, t, epsilon, x", [
+    (5, 2, Fraction(5, 4), 3),
+    (6, 3, Fraction(3, 2), 1),
+    (6, 3, Fraction(3, 2), 63),
+    (6, 1, Fraction(1), 5),
+    (4, 2, Fraction(1), 15),
+    (7, 3, Fraction(3, 2), 77),
+    (6, 3, Fraction(24, 31), 9),   # mixture weight 0: only B
+    (6, 3, Fraction(56, 31), 9),   # mixture weight 1: only A
+    (5, 2, Fraction(8, 15), 7),    # mixture weight 0
+])
+def test_tight_family_matches_ab_construction(n, t, epsilon, x):
+    assert family_map(tight_family(n, t, epsilon, x)) == oracle_tight(n, t, epsilon, x)
+
+
+def test_subspaces_of_walks_each_subspace_once():
+    rng = random.Random(21)
+    for _ in range(30):
+        n = rng.randrange(1, 9)
+        code = random_code(n, rng.randrange(0, n), rng)
+        for t in range(code.dim + 1):
+            subs = list(subspaces_of(code, t))
+            assert len(subs) == len(set(subs)) == gaussian_binomial(code.dim, t)
+            assert all(s.dim == t and code.contains_code(s) for s in subs)
+
+
+@pytest.mark.parametrize("n, m", [(5, 4), (7, 3)])
+def test_random_linear_admitted_by_distinct_members(n, m):
+    fam = hash_code_family("random_linear", n, m)
+    assert fam.members == 1 << (m * n) > FAMILY_MEMBER_CAP
+    assert len(fam) == sum(gaussian_binomial(n, r) for r in range(m + 1))
+    assert fam.total_weight == 1 << (m * n)
+
+
+@pytest.mark.parametrize("n, m, distinct", [(10, 2, 175275), (8, 3, 108206)])
+def test_random_linear_refused_before_walking(monkeypatch, n, m, distinct):
+    def no_walk(code, t):
+        raise AssertionError("subspaces walked")
+
+    monkeypatch.setattr(universality, "subspaces_of", no_walk)
+    with pytest.raises(EnumerationCapError, match=f"{distinct} distinct members"):
+        hash_code_family("random_linear", n, m)
 
 
 def test_random_code_dimension():
