@@ -9,7 +9,6 @@ intervals).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +27,6 @@ __all__ = [
     "gallager_family_bound",
     "qkd_bounds",
     "approach_ratio",
-    "emit_csv",
 ]
 
 GRID_STEP = 1e-3
@@ -141,6 +139,15 @@ def minimize_scalar(f, lo: float, hi: float, grid_step=GRID_STEP, tol=ARG_TOL):
     return x, -v
 
 
+def _type_exponent(q: float, p: float, R: float) -> float:
+    """[1-h(q)-R]_+ + d(q||p): the divergence form of the reliability
+    function, before minimising over q."""
+    d = divergence(q, p)
+    if math.isinf(d):
+        return math.inf
+    return max(1 - binary_entropy(q) - R, 0.0) + d
+
+
 def reliability_e(R: float, p: float) -> tuple[float, float, float]:
     """Random-coding reliability function of the binary symmetric channel.
 
@@ -155,14 +162,7 @@ def reliability_e(R: float, p: float) -> tuple[float, float, float]:
         raise ValueError("p must be in [0, 1/2]")
     s_star, e_val = maximize_scalar(lambda s: -s * R + gallager_e0(s, p), 0.0, 1.0)
     e_val = max(e_val, 0.0)
-
-    def type_exponent(q):
-        d = divergence(q, p)
-        if math.isinf(d):
-            return math.inf
-        return max(1 - binary_entropy(q) - R, 0.0) + d
-
-    _, q_val = minimize_scalar(type_exponent, 0.0, 0.5)
+    _, q_val = minimize_scalar(lambda q: _type_exponent(q, p, R), 0.0, 0.5)
     return e_val, s_star, abs(e_val - q_val)
 
 
@@ -226,14 +226,7 @@ def weighted_decoding_bound(
     if variant == "type_method":
         if p is None:
             raise ValueError("type_method needs the crossover probability p")
-
-        def expo(q):
-            d = divergence(q, p)
-            if math.isinf(d):
-                return math.inf
-            return max(1 - binary_entropy(q) - R, 0.0) + d
-
-        _, emin = minimize_scalar(expo, 0.0, 0.5)
+        _, emin = minimize_scalar(lambda q: _type_exponent(q, p, R), 0.0, 0.5)
         value = math.floor(n / 2 + 2) * epsilon * 2.0 ** (-n * emin)
         return BoundReport(
             "type_method",
@@ -442,17 +435,3 @@ def approach_ratio(n: int, epsilon: float) -> float:
     if n < 1 or epsilon < 1:
         raise ValueError("need n >= 1 and epsilon >= 1")
     return 2**1.5 * math.sqrt(epsilon) / (4 + math.sqrt(n + 1) * math.sqrt(epsilon))
-
-
-def emit_csv(reports: list[BoundReport], stream) -> None:
-    """Write reports as CSV: union of record keys, formula_id/value first."""
-    records = [r.to_record() for r in reports]
-    keys = ["formula_id", "value"]
-    for rec in records:
-        for k in rec:
-            if k not in keys:
-                keys.append(k)
-    writer = csv.DictWriter(stream, fieldnames=keys)
-    writer.writeheader()
-    for rec in records:
-        writer.writerow(rec)

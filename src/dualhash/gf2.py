@@ -21,7 +21,6 @@ __all__ = [
     "LinearCode",
     "WeightDistribution",
     "EnumerationCapError",
-    "rref",
     "rank",
     "walsh_hadamard",
     "kernel",
@@ -141,49 +140,57 @@ class BinaryMatrix:
         return rank(self.rows)
 
 
-def rref(rows, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reduced row echelon form over GF(2).
+def _reduce(x: int, ech: dict[int, int]) -> int:
+    """x plus the rows of ``ech`` whose pivot it holds.
 
-    Returns (nonzero rows in RREF, pivot column indices), columns indexed
-    from the left (position 0 = integer bit n-1).
+    ``ech`` is a fully reduced echelon: a dict from pivot bit (as a mask)
+    to row, each row holding its own pivot and no other row's.  Adding a
+    row clears its pivot in x and leaves every other pivot bit as it was,
+    so one pass in any order clears them all; the result is 0 iff x lies
+    in the span.
     """
-    reduced: list[int] = []
-    pivots: list[int] = []
+    for p, r in ech.items():
+        if x & p:
+            x ^= r
+    return x
+
+
+def _insert(ech: dict[int, int], row: int, lowest: bool = False) -> bool:
+    """Add ``row`` to the span of ``ech`` in place, keeping it fully
+    reduced; False if it was already in the span.
+
+    The new pivot is the row's leading bit, or its lowest set bit with
+    ``lowest``; it is cleared from every other row.
+    """
+    row = _reduce(row, ech)
+    if not row:
+        return False
+    p = row & -row if lowest else 1 << (row.bit_length() - 1)
+    for q, r in ech.items():
+        if r & p:
+            ech[q] = r ^ row
+    ech[p] = row
+    return True
+
+
+def _echelon(rows, lowest: bool = False) -> dict[int, int]:
+    """The fully reduced echelon of the span of ``rows``."""
+    ech: dict[int, int] = {}
     for row in rows:
-        for p, r in zip(pivots, reduced):
-            if (row >> (n - 1 - p)) & 1:
-                row ^= r
-        if row == 0:
-            continue
-        p = n - 1 - row.bit_length() + 1  # leftmost set bit as position index
-        # keep rows sorted by pivot column, eliminate above
-        idx = 0
-        while idx < len(pivots) and pivots[idx] < p:
-            idx += 1
-        pivots.insert(idx, p)
-        reduced.insert(idx, row)
-        mask = 1 << (n - 1 - p)
-        for i in range(len(reduced)):
-            if i != idx and reduced[i] & mask:
-                reduced[i] ^= row
-    return tuple(reduced), tuple(pivots)
+        _insert(ech, row, lowest)
+    return ech
 
 
 def rank(rows) -> int:
-    reduced: list[int] = []
-    for row in rows:
-        for r in reduced:
-            row = min(row, row ^ r)
-        if row:
-            reduced.append(row)
-            reduced.sort(reverse=True)
-    return len(reduced)
+    return len(_echelon(rows))
 
 
 def _is_canonical(basis, n: int) -> bool:
-    """Whether ``basis`` is what ``rref`` returns for its span, checked
-    without elimination: nonzero rows below 2^n, leading bits strictly
-    decreasing, and no row has a bit at another row's leading bit."""
+    """Whether ``basis`` is what ``LinearCode.from_rows`` returns for its
+    span (the fully reduced echelon with leading-bit pivots, rows in
+    decreasing order), checked without elimination: nonzero rows below
+    2^n, leading bits strictly decreasing, and no row has a bit at another
+    row's leading bit."""
     leads = []
     bound = 1 << n
     for r in basis:
@@ -213,8 +220,7 @@ class LinearCode:
 
     @classmethod
     def from_rows(cls, n: int, rows) -> "LinearCode":
-        canon, _ = rref(rows, n)
-        return cls(n, canon)
+        return cls(n, tuple(sorted(_echelon(rows).values(), reverse=True)))
 
     @classmethod
     def from_strings(cls, rows: list[str]) -> "LinearCode":
@@ -281,24 +287,15 @@ def kernel(m: BinaryMatrix) -> LinearCode:
     are already the canonical basis.
     """
     n = m.cols
-    reduced: dict[int, int] = {}  # pivot bit -> row
-    for row in m.rows:
-        for p, r in reduced.items():
-            if row >> p & 1:
-                row ^= r
-        if row:
-            p = (row & -row).bit_length() - 1
-            for q, r in reduced.items():
-                if r >> p & 1:
-                    reduced[q] = r ^ row
-            reduced[p] = row
+    ech = _echelon(m.rows, lowest=True)
     basis = []
     for f in range(n - 1, -1, -1):
-        if f not in reduced:
-            x = 1 << f
-            for p, r in reduced.items():
-                if r >> f & 1:
-                    x |= 1 << p
+        free = 1 << f
+        if free not in ech:
+            x = free
+            for p, r in ech.items():
+                if r & free:
+                    x |= p
             basis.append(x)
     return LinearCode(n, tuple(basis))
 
@@ -409,14 +406,11 @@ def syndromes(rows, n: int) -> np.ndarray:
 
 
 def complement_basis(c1: LinearCode, c2: LinearCode) -> list[int]:
-    """Basis vectors of C1 completing a basis of C2."""
-    rows = list(c2.basis)
-    comp = []
-    for b in c1.basis:
-        if rank(rows + [b]) > len(rows):
-            rows.append(b)
-            comp.append(b)
-    return comp
+    """Basis vectors of C1 completing a basis of C2: each row of C1's
+    basis, in order, that is outside the span of C2 and the rows kept
+    before it."""
+    ech = _echelon(c2.basis)
+    return [b for b in c1.basis if _insert(ech, b)]
 
 
 def parse_code(text: str) -> LinearCode:

@@ -32,6 +32,8 @@ from .gf2 import (
     BitVector,
     LinearCode,
     WeightDistribution,
+    _echelon,
+    _reduce,
     complement_basis,
     dual,
     syndromes,
@@ -120,33 +122,25 @@ def _syndrome_table(c: LinearCode) -> tuple[BinaryMatrix, list[int]]:
     return h, (best & ((1 << n) - 1)).tolist()
 
 
-def decode(c: LinearCode, y: BitVector, rule: str = "min_distance",
-           p: float | None = None) -> BitVector:
+def decode(c: LinearCode, y: BitVector) -> BitVector:
     """Nearest codeword; ties go to the lexicographically smallest error.
 
-    The maximum-likelihood rule needs p in (0, 1/2], where it reduces to
-    minimum Hamming distance with the same tie-break.  Needs n <= 16.
+    On a binary symmetric channel with p <= 1/2 this is also the
+    maximum-likelihood decoder.  Needs n <= 16.
     """
-    if rule == "max_likelihood":
-        if p is None or not 0 < p <= 0.5:
-            raise ValueError("max_likelihood needs p in (0, 1/2]")
-    elif rule != "min_distance":
-        raise ValueError(f"unknown rule: {rule}")
     if y.n != c.n:
         raise ValueError("length mismatch")
     h, leaders = _syndrome_table(c)
     return BitVector(c.n, y.value ^ leaders[h.mul_vector(y.value)])
 
 
-def exact_error_prob(code, p, rule: str = "min_distance") -> Fraction:
+def exact_error_prob(code, p) -> Fraction:
     """Exact decoding error probability over all 2^n error patterns.
 
     `code` is a LinearCode (block decoding) or a pair (C1, C2) with
     C2 ⊆ C1 (coset message decoding: decode in C1, report the coset mod
     C2).  Exact rational in p.
     """
-    if rule not in ("min_distance", "max_likelihood"):
-        raise ValueError(f"unknown rule: {rule}")
     if isinstance(code, LinearCode):
         c1, c2 = code, LinearCode.zero(code.n)
     else:
@@ -193,8 +187,13 @@ def family_average_error(
     seeded sample, reported with a 99% confidence interval.  With `base`
     given, each member is an outer code C1 containing it, and the message
     is the coset C1/base.  R and epsilon name the family's nominal rate and
-    universality parameter for the attached bounds.
+    universality parameter for the attached bounds.  `mode` is "exact" or,
+    for a HashFamily only, "monte_carlo".
     """
+    if mode not in ("exact", "monte_carlo"):
+        raise ValueError(f"unknown mode: {mode}")
+    if mode == "monte_carlo" and isinstance(family, CodeFamily):
+        raise ValueError("monte_carlo mode needs a HashFamily")
     pf = Fraction(p)
     if not 0 <= pf <= Fraction(1, 2):
         raise ValueError("p must be in [0, 1/2]")
@@ -220,14 +219,12 @@ def family_average_error(
                 code = kernel_code(h)
                 target = (code, base) if base is not None else code
                 values.append(exact_error_prob(target, pf))
-        elif mode == "monte_carlo":
+        else:
             values = [
                 _mc_error_prob(kernel_code(h), float(pf), mc_trials,
                                random.Random(seed + i), base)
                 for i, h in enumerate(members)
             ]
-        else:
-            raise ValueError(f"unknown mode: {mode}")
         mean = sum(values) / len(values)
         fl = [float(v) for v in values]
         mu = sum(fl) / len(fl)
@@ -298,24 +295,14 @@ def _coset_reps(c1: LinearCode, c2: LinearCode, *words: int) -> list[int]:
 
     C1 is the direct sum span(comp) + C2 with comp = complement_basis(C1,
     C2), so a word r splits uniquely as s + t with s in span(comp) and t in
-    C2; s is the representative.  Elimination carries, for each echelon
-    row, its component in span(comp).
+    C2; s is the representative.  The words r << n | s span the graph of
+    r -> s, with every pivot in the top n bits, so reducing r << n clears r
+    and leaves s.
     """
-    rows: dict[int, tuple[int, int]] = {}  # leading bit -> (row, comp part)
-    comp = complement_basis(c1, c2)
-    for v, part in [(b, b) for b in comp] + [(b, 0) for b in c2.basis]:
-        while v.bit_length() in rows:
-            row, row_part = rows[v.bit_length()]
-            v, part = v ^ row, part ^ row_part
-        rows[v.bit_length()] = (v, part)
-    reps = []
-    for r in words:
-        s = 0
-        while r:
-            row, row_part = rows[r.bit_length()]
-            r, s = r ^ row, s ^ row_part
-        reps.append(s)
-    return reps
+    n = c1.n
+    ech = _echelon([b << n | b for b in complement_basis(c1, c2)]
+                   + [b << n for b in c2.basis])
+    return [_reduce(r << n, ech) for r in words]
 
 
 def parse_channel(text: str) -> list[tuple[float, float, float, float]]:

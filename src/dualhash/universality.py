@@ -24,7 +24,6 @@ from .gf2 import (
     complement_basis,
     dual,
     kernel,
-    rank,
     walsh_hadamard,
 )
 from .hashfam import HashFamily, HashFamilySpec, kernel_code
@@ -436,8 +435,10 @@ def tight_family(n: int, t: int, epsilon, x) -> CodeFamily:
     """
     if n > TIGHT_FAMILY_CAP:
         raise EnumerationCapError(f"n={n} exceeds subspace enumeration cap {TIGHT_FAMILY_CAP}")
-    if not 1 <= t <= n:
-        raise ValueError("need 1 <= t <= n")
+    if not 1 <= t < n:
+        raise ValueError(
+            f"need 1 <= t < n (members lie in V_x, of dimension n - 1); got t={t}, n={n}"
+        )
     epsilon = Fraction(epsilon)
     eps_max = Fraction(2 - Fraction(2, 1 << t), 1 - Fraction(2, 1 << n))
     if not 0 < epsilon <= eps_max:
@@ -499,9 +500,10 @@ def random_code(n: int, t: int, rng: random.Random) -> LinearCode:
     if t == n:
         return LinearCode.full(n)
     while True:
-        rows = [rng.randrange(1 << n) for _ in range(n - t)]
-        if rank(rows) == n - t:
-            return kernel(BinaryMatrix(tuple(rows), n))
+        rows = tuple(rng.randrange(1 << n) for _ in range(n - t))
+        code = kernel(BinaryMatrix(rows, n))
+        if code.dim == t:
+            return code
 
 
 def random_extension(base: LinearCode, t: int, rng: random.Random) -> LinearCode:

@@ -16,7 +16,6 @@ from dualhash.bounds import (
     binary_entropy,
     critical_rate,
     divergence,
-    emit_csv,
     eta,
     gallager_e0,
     gallager_family_bound,
@@ -229,17 +228,3 @@ def test_approach_ratio_monotone():
     assert all(a > b for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         approach_ratio(10, 0.5)
-
-
-def test_emit_csv_union_of_keys():
-    import io
-
-    reps = [
-        BoundReport("a", 1.0, {"n": 4}),
-        BoundReport("b", 2.0, {"n": 4}, aux={"extra": 3}),
-    ]
-    buf = io.StringIO()
-    emit_csv(reps, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].split(",") == ["formula_id", "value", "input_n", "aux_extra"]
-    assert len(lines) == 3

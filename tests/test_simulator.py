@@ -15,6 +15,7 @@ from dualhash.gf2 import BinaryMatrix, BitVector, LinearCode, complement_basis, 
 from dualhash.hashfam import HashFamily, HashFamilySpec, kernel_code
 from dualhash.simulator import (
     Z_99,
+    _coset_reps,
     _mc_error_prob,
     _syndrome_table,
     counterexample_leakage,
@@ -153,17 +154,6 @@ def test_decoding_refused_beyond_cap_before_enumerating(monkeypatch):
         decode(LinearCode.repetition(17), y)
     with pytest.raises(ValueError, match="exceeds enumeration cap"):
         distill_keys(y, y, c1, c2, seed=0)
-
-
-def test_decode_rules_agree():
-    rng = random.Random(2)
-    for _ in range(30):
-        n = rng.randrange(2, 9)
-        c = random_code(n, rng.randrange(1, n), rng)
-        y = BitVector(n, rng.randrange(1 << n))
-        assert decode(c, y) == decode(c, y, rule="max_likelihood", p=0.3)
-    with pytest.raises(ValueError):
-        decode(c, y, rule="max_likelihood")  # needs p
 
 
 def test_repetition_code_exact_error():
@@ -391,6 +381,63 @@ def random_nested_pair(n, rng):
     return c1, LinearCode.from_rows(n, rows)
 
 
+def oracle_rank(rows):
+    """Reference rank: reduce each row by the kept rows, largest first."""
+    reduced = []
+    for row in rows:
+        for r in reduced:
+            row = min(row, row ^ r)
+        if row:
+            reduced.append(row)
+            reduced.sort(reverse=True)
+    return len(reduced)
+
+
+def oracle_complement_basis(c1, c2):
+    """Reference complement: keep each row of C1's basis that raises the
+    rank of C2's basis plus the rows kept so far."""
+    rows, comp = list(c2.basis), []
+    for b in c1.basis:
+        if oracle_rank(rows + [b]) > len(rows):
+            rows.append(b)
+            comp.append(b)
+    return comp
+
+
+def oracle_coset_reps(c1, c2, *words):
+    """Reference split of each word r of C1 as s + t, s in the span of the
+    complement and t in C2: an echelon keyed by leading bit whose rows
+    carry their component in that span."""
+    rows = {}
+    for v, part in [(b, b) for b in oracle_complement_basis(c1, c2)] + [
+            (b, 0) for b in c2.basis]:
+        while v.bit_length() in rows:
+            row, row_part = rows[v.bit_length()]
+            v, part = v ^ row, part ^ row_part
+        rows[v.bit_length()] = (v, part)
+    reps = []
+    for r in words:
+        s = 0
+        while r:
+            row, row_part = rows[r.bit_length()]
+            r, s = r ^ row, s ^ row_part
+        reps.append(s)
+    return reps
+
+
+def test_complement_and_coset_reps_match_oracles():
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randrange(1, 10)
+        c1, c2 = random_nested_pair(n, rng)
+        for c2 in (c2, LinearCode.zero(n), c1):
+            comp = complement_basis(c1, c2)
+            assert comp == oracle_complement_basis(c1, c2)
+            assert len(comp) == c1.dim - c2.dim
+            words = [0] + rng.sample(span(c1.basis), min(len(c1), 8))
+            assert _coset_reps(c1, c2, *words) == oracle_coset_reps(c1, c2, *words)
+
+
 def test_wiretap_exact_matches_dense_oracle():
     rng, np_rng = random.Random(8), np.random.default_rng(8)
     cases = [(n, *random_nested_pair(n, rng)) for n in (1, 2, 3, 4) for _ in range(8)]
@@ -546,3 +593,20 @@ def test_family_average_rejects_p_above_half_in_both_modes():
         for p in (Fraction(3, 4), 2, -Fraction(1, 10)):
             with pytest.raises(ValueError, match="p must be"):
                 family_average_error(hf, p, R=0.5, mode=mode, sample_count=4, seed=1)
+
+
+def test_family_average_rejects_bad_mode_before_any_work(monkeypatch):
+    fam = CodeFamily([LinearCode.repetition(3), LinearCode.full(3)], [1, 3])
+    hf = HashFamily(HashFamilySpec("random_linear", 6, 3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("members evaluated before the mode was checked")
+
+    monkeypatch.setattr(HashFamily, "sample", refuse)
+    monkeypatch.setattr("dualhash.simulator.exact_error_prob", refuse)
+    for family in (fam, hf):
+        with pytest.raises(ValueError, match="unknown mode"):
+            family_average_error(family, Fraction(1, 10), R=0.5, mode="bogus",
+                                 sample_count=4, seed=1)
+    with pytest.raises(ValueError, match="monte_carlo mode needs a HashFamily"):
+        family_average_error(fam, Fraction(1, 10), R=0.5, mode="monte_carlo")

@@ -432,6 +432,16 @@ def test_tight_family_rejects_out_of_range_epsilon():
         tight_family(5, 2, Fraction(0), 1)
 
 
+def test_tight_family_rejects_t_equal_n_before_walking(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked before the range check")
+
+    monkeypatch.setattr(universality, "subspaces_of", no_walk)
+    for n, t, eps in ((4, 4, 1), (4, 4, Fraction(3, 2)), (1, 1, 1), (4, 0, 1)):
+        with pytest.raises(ValueError, match="need 1 <= t < n"):
+            tight_family(n, t, eps, 1)
+
+
 def test_subspaces_of_counts():
     # Gaussian binomial [5 choose 3]_2 = 155
     v = dual(LinearCode.repetition(6))
