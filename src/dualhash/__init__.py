@@ -27,6 +27,7 @@ from .universality import (
     epsilon_dual_universal,
     epsilon_floor,
     epsilon_pair,
+    epsilon_reports,
     epsilon_universal,
     permuted_epsilon,
     permuted_pair_epsilon,
@@ -95,6 +96,7 @@ __all__ = [
     "epsilon_dual_universal",
     "epsilon_floor",
     "epsilon_pair",
+    "epsilon_reports",
     "epsilon_universal",
     "eta",
     "exact_error_prob",

@@ -45,6 +45,7 @@ from .universality import (
     duality_bound,
     epsilon_dual_universal,
     epsilon_floor,
+    epsilon_reports,
     epsilon_universal,
     permuted_epsilon,
     permuted_pair_epsilon,
@@ -78,13 +79,11 @@ def criterion_1(seed: int):
     checked = 0
     for n in range(2, 9):
         for m in range(1, min(4, n - 1) + 1):
-            fam = CodeFamily.from_hash_family(
-                HashFamily(HashFamilySpec("modified_toeplitz", n, m))
+            rep, drep = epsilon_reports(
+                HashFamily(HashFamilySpec("modified_toeplitz", n, m)), "min_dim"
             )
-            if fam.t_min != n - m or fam.t_max != n - m:
+            if rep.t_min != n - m or rep.t_max != n - m:
                 return False, f"(n={n}, m={m}): kernel dimension not {n - m}"
-            rep = epsilon_universal(fam, "min_dim")
-            drep = epsilon_dual_universal(fam, "min_dim")
             if rep.epsilon != 1:
                 return False, f"(n={n}, m={m}): epsilon = {rep.epsilon} != 1"
             if drep.epsilon != 1:
@@ -167,15 +166,9 @@ def criterion_3(seed: int):
                     return False, f"indicator identity fails at n={n}, x={x}"
 
     families = {
-        "modified_toeplitz(6,2)": CodeFamily.from_hash_family(
-            HashFamily(HashFamilySpec("modified_toeplitz", 6, 2))
-        ),
-        "modified_toeplitz(8,3)": CodeFamily.from_hash_family(
-            HashFamily(HashFamilySpec("modified_toeplitz", 8, 3))
-        ),
-        "modified_toeplitz(10,4)": CodeFamily.from_hash_family(
-            HashFamily(HashFamilySpec("modified_toeplitz", 10, 4))
-        ),
+        "modified_toeplitz(6,2)": HashFamily(HashFamilySpec("modified_toeplitz", 6, 2)),
+        "modified_toeplitz(8,3)": HashFamily(HashFamilySpec("modified_toeplitz", 8, 3)),
+        "modified_toeplitz(10,4)": HashFamily(HashFamilySpec("modified_toeplitz", 10, 4)),
         "toeplitz(6,2)": CodeFamily.from_hash_family(
             HashFamily(HashFamilySpec("toeplitz", 6, 2))
         ),
@@ -186,10 +179,11 @@ def criterion_3(seed: int):
         "counterexample(6)": counterexample_family(6),
     }
     for name, fam in families.items():
-        # code_bias(fam).delta_sq is this dual report's max_prob
+        # code_bias(fam).delta_sq is this dual report's max_prob; its dual
+        # dimensions are n - t of the family's, so t_min is n - its t_max
         drep = epsilon_dual_universal(fam, "min_dim")
         eps, dsq = drep.epsilon, drep.max_prob
-        if dsq > eps * Fraction(1, 1 << fam.t_min):
+        if dsq > eps * Fraction(1, 1 << (drep.n - drep.t_max)):
             return False, f"{name}: delta^2 = {dsq} > eps 2^-t_min"
 
     # independent spectral check of the counting-based bias on a small family

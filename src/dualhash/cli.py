@@ -39,8 +39,7 @@ from .simulator import (
 from .universality import (
     CodeFamily,
     counterexample_family,
-    epsilon_dual_universal,
-    epsilon_universal,
+    epsilon_reports,
     tight_family,
 )
 
@@ -115,13 +114,12 @@ def _parse_grid(text: str) -> list[float]:
     return [float(x) for x in text.split(",")]
 
 
-def _build_family(args) -> CodeFamily:
+def _build_family(args) -> CodeFamily | HashFamily:
     kind = args.kind
     if kind in HASH_KINDS:
         if args.m is None:
             raise ValueError(f"{kind} needs -m")
-        spec = HashFamilySpec(kind.replace("-", "_"), args.n, args.m)
-        return CodeFamily.from_hash_family(HashFamily(spec))
+        return HashFamily(HashFamilySpec(kind.replace("-", "_"), args.n, args.m))
     if kind == "counterexample":
         return counterexample_family(args.n, seed=args.seed)
     if kind == "tight":
@@ -135,8 +133,7 @@ def _cmd_analyze(args) -> int:
     if args.mc:
         raise ValueError("analyze measures by exact enumeration; --mc is not supported")
     fam = _build_family(args)
-    rep = epsilon_universal(fam, args.convention)
-    drep = epsilon_dual_universal(fam, args.convention)
+    rep, drep = epsilon_reports(fam, args.convention)
     _emit(
         args,
         {
@@ -361,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, help="mandatory for sampled computations")
-    p.add_argument("--exact", action="store_true", help="exact per member (default)")
-    p.add_argument("--mc", action="store_true", help="Monte-Carlo per member")
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--exact", action="store_true", help="exact per member (default)")
+    how.add_argument("--mc", action="store_true", help="Monte-Carlo per member")
     p.add_argument("--phase-only", action="store_true")
     p.add_argument("--key-a", help="Alice's raw key bits (distill)")
     p.add_argument("--key-b", help="Bob's raw key bits (distill)")
@@ -399,6 +397,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "what", None) == "family-average" and args.seed is None:
         parser.error("family-average sampling needs --seed")
+    if getattr(args, "what", None) == "family-average" and args.R is None:
+        parser.error("family-average needs -R (the nominal rate for its bounds)")
     if getattr(args, "what", None) == "distill" and args.seed is None:
         parser.error("distill needs --seed")
     if getattr(args, "mc", False) and args.seed is None and args.verb == "simulate":

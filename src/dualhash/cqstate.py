@@ -258,7 +258,8 @@ def code_bias(family) -> BiasReport:
     The character expectation of the uniform distribution on C is the
     indicator of C^perp, so delta^2 is the worst-case probability that a
     nonzero x lands in a dual code: the dual family's measured worst case
-    (the same under either convention).
+    (the same under either convention).  ``family`` is a CodeFamily or a
+    HashFamily, as for ``epsilon_dual_universal``.
     """
     rep = epsilon_dual_universal(family)
     return BiasReport(math.sqrt(float(rep.max_prob)), rep.max_prob, rep.worst_x)

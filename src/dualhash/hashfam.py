@@ -106,11 +106,18 @@ class HashFamily:
         if kind == "toeplitz":
             self.index_space = 1 << (n + m - 1)
         elif kind == "modified_toeplitz":
+            if m == n:
+                raise ValueError("modified_toeplitz needs n > m")
             self.index_space = 1 << (n - 1)
         elif kind == "random_linear":
             self.index_space = 1 << (m * n)
         else:
             raise ValueError(f"unknown family kind: {kind}")
+
+    @property
+    def members(self) -> int:
+        """The number of members as given, one per index (as ``CodeFamily.members``)."""
+        return self.index_space
 
     def __getitem__(self, r: int) -> HashFunction:
         if not 0 <= r < self.index_space:

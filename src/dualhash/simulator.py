@@ -209,9 +209,13 @@ def family_average_error(
     else:
         if sample_count is None or seed is None:
             raise ValueError("hash families need sample_count and seed")
+        if sample_count < 1:
+            raise ValueError(f"sample_count must be >= 1; got {sample_count}")
+        n = family.n
+        if n > ERROR_ENUM_CAP:
+            raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
         from .hashfam import kernel_code
 
-        n = family.n
         members = family.sample(sample_count, seed)
         if mode == "exact":
             values = []

@@ -3,7 +3,8 @@
 A code family is a weighted multiset of linear codes; "choose r uniformly"
 means choosing a member with probability proportional to its integer weight.
 All universality parameters are exact rationals computed by exhaustive
-codeword counting.
+codeword counting, or, for the modified-Toeplitz hash family, by exact ranks
+over its parameter space.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from .gf2 import (
     BinaryMatrix,
     EnumerationCapError,
     LinearCode,
+    _echelon,
     bits_to_string,
     complement_basis,
     dual,
     kernel,
+    syndromes,
     walsh_hadamard,
 )
 from .hashfam import HashFamily, HashFamilySpec, kernel_code
@@ -35,6 +38,7 @@ __all__ = [
     "SearchBudgetError",
     "epsilon_universal",
     "epsilon_dual_universal",
+    "epsilon_reports",
     "epsilon_pair",
     "duality_bound",
     "epsilon_floor",
@@ -198,25 +202,87 @@ def _codeword_blocks(family, row_words: int = 1):
             yield dim, w, words
 
 
-def _membership_counts(family: CodeFamily, dual: bool = False) -> list[int]:
+@dataclass(frozen=True)
+class _RankCounts:
+    """Plain membership counts of a family whose members all have dimension
+    t, with what the report code reads of a ``CodeFamily``."""
+
+    n: int
+    total_weight: int
+    t_min: int
+    t_max: int
+    counts: np.ndarray
+
+
+def _modified_toeplitz_counts(hf: HashFamily) -> _RankCounts:
+    """Membership counts of the modified-Toeplitz family (T_r | I), r over
+    its n - 1 diagonal bits, from one small elimination per u; no member
+    is built.
+
+    Write x = (u, v), u the top n - m bits.  Then x is in ker(T_r | I) iff
+    T_r u = v, and T_r u = A_u r: diagonal bit k - i + m - 1 feeds entry
+    (i, k) of T_r, so row i of A_u is u bit-reversed, shifted left by
+    m - 1 - i.  So counts[x] is 2^(n-1-rank A_u) when v lies in the column
+    space of A_u and 0 otherwise.  Each row of A_u is eliminated with its
+    tag e_i below bit m; the rows left with no A_u part span the left
+    kernel, and v lies in the column space iff it is orthogonal to all of
+    them.  The rank of the members is measured, not assumed: every kernel
+    has dimension at least n - m, and sum_x counts[x] = sum_r 2^dim ker
+    equals 2^(n-1) 2^(n-m) iff every member has rank m.
+    """
+    n, m = hf.n, hf.m
+    if n > AMBIENT_CAP:
+        raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")
+    if n <= m:
+        raise ValueError("modified_toeplitz needs n > m")
+    k = n - m
+    counts = np.zeros((1 << k, 1 << m), dtype=np.int64)
+    for u in range(1 << k):
+        w = int(bits_to_string(u, k)[::-1], 2)
+        ech = _echelon((w << (2 * m - 1 - i)) | (1 << (m - 1 - i)) for i in range(m))
+        left = [row for row in ech.values() if row >> m == 0]
+        if left:
+            counts[u] = (syndromes(left, m) == 0) << (k - 1 + len(left))
+        else:
+            counts[u] = 1 << (k - 1)
+    if int(counts.sum()) != 1 << (n - 1 + k):
+        raise ArithmeticError(f"modified_toeplitz({n}, {m}) has a member of rank below m")
+    return _RankCounts(n, hf.index_space, k, k, counts.ravel())
+
+
+def _counted(family):
+    """What the report code counts: a CodeFamily as it is, and a HashFamily
+    of modified-Toeplitz kind by parameter ranks, of any other kind through
+    its kernel family."""
+    if not isinstance(family, HashFamily):
+        return family
+    if family.spec.kind == "modified_toeplitz":
+        return _modified_toeplitz_counts(family)
+    return CodeFamily.from_hash_family(family)
+
+
+def _membership_counts(family, dual: bool = False) -> list[int]:
     """counts[x] = total weight of members containing x, for all x; with
     ``dual``, of members whose dual code contains x.
 
-    Each block of codewords adds its members' weight at their codewords.
-    The dual counts need no dual code: the Walsh transform of the indicator
-    of C is 2^dim(C) times the indicator of C^perp, so adding w 2^(n-dim)
-    per member, transforming once and shifting right by n gives
-    sum_r w_r [x in C_r^perp] exactly.  The counts are int64, or Python
-    ints when a value could overflow int64 (total weight, times 2^n for
-    the dual counts, of 2^63 or more).
+    Each block of codewords adds its members' weight at their codewords;
+    rank counts come counted.  The dual counts need no dual code: the Walsh
+    transform of the indicator of C is 2^dim(C) times the indicator of
+    C^perp, so adding w 2^(n-dim) per member, transforming once and
+    shifting right by n gives sum_r w_r [x in C_r^perp] exactly.  The
+    counts are int64, or Python ints when a value could overflow int64
+    (total weight, times 2^n for the dual counts, of 2^63 or more).
     """
     n = family.n
     if n > AMBIENT_CAP:
         raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")
-    bound = family.total_weight << n if dual else family.total_weight
-    counts = np.zeros(1 << n, dtype=np.int64 if bound < 1 << 63 else object)
-    for dim, w, words in _codeword_blocks(family):
-        np.add.at(counts, words.ravel(), w << (n - dim) if dual else w)
+    if isinstance(family, _RankCounts):
+        counts = family.counts << (n - family.t_min) if dual else family.counts
+    else:
+        bound = family.total_weight << n if dual else family.total_weight
+        counts = np.zeros(1 << n, dtype=np.int64 if bound < 1 << 63 else object)
+        for dim, w, words in _codeword_blocks(family):
+            np.add.at(counts, words.ravel(), w << (n - dim) if dual else w)
     if dual:
         walsh_hadamard(counts)
         counts >>= n
@@ -230,12 +296,14 @@ def _dims(family: CodeFamily, dual: bool = False) -> tuple[int, int]:
     return family.t_min, family.t_max
 
 
+def _check_convention(convention: str) -> str:
+    if convention not in ("min_dim", "max_dim"):
+        raise ValueError(f"unknown convention: {convention}")
+    return convention
+
+
 def _pick_t(dims: tuple[int, int], convention: str) -> int:
-    if convention == "min_dim":
-        return dims[0]
-    if convention == "max_dim":
-        return dims[1]
-    raise ValueError(f"unknown convention: {convention}")
+    return dims[0] if _check_convention(convention) == "min_dim" else dims[1]
 
 
 def _report_from_counts(counts, family, dims, convention, t, candidates, base) -> UniversalityReport:
@@ -250,7 +318,8 @@ def _report_from_counts(counts, family, dims, convention, t, candidates, base) -
     return UniversalityReport(eps, convention, *dims, family.n, worst_x, max_prob)
 
 
-def _plain_report(family: CodeFamily, convention: str, dual: bool) -> UniversalityReport:
+def _plain_report(family, convention: str, dual: bool) -> UniversalityReport:
+    """The report of a counted family (see ``_counted``)."""
     n = family.n
     dims = _dims(family, dual)
     t = _pick_t(dims, convention)
@@ -258,23 +327,39 @@ def _plain_report(family: CodeFamily, convention: str, dual: bool) -> Universali
     return _report_from_counts(counts, family, dims, convention, t, range(1, 1 << n), n)
 
 
-def epsilon_universal(family: CodeFamily, convention: str = "min_dim") -> UniversalityReport:
-    """Smallest ε with Pr[x ∈ C_r] ≤ 2^(t-n) ε for all x ≠ 0 (exact)."""
-    return _plain_report(family, convention, dual=False)
+def epsilon_universal(family, convention: str = "min_dim") -> UniversalityReport:
+    """Smallest ε with Pr[x ∈ C_r] ≤ 2^(t-n) ε for all x ≠ 0 (exact).
+
+    ``family`` is a CodeFamily or a HashFamily; a modified-Toeplitz
+    HashFamily is counted by parameter ranks, without building a member.
+    """
+    convention = _check_convention(convention)
+    return _plain_report(_counted(family), convention, dual=False)
 
 
 def _swap(convention: str) -> str:
-    if convention not in ("min_dim", "max_dim"):
-        raise ValueError(f"unknown convention: {convention}")
-    return "max_dim" if convention == "min_dim" else "min_dim"
+    return "max_dim" if _check_convention(convention) == "min_dim" else "min_dim"
 
 
-def epsilon_dual_universal(family: CodeFamily, convention: str = "min_dim") -> UniversalityReport:
+def epsilon_dual_universal(family, convention: str = "min_dim") -> UniversalityReport:
     """Universality of the dual family; the dimension convention names the
     primal family's convention, so it is swapped on the duals (a primal
     minimum dimension t corresponds to a dual maximum dimension n-t).
-    Counted by one Walsh transform, without building any dual code."""
-    return _plain_report(family, _swap(convention), dual=True)
+    Counted by one Walsh transform, without building any dual code;
+    ``family`` is as for ``epsilon_universal``."""
+    convention = _swap(convention)
+    return _plain_report(_counted(family), convention, dual=True)
+
+
+def epsilon_reports(
+    family, convention: str = "min_dim"
+) -> tuple[UniversalityReport, UniversalityReport]:
+    """``(epsilon_universal(family, convention), epsilon_dual_universal(family,
+    convention))``, with a HashFamily counted once for both."""
+    dual_convention = _swap(convention)
+    family = _counted(family)
+    return (_plain_report(family, convention, dual=False),
+            _plain_report(family, dual_convention, dual=True))
 
 
 _DUAL_VARIANT = {"subcode": "extended", "extended": "subcode", "pair": "pair"}

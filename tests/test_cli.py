@@ -10,6 +10,7 @@ import pytest
 
 from dualhash.cli import main
 from dualhash.gf2 import LinearCode, format_code
+from dualhash.hashfam import HashFamily
 
 
 def run(capsys, *argv):
@@ -45,6 +46,35 @@ def test_analyze_rejects_oversized_family_before_enumerating(capsys, monkeypatch
     code, _, err = run(capsys, "analyze", "--kind", "toeplitz", "-n", "16", "-m", "8")
     assert code == 2
     assert "exceeds cap" in err
+
+
+def test_analyze_modified_toeplitz_builds_no_member(capsys, monkeypatch):
+    def no_members(*args):
+        raise AssertionError("member built")
+
+    monkeypatch.setattr("dualhash.hashfam.kernel_code", no_members)
+    monkeypatch.setattr(HashFamily, "__getitem__", no_members)
+    code, out, err = run(capsys, "analyze", "--kind", "modified-toeplitz", "-n", "14",
+                         "-m", "5")
+    assert code == 0, err
+    assert json.loads(out)["members"] == 1 << 13
+
+
+@pytest.mark.parametrize("n, m", [(18, 8), (20, 8)])
+def test_analyze_modified_toeplitz_beyond_member_cap(capsys, n, m):
+    code, out, err = run(capsys, "analyze", "--kind", "modified-toeplitz", "-n", str(n),
+                         "-m", str(m))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["epsilon"], payload["dual_epsilon"]) == ("1", "1")
+    assert payload["members"] == 1 << (n - 1)
+    assert payload["report"]["t_min"] == payload["report"]["t_max"] == n - m
+
+
+def test_analyze_modified_toeplitz_refuses_m_equal_n(capsys):
+    code, _, err = run(capsys, "analyze", "--kind", "modified-toeplitz", "-n", "4", "-m", "4")
+    assert code == 2
+    assert "modified_toeplitz needs n > m" in err
 
 
 def test_analyze_tight_reports_members_as_given(capsys):
@@ -112,6 +142,37 @@ def test_simulate_family_average_needs_seed(capsys):
         main(["simulate", "--what", "family-average", "-n", "8", "-m", "4",
               "-p", "0.05", "-R", "0.5"])
     assert err.value.code == 2
+
+
+def test_simulate_family_average_needs_rate(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--what", "family-average", "-n", "8", "-m", "4",
+              "-p", "1/20", "--seed", "1"])
+    assert err.value.code == 2
+    assert "family-average needs -R" in capsys.readouterr().err
+
+
+def test_simulate_exact_and_mc_are_exclusive(capsys):
+    argv = ["simulate", "--what", "family-average", "-n", "8", "-m", "4",
+            "-p", "1/20", "-R", "0.5", "--samples", "5", "--seed", "9"]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--exact", "--mc"])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    for flag, mode in [("--exact", "exact"), ("--mc", "monte_carlo")]:
+        code, out, err = run(capsys, *argv, flag)
+        assert code == 0, err
+        assert json.loads(out)["param_mode"] == mode
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_simulate_family_average_rejects_empty_sample(capsys, samples):
+    code, _, err = run(
+        capsys, "simulate", "--what", "family-average", "-n", "8", "-m", "4",
+        "-p", "1/20", "-R", "0.5", "--samples", samples, "--seed", "1",
+    )
+    assert code == 2
+    assert "sample_count must be >= 1" in err
 
 
 def test_simulate_mc_needs_seed(capsys):

@@ -52,6 +52,63 @@ ANALYZE_MODIFIED_TOEPLITZ = (
 )
 
 
+ANALYZE_MODIFIED_TOEPLITZ_14_5 = (
+    "{\n"
+    '  "convention": "min_dim",\n'
+    '  "dual_epsilon": "1",\n'
+    '  "dual_report": {\n'
+    '    "convention": "max_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 5,\n'
+    '    "t_min": 5,\n'
+    '    "worst_x": "00000000000001"\n'
+    "  },\n"
+    '  "epsilon": "1",\n'
+    '  "kind": "modified-toeplitz",\n'
+    '  "members": 8192,\n'
+    '  "n": 14,\n'
+    '  "report": {\n'
+    '    "convention": "min_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 9,\n'
+    '    "t_min": 9,\n'
+    '    "worst_x": "00000000100000"\n'
+    "  },\n"
+    '  "seed": null\n'
+    "}\n"
+)
+
+ANALYZE_MODIFIED_TOEPLITZ_12_3_MAX = (
+    "{\n"
+    '  "convention": "max_dim",\n'
+    '  "dual_epsilon": "1",\n'
+    '  "dual_report": {\n'
+    '    "convention": "min_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 3,\n'
+    '    "t_min": 3,\n'
+    '    "worst_x": "000000000001"\n'
+    "  },\n"
+    '  "epsilon": "1",\n'
+    '  "kind": "modified-toeplitz",\n'
+    '  "members": 2048,\n'
+    '  "n": 12,\n'
+    '  "report": {\n'
+    '    "convention": "max_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 9,\n'
+    '    "t_min": 9,\n'
+    '    "worst_x": "000000001000"\n'
+    "  },\n"
+    '  "seed": null\n'
+    "}\n"
+)
+
+
 ANALYZE_TIGHT = (
     "{\n"
     '  "convention": "min_dim",\n'
@@ -113,9 +170,13 @@ ANALYZE_COUNTEREXAMPLE = (
     ("sweep qkd --n-grid 10000,100000,1000000 --approach phase_sum -S 0.4 "
      "--p-ph 0.05 -l 100", SWEEP_QKD),
     ("analyze --kind modified-toeplitz -n 10 -m 4", ANALYZE_MODIFIED_TOEPLITZ),
+    ("analyze --kind modified-toeplitz -n 14 -m 5", ANALYZE_MODIFIED_TOEPLITZ_14_5),
+    ("analyze --kind modified-toeplitz -n 12 -m 3 --convention max_dim",
+     ANALYZE_MODIFIED_TOEPLITZ_12_3_MAX),
     ("analyze --kind tight -n 7 -t 3 --epsilon 3/2 -x 77", ANALYZE_TIGHT),
     ("analyze --kind counterexample -n 8", ANALYZE_COUNTEREXAMPLE),
-], ids=["sweep_qkd", "analyze_modified_toeplitz", "analyze_tight", "analyze_counterexample"])
+], ids=["sweep_qkd", "analyze_modified_toeplitz", "analyze_modified_toeplitz_14_5",
+        "analyze_modified_toeplitz_12_3_max_dim", "analyze_tight", "analyze_counterexample"])
 def test_cli_output_bytes(capsys, argv, expected):
     assert main(argv.split()) == 0
     captured = capsys.readouterr()

@@ -150,3 +150,9 @@ def test_bad_shapes_rejected():
         HashFamily(HashFamilySpec("toeplitz", 3, 4))
     with pytest.raises(ValueError):
         HashFamily(HashFamilySpec("unknown_kind", 3, 2))
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_modified_toeplitz_needs_n_above_m(n):
+    with pytest.raises(ValueError, match="modified_toeplitz needs n > m"):
+        HashFamily(HashFamilySpec("modified_toeplitz", n, n))

@@ -14,6 +14,7 @@ from dualhash.cqstate import CQState, d1_distance, holevo
 from dualhash.gf2 import BinaryMatrix, BitVector, LinearCode, complement_basis, dual
 from dualhash.hashfam import HashFamily, HashFamilySpec, kernel_code
 from dualhash.simulator import (
+    ERROR_ENUM_CAP,
     Z_99,
     _coset_reps,
     _mc_error_prob,
@@ -610,3 +611,29 @@ def test_family_average_rejects_bad_mode_before_any_work(monkeypatch):
                                  sample_count=4, seed=1)
     with pytest.raises(ValueError, match="monte_carlo mode needs a HashFamily"):
         family_average_error(fam, Fraction(1, 10), R=0.5, mode="monte_carlo")
+
+
+def _refuse_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("members sampled")
+
+    monkeypatch.setattr(HashFamily, "sample", refuse)
+
+
+@pytest.mark.parametrize("samples", [0, -2])
+def test_family_average_rejects_empty_sample_before_sampling(monkeypatch, samples):
+    _refuse_sampling(monkeypatch)
+    hf = HashFamily(HashFamilySpec("random_linear", 6, 3))
+    for mode in ("exact", "monte_carlo"):
+        with pytest.raises(ValueError, match="sample_count must be >= 1"):
+            family_average_error(hf, Fraction(1, 10), R=0.5, mode=mode,
+                                 sample_count=samples, seed=1)
+
+
+def test_family_average_refuses_length_beyond_cap_before_sampling(monkeypatch):
+    _refuse_sampling(monkeypatch)
+    hf = HashFamily(HashFamilySpec("modified_toeplitz", ERROR_ENUM_CAP + 1, 8))
+    for mode in ("exact", "monte_carlo"):
+        with pytest.raises(ValueError, match="exceeds enumeration cap"):
+            family_average_error(hf, Fraction(1, 10), R=0.5, mode=mode,
+                                 sample_count=300000, seed=1)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from dualhash.universality import (
     epsilon_dual_universal,
     epsilon_floor,
     epsilon_pair,
+    epsilon_reports,
     epsilon_universal,
     permuted_epsilon,
     permuted_pair_epsilon,
@@ -330,6 +332,62 @@ def test_family_size_cap_before_enumeration():
 
     with pytest.raises(EnumerationCapError):
         CodeFamily.from_hash_family(Oversized())
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_modified_toeplitz_rank_counts_match_enumeration(n):
+    for m in range(1, n):
+        hf = HashFamily(HashFamilySpec("modified_toeplitz", n, m))
+        fam = CodeFamily.from_hash_family(hf)
+        counted = universality._counted(hf)
+        assert (counted.t_min, counted.t_max) == (fam.t_min, fam.t_max)
+        assert counted.total_weight == fam.total_weight == hf.members
+        for dual_counts in (False, True):
+            assert (_membership_counts(counted, dual_counts)
+                    == _membership_counts(fam, dual_counts))
+        for convention in ("min_dim", "max_dim"):
+            want = (epsilon_universal(fam, convention), epsilon_dual_universal(fam, convention))
+            got = (epsilon_universal(hf, convention), epsilon_dual_universal(hf, convention))
+            assert got == want
+            assert epsilon_reports(hf, convention) == want
+        assert code_bias(hf) == code_bias(fam)
+
+
+@pytest.mark.parametrize("kind, n, m", [("toeplitz", 6, 2), ("random_linear", 5, 2)])
+def test_other_hash_kinds_measured_through_kernel_family(kind, n, m):
+    hf = HashFamily(HashFamilySpec(kind, n, m))
+    fam = CodeFamily.from_hash_family(hf)
+    for convention in ("min_dim", "max_dim"):
+        want = (epsilon_universal(fam, convention), epsilon_dual_universal(fam, convention))
+        assert (epsilon_universal(hf, convention), epsilon_dual_universal(hf, convention)) == want
+        assert epsilon_reports(hf, convention) == want
+    assert code_bias(hf) == code_bias(fam)
+
+
+def test_modified_toeplitz_rank_path_refuses_before_any_array(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("array built")
+
+    monkeypatch.setattr(universality.np, "zeros", refuse)
+    monkeypatch.setattr(universality, "_echelon", refuse)
+    hf = HashFamily(HashFamilySpec("modified_toeplitz", universality.AMBIENT_CAP + 1, 8))
+    for call in (epsilon_universal, epsilon_dual_universal, epsilon_reports, code_bias):
+        with pytest.raises(EnumerationCapError, match="exceeds cap"):
+            call(hf)
+
+    class Square:  # what HashFamily itself refuses to build
+        n = m = 4
+        index_space = 8
+
+    with pytest.raises(ValueError, match="modified_toeplitz needs n > m"):
+        universality._modified_toeplitz_counts(Square())
+
+
+def test_modified_toeplitz_miscount_is_raised(monkeypatch):
+    # every v counted as reachable from u = 0, where only v = 0 is
+    monkeypatch.setattr(universality, "syndromes", lambda rows, m: np.zeros(1 << m, dtype=int))
+    with pytest.raises(ArithmeticError, match="rank below m"):
+        epsilon_universal(HashFamily(HashFamilySpec("modified_toeplitz", 6, 2)))
 
 
 def test_epsilon_against_brute_force():
