@@ -106,11 +106,10 @@ def criterion_2(seed: int):
         if all(c.dim > t for c in codes):
             codes.append(random_code(n, t, rng))
         fam = CodeFamily(codes)
-        rep = epsilon_universal(fam, "min_dim")
-        dual_prob = epsilon_dual_universal(fam, "min_dim").max_prob
+        rep, drep = epsilon_reports(fam, "min_dim")
         bound = duality_bound(rep.epsilon, fam.t_min, n)
-        if dual_prob > bound:
-            return False, f"family {i}: dual probability {dual_prob} > bound {bound}"
+        if drep.max_prob > bound:
+            return False, f"family {i}: dual probability {drep.max_prob} > bound {bound}"
 
     n, t, xv = 6, 3, 1
     for eps in (Fraction(1), epsilon_floor(t, n), Fraction(3, 2), Fraction(56, 31)):

@@ -47,6 +47,25 @@ __all__ = ["main"]
 
 HASH_KINDS = {"toeplitz", "modified-toeplitz", "random-linear"}
 
+# The options each (verb, topic, --what or analyze --kind) cannot run
+# without; main reports a missing one as a usage error before anything runs.
+REQUIRED = {
+    **{("analyze", kind): ("-m",) for kind in HASH_KINDS},
+    ("analyze", "tight"): ("-t", "--epsilon"),
+    ("bounds", "reliability"): ("-R", "-p"),
+    ("bounds", "gallager"): ("-n", "-R", "-p"),
+    ("bounds", "qkd"): ("-n", "--approach"),
+    ("bounds", "ratio"): ("-n",),
+    ("simulate", "error-prob"): ("--code", "-p"),
+    ("simulate", "family-average"): ("-n", "-m", "-p", "-R", "--seed"),
+    ("simulate", "wiretap"): ("--channel", "--c1", "--c2"),
+    ("simulate", "counterexample"): ("-n", "-p"),
+    ("simulate", "distill"): ("--c1", "--c2", "--key-a", "--key-b", "--seed"),
+    ("sweep", "reliability"): ("--r-grid", "-p"),
+    ("sweep", "qkd"): ("--n-grid",),
+    ("sweep", "ratio"): ("--n-grid",),
+}
+
 
 def _format_value(v):
     """Exact fractions stay exact; floats are cut to 12 significant digits."""
@@ -117,14 +136,10 @@ def _parse_grid(text: str) -> list[float]:
 def _build_family(args) -> CodeFamily | HashFamily:
     kind = args.kind
     if kind in HASH_KINDS:
-        if args.m is None:
-            raise ValueError(f"{kind} needs -m")
         return HashFamily(HashFamilySpec(kind.replace("-", "_"), args.n, args.m))
     if kind == "counterexample":
         return counterexample_family(args.n, seed=args.seed)
     if kind == "tight":
-        if args.t is None or args.epsilon is None:
-            raise ValueError("tight needs -t and --epsilon")
         return tight_family(args.n, args.t, _parse_fraction(args.epsilon), args.x)
     raise ValueError(f"unknown kind: {kind}")
 
@@ -395,12 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "what", None) == "family-average" and args.seed is None:
-        parser.error("family-average sampling needs --seed")
-    if getattr(args, "what", None) == "family-average" and args.R is None:
-        parser.error("family-average needs -R (the nominal rate for its bounds)")
-    if getattr(args, "what", None) == "distill" and args.seed is None:
-        parser.error("distill needs --seed")
+    topic = vars(args).get("topic") or vars(args).get("what") or vars(args).get("kind")
+    for flag in REQUIRED.get((args.verb, topic), ()):
+        if getattr(args, flag.lstrip("-").replace("-", "_")) is None:
+            parser.error(f"{args.verb} {topic} needs {flag}")
     if getattr(args, "mc", False) and args.seed is None and args.verb == "simulate":
         parser.error("--mc needs --seed")
     try:

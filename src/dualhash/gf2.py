@@ -416,6 +416,8 @@ def complement_basis(c1: LinearCode, c2: LinearCode) -> list[int]:
 def parse_code(text: str) -> LinearCode:
     """Code file format: first line "n k", then k rows of n bits."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("malformed code file")
     n, k = map(int, lines[0].split())
     rows = lines[1 : 1 + k]
     if len(rows) != k or any(len(r) != n for r in rows):

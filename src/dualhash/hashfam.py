@@ -161,6 +161,8 @@ def kernel_code(h: HashFunction) -> LinearCode:
 def parse_hash(text: str) -> HashFunction:
     """Hash file format: first line "n m", then m rows of n bits."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("malformed hash file")
     n, m = map(int, lines[0].split())
     rows = lines[1 : 1 + m]
     if len(rows) != m or any(len(r) != n for r in rows):

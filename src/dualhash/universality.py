@@ -10,7 +10,7 @@ over its parameter space.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -203,21 +203,24 @@ def _codeword_blocks(family, row_words: int = 1):
 
 
 @dataclass(frozen=True)
-class _RankCounts:
-    """Plain membership counts of a family whose members all have dimension
-    t, with what the report code reads of a ``CodeFamily``."""
+class _Counts:
+    """Membership counts of a family, the one record every report reads:
+    plain[x] is the total weight of members containing x, dual[x] of members
+    whose dual code contains x.  Both are int64 arrays, or object arrays
+    when a value could reach 2^63."""
 
     n: int
     total_weight: int
     t_min: int
     t_max: int
-    counts: np.ndarray
+    plain: np.ndarray
+    dual: np.ndarray
 
 
-def _modified_toeplitz_counts(hf: HashFamily) -> _RankCounts:
-    """Membership counts of the modified-Toeplitz family (T_r | I), r over
-    its n - 1 diagonal bits, from one small elimination per u; no member
-    is built.
+def _modified_toeplitz_counts(hf: HashFamily) -> np.ndarray:
+    """Plain membership counts of the modified-Toeplitz family (T_r | I), r
+    over its n - 1 diagonal bits, from one small elimination per u; no
+    member is built.
 
     Write x = (u, v), u the top n - m bits.  Then x is in ker(T_r | I) iff
     T_r u = v, and T_r u = A_u r: diagonal bit k - i + m - 1 feeds entry
@@ -231,8 +234,6 @@ def _modified_toeplitz_counts(hf: HashFamily) -> _RankCounts:
     equals 2^(n-1) 2^(n-m) iff every member has rank m.
     """
     n, m = hf.n, hf.m
-    if n > AMBIENT_CAP:
-        raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")
     if n <= m:
         raise ValueError("modified_toeplitz needs n > m")
     k = n - m
@@ -247,84 +248,80 @@ def _modified_toeplitz_counts(hf: HashFamily) -> _RankCounts:
             counts[u] = 1 << (k - 1)
     if int(counts.sum()) != 1 << (n - 1 + k):
         raise ArithmeticError(f"modified_toeplitz({n}, {m}) has a member of rank below m")
-    return _RankCounts(n, hf.index_space, k, k, counts.ravel())
+    return counts.ravel()
 
 
-def _counted(family):
-    """What the report code counts: a CodeFamily as it is, and a HashFamily
-    of modified-Toeplitz kind by parameter ranks, of any other kind through
-    its kernel family."""
-    if not isinstance(family, HashFamily):
-        return family
-    if family.spec.kind == "modified_toeplitz":
-        return _modified_toeplitz_counts(family)
-    return CodeFamily.from_hash_family(family)
+def _count(family) -> _Counts:
+    """Count a CodeFamily or HashFamily once, for both sides.
 
-
-def _membership_counts(family, dual: bool = False) -> list[int]:
-    """counts[x] = total weight of members containing x, for all x; with
-    ``dual``, of members whose dual code contains x.
-
-    Each block of codewords adds its members' weight at their codewords;
-    rank counts come counted.  The dual counts need no dual code: the Walsh
-    transform of the indicator of C is 2^dim(C) times the indicator of
-    C^perp, so adding w 2^(n-dim) per member, transforming once and
-    shifting right by n gives sum_r w_r [x in C_r^perp] exactly.  The
-    counts are int64, or Python ints when a value could overflow int64
-    (total weight, times 2^n for the dual counts, of 2^63 or more).
+    A CodeFamily adds each member's weight w at its codewords, block by
+    block, into one count per member dimension; the plain counts are their
+    sum.  A modified-Toeplitz HashFamily is counted by parameter ranks (all
+    its members have dimension n - m), any other HashFamily through its
+    kernel family.  The dual counts need no dual code: the Walsh transform
+    of the indicator of C is 2^dim(C) times the indicator of C^perp, so
+    summing w 2^(n-dim) per member (each dimension's count shifted left by
+    n - dim), transforming once and shifting right by n gives
+    sum_r w_r [x in C_r^perp] exactly.  The cap is checked before any
+    array is built.
     """
+    if isinstance(family, HashFamily) and family.spec.kind != "modified_toeplitz":
+        family = CodeFamily.from_hash_family(family)
     n = family.n
     if n > AMBIENT_CAP:
         raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")
-    if isinstance(family, _RankCounts):
-        counts = family.counts << (n - family.t_min) if dual else family.counts
+    if isinstance(family, HashFamily):
+        k = n - family.m
+        total, dims = family.index_space, (k, k)
+        by_dim = {k: _modified_toeplitz_counts(family)}
     else:
-        bound = family.total_weight << n if dual else family.total_weight
-        counts = np.zeros(1 << n, dtype=np.int64 if bound < 1 << 63 else object)
+        total, dims = family.total_weight, (family.t_min, family.t_max)
+        by_dim = {}
         for dim, w, words in _codeword_blocks(family):
-            np.add.at(counts, words.ravel(), w << (n - dim) if dual else w)
-    if dual:
-        walsh_hadamard(counts)
-        counts >>= n
-    return counts.tolist()
+            if dim not in by_dim:
+                by_dim[dim] = np.zeros(1 << n, dtype=np.int64 if total < 1 << 63 else object)
+            np.add.at(by_dim[dim], words.ravel(), w)
+    wide = np.int64 if total << n < 1 << 63 else object
+    (dim, plain), *rest = by_dim.items()
+    scaled = plain.astype(wide, copy=False) << (n - dim)
+    for dim, count in rest:
+        plain += count
+        scaled += count.astype(wide, copy=False) << (n - dim)
+    walsh_hadamard(scaled)
+    scaled >>= n
+    return _Counts(n, total, *dims, plain, scaled)
 
 
-def _dims(family: CodeFamily, dual: bool = False) -> tuple[int, int]:
-    """(t_min, t_max) of the family, or of its dual family."""
-    if dual:
-        return family.n - family.t_max, family.n - family.t_min
-    return family.t_min, family.t_max
+_SWAP = {"min_dim": "max_dim", "max_dim": "min_dim"}
 
 
 def _check_convention(convention: str) -> str:
-    if convention not in ("min_dim", "max_dim"):
+    if convention not in _SWAP:
         raise ValueError(f"unknown convention: {convention}")
     return convention
 
 
-def _pick_t(dims: tuple[int, int], convention: str) -> int:
-    return dims[0] if _check_convention(convention) == "min_dim" else dims[1]
-
-
-def _report_from_counts(counts, family, dims, convention, t, candidates, base) -> UniversalityReport:
-    """Report the first candidate x (in scan order) of greatest count, with
-    ε = Pr[x] 2^(base - t); no candidate (a vacuous inequality) gives x = 0
-    and ε = 0.  ``dims`` is the measured family's (t_min, t_max).  Callers
-    pick t before counting, so an unknown convention is rejected before any
-    enumeration."""
-    worst_x = max(candidates, key=counts.__getitem__, default=0)
-    max_prob = Fraction(counts[worst_x] if worst_x else 0, family.total_weight)
-    eps = max_prob * (1 << (base - t))
-    return UniversalityReport(eps, convention, *dims, family.n, worst_x, max_prob)
-
-
-def _plain_report(family, convention: str, dual: bool) -> UniversalityReport:
-    """The report of a counted family (see ``_counted``)."""
-    n = family.n
-    dims = _dims(family, dual)
-    t = _pick_t(dims, convention)
-    counts = _membership_counts(family, dual)
-    return _report_from_counts(counts, family, dims, convention, t, range(1, 1 << n), n)
+def _report(counts: _Counts, side: str, convention: str, candidates=None,
+            base: int | None = None) -> UniversalityReport:
+    """Report one side ("plain" or "dual") of a family's counts: the first
+    candidate x (in scan order; by default every x != 0) of greatest count,
+    with ε = Pr[x] 2^(base - t), base defaulting to n.  No candidate (a
+    vacuous inequality) gives x = 0 and ε = 0.  ``convention`` is checked
+    and names the family's convention; the dual family's dimensions are
+    n - t of the family's, so it is swapped on the dual side (a minimum
+    dimension t corresponds to a dual maximum dimension n - t)."""
+    n, values = counts.n, getattr(counts, side)
+    dims = (counts.t_min, counts.t_max)
+    if side == "dual":
+        dims, convention = (n - dims[1], n - dims[0]), _SWAP[convention]
+    if candidates is None:
+        worst_x = int(np.argmax(values[1:])) + 1
+    else:
+        worst_x = max(candidates, key=values.__getitem__, default=0)
+    max_prob = Fraction(int(values[worst_x]) if worst_x else 0, counts.total_weight)
+    t = dims[0] if convention == "min_dim" else dims[1]
+    eps = max_prob * (1 << ((n if base is None else base) - t))
+    return UniversalityReport(eps, convention, *dims, n, worst_x, max_prob)
 
 
 def epsilon_universal(family, convention: str = "min_dim") -> UniversalityReport:
@@ -334,11 +331,7 @@ def epsilon_universal(family, convention: str = "min_dim") -> UniversalityReport
     HashFamily is counted by parameter ranks, without building a member.
     """
     convention = _check_convention(convention)
-    return _plain_report(_counted(family), convention, dual=False)
-
-
-def _swap(convention: str) -> str:
-    return "max_dim" if _check_convention(convention) == "min_dim" else "min_dim"
+    return _report(_count(family), "plain", convention)
 
 
 def epsilon_dual_universal(family, convention: str = "min_dim") -> UniversalityReport:
@@ -347,19 +340,18 @@ def epsilon_dual_universal(family, convention: str = "min_dim") -> UniversalityR
     minimum dimension t corresponds to a dual maximum dimension n-t).
     Counted by one Walsh transform, without building any dual code;
     ``family`` is as for ``epsilon_universal``."""
-    convention = _swap(convention)
-    return _plain_report(_counted(family), convention, dual=True)
+    convention = _check_convention(convention)
+    return _report(_count(family), "dual", convention)
 
 
 def epsilon_reports(
     family, convention: str = "min_dim"
 ) -> tuple[UniversalityReport, UniversalityReport]:
     """``(epsilon_universal(family, convention), epsilon_dual_universal(family,
-    convention))``, with a HashFamily counted once for both."""
-    dual_convention = _swap(convention)
-    family = _counted(family)
-    return (_plain_report(family, convention, dual=False),
-            _plain_report(family, dual_convention, dual=True))
+    convention))``, with the family counted once for both."""
+    convention = _check_convention(convention)
+    counts = _count(family)
+    return _report(counts, "plain", convention), _report(counts, "dual", convention)
 
 
 _DUAL_VARIANT = {"subcode": "extended", "extended": "subcode", "pair": "pair"}
@@ -379,46 +371,37 @@ def epsilon_pair(
     (outer_r^⊥, inner_r^⊥), counted from the primal members without
     building their duals.
     """
-    n = family.n
+    primal = variant.removesuffix("_dual")
+    if primal not in _DUAL_VARIANT:
+        raise ValueError(f"unknown variant: {variant}")
+    convention = _check_convention(convention)
+    side = "plain" if primal == variant else "dual"
     inners = CodeFamily([inner for inner, _ in family.pairs], family.weights)
     outers = family.outers()
-    primal = variant.removesuffix("_dual")
-    is_dual = primal != variant and primal in _DUAL_VARIANT
-    if is_dual:
+    if side == "dual":
         # the dual pairs are (outer^⊥, inner^⊥): inner and outer trade places
-        variant, convention = _DUAL_VARIANT[primal], _swap(convention)
+        variant = _DUAL_VARIANT[primal]
         inners, outers = outers, inners
 
     def fixed(codes: CodeFamily) -> LinearCode:
-        return dual(codes.codes[0]) if is_dual else codes.codes[0]
+        return dual(codes.codes[0]) if side == "dual" else codes.codes[0]
 
-    inner_dims, outer_dims = _dims(inners, is_dual), _dims(outers, is_dual)
     if variant == "subcode":
         if len(outers) > 1:
             raise ValueError("subcode variant needs a fixed outer code")
-        t = _pick_t(inner_dims, convention)
         c1 = fixed(outers)
-        candidates = (x for x in c1.codewords() if x)
-        return _report_from_counts(_membership_counts(inners, is_dual), inners,
-                                   inner_dims, convention, t, candidates, c1.dim)
+        return _report(_count(inners), side, convention,
+                       (x for x in c1.codewords() if x), c1.dim)
     if variant == "extended":
         if len(inners) > 1:
             raise ValueError("extended variant needs a fixed inner code")
-        t = _pick_t(outer_dims, convention)
         c1 = fixed(inners)
-        candidates = (x for x in range(1, 1 << n) if not c1.contains(x))
-        return _report_from_counts(_membership_counts(outers, is_dual), outers,
-                                   outer_dims, convention, t, candidates, n)
-    if variant == "pair":
-        t = _pick_t(outer_dims, convention)
-        # inner ⊆ outer, so Pr[x ∈ outer \ inner] = Pr[x ∈ outer] - Pr[x ∈ inner]
-        counts = [
-            a - b for a, b in zip(_membership_counts(outers, is_dual),
-                                  _membership_counts(inners, is_dual))
-        ]
-        return _report_from_counts(counts, outers, outer_dims, convention, t,
-                                   range(1, 1 << n), n)
-    raise ValueError(f"unknown variant: {variant}")
+        return _report(_count(outers), side, convention,
+                       (x for x in range(1, 1 << family.n) if not c1.contains(x)))
+    # inner ⊆ outer, so Pr[x ∈ outer \ inner] = Pr[x ∈ outer] - Pr[x ∈ inner]
+    outer, inner = _count(outers), _count(inners)
+    return _report(replace(outer, plain=outer.plain - inner.plain,
+                           dual=outer.dual - inner.dual), side, convention)
 
 
 def duality_bound(epsilon, t: int, n: int, m: int | None = None, variant: str = "plain") -> Fraction:

@@ -152,6 +152,55 @@ def test_simulate_family_average_needs_rate(capsys):
     assert "family-average needs -R" in capsys.readouterr().err
 
 
+# (target, the options it needs, other options that make the call run);
+# {dir} holds c1.txt (F_2^4), c2.txt (repetition code) and ch.txt
+REQUIRED_OPTIONS = [
+    ("analyze --kind modified-toeplitz", {"-m": "2"}, {"-n": "4"}),
+    ("analyze --kind random-linear", {"-m": "2"}, {"-n": "4"}),
+    ("analyze --kind tight", {"-t": "2", "--epsilon": "3/2"}, {"-n": "5"}),
+    ("analyze --kind toeplitz", {"-m": "2"}, {"-n": "4"}),
+    ("bounds reliability", {"-R": "0.5", "-p": "0.1"}, {}),
+    ("bounds gallager", {"-n": "100", "-R": "0.5", "-p": "0.05"}, {}),
+    ("bounds qkd", {"-n": "1000", "--approach": "phase_iid"},
+     {"-S": "0.4", "--p-ph": "0.05"}),
+    ("bounds ratio", {"-n": "100"}, {}),
+    ("simulate --what error-prob", {"--code": "{dir}/c1.txt", "-p": "1/10"}, {}),
+    ("simulate --what family-average",
+     {"-n": "6", "-m": "3", "-p": "1/20", "-R": "0.5", "--seed": "1"},
+     {"--samples": "3"}),
+    ("simulate --what wiretap",
+     {"--channel": "{dir}/ch.txt", "--c1": "{dir}/c1.txt", "--c2": "{dir}/c2.txt"}, {}),
+    ("simulate --what counterexample", {"-n": "5", "-p": "1/10"}, {}),
+    ("simulate --what distill",
+     {"--c1": "{dir}/c1.txt", "--c2": "{dir}/c2.txt", "--key-a": "1010",
+      "--key-b": "1010", "--seed": "3"}, {}),
+    ("sweep reliability", {"--r-grid": "0.1,0.2", "-p": "0.1"}, {}),
+    ("sweep qkd", {"--n-grid": "1000,2000"}, {"-S": "0.4", "--p-ph": "0.05"}),
+    ("sweep ratio", {"--n-grid": "100,1000"}, {}),
+]
+
+
+@pytest.mark.parametrize("target, required, extra", REQUIRED_OPTIONS,
+                         ids=[case[0].replace("--what ", "").replace("--kind ", "")
+                              for case in REQUIRED_OPTIONS])
+def test_missing_required_option_is_usage_error(tmp_path, capsys, target, required, extra):
+    (tmp_path / "c1.txt").write_text(format_code(LinearCode.full(4)))
+    (tmp_path / "c2.txt").write_text(format_code(LinearCode.repetition(4)))
+    (tmp_path / "ch.txt").write_text("0.9 0.05 0.03 0.02\n" * 4)
+
+    def argv(options):
+        return target.split() + [word.format(dir=tmp_path)
+                                 for item in options.items() for word in item]
+
+    code, _, err = run(capsys, *argv({**required, **extra}))
+    assert code == 0, err
+    for flag in required:
+        with pytest.raises(SystemExit) as exc:
+            main(argv({k: v for k, v in {**required, **extra}.items() if k != flag}))
+        assert exc.value.code == 2
+        assert f"needs {flag}" in capsys.readouterr().err
+
+
 def test_simulate_exact_and_mc_are_exclusive(capsys):
     argv = ["simulate", "--what", "family-average", "-n", "8", "-m", "4",
             "-p", "1/20", "-R", "0.5", "--samples", "5", "--seed", "9"]

@@ -249,6 +249,12 @@ def test_parse_format_roundtrip():
     assert parse_code(format_code(c)) == c
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_parse_empty_code_file(text):
+    with pytest.raises(ValueError, match="malformed code file"):
+        parse_code(text)
+
+
 def test_bits_string_roundtrip():
     assert bits_from_string("10110") == 0b10110
     assert bits_to_string(0b10110, 5) == "10110"

@@ -166,6 +166,91 @@ ANALYZE_COUNTEREXAMPLE = (
 )
 
 
+ANALYZE_TOEPLITZ_10_3 = (
+    "{\n"
+    '  "convention": "min_dim",\n'
+    '  "dual_epsilon": "7/8",\n'
+    '  "dual_report": {\n'
+    '    "convention": "max_dim",\n'
+    '    "epsilon_den": 8,\n'
+    '    "epsilon_num": 7,\n'
+    '    "t_max": 3,\n'
+    '    "t_min": 0,\n'
+    '    "worst_x": "0000000100"\n'
+    "  },\n"
+    '  "epsilon": "1",\n'
+    '  "kind": "toeplitz",\n'
+    '  "members": 4096,\n'
+    '  "n": 10,\n'
+    '  "report": {\n'
+    '    "convention": "min_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 10,\n'
+    '    "t_min": 7,\n'
+    '    "worst_x": "0000000001"\n'
+    "  },\n"
+    '  "seed": null\n'
+    "}\n"
+)
+
+ANALYZE_RANDOM_LINEAR_6_2_MAX = (
+    "{\n"
+    '  "convention": "max_dim",\n'
+    '  "dual_epsilon": "189/64",\n'
+    '  "dual_report": {\n'
+    '    "convention": "min_dim",\n'
+    '    "epsilon_den": 64,\n'
+    '    "epsilon_num": 189,\n'
+    '    "t_max": 2,\n'
+    '    "t_min": 0,\n'
+    '    "worst_x": "000001"\n'
+    "  },\n"
+    '  "epsilon": "1/4",\n'
+    '  "kind": "random-linear",\n'
+    '  "members": 4096,\n'
+    '  "n": 6,\n'
+    '  "report": {\n'
+    '    "convention": "max_dim",\n'
+    '    "epsilon_den": 4,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 6,\n'
+    '    "t_min": 4,\n'
+    '    "worst_x": "000001"\n'
+    "  },\n"
+    '  "seed": null\n'
+    "}\n"
+)
+
+ANALYZE_TIGHT_X5 = (
+    "{\n"
+    '  "convention": "min_dim",\n'
+    '  "dual_epsilon": "93/16",\n'
+    '  "dual_report": {\n'
+    '    "convention": "max_dim",\n'
+    '    "epsilon_den": 16,\n'
+    '    "epsilon_num": 93,\n'
+    '    "t_max": 4,\n'
+    '    "t_min": 4,\n'
+    '    "worst_x": "0000101"\n'
+    "  },\n"
+    '  "epsilon": "3/2",\n'
+    '  "kind": "tight",\n'
+    '  "members": 43059,\n'
+    '  "n": 7,\n'
+    '  "report": {\n'
+    '    "convention": "min_dim",\n'
+    '    "epsilon_den": 2,\n'
+    '    "epsilon_num": 3,\n'
+    '    "t_max": 3,\n'
+    '    "t_min": 3,\n'
+    '    "worst_x": "0000010"\n'
+    "  },\n"
+    '  "seed": null\n'
+    "}\n"
+)
+
+
 @pytest.mark.parametrize("argv, expected", [
     ("sweep qkd --n-grid 10000,100000,1000000 --approach phase_sum -S 0.4 "
      "--p-ph 0.05 -l 100", SWEEP_QKD),
@@ -175,8 +260,13 @@ ANALYZE_COUNTEREXAMPLE = (
      ANALYZE_MODIFIED_TOEPLITZ_12_3_MAX),
     ("analyze --kind tight -n 7 -t 3 --epsilon 3/2 -x 77", ANALYZE_TIGHT),
     ("analyze --kind counterexample -n 8", ANALYZE_COUNTEREXAMPLE),
+    ("analyze --kind toeplitz -n 10 -m 3", ANALYZE_TOEPLITZ_10_3),
+    ("analyze --kind random-linear -n 6 -m 2 --convention max_dim",
+     ANALYZE_RANDOM_LINEAR_6_2_MAX),
+    ("analyze --kind tight -n 7 -t 3 --epsilon 3/2 -x 5", ANALYZE_TIGHT_X5),
 ], ids=["sweep_qkd", "analyze_modified_toeplitz", "analyze_modified_toeplitz_14_5",
-        "analyze_modified_toeplitz_12_3_max_dim", "analyze_tight", "analyze_counterexample"])
+        "analyze_modified_toeplitz_12_3_max_dim", "analyze_tight", "analyze_counterexample",
+        "analyze_toeplitz_10_3", "analyze_random_linear_6_2_max_dim", "analyze_tight_x5"])
 def test_cli_output_bytes(capsys, argv, expected):
     assert main(argv.split()) == 0
     captured = capsys.readouterr()

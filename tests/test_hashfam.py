@@ -139,6 +139,12 @@ def test_parse_format_roundtrip():
     assert parse_hash(format_hash(h)).matrix == h.matrix
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_parse_empty_hash_file(text):
+    with pytest.raises(ValueError, match="malformed hash file"):
+        parse_hash(text)
+
+
 def test_bad_shapes_rejected():
     with pytest.raises(ValueError):
         HashFunction(3, 2, BinaryMatrix.from_strings(["101"]))

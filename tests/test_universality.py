@@ -20,7 +20,7 @@ from dualhash.universality import (
     CodeFamily,
     CodePairFamily,
     SearchBudgetError,
-    _membership_counts,
+    _count,
     counterexample_family,
     duality_bound,
     epsilon_dual_universal,
@@ -187,7 +187,7 @@ def weighted_families(draw, min_weight=1, max_weight=5):
 @given(st.one_of(weighted_families(), weighted_families(1 << 63, 1 << 70)))
 @settings(max_examples=80, deadline=None)
 def test_membership_counts_match_codeword_walk(fam):
-    counts = _membership_counts(fam)
+    counts = _count(fam).plain.tolist()
     assert counts == oracle_membership_counts(fam)
     assert all(type(c) is int for c in counts)
 
@@ -196,10 +196,10 @@ def test_membership_counts_blocks_and_big_weights():
     rng = random.Random(4)
     codes = [random_code(12, t, rng) for t in (0, 5, 9, 12) for _ in range(40)]
     fam = CodeFamily(codes, [rng.randrange(1, 4) for _ in codes])
-    assert _membership_counts(fam) == oracle_membership_counts(fam)
+    assert _count(fam).plain.tolist() == oracle_membership_counts(fam)
     big = CodeFamily(codes[:3], [1 << 62, 1 << 62, 3])
     assert big.total_weight >= 1 << 63
-    assert _membership_counts(big) == oracle_membership_counts(big)
+    assert _count(big).plain.tolist() == oracle_membership_counts(big)
 
 
 def explicit_dual_pairs(pairs):
@@ -277,6 +277,21 @@ def test_codeword_blocks_respect_row_budget():
     assert seen == dict(zip(fam.codes, fam.weights))
 
 
+def test_reports_walk_the_codewords_once(monkeypatch):
+    fam = tight_family(5, 2, Fraction(3, 2), 3)
+    expected = (epsilon_universal(fam), epsilon_dual_universal(fam))
+    walks = []
+
+    def walk(family, row_words=1):
+        walks.append(family)
+        return blocks(family, row_words)
+
+    blocks = universality._codeword_blocks
+    monkeypatch.setattr(universality, "_codeword_blocks", walk)
+    assert epsilon_reports(fam) == expected
+    assert walks == [fam]
+
+
 @pytest.mark.parametrize("call", [
     lambda fam, pairs: epsilon_universal(fam, "bogus"),
     lambda fam, pairs: epsilon_dual_universal(fam, "bogus"),
@@ -301,7 +316,7 @@ def test_unknown_convention_raises(call, monkeypatch):
         raise AssertionError("membership counted before the convention was checked")
 
     # the convention is rejected before any membership count
-    monkeypatch.setattr(universality, "_membership_counts", counted)
+    monkeypatch.setattr(universality, "_count", counted)
     with pytest.raises(ValueError, match="unknown convention"):
         call(fam, pairs)
 
@@ -339,12 +354,12 @@ def test_modified_toeplitz_rank_counts_match_enumeration(n):
     for m in range(1, n):
         hf = HashFamily(HashFamilySpec("modified_toeplitz", n, m))
         fam = CodeFamily.from_hash_family(hf)
-        counted = universality._counted(hf)
+        counted, enumerated = _count(hf), _count(fam)
         assert (counted.t_min, counted.t_max) == (fam.t_min, fam.t_max)
         assert counted.total_weight == fam.total_weight == hf.members
-        for dual_counts in (False, True):
-            assert (_membership_counts(counted, dual_counts)
-                    == _membership_counts(fam, dual_counts))
+        for side in ("plain", "dual"):
+            assert (getattr(counted, side).tolist()
+                    == getattr(enumerated, side).tolist())
         for convention in ("min_dim", "max_dim"):
             want = (epsilon_universal(fam, convention), epsilon_dual_universal(fam, convention))
             got = (epsilon_universal(hf, convention), epsilon_dual_universal(hf, convention))
