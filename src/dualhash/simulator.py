@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 ERROR_ENUM_CAP = 16
+SAMPLE_PATTERN_CAP = 1 << 24  # sampled members times 2^n patterns each
 WIRETAP_EXACT_CAP = 10
 BISECT_STEPS = 64
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -184,7 +185,9 @@ def family_average_error(
 
     family: a CodeFamily (full weighted average) or a HashFamily, in which
     case sample_count and seed select exact-per-member evaluation over a
-    seeded sample, reported with a 99% confidence interval.  With `base`
+    seeded sample, reported with a 99% confidence interval; each member
+    walks 2^n patterns, so sample_count * 2^n is capped at
+    SAMPLE_PATTERN_CAP before any member is sampled.  With `base`
     given, each member is an outer code C1 containing it, and the message
     is the coset C1/base.  R and epsilon name the family's nominal rate and
     universality parameter for the attached bounds.  `mode` is "exact" or,
@@ -211,9 +214,16 @@ def family_average_error(
             raise ValueError("hash families need sample_count and seed")
         if sample_count < 1:
             raise ValueError(f"sample_count must be >= 1; got {sample_count}")
+        if mc_trials < 1:
+            raise ValueError(f"mc_trials must be >= 1; got {mc_trials}")
         n = family.n
         if n > ERROR_ENUM_CAP:
             raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
+        if sample_count << n > SAMPLE_PATTERN_CAP:
+            raise ValueError(
+                f"sample_count * 2^n = {sample_count << n} exceeds sample cap "
+                f"{SAMPLE_PATTERN_CAP}"
+            )
         from .hashfam import kernel_code
 
         members = family.sample(sample_count, seed)
@@ -250,18 +260,32 @@ def family_average_error(
 
 def _mc_error_prob(c1: LinearCode, p: float, trials: int, rng: random.Random,
                    base: LinearCode | None) -> float:
+    """Share of `trials` seeded BSC(p) transmissions of 0 that decode outside
+    `base` (outside {0} without one).
+
+    Trial t, bit i flips iff the (t n + i)-th rng.random() is below p.  All
+    2 trials n Mersenne Twister words come from one rng.getrandbits call,
+    little-endian word first, and each double is rebuilt as random() builds
+    it from consecutive words a, b: ((a >> 5) 2^26 + (b >> 6)) / 2^53.  So
+    the draws, the count and rng's final state equal those of a loop of
+    random() calls.  Every trial then decodes in one gather through the
+    coset-leader table by syndrome label.
+    """
     c2 = base if base is not None else LinearCode.zero(c1.n)
+    if not c1.contains_code(c2):
+        raise ValueError("C2 is not a subcode of C1")
+    n = c1.n
     h, leaders = _syndrome_table(c1)
-    wrong = 0
-    for _ in range(trials):
-        e = 0
-        for i in range(c1.n):
-            if rng.random() < p:
-                e |= 1 << i
-        decoded = e ^ leaders[h.mul_vector(e)]
-        if not c2.contains(decoded):
-            wrong += 1
-    return wrong / trials
+    words = 2 * trials * n
+    raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+    a, b = np.frombuffer(raw, dtype="<u4").astype(np.uint64).reshape(-1, 2).T
+    draws = ((a >> 5) * (1 << 26) + (b >> 6)) * 2.0**-53
+    flips = (draws < p).reshape(trials, n)
+    e = flips @ (1 << np.arange(n, dtype=np.int64))
+    decoded = e ^ np.array(leaders, dtype=np.int64)[syndromes(h.rows, n)[e]]
+    inside = np.zeros(1 << n, dtype=bool)
+    inside[np.fromiter(c2.codewords(), dtype=np.int64, count=len(c2))] = True
+    return int(np.count_nonzero(~inside[decoded])) / trials
 
 
 def distill_keys(

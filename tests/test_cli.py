@@ -224,6 +224,20 @@ def test_simulate_family_average_rejects_empty_sample(capsys, samples):
     assert "sample_count must be >= 1" in err
 
 
+def test_simulate_family_average_refuses_oversized_sample(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("members sampled")
+
+    monkeypatch.setattr(HashFamily, "sample", refuse)
+    for flag in ("--exact", "--mc"):
+        code, _, err = run(
+            capsys, "simulate", "--what", "family-average", "-n", "12", "-m", "8",
+            "-p", "1/20", "-R", "0.5", "--samples", "5000", "--seed", "1", flag,
+        )
+        assert code == 2
+        assert "exceeds sample cap" in err
+
+
 def test_simulate_mc_needs_seed(capsys):
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--what", "counterexample", "-n", "5", "-p", "1/10", "--mc"])

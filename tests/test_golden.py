@@ -251,6 +251,22 @@ ANALYZE_TIGHT_X5 = (
 )
 
 
+SIMULATE_FAMILY_AVERAGE_MC = (
+    "{\n"
+    '  "bound_family_average": 0.295491312645,\n'
+    '  "bound_weighted_sum": 0.146894548729,\n'
+    '  "ci_upper": 0.0401724871622,\n'
+    '  "exact_value": "0.033635",\n'
+    '  "n": 12,\n'
+    '  "param_R": 0.333,\n'
+    '  "param_epsilon": 1.0,\n'
+    '  "param_mode": "monte_carlo",\n'
+    '  "param_p": "1/20",\n'
+    '  "seed": 7\n'
+    "}\n"
+)
+
+
 @pytest.mark.parametrize("argv, expected", [
     ("sweep qkd --n-grid 10000,100000,1000000 --approach phase_sum -S 0.4 "
      "--p-ph 0.05 -l 100", SWEEP_QKD),
@@ -264,9 +280,12 @@ ANALYZE_TIGHT_X5 = (
     ("analyze --kind random-linear -n 6 -m 2 --convention max_dim",
      ANALYZE_RANDOM_LINEAR_6_2_MAX),
     ("analyze --kind tight -n 7 -t 3 --epsilon 3/2 -x 5", ANALYZE_TIGHT_X5),
+    ("simulate --what family-average -n 12 -m 8 -p 1/20 -R 0.333 --samples 100 "
+     "--seed 7 --mc", SIMULATE_FAMILY_AVERAGE_MC),
 ], ids=["sweep_qkd", "analyze_modified_toeplitz", "analyze_modified_toeplitz_14_5",
         "analyze_modified_toeplitz_12_3_max_dim", "analyze_tight", "analyze_counterexample",
-        "analyze_toeplitz_10_3", "analyze_random_linear_6_2_max_dim", "analyze_tight_x5"])
+        "analyze_toeplitz_10_3", "analyze_random_linear_6_2_max_dim", "analyze_tight_x5",
+        "simulate_family_average_mc"])
 def test_cli_output_bytes(capsys, argv, expected):
     assert main(argv.split()) == 0
     captured = capsys.readouterr()

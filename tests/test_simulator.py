@@ -15,6 +15,7 @@ from dualhash.gf2 import BinaryMatrix, BitVector, LinearCode, complement_basis, 
 from dualhash.hashfam import HashFamily, HashFamilySpec, kernel_code
 from dualhash.simulator import (
     ERROR_ENUM_CAP,
+    SAMPLE_PATTERN_CAP,
     Z_99,
     _coset_reps,
     _mc_error_prob,
@@ -51,6 +52,24 @@ def oracle_leaders(c):
             nxt = e + low
             e = ((nxt ^ e) >> 2) // low | nxt
     return [leaders[s] for s in range(size)]
+
+
+def oracle_mc_error_prob(c1, p, trials, rng, base):
+    """Reference Monte Carlo estimate: one rng.random() per bit, bit i of
+    the error word set by the i-th draw of its trial, each trial decoded by
+    the coset-leader table and tested for membership of C2."""
+    c2 = base if base is not None else LinearCode.zero(c1.n)
+    h, leaders = _syndrome_table(c1)
+    wrong = 0
+    for _ in range(trials):
+        e = 0
+        for i in range(c1.n):
+            if rng.random() < p:
+                e |= 1 << i
+        decoded = e ^ leaders[h.mul_vector(e)]
+        if not c2.contains(decoded):
+            wrong += 1
+    return wrong / trials
 
 
 def span(basis):
@@ -237,6 +256,18 @@ def test_monte_carlo_error_prob_matches_exact():
     est = _mc_error_prob(code, 0.05, trials, random.Random(0), None)
     half_width = Z_99 * math.sqrt(est * (1 - est) / trials)
     assert abs(est - exact) <= half_width
+
+
+@pytest.mark.parametrize("n, m", [(6, 3), (10, 4), (12, 8), (16, 9)])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3])
+@pytest.mark.parametrize("with_base", [False, True])
+def test_monte_carlo_equals_per_trial_loop(n, m, p, with_base):
+    code = kernel_code(HashFamily(HashFamilySpec("random_linear", n, m)).sample(1, n)[0])
+    base = LinearCode(n, code.basis[:1]) if with_base else None
+    rng, ref_rng = random.Random(n * m), random.Random(n * m)
+    got = _mc_error_prob(code, p, 300, rng, base)
+    assert got == oracle_mc_error_prob(code, p, 300, ref_rng, base)
+    assert rng.getstate() == ref_rng.getstate()
 
 
 def test_family_average_requires_seed():
@@ -628,6 +659,37 @@ def test_family_average_rejects_empty_sample_before_sampling(monkeypatch, sample
         with pytest.raises(ValueError, match="sample_count must be >= 1"):
             family_average_error(hf, Fraction(1, 10), R=0.5, mode=mode,
                                  sample_count=samples, seed=1)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_family_average_rejects_no_trials_before_sampling(monkeypatch, trials):
+    _refuse_sampling(monkeypatch)
+    hf = HashFamily(HashFamilySpec("random_linear", 6, 3))
+    with pytest.raises(ValueError, match="mc_trials must be >= 1"):
+        family_average_error(hf, Fraction(1, 10), 0.5, mode="monte_carlo",
+                             sample_count=2, seed=1, mc_trials=trials)
+
+
+@pytest.mark.parametrize("n, samples", [
+    (12, (SAMPLE_PATTERN_CAP >> 12) + 1),
+    (16, (SAMPLE_PATTERN_CAP >> 16) + 1),
+    (6, 10**9),
+])
+def test_family_average_refuses_oversized_sample_before_sampling(monkeypatch, n, samples):
+    _refuse_sampling(monkeypatch)
+    hf = HashFamily(HashFamilySpec("random_linear", n, 4))
+    for mode in ("exact", "monte_carlo"):
+        with pytest.raises(ValueError, match="exceeds sample cap"):
+            family_average_error(hf, Fraction(1, 10), R=0.5, mode=mode,
+                                 sample_count=samples, seed=1)
+
+
+def test_family_average_rejects_base_outside_member_in_both_modes():
+    hf = HashFamily(HashFamilySpec("random_linear", 6, 3))
+    for mode in ("exact", "monte_carlo"):
+        with pytest.raises(ValueError, match="C2 is not a subcode of C1"):
+            family_average_error(hf, Fraction(1, 10), R=0.5, mode=mode,
+                                 base=LinearCode.repetition(6), sample_count=3, seed=1)
 
 
 def test_family_average_refuses_length_beyond_cap_before_sampling(monkeypatch):
