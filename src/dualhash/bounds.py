@@ -42,7 +42,7 @@ class BoundReport:
     aux: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.value < 0:
+        if not self.value >= 0:
             raise ValueError("bound value must be nonnegative")
         if self.dominated_quantity is not None:
             if self.dominated_quantity > self.value + 1e-9:
@@ -204,7 +204,7 @@ def weighted_decoding_bound(
     which needs the crossover probability p.
     Valid only for ε >= 1: the derivation clips per-weight terms at 1.
     """
-    if epsilon < 1:
+    if not epsilon >= 1:
         raise ValueError("the clipped-exponent derivation needs epsilon >= 1")
     if not 0 <= R <= 1:
         raise ValueError("R must be in [0, 1]")
@@ -245,7 +245,7 @@ def gallager_family_bound(n: int, R: float, p: float, epsilon: float) -> BoundRe
     """
     if not 0 <= R <= 1 or not 0 <= p <= 1:
         raise ValueError("need R in [0,1] and p in [0,1]")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     log_eps = math.log2(epsilon)
 
@@ -368,6 +368,8 @@ def qkd_bounds(
     """
     if S is None or not 0 <= S <= 1:
         raise ValueError("S must be given in [0, 1]")
+    if p_ph is not None and not 0 <= p_ph <= 1:
+        raise ValueError("p_ph must be in [0, 1]")
     inputs = {"n": n, "S": S, "epsilon": epsilon}
     if l is not None:
         inputs["l"] = l
@@ -432,6 +434,6 @@ def qkd_bounds(
 
 def approach_ratio(n: int, epsilon: float) -> float:
     """Ratio of the phase-error trace bound to the δ-biased one."""
-    if n < 1 or epsilon < 1:
+    if n < 1 or not epsilon >= 1:
         raise ValueError("need n >= 1 and epsilon >= 1")
     return 2**1.5 * math.sqrt(epsilon) / (4 + math.sqrt(n + 1) * math.sqrt(epsilon))

@@ -253,7 +253,7 @@ class LinearCode:
         return x == 0
 
     def contains_code(self, other: "LinearCode") -> bool:
-        return all(self.contains(r) for r in other.basis)
+        return other.n == self.n and all(self.contains(r) for r in other.basis)
 
     def codewords(self):
         """Iterate all codewords (Gray-code order); capped at dim 24."""

@@ -1,11 +1,12 @@
 """Exact desk-scale channel simulation: decoding, family averages, key
 distillation, and wiretap security evaluation.
 
-Every decoding path uses one coset-leader table keyed by dual-code
-syndromes, built in one vectorised pass over all 2^n error patterns; the
-cap n <= 16 bounds that work at 2^16 patterns.  Exact wiretap leakage comes
-from the joint (phase, bit) error histogram over syndrome labels, capped at
-n <= 10 (4^n error pairs).  Error probabilities are exact rationals; Monte
+Every decoding path uses one coset-leader table keyed by syndromes Hx,
+labels and leaders computed once per code in one vectorised pass over all
+2^n error patterns, H a code's dual basis or a hash member's own matrix
+(whose kernel is the member's code); the cap n <= 16 bounds that work.
+Exact wiretap leakage comes from the joint (phase, bit) error histogram
+over syndrome labels, capped at n <= 10 (4^n error pairs).  Error probabilities are exact rationals; Monte
 Carlo estimates always carry two-sided 99% confidence intervals and bound
 checks use the upper limit.
 """
@@ -28,7 +29,6 @@ from .bounds import (
     weighted_decoding_bound,
 )
 from .gf2 import (
-    BinaryMatrix,
     BitVector,
     LinearCode,
     WeightDistribution,
@@ -54,6 +54,7 @@ __all__ = [
 
 ERROR_ENUM_CAP = 16
 SAMPLE_PATTERN_CAP = 1 << 24  # sampled members times 2^n patterns each
+MC_TRIALS = 2000  # Monte Carlo transmissions per sampled member
 WIRETAP_EXACT_CAP = 10
 BISECT_STEPS = 64
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -105,22 +106,24 @@ def _pattern_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return weight, key
 
 
-def _syndrome_table(c: LinearCode) -> tuple[BinaryMatrix, list[int]]:
-    """Parity-check matrix H (rows span C^perp) and the coset leaders of C.
+def _syndrome_table(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Syndrome label of every n-bit word, and the coset leaders they key.
 
-    leaders[Hx] is the minimum-(weight, value) element of x + C.  The table
-    comes from one vectorised pass over all 2^n patterns: the syndrome of
-    every pattern is an XOR of column syndromes, and each syndrome keeps its
-    pattern of least (weight, value) key.  n <= 16 bounds that work at 2^16.
+    labels[x] = Hx, H the matrix of ``rows``; leaders[s] is the least
+    (weight, value) word labelled s, or -1 if none is (dependent rows reach
+    2^rank labels).  Rows spanning C^perp, a code's dual basis or a hash
+    member's own matrix rows, key the cosets of C; which rows do so changes
+    no leader.  Both arrays come once from one vectorised pass over all 2^n
+    patterns; n <= 16 bounds that work at 2^16.
     """
-    n = c.n
     if n > ERROR_ENUM_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
-    h = BinaryMatrix(dual(c).basis, n)
+    labels = syndromes(rows, n)
     _, key = _pattern_weights(n)
-    best = np.full(1 << h.nrows, np.iinfo(np.int32).max, dtype=np.int32)
-    np.minimum.at(best, syndromes(h.rows, n), key)
-    return h, (best & ((1 << n) - 1)).tolist()
+    unreached = np.iinfo(np.int32).max
+    best = np.full(1 << len(rows), unreached, dtype=np.int32)
+    np.minimum.at(best, labels, key)
+    return labels, np.where(best < unreached, best & ((1 << n) - 1), -1)
 
 
 def decode(c: LinearCode, y: BitVector) -> BitVector:
@@ -131,8 +134,8 @@ def decode(c: LinearCode, y: BitVector) -> BitVector:
     """
     if y.n != c.n:
         raise ValueError("length mismatch")
-    h, leaders = _syndrome_table(c)
-    return BitVector(c.n, y.value ^ leaders[h.mul_vector(y.value)])
+    labels, leaders = _syndrome_table(dual(c).basis, c.n)
+    return BitVector(c.n, y.value ^ int(leaders[labels[y.value]]))
 
 
 def exact_error_prob(code, p) -> Fraction:
@@ -142,23 +145,26 @@ def exact_error_prob(code, p) -> Fraction:
     C2 ⊆ C1 (coset message decoding: decode in C1, report the coset mod
     C2).  Exact rational in p.
     """
-    if isinstance(code, LinearCode):
-        c1, c2 = code, LinearCode.zero(code.n)
-    else:
-        c1, c2 = code
-        if not c1.contains_code(c2):
-            raise ValueError("C2 is not a subcode of C1")
-    n = c1.n
+    c1, c2 = (code, LinearCode.zero(code.n)) if isinstance(code, LinearCode) else code
+    if not c1.contains_code(c2):
+        raise ValueError("C2 is not a subcode of C1")
     p = Fraction(p)
     if not 0 <= p <= Fraction(1, 2):
         raise ValueError("p must be in [0, 1/2]")
-    _, leaders = _syndrome_table(c1)
-    # A received word decodes correctly iff its error pattern differs from
-    # its coset leader (mod C1) by an element of C2.
+    _, leaders = _syndrome_table(dual(c1).basis, c1.n)
+    return _error_prob(leaders, c2, p)
+
+
+def _error_prob(leaders: np.ndarray, c2: LinearCode, p: Fraction) -> Fraction:
+    """Exact probability that BSC(p) noise decodes outside C2, given the
+    _syndrome_table leaders of a code C1 containing C2: a word decodes
+    correctly iff its error differs from its coset leader by an element of C2.
+    """
+    n = c2.n
     weight, _ = _pattern_weights(n)
     correct = np.bitwise_xor.outer(
-        np.array(leaders, dtype=np.int32),
-        np.fromiter(c2.codewords(), dtype=np.int32, count=len(c2)),
+        leaders[leaders >= 0],
+        np.fromiter(c2.codewords(), dtype=np.int64, count=len(c2)),
     )
     correct_by_weight = np.bincount(weight[correct].ravel(), minlength=n + 1)
     # With p = a/b, P(correct) = sum_w cnt_w a^w (b - a)^(n - w) / b^n.
@@ -179,7 +185,6 @@ def family_average_error(
     base: LinearCode | None = None,
     sample_count: int | None = None,
     seed: int | None = None,
-    mc_trials: int = 2000,
 ) -> SimResult:
     """Average decoding error probability of a code or hash family on a BSC.
 
@@ -187,11 +192,12 @@ def family_average_error(
     case sample_count and seed select exact-per-member evaluation over a
     seeded sample, reported with a 99% confidence interval; each member
     walks 2^n patterns, so sample_count * 2^n is capped at
-    SAMPLE_PATTERN_CAP before any member is sampled.  With `base`
-    given, each member is an outer code C1 containing it, and the message
-    is the coset C1/base.  R and epsilon name the family's nominal rate and
-    universality parameter for the attached bounds.  `mode` is "exact" or,
-    for a HashFamily only, "monte_carlo".
+    SAMPLE_PATTERN_CAP before any member is sampled.  A hash member is
+    decoded through its own matrix M.  With `base` given, each member is
+    an outer code C1 containing it (M b = 0 for every base row b), and the
+    message is the coset C1/base.  R and epsilon name the family's nominal
+    rate and universality parameter for the attached bounds.  `mode` is
+    "exact" or, for a HashFamily only, "monte_carlo" (MC_TRIALS trials).
     """
     if mode not in ("exact", "monte_carlo"):
         raise ValueError(f"unknown mode: {mode}")
@@ -200,23 +206,18 @@ def family_average_error(
     pf = Fraction(p)
     if not 0 <= pf <= Fraction(1, 2):
         raise ValueError("p must be in [0, 1/2]")
+    if not 0 <= R <= 1:
+        raise ValueError("R must be in [0, 1]")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    n = family.n
     if isinstance(family, CodeFamily):
-        n = family.n
-        values = []
-        weights = family.weights
-        for code in family.codes:
-            target = (code, base) if base is not None else code
-            values.append(exact_error_prob(target, pf))
-        mean = sum(w * v for w, v in zip(weights, values)) / family.total_weight
-        ci = None
+        members = [(dual(c).basis, w) for c, w in zip(family.codes, family.weights)]
     else:
         if sample_count is None or seed is None:
             raise ValueError("hash families need sample_count and seed")
         if sample_count < 1:
             raise ValueError(f"sample_count must be >= 1; got {sample_count}")
-        if mc_trials < 1:
-            raise ValueError(f"mc_trials must be >= 1; got {mc_trials}")
-        n = family.n
         if n > ERROR_ENUM_CAP:
             raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
         if sample_count << n > SAMPLE_PATTERN_CAP:
@@ -224,22 +225,21 @@ def family_average_error(
                 f"sample_count * 2^n = {sample_count << n} exceeds sample cap "
                 f"{SAMPLE_PATTERN_CAP}"
             )
-        from .hashfam import kernel_code
-
-        members = family.sample(sample_count, seed)
+        members = [(h.matrix.rows, 1) for h in family.sample(sample_count, seed)]
+    c2 = base if base is not None else LinearCode.zero(n)
+    values = []
+    for i, (rows, _) in enumerate(members):
+        labels, leaders = _syndrome_table(rows, n)
+        if c2.n != n or labels[list(c2.basis)].any():
+            raise ValueError("C2 is not a subcode of C1")
         if mode == "exact":
-            values = []
-            for h in members:
-                code = kernel_code(h)
-                target = (code, base) if base is not None else code
-                values.append(exact_error_prob(target, pf))
+            values.append(_error_prob(leaders, c2, pf))
         else:
-            values = [
-                _mc_error_prob(kernel_code(h), float(pf), mc_trials,
-                               random.Random(seed + i), base)
-                for i, h in enumerate(members)
-            ]
-        mean = sum(values) / len(values)
+            values.append(_mc_error_prob(labels, leaders, c2, float(pf), MC_TRIALS,
+                                         random.Random(seed + i)))
+    mean = sum(w * v for (_, w), v in zip(members, values)) / sum(w for _, w in members)
+    ci = None
+    if not isinstance(family, CodeFamily):
         fl = [float(v) for v in values]
         mu = sum(fl) / len(fl)
         var = sum((v - mu) ** 2 for v in fl) / max(len(fl) - 1, 1)
@@ -258,10 +258,10 @@ def family_average_error(
     )
 
 
-def _mc_error_prob(c1: LinearCode, p: float, trials: int, rng: random.Random,
-                   base: LinearCode | None) -> float:
+def _mc_error_prob(labels: np.ndarray, leaders: np.ndarray, c2: LinearCode,
+                   p: float, trials: int, rng: random.Random) -> float:
     """Share of `trials` seeded BSC(p) transmissions of 0 that decode outside
-    `base` (outside {0} without one).
+    C2, through the _syndrome_table labels and leaders of a code C1 ⊇ C2.
 
     Trial t, bit i flips iff the (t n + i)-th rng.random() is below p.  All
     2 trials n Mersenne Twister words come from one rng.getrandbits call,
@@ -269,20 +269,16 @@ def _mc_error_prob(c1: LinearCode, p: float, trials: int, rng: random.Random,
     it from consecutive words a, b: ((a >> 5) 2^26 + (b >> 6)) / 2^53.  So
     the draws, the count and rng's final state equal those of a loop of
     random() calls.  Every trial then decodes in one gather through the
-    coset-leader table by syndrome label.
+    coset leaders by syndrome label.
     """
-    c2 = base if base is not None else LinearCode.zero(c1.n)
-    if not c1.contains_code(c2):
-        raise ValueError("C2 is not a subcode of C1")
-    n = c1.n
-    h, leaders = _syndrome_table(c1)
+    n = c2.n
     words = 2 * trials * n
     raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
     a, b = np.frombuffer(raw, dtype="<u4").astype(np.uint64).reshape(-1, 2).T
     draws = ((a >> 5) * (1 << 26) + (b >> 6)) * 2.0**-53
     flips = (draws < p).reshape(trials, n)
     e = flips @ (1 << np.arange(n, dtype=np.int64))
-    decoded = e ^ np.array(leaders, dtype=np.int64)[syndromes(h.rows, n)[e]]
+    decoded = e ^ leaders[labels[e]]
     inside = np.zeros(1 << n, dtype=bool)
     inside[np.fromiter(c2.codewords(), dtype=np.int64, count=len(c2))] = True
     return int(np.count_nonzero(~inside[decoded])) / trials

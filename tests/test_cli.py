@@ -306,6 +306,38 @@ def test_simulate_error_prob_from_file(tmp_path, capsys):
     assert json.loads(out)["error_prob"] == "7/250"
 
 
+def test_simulate_error_prob_refuses_base_of_other_length(tmp_path, capsys):
+    # a length-3 base under a length-4 code printed 343/1000
+    code_path, base_path = tmp_path / "full4.txt", tmp_path / "rep3.txt"
+    code_path.write_text(format_code(LinearCode.full(4)))
+    base_path.write_text(format_code(LinearCode.repetition(3)))
+    code, out, err = run(
+        capsys, "simulate", "--what", "error-prob", "--code", str(code_path),
+        "--base", str(base_path), "-p", "1/10",
+    )
+    assert code == 2
+    assert out == ""
+    assert "C2 is not a subcode of C1" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("bounds gallager -n 12 -R 0.5 -p 0.05 --epsilon nan", "epsilon must be positive"),
+    ("bounds qkd --approach phase_sum -n 100 -S 0.5 --p-ph nan", "p_ph must be in [0, 1]"),
+    ("bounds qkd --approach phase_sum -n 100 -S 0.5 --p-ph 0.05 --epsilon nan",
+     "bound value must be nonnegative"),
+    ("bounds qkd --approach phase_sum -n 100 -S 0.5 --p-ph 1.5", "p_ph must be in [0, 1]"),
+    ("bounds ratio -n 10 --epsilon nan", "epsilon >= 1"),
+    ("simulate --what family-average -n 8 -m 4 -p 1/20 -R 0.5 --seed 1 --epsilon nan",
+     "epsilon must be positive"),
+])
+def test_nan_or_out_of_range_bound_inputs_are_errors(capsys, argv, message):
+    # each printed a "nan" value, or failed with "math domain error", before
+    code, out, err = run(capsys, *shlex.split(argv))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_simulate_wiretap(tmp_path, capsys):
     chan = tmp_path / "chan.txt"
     chan.write_text("0.9 0 0.1 0\n" * 3)

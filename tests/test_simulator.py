@@ -18,6 +18,7 @@ from dualhash.simulator import (
     SAMPLE_PATTERN_CAP,
     Z_99,
     _coset_reps,
+    _error_prob,
     _mc_error_prob,
     _syndrome_table,
     counterexample_leakage,
@@ -54,19 +55,20 @@ def oracle_leaders(c):
     return [leaders[s] for s in range(size)]
 
 
-def oracle_mc_error_prob(c1, p, trials, rng, base):
-    """Reference Monte Carlo estimate: one rng.random() per bit, bit i of
-    the error word set by the i-th draw of its trial, each trial decoded by
-    the coset-leader table and tested for membership of C2."""
-    c2 = base if base is not None else LinearCode.zero(c1.n)
-    h, leaders = _syndrome_table(c1)
+def oracle_mc_error_prob(rows, n, p, trials, rng, c2):
+    """Reference Monte Carlo estimate for the code whose parity rows are
+    `rows`: one rng.random() per bit, bit i of the error word set by the
+    i-th draw of its trial, each trial decoded by the coset-leader table at
+    the syndrome Hx and tested for membership of C2."""
+    h = BinaryMatrix(tuple(rows), n)
+    _, leaders = _syndrome_table(rows, n)
     wrong = 0
     for _ in range(trials):
         e = 0
-        for i in range(c1.n):
+        for i in range(n):
             if rng.random() < p:
                 e |= 1 << i
-        decoded = e ^ leaders[h.mul_vector(e)]
+        decoded = e ^ int(leaders[h.mul_vector(e)])
         if not c2.contains(decoded):
             wrong += 1
     return wrong / trials
@@ -128,21 +130,28 @@ def test_syndrome_table_matches_weight_ordered_walk(seed):
     rng = random.Random(seed)
     n = rng.randrange(1, 13)
     c = random_code(n, rng.randrange(0, n + 1), rng)
-    assert _syndrome_table(c)[1] == oracle_leaders(c)
+    assert _syndrome_table(dual(c).basis, n)[1].tolist() == oracle_leaders(c)
 
 
 def test_syndrome_table_edge_codes():
     # C = {0}: every word is its own coset, and H is the identity
-    _, leaders = _syndrome_table(LinearCode.zero(7))
-    assert leaders == list(range(1 << 7))
+    labels, leaders = _syndrome_table(dual(LinearCode.zero(7)).basis, 7)
+    assert leaders.tolist() == labels.tolist() == list(range(1 << 7))
     # C = F_2^n: one coset, led by 0
-    _, leaders = _syndrome_table(LinearCode.full(7))
-    assert leaders == [0]
+    _, leaders = _syndrome_table(dual(LinearCode.full(7)).basis, 7)
+    assert leaders.tolist() == [0]
     # n = 16, the cap: 2^(n-k) leaders, each in the coset its syndrome names
     c = random_code(16, 9, random.Random(4))
-    h, leaders = _syndrome_table(c)
+    h = BinaryMatrix(dual(c).basis, 16)
+    labels, leaders = _syndrome_table(h.rows, 16)
     assert len(leaders) == 1 << (16 - 9)
-    assert all(h.mul_vector(x) == s for s, x in enumerate(leaders))
+    assert all(h.mul_vector(x) == s for s, x in enumerate(leaders.tolist()))
+    assert all(h.mul_vector(x) == labels[x] for x in range(0, 1 << 16, 97))
+    # dependent rows reach only the labels of their span: rows (r, r) reach
+    # 00 and 11, and r = 0 reaches one label
+    r = 0b0110
+    assert _syndrome_table((r, r), 4)[1].tolist() == [0, -1, -1, 0b0010]
+    assert _syndrome_table((0, 0), 4)[1].tolist() == [0, -1, -1, -1]
 
 
 def test_exact_error_prob_nested_pairs_match_oracle():
@@ -250,10 +259,12 @@ def test_family_average_hash_family_with_ci():
 def test_monte_carlo_error_prob_matches_exact():
     # the transmitted word is 0, so decoding fails iff the decoded word
     # leaves C2 (here the zero code)
-    code = kernel_code(HashFamily(HashFamilySpec("random_linear", 12, 8)).sample(1, 0)[0])
+    h = HashFamily(HashFamilySpec("random_linear", 12, 8)).sample(1, 0)[0]
     trials = 2000
-    exact = float(exact_error_prob(code, Fraction(1, 20)))
-    est = _mc_error_prob(code, 0.05, trials, random.Random(0), None)
+    exact = float(exact_error_prob(kernel_code(h), Fraction(1, 20)))
+    labels, leaders = _syndrome_table(h.matrix.rows, 12)
+    est = _mc_error_prob(labels, leaders, LinearCode.zero(12), 0.05, trials,
+                         random.Random(0))
     half_width = Z_99 * math.sqrt(est * (1 - est) / trials)
     assert abs(est - exact) <= half_width
 
@@ -262,11 +273,12 @@ def test_monte_carlo_error_prob_matches_exact():
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.3])
 @pytest.mark.parametrize("with_base", [False, True])
 def test_monte_carlo_equals_per_trial_loop(n, m, p, with_base):
-    code = kernel_code(HashFamily(HashFamilySpec("random_linear", n, m)).sample(1, n)[0])
-    base = LinearCode(n, code.basis[:1]) if with_base else None
+    h = HashFamily(HashFamilySpec("random_linear", n, m)).sample(1, n)[0]
+    base = LinearCode(n, kernel_code(h).basis[:1]) if with_base else LinearCode.zero(n)
     rng, ref_rng = random.Random(n * m), random.Random(n * m)
-    got = _mc_error_prob(code, p, 300, rng, base)
-    assert got == oracle_mc_error_prob(code, p, 300, ref_rng, base)
+    labels, leaders = _syndrome_table(h.matrix.rows, n)
+    got = _mc_error_prob(labels, leaders, base, p, 300, rng)
+    assert got == oracle_mc_error_prob(h.matrix.rows, n, p, 300, ref_rng, base)
     assert rng.getstate() == ref_rng.getstate()
 
 
@@ -635,7 +647,7 @@ def test_family_average_rejects_bad_mode_before_any_work(monkeypatch):
         raise AssertionError("members evaluated before the mode was checked")
 
     monkeypatch.setattr(HashFamily, "sample", refuse)
-    monkeypatch.setattr("dualhash.simulator.exact_error_prob", refuse)
+    monkeypatch.setattr("dualhash.simulator._syndrome_table", refuse)
     for family in (fam, hf):
         with pytest.raises(ValueError, match="unknown mode"):
             family_average_error(family, Fraction(1, 10), R=0.5, mode="bogus",
@@ -661,13 +673,21 @@ def test_family_average_rejects_empty_sample_before_sampling(monkeypatch, sample
                                  sample_count=samples, seed=1)
 
 
-@pytest.mark.parametrize("trials", [0, -5])
-def test_family_average_rejects_no_trials_before_sampling(monkeypatch, trials):
+@pytest.mark.parametrize("R, epsilon, message", [
+    (2.0, 1.0, "R must be in"),
+    (-0.1, 1.0, "R must be in"),
+    (float("nan"), 1.0, "R must be in"),
+    (0.5, 0.0, "epsilon must be positive"),
+    (0.5, float("nan"), "epsilon must be positive"),
+])
+def test_family_average_rejects_rate_and_epsilon_before_sampling(monkeypatch, R, epsilon,
+                                                                 message):
     _refuse_sampling(monkeypatch)
-    hf = HashFamily(HashFamilySpec("random_linear", 6, 3))
-    with pytest.raises(ValueError, match="mc_trials must be >= 1"):
-        family_average_error(hf, Fraction(1, 10), 0.5, mode="monte_carlo",
-                             sample_count=2, seed=1, mc_trials=trials)
+    hf = HashFamily(HashFamilySpec("random_linear", 16, 8))
+    for mode in ("exact", "monte_carlo"):
+        with pytest.raises(ValueError, match=message):
+            family_average_error(hf, Fraction(1, 10), R, epsilon=epsilon, mode=mode,
+                                 sample_count=256, seed=1)
 
 
 @pytest.mark.parametrize("n, samples", [
@@ -690,6 +710,64 @@ def test_family_average_rejects_base_outside_member_in_both_modes():
         with pytest.raises(ValueError, match="C2 is not a subcode of C1"):
             family_average_error(hf, Fraction(1, 10), R=0.5, mode=mode,
                                  base=LinearCode.repetition(6), sample_count=3, seed=1)
+
+
+def test_subcode_of_another_length_is_refused():
+    full4, rep3 = LinearCode.full(4), LinearCode.repetition(3)
+    assert not full4.contains_code(rep3)
+    assert not full4.contains_code(LinearCode.zero(3))
+    with pytest.raises(ValueError, match="C2 is not a subcode of C1"):
+        exact_error_prob((full4, rep3), Fraction(1, 10))
+    key = BitVector(4, 0b1010)
+    with pytest.raises(ValueError, match="C2 is not a subcode of C1"):
+        distill_keys(key, key, full4, rep3, seed=1)
+    hf = HashFamily(HashFamilySpec("random_linear", 6, 3))
+    for mode in ("exact", "monte_carlo"):
+        with pytest.raises(ValueError, match="C2 is not a subcode of C1"):
+            family_average_error(hf, Fraction(1, 10), R=0.5, mode=mode,
+                                 base=LinearCode.zero(5), sample_count=3, seed=1)
+
+
+def test_family_average_decodes_hash_members_through_their_rows(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel or dual code built for a member")
+
+    monkeypatch.setattr("dualhash.hashfam.kernel_code", refuse)
+    monkeypatch.setattr("dualhash.simulator.dual", refuse)
+    for kind, n, m in (("random_linear", 8, 4), ("toeplitz", 8, 3),
+                       ("modified_toeplitz", 9, 4)):
+        hf = HashFamily(HashFamilySpec(kind, n, m))
+        for mode in ("exact", "monte_carlo"):
+            res = family_average_error(hf, Fraction(1, 20), R=0.5, mode=mode,
+                                       sample_count=20, seed=3)
+            assert 0 <= res.exact_value <= res.ci_upper <= 1
+
+
+def _hash_members():
+    """Every member of toeplitz(6, 3) and modified_toeplitz(7, 3), and
+    seeded random_linear(7, 4) members with the zero matrix among them."""
+    rl = HashFamily(HashFamilySpec("random_linear", 7, 4))
+    yield from HashFamily(HashFamilySpec("toeplitz", 6, 3))
+    yield from HashFamily(HashFamilySpec("modified_toeplitz", 7, 3))
+    yield rl[0]
+    yield from rl.sample(300, 14)
+
+
+def test_hash_rows_decode_as_their_kernel_code():
+    deficient = 0
+    for i, h in enumerate(_hash_members()):
+        n, rows, code = h.n, h.matrix.rows, kernel_code(h)
+        deficient += h.matrix.rank() < h.m
+        labels, leaders = _syndrome_table(rows, n)
+        kernel_table = _syndrome_table(dual(code).basis, n)
+        for base in (LinearCode.zero(n), LinearCode(n, code.basis[:1])):
+            for p in (Fraction(0), Fraction(1, 7), Fraction(1, 2)):
+                assert _error_prob(leaders, base, p) == exact_error_prob((code, base), p)
+            rng, kernel_rng = random.Random(i), random.Random(i)
+            got = _mc_error_prob(labels, leaders, base, 1 / 7, 50, rng)
+            assert got == _mc_error_prob(*kernel_table, base, 1 / 7, 50, kernel_rng)
+            assert rng.getstate() == kernel_rng.getstate()
+    assert deficient >= 50
 
 
 def test_family_average_refuses_length_beyond_cap_before_sampling(monkeypatch):
