@@ -168,7 +168,7 @@ def reliability_e(R: float, p: float) -> tuple[float, float, float]:
 
 def eta(l: float, x: float) -> float:
     """h(x) + l x for x <= 1/2, else 1 + l x; concave key-leakage envelope."""
-    if l < 0 or x < 0:
+    if not (l >= 0 and x >= 0):
         raise ValueError("need l >= 0 and x >= 0")
     if x <= 0.5:
         return binary_entropy(x) + l * x
@@ -243,6 +243,8 @@ def gallager_family_bound(n: int, R: float, p: float, epsilon: float) -> BoundRe
     value is the optimized min over s of ε^s 2^(-n(-sR+E0(s,p))); aux holds
     the looser closed form 2^(-nE(R,p)) max(ε,1).
     """
+    if not n >= 1:
+        raise ValueError("need block length n >= 1")
     if not 0 <= R <= 1 or not 0 <= p <= 1:
         raise ValueError("need R in [0,1] and p in [0,1]")
     if not epsilon > 0:
@@ -366,6 +368,10 @@ def qkd_bounds(
     delta_biased_chi_c: 2 η_u(2^(1 - n max_s (s/(2-s))(S - H_{1-s}(p_ph))))
       with u = ε(n+1)/(4 ln 2) + n.
     """
+    if not n >= 1:
+        raise ValueError("need block length n >= 1")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     if S is None or not 0 <= S <= 1:
         raise ValueError("S must be given in [0, 1]")
     if p_ph is not None and not 0 <= p_ph <= 1:

@@ -2,9 +2,9 @@
 
 Subcommands: analyze (universality measurement), bounds (closed-form bound
 evaluation), simulate (exact/Monte-Carlo channel simulation), verify (the
-acceptance criteria), sweep (CSV over a parameter grid).  Single results are
-JSON, sweeps default to CSV.  Exact rationals are printed as fractions,
-floats at 12 significant digits.  Identical seed and flags give
+acceptance criteria), sweep (the bounds records over a parameter grid).
+Single results are JSON, sweeps default to CSV.  Exact rationals are printed
+as fractions, floats at 12 significant digits.  Identical seed and flags give
 byte-identical output.
 """
 
@@ -26,7 +26,7 @@ from .bounds import (
     qkd_bounds,
     reliability_e,
 )
-from .gf2 import parse_code
+from .gf2 import BitVector, parse_code
 from .hashfam import HashFamily, HashFamilySpec
 from .simulator import (
     counterexample_leakage,
@@ -46,6 +46,10 @@ from .universality import (
 __all__ = ["main"]
 
 HASH_KINDS = {"toeplitz", "modified-toeplitz", "random-linear"}
+APPROACHES = (
+    "phase_sum", "phase_iid", "phase_deterministic",
+    "delta_biased_d1", "delta_biased_chi_b", "delta_biased_chi_c",
+)
 
 # The options each (verb, topic, --what or analyze --kind) cannot run
 # without; main reports a missing one as a usage error before anything runs.
@@ -111,10 +115,6 @@ def _emit(args, payload, records=None):
         sys.stdout.write(text)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _parse_grid(text: str) -> list[float]:
     """Either a comma list "1,2,3" or an inclusive range "a:b:step"."""
     if ":" in text:
@@ -139,9 +139,7 @@ def _build_family(args) -> CodeFamily | HashFamily:
         return HashFamily(HashFamilySpec(kind.replace("-", "_"), args.n, args.m))
     if kind == "counterexample":
         return counterexample_family(args.n, seed=args.seed)
-    if kind == "tight":
-        return tight_family(args.n, args.t, _parse_fraction(args.epsilon), args.x)
-    raise ValueError(f"unknown kind: {kind}")
+    return tight_family(args.n, args.t, Fraction(args.epsilon), args.x)
 
 
 def _cmd_analyze(args) -> int:
@@ -166,34 +164,26 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
+def _bound_record(args) -> dict:
+    """The record of one bound topic at one point, for `bounds` and `sweep`."""
     if args.topic == "reliability":
         e_val, s_star, residual = reliability_e(args.R, args.p)
-        _emit(
-            args,
-            {"E": e_val, "s_star": s_star, "identity_residual": residual,
-             "R": args.R, "p": args.p},
-        )
-        return 0
+        return {"R": args.R, "p": args.p, "E": e_val, "s_star": s_star,
+                "identity_residual": residual}
     if args.topic == "gallager":
-        rep = gallager_family_bound(args.n, args.R, args.p, args.epsilon)
-        _emit(args, rep.to_record())
-        return 0
+        return gallager_family_bound(args.n, args.R, args.p, args.epsilon).to_record()
     if args.topic == "qkd":
-        rep = qkd_bounds(
+        return qkd_bounds(
             args.n, args.approach, S=args.S, l=args.l, p_ph=args.p_ph,
             epsilon=args.epsilon,
-        )
-        _emit(args, rep.to_record())
-        return 0
-    if args.topic == "ratio":
-        _emit(
-            args,
-            {"n": args.n, "epsilon": args.epsilon,
-             "ratio": approach_ratio(args.n, args.epsilon)},
-        )
-        return 0
-    raise ValueError(f"unknown bounds topic: {args.topic}")
+        ).to_record()
+    return {"n": args.n, "epsilon": args.epsilon,
+            "ratio": approach_ratio(args.n, args.epsilon)}
+
+
+def _cmd_bounds(args) -> int:
+    _emit(args, _bound_record(args))
+    return 0
 
 
 def _cmd_simulate(args) -> int:
@@ -202,14 +192,13 @@ def _cmd_simulate(args) -> int:
         target = code
         if args.base:
             target = (code, parse_code(Path(args.base).read_text()))
-        value = exact_error_prob(target, _parse_fraction(args.p))
+        value = exact_error_prob(target, Fraction(args.p))
         _emit(args, {"error_prob": value, "n": code.n, "p": args.p})
         return 0
     if args.what == "family-average":
-        spec = HashFamilySpec(args.kind.replace("-", "_"), args.n, args.m)
         res = family_average_error(
-            HashFamily(spec),
-            _parse_fraction(args.p),
+            _build_family(args),
+            Fraction(args.p),
             args.R,
             epsilon=args.epsilon,
             mode="monte_carlo" if args.mc else "exact",
@@ -235,21 +224,16 @@ def _cmd_simulate(args) -> int:
         rec["seed"] = args.seed
         _emit(args, rec)
         return 0
-    if args.what == "distill":
-        c1 = parse_code(Path(args.c1).read_text())
-        c2 = parse_code(Path(args.c2).read_text())
-        from .gf2 import BitVector
-
-        k_a = BitVector.from_string(args.key_a)
-        k_b = BitVector.from_string(args.key_b)
-        s_a, s_b, agree = distill_keys(k_a, k_b, c1, c2, args.seed)
-        _emit(
-            args,
-            {"key_a": str(s_a), "key_b": str(s_b), "agree": agree,
-             "seed": args.seed},
-        )
-        return 0
-    raise ValueError(f"unknown simulate target: {args.what}")
+    c1 = parse_code(Path(args.c1).read_text())
+    c2 = parse_code(Path(args.c2).read_text())
+    k_a = BitVector.from_string(args.key_a)
+    k_b = BitVector.from_string(args.key_b)
+    s_a, s_b, agree = distill_keys(k_a, k_b, c1, c2, args.seed)
+    _emit(
+        args,
+        {"key_a": str(s_a), "key_b": str(s_b), "agree": agree, "seed": args.seed},
+    )
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -271,36 +255,33 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _block_length(v: float) -> int:
+    if not v.is_integer():
+        raise ValueError(f"block length must be a whole number, got {v:g}")
+    return int(v)
+
+
 def _cmd_sweep(args) -> int:
+    """One `bounds` record per grid point, with R or n taken from the grid."""
     if args.topic == "reliability":
-        records = []
-        for rate in _parse_grid(args.r_grid):
-            e_val, s_star, residual = reliability_e(rate, args.p)
-            records.append(
-                {"R": rate, "p": args.p, "E": e_val, "s_star": s_star,
-                 "identity_residual": residual}
-            )
-        _emit(args, None, records=records)
-        return 0
-    if args.topic == "qkd":
-        records = []
-        for n in _parse_grid(args.n_grid):
-            rep = qkd_bounds(
-                int(n), args.approach, S=args.S, l=args.l, p_ph=args.p_ph,
-                epsilon=args.epsilon,
-            )
-            records.append(rep.to_record())
-        _emit(args, None, records=records)
-        return 0
-    if args.topic == "ratio":
-        records = [
-            {"n": int(n), "epsilon": args.epsilon,
-             "ratio": approach_ratio(int(n), args.epsilon)}
-            for n in _parse_grid(args.n_grid)
-        ]
-        _emit(args, None, records=records)
-        return 0
-    raise ValueError(f"unknown sweep topic: {args.topic}")
+        points = [{"R": rate} for rate in _parse_grid(args.r_grid)]
+    else:
+        points = [{"n": _block_length(n)} for n in _parse_grid(args.n_grid)]
+    records = [
+        _bound_record(argparse.Namespace(**{**vars(args), **point}))
+        for point in points
+    ]
+    _emit(args, None, records=records)
+    return 0
+
+
+def _add_bound_flags(p, approach=None):
+    p.add_argument("-p", type=float, help="crossover probability")
+    p.add_argument("-S", type=float, help="sacrificed-bit rate")
+    p.add_argument("-l", type=int, help="key length")
+    p.add_argument("--p-ph", type=float, help="phase error probability")
+    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--approach", choices=APPROACHES, default=approach)
 
 
 def _add_output_flags(p, default_format="json"):
@@ -339,18 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("topic", choices=("reliability", "gallager", "qkd", "ratio"))
     p.add_argument("-n", type=int, help="block length")
     p.add_argument("-R", type=float, help="rate")
-    p.add_argument("-p", type=float, help="crossover probability")
-    p.add_argument("-S", type=float, help="sacrificed-bit rate")
-    p.add_argument("-l", type=int, help="key length")
-    p.add_argument("--p-ph", type=float, help="phase error probability")
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument(
-        "--approach",
-        choices=(
-            "phase_sum", "phase_iid", "phase_deterministic",
-            "delta_biased_d1", "delta_biased_chi_b", "delta_biased_chi_c",
-        ),
-    )
+    _add_bound_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_bounds)
 
@@ -390,15 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="tabulate bounds over a parameter grid")
     p.add_argument("topic", choices=("reliability", "qkd", "ratio"))
-    p.add_argument("-p", type=float, help="crossover probability")
-    p.add_argument("-S", type=float, help="sacrificed-bit rate")
-    p.add_argument("-l", type=int, help="key length")
-    p.add_argument("--p-ph", type=float)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--approach", default="phase_sum",
-                   choices=("phase_sum", "phase_iid", "phase_deterministic",
-                            "delta_biased_d1", "delta_biased_chi_b",
-                            "delta_biased_chi_c"))
+    _add_bound_flags(p, approach="phase_sum")
     p.add_argument("--r-grid", help="rate grid: comma list or a:b:step")
     p.add_argument("--n-grid", help="block length grid: comma list or a:b:step")
     _add_output_flags(p, default_format="csv")

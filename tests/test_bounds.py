@@ -95,8 +95,9 @@ def test_eta_branches():
     assert eta(3, 0.0) == 0.0
     assert abs(eta(2, 0.25) - (binary_entropy(0.25) + 0.5)) < 1e-12
     assert eta(2, 0.75) == 1 + 1.5  # past 1/2 the entropy term saturates
-    with pytest.raises(ValueError):
-        eta(-1, 0.1)
+    for l, x in ((-1, 0.1), (1, float("nan")), (float("nan"), 0.1)):
+        with pytest.raises(ValueError):
+            eta(l, x)
 
 
 def test_renyi_limit_is_shannon():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dualhash.cli import main
+from dualhash.cli import APPROACHES, _parse_grid, main
 from dualhash.gf2 import LinearCode, format_code
 from dualhash.hashfam import HashFamily
 
@@ -324,14 +324,37 @@ def test_simulate_error_prob_refuses_base_of_other_length(tmp_path, capsys):
     ("bounds gallager -n 12 -R 0.5 -p 0.05 --epsilon nan", "epsilon must be positive"),
     ("bounds qkd --approach phase_sum -n 100 -S 0.5 --p-ph nan", "p_ph must be in [0, 1]"),
     ("bounds qkd --approach phase_sum -n 100 -S 0.5 --p-ph 0.05 --epsilon nan",
-     "bound value must be nonnegative"),
+     "epsilon must be positive"),
+    ("bounds qkd --approach phase_deterministic -n 100 -S 0.5 --p-ph 0.05 --epsilon nan",
+     "epsilon must be positive"),
+    ("bounds qkd --approach delta_biased_d1 -n 100 -S 0.5 --p-ph 0.05 --epsilon -1",
+     "epsilon must be positive"),
+    ("bounds qkd --approach phase_iid -n 100 -S 0.5 --p-ph 0.05 --epsilon 0",
+     "epsilon must be positive"),
     ("bounds qkd --approach phase_sum -n 100 -S 0.5 --p-ph 1.5", "p_ph must be in [0, 1]"),
     ("bounds ratio -n 10 --epsilon nan", "epsilon >= 1"),
     ("simulate --what family-average -n 8 -m 4 -p 1/20 -R 0.5 --seed 1 --epsilon nan",
      "epsilon must be positive"),
 ])
 def test_nan_or_out_of_range_bound_inputs_are_errors(capsys, argv, message):
-    # each printed a "nan" value, or failed with "math domain error", before
+    # each printed a value, nan or finite, or failed with "math domain
+    # error", before
+    code, out, err = run(capsys, *shlex.split(argv))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("bounds qkd --approach phase_sum -n 0 -S 0.5 --p-ph 0.05", "n >= 1"),
+    ("bounds qkd --approach phase_iid -n -5 -S 0.5 --p-ph 0.05", "n >= 1"),
+    ("bounds gallager -n -3 -R 0.5 -p 0.1", "n >= 1"),
+    ("sweep qkd --n-grid 0.5 -S 0.4 --p-ph 0.05", "whole number, got 0.5"),
+    ("sweep ratio --n-grid 10.7,100", "whole number, got 10.7"),
+])
+def test_block_length_is_checked(capsys, argv, message):
+    # n = 0 raised ZeroDivisionError, n < 0 printed a value, and sweep cut
+    # 10.7 down to 10
     code, out, err = run(capsys, *shlex.split(argv))
     assert code == 2
     assert out == ""
@@ -410,6 +433,43 @@ def test_sweep_reliability_json(capsys):
     assert code == 0
     records = json.loads(out)
     assert [r["R"] for r in records] == [0.1, 0.3, 0.5]
+
+
+def sweep_agrees_with_bounds(capsys, topic, grid_flag, grid, point_flag, *flags):
+    code, out, err = run(
+        capsys, "sweep", topic, grid_flag, grid, *flags, "--format", "json"
+    )
+    assert code == 0, err
+    rows = json.loads(out)
+    points = _parse_grid(grid)
+    assert len(rows) == len(points)
+    for row, point in zip(rows, points):
+        if point_flag == "-n":
+            point = int(point)
+        code, out, err = run(capsys, "bounds", topic, point_flag, repr(point), *flags)
+        assert code == 0, err
+        assert row == json.loads(out)
+
+
+def test_sweep_reliability_rows_are_bounds_records(capsys):
+    for grid in ("0.1,0.3,0.5", "0.05:0.45:0.1"):
+        sweep_agrees_with_bounds(
+            capsys, "reliability", "--r-grid", grid, "-R", "-p", "0.1"
+        )
+
+
+def test_sweep_ratio_rows_are_bounds_records(capsys):
+    sweep_agrees_with_bounds(
+        capsys, "ratio", "--n-grid", "10,1e3", "-n", "--epsilon", "2"
+    )
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_sweep_qkd_rows_are_bounds_records(capsys, approach):
+    sweep_agrees_with_bounds(
+        capsys, "qkd", "--n-grid", "100:700:300", "-n", "--approach", approach,
+        "-S", "0.4", "--p-ph", "0.05", "-l", "50",
+    )
 
 
 def test_out_file(tmp_path, capsys):
