@@ -4,13 +4,17 @@ Everything here is base-2: entropies, divergences, random-coding exponents,
 and the decoding / key-security bound formulas used by the simulator.  All
 1-D optimizations run over compact intervals with a coarse grid followed by
 ternary refinement (the optimized functions are unimodal on these
-intervals).
+intervals).  reliability_e evaluates its grids as numpy arrays and calls
+the scalar function only on the grid points near the array's maximum, which
+gives the result of the scalar scan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "BoundReport",
@@ -31,6 +35,9 @@ __all__ = [
 
 GRID_STEP = 1e-3
 ARG_TOL = 1e-9
+# Grid points whose array value is this close (relative to max(1, |top|))
+# to the array's maximum top are re-evaluated with the scalar function.
+SHORTLIST_TOL = 1e-9
 
 
 @dataclass
@@ -120,12 +127,29 @@ def _refine(f, lo, hi, tol):
     return x, f(x)
 
 
-def maximize_scalar(f, lo: float, hi: float, grid_step=GRID_STEP, tol=ARG_TOL):
-    """Grid scan plus ternary refinement; returns (argmax, max)."""
+def maximize_scalar(f, lo: float, hi: float, grid_step=GRID_STEP, tol=ARG_TOL,
+                    *, f_grid=None):
+    """Grid scan plus ternary refinement; returns (argmax, max).
+
+    f_grid, if given, evaluates f on a numpy array of grid points, equal to f
+    up to rounding.  The scan then calls f only on the grid points within
+    SHORTLIST_TOL * max(1, |top|) of the array's maximum top, which hold
+    every point where f is largest, and takes the first largest of those:
+    the index, grid value and result of the scan with f alone.
+    """
     steps = max(1, int(round((hi - lo) / grid_step)))
-    xs = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
-    vals = [f(x) for x in xs]
-    i = max(range(len(xs)), key=lambda j: vals[j])
+    grid = lo + (hi - lo) * np.arange(steps + 1) / steps  # lo + (hi - lo) i / steps
+    xs = grid.tolist()
+    if f_grid is None:
+        candidates = range(len(xs))
+    else:
+        approx = f_grid(grid)
+        top = float(np.max(approx))
+        candidates = np.flatnonzero(
+            approx >= top - SHORTLIST_TOL * max(1.0, abs(top))
+        ).tolist()
+    vals = {j: f(xs[j]) for j in candidates}
+    i = max(vals, key=vals.__getitem__)
     a = xs[max(0, i - 1)]
     b = xs[min(steps, i + 1)]
     x, v = _refine(f, a, b, tol)
@@ -134,8 +158,10 @@ def maximize_scalar(f, lo: float, hi: float, grid_step=GRID_STEP, tol=ARG_TOL):
     return x, v
 
 
-def minimize_scalar(f, lo: float, hi: float, grid_step=GRID_STEP, tol=ARG_TOL):
-    x, v = maximize_scalar(lambda t: -f(t), lo, hi, grid_step, tol)
+def minimize_scalar(f, lo: float, hi: float, grid_step=GRID_STEP, tol=ARG_TOL,
+                    *, f_grid=None):
+    neg_grid = None if f_grid is None else (lambda t: -f_grid(t))
+    x, v = maximize_scalar(lambda t: -f(t), lo, hi, grid_step, tol, f_grid=neg_grid)
     return x, -v
 
 
@@ -146,6 +172,27 @@ def _type_exponent(q: float, p: float, R: float) -> float:
     if math.isinf(d):
         return math.inf
     return max(1 - binary_entropy(q) - R, 0.0) + d
+
+
+def _gallager_e0_grid(s: np.ndarray, p: float) -> np.ndarray:
+    """gallager_e0 over an array of s, up to rounding."""
+    e = 1.0 / (1.0 + s)
+    return s - (1 + s) * np.log2(p**e + (1 - p) ** e)
+
+
+def _type_exponent_grid(q: np.ndarray, p: float, R: float) -> np.ndarray:
+    """_type_exponent over an array of q in [0, 1/2] for p in [0, 1/2], up
+    to rounding: +inf where d(q||p) is."""
+    inner = q > 0
+    qs = np.where(inner, q, 0.5)  # a stand-in where the q log q terms are 0
+    h = np.where(inner, -qs * np.log2(qs) - (1 - qs) * np.log2(1 - qs), 0.0)
+    if p == 0:
+        d = np.where(inner, np.inf, 0.0)
+    else:
+        with np.errstate(over="ignore"):  # q / p overflows to inf for tiny p
+            d = (np.where(inner, qs * np.log2(qs / p), 0.0)
+                 + (1 - q) * np.log2((1 - q) / (1 - p)))
+    return np.maximum(1 - h - R, 0.0) + d
 
 
 def reliability_e(R: float, p: float) -> tuple[float, float, float]:
@@ -160,9 +207,15 @@ def reliability_e(R: float, p: float) -> tuple[float, float, float]:
         raise ValueError("R must be in [0, 1]")
     if not 0 <= p <= 0.5:
         raise ValueError("p must be in [0, 1/2]")
-    s_star, e_val = maximize_scalar(lambda s: -s * R + gallager_e0(s, p), 0.0, 1.0)
+    s_star, e_val = maximize_scalar(
+        lambda s: -s * R + gallager_e0(s, p), 0.0, 1.0,
+        f_grid=lambda s: -s * R + _gallager_e0_grid(s, p),
+    )
     e_val = max(e_val, 0.0)
-    _, q_val = minimize_scalar(lambda q: _type_exponent(q, p, R), 0.0, 0.5)
+    _, q_val = minimize_scalar(
+        lambda q: _type_exponent(q, p, R), 0.0, 0.5,
+        f_grid=lambda q: _type_exponent_grid(q, p, R),
+    )
     return e_val, s_star, abs(e_val - q_val)
 
 

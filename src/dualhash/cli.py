@@ -46,6 +46,7 @@ from .universality import (
 __all__ = ["main"]
 
 HASH_KINDS = {"toeplitz", "modified-toeplitz", "random-linear"}
+GRID_POINT_CAP = 10_000  # points in one "a:b:step" sweep grid
 APPROACHES = (
     "phase_sum", "phase_iid", "phase_deterministic",
     "delta_biased_d1", "delta_biased_chi_b", "delta_biased_chi_c",
@@ -116,11 +117,21 @@ def _emit(args, payload, records=None):
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Either a comma list "1,2,3" or an inclusive range "a:b:step"."""
+    """Either a comma list "1,2,3" or an inclusive range "a:b:step".
+
+    A range needs finite ends and a finite step > 0, and may hold at most
+    GRID_POINT_CAP points, checked before any point is built.
+    """
     if ":" in text:
         a, b, step = (float(x) for x in text.split(":"))
-        if step <= 0:
-            raise ValueError("grid step must be positive")
+        if not all(map(math.isfinite, (a, b, step))) or step <= 0:
+            raise ValueError(
+                f"grid {text!r} needs finite ends and a finite step > 0"
+            )
+        if (b - a) / step >= GRID_POINT_CAP:
+            raise ValueError(
+                f"grid {text!r} has more than {GRID_POINT_CAP} points"
+            )
         vals = []
         i = 0
         while True:

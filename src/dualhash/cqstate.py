@@ -75,10 +75,9 @@ class CQState:
             raise ValueError("blocks must have shape (2^key_length, d, d)")
         if blocks.shape[1] != blocks.shape[2]:
             raise ValueError("blocks must be square")
-        for b in blocks:
-            if np.max(np.abs(b - b.conj().T)) > 1e-10:
-                raise ValueError("block is not Hermitian")
-        total = float(np.real(sum(np.trace(b) for b in blocks)))
+        if np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1))) > 1e-10:
+            raise ValueError("block is not Hermitian")
+        total = float(np.real(np.trace(blocks, axis1=1, axis2=2).sum()))
         if normalized and abs(total - 1) > 1e-9:
             raise ValueError(f"total trace {total} is not 1")
         if total > 1 + 1e-9:
@@ -118,20 +117,8 @@ def d1_distance(rho: CQState) -> float:
     return sum(_trace_norm(b - ideal) for b in rho.blocks)
 
 
-def _neg_power(m: np.ndarray, power: float) -> np.ndarray:
-    """m^(-power) on the support of m (pseudo-inverse below the cutoff)."""
-    eigs, vecs = np.linalg.eigh(m)
-    inv = np.zeros_like(eigs)
-    mask = eigs > PINV_CUTOFF
-    inv[mask] = eigs[mask] ** -power
-    return (vecs * inv) @ vecs.conj().T
-
-
-def h2_d2_hmin(rho: CQState, sigma: np.ndarray | DensityOperator | None = None):
-    """Conditional collision entropy, d2 distance, and min-entropy.
-
-    sigma defaults to Eve's marginal.  Returns (H2, d2, Hmin), base 2.
-    """
+def _sigma_matrix(rho: CQState, sigma) -> np.ndarray:
+    """sigma as a matrix on Eve's space; None stands for Eve's marginal."""
     if sigma is None:
         sigma_m = rho.rho_e()
     elif isinstance(sigma, DensityOperator):
@@ -140,20 +127,44 @@ def h2_d2_hmin(rho: CQState, sigma: np.ndarray | DensityOperator | None = None):
         sigma_m = np.asarray(sigma, dtype=complex)
     if sigma_m.shape[0] != rho.eve_dim:
         raise ValueError("sigma dimension mismatch")
-    s_q = _neg_power(sigma_m, 0.25)
-    s_h = _neg_power(sigma_m, 0.5)
-    coll = 0.0
-    op_norm = 0.0
-    for b in rho.blocks:
-        tilted = s_q @ b @ s_q
-        coll += float(np.real(np.trace(tilted @ tilted)))
-        weighted = s_h @ b @ s_h
-        op_norm = max(op_norm, float(np.max(np.abs(np.linalg.eigvalsh(weighted)))))
-    h2 = -math.log2(coll)
-    marg = s_q @ rho.rho_e() @ s_q
-    d2 = coll - float(np.real(np.trace(marg @ marg))) / rho.num_values
-    hmin = -math.log2(op_norm)
-    return h2, d2, hmin
+    return sigma_m
+
+
+def _sigma_powers(sigma_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma^(-1/4) and sigma^(-1/2) on the support of sigma (pseudo-inverse
+    below the cutoff), both from one eigendecomposition."""
+    eigs, vecs = np.linalg.eigh(sigma_m)
+    mask = eigs > PINV_CUTOFF
+
+    def power(p):
+        inv = np.zeros_like(eigs)
+        inv[mask] = eigs[mask] ** -p
+        return (vecs * inv) @ vecs.conj().T
+
+    return power(0.25), power(0.5)
+
+
+def _collision(blocks: np.ndarray, s_q: np.ndarray) -> float:
+    """sum over a stack of blocks b of tr((s_q b s_q)^2), in one stacked pass."""
+    t = s_q @ blocks @ s_q
+    return float(np.real(np.einsum("kij,kji->", t, t)))
+
+
+def _d2(rho: CQState, s_q: np.ndarray) -> tuple[float, float]:
+    """(collision sum, d2) of rho against the sigma with sigma^(-1/4) = s_q."""
+    coll = _collision(rho.blocks, s_q)
+    return coll, coll - _collision(rho.rho_e()[None], s_q) / rho.num_values
+
+
+def h2_d2_hmin(rho: CQState, sigma: np.ndarray | DensityOperator | None = None):
+    """Conditional collision entropy, d2 distance, and min-entropy.
+
+    sigma defaults to Eve's marginal.  Returns (H2, d2, Hmin), base 2.
+    """
+    s_q, s_h = _sigma_powers(_sigma_matrix(rho, sigma))
+    coll, d2 = _d2(rho, s_q)
+    op_norm = float(np.max(np.abs(np.linalg.eigvalsh(s_h @ rho.blocks @ s_h))))
+    return -math.log2(coll), d2, -math.log2(op_norm)
 
 
 def holevo(rho: CQState) -> float:
@@ -299,16 +310,17 @@ def verify_fs08(rho: CQState, sigma, family) -> tuple[float, float]:
 def verify_pa(rho: CQState, family, sigma=None, epsilon=None) -> tuple[float, float]:
     """Privacy amplification bound: average hashed-key d2 vs epsilon 2^(-H2).
 
-    The hash of member C_r sends the key to its coset modulo C_r.  epsilon
-    defaults to the measured dual-universality parameter of the family with
-    the minimum-dimension convention.
+    The hash of member C_r sends the key to its coset modulo C_r.  sigma
+    defaults to Eve's marginal, which hashing leaves as it is, so its powers
+    are taken once for the state and every member.  epsilon defaults to the
+    measured dual-universality parameter of the family with the
+    minimum-dimension convention.
     """
-    h2, _, _ = h2_d2_hmin(rho, sigma)
+    s_q, _ = _sigma_powers(_sigma_matrix(rho, sigma))
+    h2 = -math.log2(_collision(rho.blocks, s_q))
     lhs = 0.0
     for code, w in zip(family.codes, family.weights):
-        marg = hash_marginal(rho, code)
-        _, d2, _ = h2_d2_hmin(marg, sigma)
-        lhs += w * d2
+        lhs += w * _d2(hash_marginal(rho, code), s_q)[1]
     lhs /= family.total_weight
     if epsilon is None:
         epsilon = float(epsilon_dual_universal(family, "min_dim").epsilon)

@@ -5,6 +5,7 @@ Every decoding path uses one coset-leader table keyed by syndromes Hx,
 labels and leaders computed once per code in one vectorised pass over all
 2^n error patterns, H a code's dual basis or a hash member's own matrix
 (whose kernel is the member's code); the cap n <= 16 bounds that work.
+Family averages table a chunk of members in one pass.
 Exact wiretap leakage comes from the joint (phase, bit) error histogram
 over syndrome labels, capped at n <= 10 (4^n error pairs).  Error probabilities are exact rationals; Monte
 Carlo estimates always carry two-sided 99% confidence intervals and bound
@@ -54,6 +55,7 @@ __all__ = [
 
 ERROR_ENUM_CAP = 16
 SAMPLE_PATTERN_CAP = 1 << 24  # sampled members times 2^n patterns each
+CHUNK_PATTERN_CAP = 1 << 16  # members times 2^n patterns labelled at once
 MC_TRIALS = 2000  # Monte Carlo transmissions per sampled member
 WIRETAP_EXACT_CAP = 10
 BISECT_STEPS = 64
@@ -126,6 +128,36 @@ def _syndrome_table(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.where(best < unreached, best & ((1 << n) - 1), -1)
 
 
+def _syndrome_tables(row_sets, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_syndrome_table for several row sets at once: labels (K, 2^n) and
+    leaders (K, 2^m), m the longest row count, row k as _syndrome_table
+    gives it for row_sets[k] (padded with -1 past its own 2^len labels).
+
+    Shorter row sets are padded with zero rows on top, which changes no
+    label.  The column syndromes H_k e_j come from the row bits and the
+    labels from one doubling pass over every row set; the leaders take one
+    np.minimum.at per row, which needs no K 2^n array of flat indices or
+    keys.  Callers bound K 2^n, so every array is int32.
+    """
+    count, m = len(row_sets), max(map(len, row_sets))
+    rows = np.zeros((count, m), dtype=np.int32)
+    for k, r in enumerate(row_sets):
+        rows[k, m - len(r):] = r
+    bits = (rows[:, :, None] >> np.arange(n, dtype=np.int32)) & 1
+    cols = (bits << np.arange(m - 1, -1, -1, dtype=np.int32)[:, None]).sum(
+        axis=1, dtype=np.int32)  # cols[k, j] = H_k e_j
+    labels = np.zeros((count, 1 << n), dtype=np.int32)
+    for j in range(n):
+        np.bitwise_xor(labels[:, : 1 << j], cols[:, j, None],
+                       out=labels[:, 1 << j : 2 << j])
+    _, key = _pattern_weights(n)
+    unreached = np.iinfo(np.int32).max
+    best = np.full((count, 1 << m), unreached, dtype=np.int32)
+    for b, lab in zip(best, labels):
+        np.minimum.at(b, lab, key)
+    return labels, np.where(best < unreached, best & ((1 << n) - 1), -1)
+
+
 def decode(c: LinearCode, y: BitVector) -> BitVector:
     """Nearest codeword; ties go to the lexicographically smallest error.
 
@@ -167,13 +199,32 @@ def _error_prob(leaders: np.ndarray, c2: LinearCode, p: Fraction) -> Fraction:
         np.fromiter(c2.codewords(), dtype=np.int64, count=len(c2)),
     )
     correct_by_weight = np.bincount(weight[correct].ravel(), minlength=n + 1)
-    # With p = a/b, P(correct) = sum_w cnt_w a^w (b - a)^(n - w) / b^n.
+    terms, den = _weight_terms(n, p)
+    num = sum(cnt * t for cnt, t in zip(correct_by_weight.tolist(), terms))
+    return Fraction(den - num, den)
+
+
+def _weight_terms(n: int, p: Fraction) -> tuple[list[int], int]:
+    """With p = a/b, a word of weight w has probability t_w / b^n; returns
+    ([t_0, ..., t_n], b^n), t_w = a^w (b - a)^(n - w)."""
     a, b = p.numerator, p.denominator
-    num = sum(
-        cnt * a**w * (b - a) ** (n - w)
-        for w, cnt in enumerate(correct_by_weight.tolist())
+    return [a**w * (b - a) ** (n - w) for w in range(n + 1)], b**n
+
+
+def _correct_weights(leaders: np.ndarray, c2: LinearCode) -> np.ndarray:
+    """Row k: the weight histogram of the errors that row k of the
+    _syndrome_tables leaders decodes into C2, as _error_prob counts them.
+    Each member contributes its 2^rank reached leaders times |C2| <=
+    2^(n - rank) words, so K members make at most K 2^n."""
+    count, n = len(leaders), c2.n
+    weight, _ = _pattern_weights(n)
+    member, slot = np.nonzero(leaders >= 0)
+    correct = np.bitwise_xor.outer(
+        leaders[member, slot],
+        np.fromiter(c2.codewords(), dtype=np.int64, count=len(c2)),
     )
-    return Fraction(b**n - num, b**n)
+    flat = member[:, None] * (n + 1) + weight[correct]
+    return np.bincount(flat.ravel(), minlength=count * (n + 1)).reshape(count, n + 1)
 
 
 def family_average_error(
@@ -198,6 +249,12 @@ def family_average_error(
     message is the coset C1/base.  R and epsilon name the family's nominal
     rate and universality parameter for the attached bounds.  `mode` is
     "exact" or, for a HashFamily only, "monte_carlo" (MC_TRIALS trials).
+
+    Members are tabled in chunks of at most CHUNK_PATTERN_CAP patterns
+    (_syndrome_tables).  An exact value comes from the member's weight
+    histogram; every member's error probability is over the same b^n
+    (p = a/b), so the mean is one integer sum over b^n times the total
+    weight.  Monte Carlo member i draws from its own random.Random(seed + i).
     """
     if mode not in ("exact", "monte_carlo"):
         raise ValueError(f"unknown mode: {mode}")
@@ -211,39 +268,55 @@ def family_average_error(
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     n = family.n
+    if n > ERROR_ENUM_CAP:
+        raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
     if isinstance(family, CodeFamily):
-        members = [(dual(c).basis, w) for c, w in zip(family.codes, family.weights)]
+        members = [dual(c).basis for c in family.codes]
+        weights = family.weights
     else:
         if sample_count is None or seed is None:
             raise ValueError("hash families need sample_count and seed")
         if sample_count < 1:
             raise ValueError(f"sample_count must be >= 1; got {sample_count}")
-        if n > ERROR_ENUM_CAP:
-            raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
         if sample_count << n > SAMPLE_PATTERN_CAP:
             raise ValueError(
                 f"sample_count * 2^n = {sample_count << n} exceeds sample cap "
                 f"{SAMPLE_PATTERN_CAP}"
             )
-        members = [(h.matrix.rows, 1) for h in family.sample(sample_count, seed)]
+        members = [h.matrix.rows for h in family.sample(sample_count, seed)]
+        weights = [1] * len(members)
     c2 = base if base is not None else LinearCode.zero(n)
-    values = []
-    for i, (rows, _) in enumerate(members):
-        labels, leaders = _syndrome_table(rows, n)
-        if c2.n != n or labels[list(c2.basis)].any():
+    if c2.n != n:
+        raise ValueError("C2 is not a subcode of C1")
+    terms, den = _weight_terms(n, pf)
+    values = []  # exact: b^n P(error) per member; monte carlo: the estimate
+    chunk = max(1, CHUNK_PATTERN_CAP >> n)
+    for start in range(0, len(members), chunk):
+        labels, leaders = _syndrome_tables(members[start : start + chunk], n)
+        if labels[:, list(c2.basis)].any():
             raise ValueError("C2 is not a subcode of C1")
         if mode == "exact":
-            values.append(_error_prob(leaders, c2, pf))
+            values += [den - sum(cnt * t for cnt, t in zip(row, terms))
+                       for row in _correct_weights(leaders, c2).tolist()]
         else:
-            values.append(_mc_error_prob(labels, leaders, c2, float(pf), MC_TRIALS,
-                                         random.Random(seed + i)))
-    mean = sum(w * v for (_, w), v in zip(members, values)) / sum(w for _, w in members)
+            values += [
+                _mc_error_prob(lab, lead, c2, float(pf), MC_TRIALS,
+                               random.Random(seed + start + k))
+                for k, (lab, lead) in enumerate(zip(labels, leaders))
+            ]
+        del labels, leaders  # free this chunk's tables before the next is built
+    total = sum(weights)
+    if mode == "exact":
+        # every member's error probability is over the same b^n
+        mean = Fraction(sum(w * v for w, v in zip(weights, values)), den * total)
+        values = [v / den for v in values]  # correctly rounded, as float(Fraction)
+    else:
+        mean = sum(w * v for w, v in zip(weights, values)) / total
     ci = None
     if not isinstance(family, CodeFamily):
-        fl = [float(v) for v in values]
-        mu = sum(fl) / len(fl)
-        var = sum((v - mu) ** 2 for v in fl) / max(len(fl) - 1, 1)
-        ci = mu + Z_99 * math.sqrt(var / len(fl))
+        mu = sum(values) / len(values)
+        var = sum((v - mu) ** 2 for v in values) / max(len(values) - 1, 1)
+        ci = mu + Z_99 * math.sqrt(var / len(values))
 
     k_start = 0 if base is not None else 1
     w_binom = WeightDistribution.binomial(n, pf)
@@ -274,8 +347,9 @@ def _mc_error_prob(labels: np.ndarray, leaders: np.ndarray, c2: LinearCode,
     n = c2.n
     words = 2 * trials * n
     raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-    a, b = np.frombuffer(raw, dtype="<u4").astype(np.uint64).reshape(-1, 2).T
-    draws = ((a >> 5) * (1 << 26) + (b >> 6)) * 2.0**-53
+    a, b = np.frombuffer(raw, dtype="<u4").reshape(-1, 2).T
+    # every partial result is an integer below 2^53 times a power of 2: exact
+    draws = ((a >> 5) * 2.0**26 + (b >> 6)) * 2.0**-53
     flips = (draws < p).reshape(trials, n)
     e = flips @ (1 << np.arange(n, dtype=np.int64))
     decoded = e ^ leaders[labels[e]]

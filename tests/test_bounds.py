@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from dualhash.bounds import (
     _binomial_window_terms,
     _log2_binom,
     _phase_sum_log2,
+    _refine,
+    _type_exponent,
     approach_ratio,
     binary_entropy,
     critical_rate,
@@ -229,3 +232,70 @@ def test_approach_ratio_monotone():
     assert all(a > b for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         approach_ratio(10, 0.5)
+
+
+def _scalar_scan_maximize(f, lo, hi, grid_step=1e-3, tol=1e-9):
+    """maximize_scalar as it was before its grid stage could run on arrays:
+    f at every grid point, the first largest, then ternary refinement."""
+    steps = max(1, int(round((hi - lo) / grid_step)))
+    xs = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
+    vals = [f(x) for x in xs]
+    i = max(range(len(xs)), key=lambda j: vals[j])
+    x, v = _refine(f, xs[max(0, i - 1)], xs[min(steps, i + 1)], tol)
+    if vals[i] > v:
+        return xs[i], vals[i]
+    return x, v
+
+
+def _scalar_reliability_e(R, p):
+    """reliability_e through the scalar scan alone."""
+    s_star, e_val = _scalar_scan_maximize(lambda s: -s * R + gallager_e0(s, p), 0.0, 1.0)
+    e_val = max(e_val, 0.0)
+    _, q_neg = _scalar_scan_maximize(lambda q: -_type_exponent(q, p, R), 0.0, 0.5)
+    return e_val, s_star, abs(e_val + q_neg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-3, 3), min_size=1, max_size=4),
+    quantum=st.sampled_from([None, 1e-3, 0.05, 1.0]),
+    lo=st.floats(-2, 1),
+    width=st.floats(0.01, 3),
+    grid_step=st.sampled_from([1e-3, 7e-3, 0.05]),
+    noise_seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_shortlist_matches_scalar_scan(coeffs, quantum, lo, width, grid_step,
+                                            noise_seed):
+    """A polynomial, cut to plateaus when quantum is set (so many grid points
+    tie), with an array stage up to 1e-12 away from it."""
+    def f(x):
+        v = sum(c * x**k for k, c in enumerate(coeffs))
+        return v if quantum is None else round(v / quantum) * quantum
+
+    noise = np.random.default_rng(noise_seed)
+
+    def f_grid(xs):
+        return np.array([f(x) for x in xs.tolist()]) + noise.uniform(-1e-12, 1e-12, len(xs))
+
+    hi = lo + width
+    expected = _scalar_scan_maximize(f, lo, hi, grid_step)
+    assert maximize_scalar(f, lo, hi, grid_step, f_grid=f_grid) == expected
+    assert maximize_scalar(f, lo, hi, grid_step) == expected
+    x, v = minimize_scalar(f, lo, hi, grid_step, f_grid=f_grid)
+    x_neg, v_neg = _scalar_scan_maximize(lambda t: -f(t), lo, hi, grid_step)
+    assert (x, v) == (x_neg, -v_neg)
+
+
+def test_reliability_e_equals_scalar_scan_on_criterion_5_points():
+    points = [(rate, 0.0) for rate in (0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9)]
+    points += [(i / 20, p) for i in range(1, 20)
+               for p in (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)]
+    assert len(points) == 177
+    for R, p in points:
+        assert reliability_e(R, p) == _scalar_reliability_e(R, p)
+
+
+@pytest.mark.parametrize("R", [0.0, 0.123, 0.5, 1.0])
+@pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 0.11, 0.4999, 0.5])
+def test_reliability_e_equals_scalar_scan_at_the_edges(R, p):
+    assert reliability_e(R, p) == _scalar_reliability_e(R, p)

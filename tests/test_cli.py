@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dualhash.cli import APPROACHES, _parse_grid, main
+from dualhash.cli import APPROACHES, GRID_POINT_CAP, _parse_grid, main
 from dualhash.gf2 import LinearCode, format_code
 from dualhash.hashfam import HashFamily
 
@@ -359,6 +359,27 @@ def test_block_length_is_checked(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("1:10:nan", "finite step > 0"),
+    ("1:inf:1", "finite ends"),
+    ("0:1e12:1", f"more than {GRID_POINT_CAP} points"),
+])
+def test_sweep_refuses_unbounded_grid_before_building_it(capsys, grid, message):
+    # each appended points until MemoryError before
+    code, out, err = run(capsys, "sweep", "ratio", "--n-grid", grid)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_grid_point_cap_boundary():
+    assert len(_parse_grid(f"1:{GRID_POINT_CAP}:1")) == GRID_POINT_CAP
+    with pytest.raises(ValueError, match="more than"):
+        _parse_grid(f"0:{GRID_POINT_CAP}:1")
+    with pytest.raises(ValueError, match="finite step > 0"):
+        _parse_grid("0:1:-0.5")
 
 
 def test_simulate_wiretap(tmp_path, capsys):

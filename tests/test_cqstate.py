@@ -27,7 +27,7 @@ from dualhash.cqstate import (
 )
 from dualhash.gf2 import BinaryMatrix, EnumerationCapError, LinearCode, dual
 from dualhash.hashfam import HashFamily, HashFamilySpec
-from dualhash.universality import CodeFamily, random_code
+from dualhash.universality import CodeFamily, epsilon_dual_universal, random_code
 
 
 def correlated_bit_state():
@@ -230,3 +230,118 @@ def test_pa_with_explicit_sigma():
     sigma = np.eye(3, dtype=complex) / 3
     lhs, rhs = verify_pa(rho, fam, sigma=sigma)
     assert lhs <= rhs + 1e-9
+
+
+def oracle_h2_d2_hmin(rho, sigma=None):
+    """h2_d2_hmin one block at a time, with one eigendecomposition of sigma
+    per power."""
+    if sigma is None:
+        sigma = rho.rho_e()
+    sigma = np.asarray(getattr(sigma, "matrix", sigma), dtype=complex)
+
+    def neg_power(power):
+        eigs, vecs = np.linalg.eigh(sigma)
+        inv = np.zeros_like(eigs)
+        mask = eigs > 1e-12
+        inv[mask] = eigs[mask] ** -power
+        return (vecs * inv) @ vecs.conj().T
+
+    s_q, s_h = neg_power(0.25), neg_power(0.5)
+    coll = op_norm = 0.0
+    for b in rho.blocks:
+        tilted = s_q @ b @ s_q
+        coll += float(np.real(np.trace(tilted @ tilted)))
+        weighted = s_h @ b @ s_h
+        op_norm = max(op_norm, float(np.max(np.abs(np.linalg.eigvalsh(weighted)))))
+    marg = s_q @ rho.rho_e() @ s_q
+    d2 = coll - float(np.real(np.trace(marg @ marg))) / rho.num_values
+    return -math.log2(coll), d2, -math.log2(op_norm)
+
+
+def oracle_verify_pa(rho, family, sigma=None):
+    """verify_pa's left side with every hashed state's own sigma default."""
+    lhs = sum(w * oracle_h2_d2_hmin(hash_marginal(rho, c), sigma)[1]
+              for c, w in zip(family.codes, family.weights))
+    return lhs / family.total_weight, oracle_h2_d2_hmin(rho, sigma)[0]
+
+
+def assert_close(got, expected):
+    for g, e in zip(got, expected, strict=True):
+        assert math.isclose(g, e, rel_tol=1e-12, abs_tol=1e-12), (got, expected)
+
+
+def random_density(dim, rank, rng):
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m = g @ g.conj().T
+    return m / np.real(np.trace(m))
+
+
+def test_h2_d2_hmin_matches_blockwise_oracle():
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        rho = random_cq_state(int(rng.integers(1, 4)), int(rng.integers(2, 9)), rng)
+        assert_close(h2_d2_hmin(rho), oracle_h2_d2_hmin(rho))
+        sigma = DensityOperator(random_density(rho.eve_dim, rho.eve_dim, rng))
+        assert_close(h2_d2_hmin(rho, sigma), oracle_h2_d2_hmin(rho, sigma))
+        assert_close(h2_d2_hmin(rho, sigma.matrix), oracle_h2_d2_hmin(rho, sigma))
+
+
+def test_h2_d2_hmin_matches_oracle_on_rank_deficient_sigma():
+    """Blocks on a rank-2 subspace of a 5-dim Eve space: sigma = rho_E has
+    three eigenvalues below PINV_CUTOFF, inverted as zero."""
+    rng = np.random.default_rng(22)
+    for key_bits in (1, 2, 3):
+        probs = rng.dirichlet(np.ones(1 << key_bits))
+        blocks = np.array([p * random_density(5, 2, rng) for p in probs])
+        basis, _ = np.linalg.qr(rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))
+        proj = basis @ basis.conj().T
+        blocks = proj @ blocks @ proj
+        blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
+        rho = CQState(key_bits, blocks / np.real(np.trace(blocks.sum(axis=0))))
+        assert np.sum(np.linalg.eigvalsh(rho.rho_e()) > 1e-12) == 2
+        assert_close(h2_d2_hmin(rho), oracle_h2_d2_hmin(rho))
+
+
+def test_verify_pa_matches_oracle_with_sigma_given_and_defaulted():
+    rng = np.random.default_rng(23)
+    for key_bits, m in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
+        fam = CodeFamily.from_hash_family(
+            HashFamily(HashFamilySpec("random_linear", key_bits, m))
+        )
+        for _ in range(4):
+            rho = random_cq_state(key_bits, int(rng.integers(2, 7)), rng)
+            eps = float(epsilon_dual_universal(fam, "min_dim").epsilon)
+            for sigma in (None, random_density(rho.eve_dim, rho.eve_dim, rng)):
+                lhs, rhs = verify_pa(rho, fam, sigma=sigma)
+                lhs_o, h2_o = oracle_verify_pa(rho, fam, sigma)
+                assert_close((lhs, rhs), (lhs_o, eps * 2.0 ** -h2_o))
+
+
+def test_cq_state_refuses_one_non_hermitian_block_among_good_ones():
+    rng = np.random.default_rng(24)
+    good = random_cq_state(3, 4, rng).blocks
+    for a in range(8):
+        bad = good.copy()
+        bad[a, 0, 1] += 1e-9
+        with pytest.raises(ValueError, match="block is not Hermitian"):
+            CQState(3, bad)
+    CQState(3, good)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from([0.0, 5e-11, 2e-10, 1e-3]), st.sampled_from([1.0, 0.999, 1 + 5e-10, 1.01]),
+       st.booleans())
+def test_cq_state_checks_agree_with_per_block_checks(a, i, j, skew, scale, normalized):
+    rng = np.random.default_rng(25)
+    blocks = random_cq_state(3, 4, rng).blocks * scale
+    blocks[a, i, j] += skew
+    per_block_ok = all(np.max(np.abs(b - b.conj().T)) <= 1e-10 for b in blocks)
+    total = float(np.real(sum(np.trace(b) for b in blocks)))
+    expect_ok = (per_block_ok and not (normalized and abs(total - 1) > 1e-9)
+                 and total <= 1 + 1e-9)
+    if expect_ok:
+        CQState(3, blocks, normalized=normalized)
+    else:
+        with pytest.raises(ValueError):
+            CQState(3, blocks, normalized=normalized)

@@ -14,13 +14,16 @@ from dualhash.cqstate import CQState, d1_distance, holevo
 from dualhash.gf2 import BinaryMatrix, BitVector, LinearCode, complement_basis, dual
 from dualhash.hashfam import HashFamily, HashFamilySpec, kernel_code
 from dualhash.simulator import (
+    CHUNK_PATTERN_CAP,
     ERROR_ENUM_CAP,
+    MC_TRIALS,
     SAMPLE_PATTERN_CAP,
     Z_99,
     _coset_reps,
     _error_prob,
     _mc_error_prob,
     _syndrome_table,
+    _syndrome_tables,
     counterexample_leakage,
     decode,
     distill_keys,
@@ -777,3 +780,106 @@ def test_family_average_refuses_length_beyond_cap_before_sampling(monkeypatch):
         with pytest.raises(ValueError, match="exceeds enumeration cap"):
             family_average_error(hf, Fraction(1, 10), R=0.5, mode=mode,
                                  sample_count=300000, seed=1)
+
+
+def oracle_family_average(members, weights, c2, p, mode="exact", seed=None):
+    """family_average_error's mean and upper CI limit, one member at a time
+    through _syndrome_table and _error_prob (or _mc_error_prob with the
+    member's own random.Random(seed + i))."""
+    values = []
+    for i, rows in enumerate(members):
+        labels, leaders = _syndrome_table(rows, c2.n)
+        if mode == "exact":
+            values.append(_error_prob(leaders, c2, Fraction(p)))
+        else:
+            values.append(_mc_error_prob(labels, leaders, c2, float(Fraction(p)),
+                                         MC_TRIALS, random.Random(seed + i)))
+    mean = sum(w * v for w, v in zip(weights, values)) / sum(weights)
+    fl = [float(v) for v in values]
+    mu = sum(fl) / len(fl)
+    var = sum((v - mu) ** 2 for v in fl) / max(len(fl) - 1, 1)
+    return mean, mu + Z_99 * math.sqrt(var / len(fl))
+
+
+@pytest.mark.parametrize("kind, n, m, samples, mode", [
+    ("random_linear", 6, 5, 300, "exact"),  # many rank-deficient members
+    ("random_linear", 10, 4, 77, "exact"),  # 77 is not a multiple of 64
+    ("modified_toeplitz", 9, 4, 130, "exact"),
+    ("toeplitz", 12, 8, 37, "monte_carlo"),  # 37 is not a multiple of 16
+    ("random_linear", 5, 5, 70, "monte_carlo"),
+    ("random_linear", 16, 3, 3, "exact"),  # one member per chunk
+])
+def test_family_average_matches_per_member_oracle(kind, n, m, samples, mode):
+    hf = HashFamily(HashFamilySpec(kind, n, m))
+    p, seed = Fraction(1, 7), 5
+    members = [h.matrix.rows for h in hf.sample(samples, seed)]
+    if (kind, n, m) == ("random_linear", 6, 5):
+        assert sum(BinaryMatrix(r, n).rank() < m for r in members) >= 50
+    assert samples % max(1, CHUNK_PATTERN_CAP >> n) or samples == 3
+    res = family_average_error(hf, p, R=1 - m / n, mode=mode,
+                               sample_count=samples, seed=seed)
+    mean, ci = oracle_family_average(members, [1] * samples, LinearCode.zero(n),
+                                     p, mode, seed)
+    assert res.exact_value == mean
+    assert type(res.exact_value) is type(mean)
+    assert res.ci_upper == ci
+
+
+def test_weighted_code_family_average_matches_per_member_oracle():
+    rng = random.Random(8)
+    codes = [random_code(7, t, rng) for t in (0, 1, 2, 3, 5, 7) for _ in range(4)]
+    fam = CodeFamily(codes, [rng.randrange(1, 9) for _ in codes])
+    for p in (Fraction(0), Fraction(1, 9), Fraction(1, 2)):
+        res = family_average_error(fam, p, R=0.5, epsilon=2.0)
+        mean, _ = oracle_family_average(
+            [dual(c).basis for c in fam.codes], fam.weights, LinearCode.zero(7), p
+        )
+        assert res.exact_value == mean
+        assert res.ci_upper is None
+
+
+def test_family_average_with_base_matches_per_member_oracle():
+    rng = random.Random(9)
+    base = LinearCode.from_strings(["11000000", "00110011"])
+    codes = []
+    for extra in (0, 1, 2, 3, 4, 6):
+        rows = list(base.basis) + [rng.randrange(1, 1 << 8) for _ in range(extra)]
+        codes.append(LinearCode.from_rows(8, rows))
+    fam = CodeFamily(codes, [rng.randrange(1, 5) for _ in codes])
+    res = family_average_error(fam, Fraction(1, 10), R=0.5, base=base)
+    mean, _ = oracle_family_average(
+        [dual(c).basis for c in fam.codes], fam.weights, base, Fraction(1, 10)
+    )
+    assert res.exact_value == mean > 0
+
+
+def test_family_average_chunks_stay_within_cap(monkeypatch):
+    sizes = []
+
+    def recording(row_sets, n):
+        tables = _syndrome_tables(row_sets, n)
+        sizes.append(tables[0].size)
+        return tables
+
+    monkeypatch.setattr("dualhash.simulator._syndrome_tables", recording)
+    for n, samples in ((12, 100), (16, 3), (8, 1000)):
+        hf = HashFamily(HashFamilySpec("random_linear", n, 4))
+        sizes.clear()
+        family_average_error(hf, Fraction(1, 10), R=1 - 4 / n, sample_count=samples,
+                             seed=2)
+        assert max(sizes) <= CHUNK_PATTERN_CAP
+        assert sum(sizes) == samples << n
+
+
+def test_syndrome_tables_match_syndrome_table_row_by_row():
+    rng = random.Random(10)
+    for n in (1, 4, 7, 9):
+        row_sets = [tuple(rng.randrange(1 << n) for _ in range(rng.randrange(n + 1)))
+                    for _ in range(12)]
+        row_sets += [(), (0,) * n, (1, 1)] if n > 1 else [()]
+        labels, leaders = _syndrome_tables(row_sets, n)
+        for k, rows in enumerate(row_sets):
+            lab, lead = _syndrome_table(rows, n)
+            assert labels[k].tolist() == lab.tolist()
+            assert leaders[k, : len(lead)].tolist() == lead.tolist()
+            assert (leaders[k, len(lead):] == -1).all()
