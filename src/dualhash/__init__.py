@@ -14,7 +14,6 @@ from .gf2 import (
     WeightDistribution,
     dual,
     kernel,
-    macwilliams_transform,
 )
 from .hashfam import HashFamily, HashFamilySpec, HashFunction, apply_hash
 from .universality import (
@@ -50,7 +49,6 @@ from .cqstate import (
     d1_distance,
     h2_d2_hmin,
     holevo,
-    verify_fs08,
     verify_pa,
     walsh_bias,
 )
@@ -105,14 +103,12 @@ __all__ = [
     "h2_d2_hmin",
     "holevo",
     "kernel",
-    "macwilliams_transform",
     "permuted_epsilon",
     "permuted_pair_epsilon",
     "qkd_bounds",
     "reliability_e",
     "search_permuted_code",
     "tight_family",
-    "verify_fs08",
     "verify_pa",
     "walsh_bias",
     "weighted_decoding_bound",

@@ -21,9 +21,6 @@ __all__ = [
     "binary_entropy",
     "divergence",
     "gallager_e0",
-    "p_theta",
-    "psi",
-    "critical_rate",
     "reliability_e",
     "eta",
     "renyi_h",
@@ -98,21 +95,6 @@ def gallager_e0(s: float, p: float) -> float:
     e = 1.0 / (1.0 + s)
     bracket = p**e + (1 - p) ** e
     return s - (1 + s) * math.log2(bracket)
-
-
-def p_theta(theta: float, p: float) -> float:
-    """Tilted crossover probability p^θ / (p^θ + (1-p)^θ)."""
-    a, b = p**theta, (1 - p) ** theta
-    return a / (a + b)
-
-
-def psi(theta: float, p: float) -> float:
-    """log2(p^θ + (1-p)^θ); cumulant generating function of the tilt."""
-    return math.log2(p**theta + (1 - p) ** theta)
-
-
-def critical_rate(p: float) -> float:
-    return 1 - binary_entropy(p_theta(0.5, p))
 
 
 def _refine(f, lo, hi, tol):

@@ -119,14 +119,14 @@ def _emit(args, payload, records=None):
 def _parse_grid(text: str) -> list[float]:
     """Either a comma list "1,2,3" or an inclusive range "a:b:step".
 
-    A range needs finite ends and a finite step > 0, and may hold at most
-    GRID_POINT_CAP points, checked before any point is built.
+    A range needs finite ends a <= b and a finite step > 0, and may hold at
+    most GRID_POINT_CAP points, checked before any point is built.
     """
     if ":" in text:
         a, b, step = (float(x) for x in text.split(":"))
-        if not all(map(math.isfinite, (a, b, step))) or step <= 0:
+        if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
             raise ValueError(
-                f"grid {text!r} needs finite ends and a finite step > 0"
+                f"grid {text!r} needs finite ends a <= b and a finite step > 0"
             )
         if (b - a) / step >= GRID_POINT_CAP:
             raise ValueError(

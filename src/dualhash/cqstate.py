@@ -30,12 +30,10 @@ __all__ = [
     "code_bias",
     "uniform_on_code",
     "hash_marginal",
-    "verify_fs08",
     "verify_pa",
     "random_cq_state",
 ]
 
-HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 PINV_CUTOFF = 1e-12
 WALSH_CAP = 20
@@ -288,23 +286,6 @@ def hash_marginal(rho: CQState, c: LinearCode) -> CQState:
     out = np.zeros((1 << (c.n - c.dim), rho.eve_dim, rho.eve_dim), dtype=complex)
     np.add.at(out, labels, rho.blocks)
     return CQState(c.n - c.dim, out, normalized=False)
-
-
-def verify_fs08(rho: CQState, sigma, family) -> tuple[float, float]:
-    """Average d2 after key randomization versus the bias bound.
-
-    family is a CodeFamily (uniform-on-code noise per member).  Returns
-    (lhs, rhs) = (E_r d2(rho * W_r || sigma), delta^2 2^(-H2)).
-    """
-    h2, _, _ = h2_d2_hmin(rho, sigma)
-    lhs = 0.0
-    for code, w in zip(family.codes, family.weights):
-        noisy = convolve(rho, [float(x) for x in uniform_on_code(code)])
-        _, d2, _ = h2_d2_hmin(noisy, sigma)
-        lhs += w * d2
-    lhs /= family.total_weight
-    delta_sq = float(code_bias(family).delta_sq)
-    return lhs, delta_sq * 2.0 ** (-h2)
 
 
 def verify_pa(rho: CQState, family, sigma=None, epsilon=None) -> tuple[float, float]:

@@ -26,7 +26,6 @@ __all__ = [
     "kernel",
     "dual",
     "weight_distribution",
-    "macwilliams_transform",
     "syndromes",
     "parse_code",
     "format_code",
@@ -66,10 +65,6 @@ class BitVector:
     def from_string(cls, s: str) -> "BitVector":
         return cls(len(s), bits_from_string(s))
 
-    @classmethod
-    def zero(cls, n: int) -> "BitVector":
-        return cls(n, 0)
-
     def __str__(self) -> str:
         return bits_to_string(self.value, self.n)
 
@@ -85,11 +80,6 @@ class BitVector:
 
     def weight(self) -> int:
         return self.value.bit_count()
-
-    def dot(self, other: "BitVector") -> int:
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return (self.value & other.value).bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -126,15 +116,6 @@ class BinaryMatrix:
         for r in self.rows:
             y = (y << 1) | ((r & x).bit_count() & 1)
         return y
-
-    def transpose(self) -> "BinaryMatrix":
-        out = []
-        for j in range(self.cols):
-            row = 0
-            for i in range(self.nrows):
-                row = (row << 1) | self.entry(i, j)
-            out.append(row)
-        return BinaryMatrix(tuple(out), self.nrows)
 
     def rank(self) -> int:
         return rank(self.rows)
@@ -343,10 +324,6 @@ class WeightDistribution:
             raise ValueError("mass does not sum to 1")
 
     @classmethod
-    def point(cls, n: int, k: int) -> "WeightDistribution":
-        return cls(n, tuple(Fraction(int(i == k)) for i in range(n + 1)))
-
-    @classmethod
     def binomial(cls, n: int, p: Fraction) -> "WeightDistribution":
         p = Fraction(p)
         return cls(
@@ -364,29 +341,6 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
         counts[w.bit_count()] += 1
     total = len(c)
     return WeightDistribution(c.n, tuple(Fraction(k, total) for k in counts))
-
-
-def macwilliams_transform(w: WeightDistribution, dim: int) -> WeightDistribution:
-    """Weight distribution of the dual via the MacWilliams identity.
-
-    Used as an independent oracle against direct dual enumeration.
-    `dim` is the dimension of the code whose distribution `w` is.
-    """
-    n = w.n
-    size = 1 << dim
-    counts = [w[k] * size for k in range(n + 1)]
-    dual_counts = []
-    for j in range(n + 1):
-        acc = Fraction(0)
-        for k in range(n + 1):
-            kraw = sum(
-                (-1) ** i * comb(k, i) * comb(n - k, j - i)
-                for i in range(0, min(k, j) + 1)
-            )
-            acc += counts[k] * kraw
-        dual_counts.append(acc / size)
-    dual_size = 1 << (n - dim)
-    return WeightDistribution(n, tuple(c / dual_size for c in dual_counts))
 
 
 def syndromes(rows, n: int) -> np.ndarray:

@@ -10,14 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gf2 import (
-    BinaryMatrix,
-    BitVector,
-    LinearCode,
-    bits_from_string,
-    bits_to_string,
-    kernel,
-)
+from .gf2 import BinaryMatrix, BitVector, LinearCode, kernel
 
 __all__ = [
     "HashFunction",
@@ -27,9 +20,6 @@ __all__ = [
     "kernel_code",
     "toeplitz_matrix",
     "modified_toeplitz_matrix",
-    "modified_toeplitz_dual",
-    "parse_hash",
-    "format_hash",
 ]
 
 
@@ -69,16 +59,6 @@ def modified_toeplitz_matrix(n: int, m: int, diagonals: int) -> BinaryMatrix:
     """(T | I_m) with T the m x (n-m) Toeplitz block from n-1 diagonal bits."""
     t = toeplitz_matrix(n - m, m, diagonals)
     rows = tuple((r << m) | (1 << (m - 1 - i)) for i, r in enumerate(t.rows))
-    return BinaryMatrix(rows, n)
-
-
-def modified_toeplitz_dual(n: int, m: int, diagonals: int) -> BinaryMatrix:
-    """The paired surjection N = (I_{n-m} | T^t); satisfies M N^t = 0."""
-    t = toeplitz_matrix(n - m, m, diagonals)
-    tt = t.transpose()
-    rows = tuple(
-        (1 << (n - 1 - i)) | tt.rows[i] for i in range(n - m)
-    )
     return BinaryMatrix(rows, n)
 
 
@@ -157,20 +137,3 @@ def apply_hash_schoolbook(h: HashFunction, x: BitVector) -> BitVector:
 def kernel_code(h: HashFunction) -> LinearCode:
     return kernel(h.matrix)
 
-
-def parse_hash(text: str) -> HashFunction:
-    """Hash file format: first line "n m", then m rows of n bits."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("malformed hash file")
-    n, m = map(int, lines[0].split())
-    rows = lines[1 : 1 + m]
-    if len(rows) != m or any(len(r) != n for r in rows):
-        raise ValueError("malformed hash file")
-    return HashFunction(n, m, BinaryMatrix(tuple(bits_from_string(r) for r in rows), n))
-
-
-def format_hash(h: HashFunction) -> str:
-    lines = [f"{h.n} {h.m}"]
-    lines += [bits_to_string(r, h.n) for r in h.matrix.rows]
-    return "\n".join(lines) + "\n"

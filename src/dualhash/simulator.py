@@ -108,37 +108,24 @@ def _pattern_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return weight, key
 
 
-def _syndrome_table(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Syndrome label of every n-bit word, and the coset leaders they key.
+def _syndrome_tables(row_sets, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Syndrome label of every n-bit word, and the coset leaders they key,
+    for K row sets at once: labels (K, 2^n) and leaders (K, 2^m), m the
+    longest row count.
 
-    labels[x] = Hx, H the matrix of ``rows``; leaders[s] is the least
-    (weight, value) word labelled s, or -1 if none is (dependent rows reach
-    2^rank labels).  Rows spanning C^perp, a code's dual basis or a hash
-    member's own matrix rows, key the cosets of C; which rows do so changes
-    no leader.  Both arrays come once from one vectorised pass over all 2^n
-    patterns; n <= 16 bounds that work at 2^16.
+    labels[k, x] = H_k x, H_k the matrix of row_sets[k]; leaders[k, s] is
+    the least (weight, value) word labelled s, or -1 if none is (dependent
+    or padded rows reach fewer labels).  Rows spanning C^perp, a code's
+    dual basis or a hash member's own matrix rows, key the cosets of C;
+    which rows do so changes no leader.  Shorter row sets are padded with
+    zero rows on top, which changes no label.  The column syndromes H_k e_j
+    come from the row bits and the labels from one doubling pass over every
+    row set; the leaders take one np.minimum.at per row, which needs no
+    K 2^n array of flat indices or keys.  n <= 16, and callers bound K 2^n,
+    so every array is int32.
     """
     if n > ERROR_ENUM_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
-    labels = syndromes(rows, n)
-    _, key = _pattern_weights(n)
-    unreached = np.iinfo(np.int32).max
-    best = np.full(1 << len(rows), unreached, dtype=np.int32)
-    np.minimum.at(best, labels, key)
-    return labels, np.where(best < unreached, best & ((1 << n) - 1), -1)
-
-
-def _syndrome_tables(row_sets, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_syndrome_table for several row sets at once: labels (K, 2^n) and
-    leaders (K, 2^m), m the longest row count, row k as _syndrome_table
-    gives it for row_sets[k] (padded with -1 past its own 2^len labels).
-
-    Shorter row sets are padded with zero rows on top, which changes no
-    label.  The column syndromes H_k e_j come from the row bits and the
-    labels from one doubling pass over every row set; the leaders take one
-    np.minimum.at per row, which needs no K 2^n array of flat indices or
-    keys.  Callers bound K 2^n, so every array is int32.
-    """
     count, m = len(row_sets), max(map(len, row_sets))
     rows = np.zeros((count, m), dtype=np.int32)
     for k, r in enumerate(row_sets):
@@ -166,8 +153,8 @@ def decode(c: LinearCode, y: BitVector) -> BitVector:
     """
     if y.n != c.n:
         raise ValueError("length mismatch")
-    labels, leaders = _syndrome_table(dual(c).basis, c.n)
-    return BitVector(c.n, y.value ^ int(leaders[labels[y.value]]))
+    labels, leaders = _syndrome_tables([dual(c).basis], c.n)
+    return BitVector(c.n, y.value ^ int(leaders[0, labels[0, y.value]]))
 
 
 def exact_error_prob(code, p) -> Fraction:
@@ -183,25 +170,10 @@ def exact_error_prob(code, p) -> Fraction:
     p = Fraction(p)
     if not 0 <= p <= Fraction(1, 2):
         raise ValueError("p must be in [0, 1/2]")
-    _, leaders = _syndrome_table(dual(c1).basis, c1.n)
-    return _error_prob(leaders, c2, p)
-
-
-def _error_prob(leaders: np.ndarray, c2: LinearCode, p: Fraction) -> Fraction:
-    """Exact probability that BSC(p) noise decodes outside C2, given the
-    _syndrome_table leaders of a code C1 containing C2: a word decodes
-    correctly iff its error differs from its coset leader by an element of C2.
-    """
-    n = c2.n
-    weight, _ = _pattern_weights(n)
-    correct = np.bitwise_xor.outer(
-        leaders[leaders >= 0],
-        np.fromiter(c2.codewords(), dtype=np.int64, count=len(c2)),
-    )
-    correct_by_weight = np.bincount(weight[correct].ravel(), minlength=n + 1)
-    terms, den = _weight_terms(n, p)
-    num = sum(cnt * t for cnt, t in zip(correct_by_weight.tolist(), terms))
-    return Fraction(den - num, den)
+    _, leaders = _syndrome_tables([dual(c1).basis], c1.n)
+    (correct,) = _correct_weights(leaders, c2).tolist()
+    terms, den = _weight_terms(c1.n, p)
+    return Fraction(den - sum(cnt * t for cnt, t in zip(correct, terms)), den)
 
 
 def _weight_terms(n: int, p: Fraction) -> tuple[list[int], int]:
@@ -213,9 +185,11 @@ def _weight_terms(n: int, p: Fraction) -> tuple[list[int], int]:
 
 def _correct_weights(leaders: np.ndarray, c2: LinearCode) -> np.ndarray:
     """Row k: the weight histogram of the errors that row k of the
-    _syndrome_tables leaders decodes into C2, as _error_prob counts them.
-    Each member contributes its 2^rank reached leaders times |C2| <=
-    2^(n - rank) words, so K members make at most K 2^n."""
+    _syndrome_tables leaders decodes into C2, a code inside that row's
+    code C1.  A word decodes correctly iff its error differs from its coset
+    leader by an element of C2.  Each member contributes its 2^rank reached
+    leaders times |C2| <= 2^(n - rank) words, so K members make at most
+    K 2^n."""
     count, n = len(leaders), c2.n
     weight, _ = _pattern_weights(n)
     member, slot = np.nonzero(leaders >= 0)
@@ -334,7 +308,8 @@ def family_average_error(
 def _mc_error_prob(labels: np.ndarray, leaders: np.ndarray, c2: LinearCode,
                    p: float, trials: int, rng: random.Random) -> float:
     """Share of `trials` seeded BSC(p) transmissions of 0 that decode outside
-    C2, through the _syndrome_table labels and leaders of a code C1 ⊇ C2.
+    C2, through one row of the _syndrome_tables labels and leaders of a
+    code C1 ⊇ C2.
 
     Trial t, bit i flips iff the (t n + i)-th rng.random() is below p.  All
     2 trials n Mersenne Twister words come from one rng.getrandbits call,

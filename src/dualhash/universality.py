@@ -511,6 +511,8 @@ def tight_family(n: int, t: int, epsilon, x) -> CodeFamily:
     eps_max = Fraction(2 - Fraction(2, 1 << t), 1 - Fraction(2, 1 << n))
     if not 0 < epsilon <= eps_max:
         raise ValueError(f"epsilon out of range (0, {eps_max}]")
+    if not isinstance(x, int) and x.n != n:
+        raise ValueError(f"x has length {x.n}, not n={n}")
     xv = x if isinstance(x, int) else x.value
     if not 0 < xv < (1 << n):
         raise ValueError("x must be a nonzero n-bit vector")

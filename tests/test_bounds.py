@@ -17,15 +17,12 @@ from dualhash.bounds import (
     _type_exponent,
     approach_ratio,
     binary_entropy,
-    critical_rate,
     divergence,
     eta,
     gallager_e0,
     gallager_family_bound,
     maximize_scalar,
     minimize_scalar,
-    p_theta,
-    psi,
     qkd_bounds,
     reliability_e,
     renyi_h,
@@ -56,15 +53,6 @@ def test_gallager_e0_values():
     assert gallager_e0(0.0, p) == 0.0
     # cutoff-rate value at p = 0.1
     assert abs(gallager_e0(1.0, 0.1) - 0.3219280948873623) < 1e-10
-
-
-def test_tilted_distribution():
-    assert p_theta(1.0, 0.2) == 0.2
-    assert abs(p_theta(0.0, 0.2) - 0.5) < 1e-12
-    assert abs(psi(1.0, 0.2)) < 1e-12
-    # critical rate lies between 0 and capacity
-    p = 0.1
-    assert 0 < critical_rate(p) < 1 - binary_entropy(p)
 
 
 def test_scalar_optimizers():

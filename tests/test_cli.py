@@ -365,9 +365,11 @@ def test_block_length_is_checked(capsys, argv, message):
     ("1:10:nan", "finite step > 0"),
     ("1:inf:1", "finite ends"),
     ("0:1e12:1", f"more than {GRID_POINT_CAP} points"),
+    ("10:1:1", "a <= b"),
 ])
 def test_sweep_refuses_unbounded_grid_before_building_it(capsys, grid, message):
-    # each appended points until MemoryError before
+    # each appended points until MemoryError before, and the reversed range
+    # printed an empty sweep with exit 0
     code, out, err = run(capsys, "sweep", "ratio", "--n-grid", grid)
     assert code == 2
     assert out == ""
@@ -380,6 +382,7 @@ def test_grid_point_cap_boundary():
         _parse_grid(f"0:{GRID_POINT_CAP}:1")
     with pytest.raises(ValueError, match="finite step > 0"):
         _parse_grid("0:1:-0.5")
+    assert _parse_grid("5:5:1") == [5.0]
 
 
 def test_simulate_wiretap(tmp_path, capsys):

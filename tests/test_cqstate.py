@@ -20,7 +20,6 @@ from dualhash.cqstate import (
     holevo,
     random_cq_state,
     uniform_on_code,
-    verify_fs08,
     verify_pa,
     walsh_bias,
     walsh_transform,
@@ -206,6 +205,24 @@ def test_block_identity_exact_scaling():
     _, d2_noisy, _ = h2_d2_hmin(noisy, sigma)
     _, d2_marg, _ = h2_d2_hmin(hash_marginal(rho, c), sigma)
     assert abs(d2_noisy - 2.0 ** (-c.dim) * d2_marg) < 1e-10
+
+
+def verify_fs08(rho, sigma, family):
+    """The FS08 bias-lemma form of privacy amplification: average d2 after
+    key randomization versus the bias bound.
+
+    family is a CodeFamily (uniform-on-code noise per member).  Returns
+    (lhs, rhs) = (E_r d2(rho * W_r || sigma), delta^2 2^(-H2)).
+    """
+    h2, _, _ = h2_d2_hmin(rho, sigma)
+    lhs = 0.0
+    for code, w in zip(family.codes, family.weights):
+        noisy = convolve(rho, [float(x) for x in uniform_on_code(code)])
+        _, d2, _ = h2_d2_hmin(noisy, sigma)
+        lhs += w * d2
+    lhs /= family.total_weight
+    delta_sq = float(code_bias(family).delta_sq)
+    return lhs, delta_sq * 2.0 ** (-h2)
 
 
 def test_verify_fs08_and_pa_hold():

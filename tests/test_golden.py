@@ -5,6 +5,7 @@ import pytest
 
 from dualhash.bounds import _phase_sum_log2
 from dualhash.cli import main
+from dualhash.gf2 import LinearCode, format_code
 
 
 @pytest.mark.parametrize("n, expected", [
@@ -288,5 +289,66 @@ SIMULATE_FAMILY_AVERAGE_MC = (
         "simulate_family_average_mc"])
 def test_cli_output_bytes(capsys, argv, expected):
     assert main(argv.split()) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
+
+
+# The single-code decoding paths: one code (or a code with its subcode)
+# read from files, the Hamming [7,4] code over the repetition code.
+HAMMING = LinearCode.from_strings(["1000110", "0100101", "0010011", "0001111"])
+CHANNEL = "0.8 0.1 0.06 0.04\n0.85 0.05 0.07 0.03\n" * 3 + "0.8 0.1 0.06 0.04\n"
+
+SIMULATE_ERROR_PROB = '{\n  "error_prob": "93559/625000",\n  "n": 7,\n  "p": "1/10"\n}\n'
+SIMULATE_ERROR_PROB_BASE = (
+    '{\n  "error_prob": "18711/125000",\n  "n": 7,\n  "p": "1/10"\n}\n'
+)
+SIMULATE_WIRETAP = (
+    "{\n"
+    '  "bound_holevo": 2.39274296424,\n'
+    '  "bound_trace_distance": 1.92955953523,\n'
+    '  "exact_value": "1.221777151182485",\n'
+    '  "n": 7,\n'
+    '  "param_holevo": 1.78238434454,\n'
+    '  "param_l": 3,\n'
+    '  "param_mode": "exact",\n'
+    '  "param_p_ph": 0.1,\n'
+    '  "param_p_ph_remaining": "2327/5000"\n'
+    "}\n"
+)
+SIMULATE_WIRETAP_PHASE_ONLY = (
+    "{\n"
+    '  "bound_holevo": 2.39274296424,\n'
+    '  "bound_trace_distance": 1.92955953523,\n'
+    '  "exact_value": "0.4654",\n'
+    '  "n": 7,\n'
+    '  "param_l": 3,\n'
+    '  "param_mode": "phase_only",\n'
+    '  "param_p_ph": 0.1,\n'
+    '  "param_p_ph_remaining": "2327/5000"\n'
+    "}\n"
+)
+SIMULATE_DISTILL = (
+    '{\n  "agree": true,\n  "key_a": "1010101",\n  "key_b": "1010101",\n'
+    '  "seed": 3\n}\n'
+)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("simulate --what error-prob --code {d}/c1.txt -p 1/10", SIMULATE_ERROR_PROB),
+    ("simulate --what error-prob --code {d}/c1.txt --base {d}/c2.txt -p 1/10",
+     SIMULATE_ERROR_PROB_BASE),
+    ("simulate --what wiretap --channel {d}/ch.txt --c1 {d}/c1.txt --c2 {d}/c2.txt",
+     SIMULATE_WIRETAP),
+    ("simulate --what wiretap --channel {d}/ch.txt --c1 {d}/c1.txt --c2 {d}/c2.txt "
+     "--phase-only", SIMULATE_WIRETAP_PHASE_ONLY),
+    ("simulate --what distill --c1 {d}/c1.txt --c2 {d}/c2.txt --key-a 1011001 "
+     "--key-b 1011011 --seed 3", SIMULATE_DISTILL),
+], ids=["simulate_error_prob", "simulate_error_prob_base", "simulate_wiretap",
+        "simulate_wiretap_phase_only", "simulate_distill"])
+def test_cli_single_code_output_bytes(tmp_path, capsys, argv, expected):
+    (tmp_path / "c1.txt").write_text(format_code(HAMMING))
+    (tmp_path / "c2.txt").write_text(format_code(LinearCode.repetition(7)))
+    (tmp_path / "ch.txt").write_text(CHANNEL)
+    assert main(argv.format(d=tmp_path).split()) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (expected, "")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dualhash.bounds import binary_entropy
 from dualhash.cqstate import CQState, d1_distance, holevo
-from dualhash.gf2 import BinaryMatrix, BitVector, LinearCode, complement_basis, dual
+from dualhash.gf2 import BinaryMatrix, BitVector, LinearCode, complement_basis, dual, rank
 from dualhash.hashfam import HashFamily, HashFamilySpec, kernel_code
 from dualhash.simulator import (
     CHUNK_PATTERN_CAP,
@@ -19,10 +19,9 @@ from dualhash.simulator import (
     MC_TRIALS,
     SAMPLE_PATTERN_CAP,
     Z_99,
+    _correct_weights,
     _coset_reps,
-    _error_prob,
     _mc_error_prob,
-    _syndrome_table,
     _syndrome_tables,
     counterexample_leakage,
     decode,
@@ -42,20 +41,21 @@ def oracle_decode(c, y):
     return y ^ err
 
 
-def oracle_leaders(c):
-    """Reference coset-leader table: walk patterns by weight, each weight in
-    increasing order (Gosper's hack); the first to reach a syndrome keeps it."""
-    n = c.n
-    h = BinaryMatrix(dual(c).basis, n)
-    size, leaders = 1 << h.nrows, {0: 0}
+def oracle_leaders(rows, n):
+    """Reference coset-leader table for the parity rows `rows`: walk
+    patterns by weight, each weight in increasing order (Gosper's hack); the
+    first to reach a syndrome keeps it.  Dependent rows reach 2^rank of the
+    2^len(rows) syndromes; the others get -1."""
+    h = BinaryMatrix(tuple(rows), n)
+    reached, leaders = 1 << rank(rows), {0: 0}
     for weight in range(1, n + 1):
         e = (1 << weight) - 1
-        while len(leaders) < size and e < 1 << n:
+        while len(leaders) < reached and e < 1 << n:
             leaders.setdefault(h.mul_vector(e), e)
             low = e & -e
             nxt = e + low
             e = ((nxt ^ e) >> 2) // low | nxt
-    return [leaders[s] for s in range(size)]
+    return [leaders.get(s, -1) for s in range(1 << h.nrows)]
 
 
 def oracle_mc_error_prob(rows, n, p, trials, rng, c2):
@@ -64,14 +64,14 @@ def oracle_mc_error_prob(rows, n, p, trials, rng, c2):
     i-th draw of its trial, each trial decoded by the coset-leader table at
     the syndrome Hx and tested for membership of C2."""
     h = BinaryMatrix(tuple(rows), n)
-    _, leaders = _syndrome_table(rows, n)
+    leaders = oracle_leaders(rows, n)
     wrong = 0
     for _ in range(trials):
         e = 0
         for i in range(n):
             if rng.random() < p:
                 e |= 1 << i
-        decoded = e ^ int(leaders[h.mul_vector(e)])
+        decoded = e ^ leaders[h.mul_vector(e)]
         if not c2.contains(decoded):
             wrong += 1
     return wrong / trials
@@ -133,28 +133,31 @@ def test_syndrome_table_matches_weight_ordered_walk(seed):
     rng = random.Random(seed)
     n = rng.randrange(1, 13)
     c = random_code(n, rng.randrange(0, n + 1), rng)
-    assert _syndrome_table(dual(c).basis, n)[1].tolist() == oracle_leaders(c)
+    rows = dual(c).basis
+    assert _syndrome_tables([rows], n)[1][0].tolist() == oracle_leaders(rows, n)
 
 
 def test_syndrome_table_edge_codes():
     # C = {0}: every word is its own coset, and H is the identity
-    labels, leaders = _syndrome_table(dual(LinearCode.zero(7)).basis, 7)
+    (labels,), (leaders,) = _syndrome_tables([dual(LinearCode.zero(7)).basis], 7)
     assert leaders.tolist() == labels.tolist() == list(range(1 << 7))
     # C = F_2^n: one coset, led by 0
-    _, leaders = _syndrome_table(dual(LinearCode.full(7)).basis, 7)
+    _, (leaders,) = _syndrome_tables([dual(LinearCode.full(7)).basis], 7)
     assert leaders.tolist() == [0]
     # n = 16, the cap: 2^(n-k) leaders, each in the coset its syndrome names
     c = random_code(16, 9, random.Random(4))
     h = BinaryMatrix(dual(c).basis, 16)
-    labels, leaders = _syndrome_table(h.rows, 16)
+    (labels,), (leaders,) = _syndrome_tables([h.rows], 16)
+    assert leaders.tolist() == oracle_leaders(h.rows, 16)
     assert len(leaders) == 1 << (16 - 9)
     assert all(h.mul_vector(x) == s for s, x in enumerate(leaders.tolist()))
     assert all(h.mul_vector(x) == labels[x] for x in range(0, 1 << 16, 97))
     # dependent rows reach only the labels of their span: rows (r, r) reach
     # 00 and 11, and r = 0 reaches one label
     r = 0b0110
-    assert _syndrome_table((r, r), 4)[1].tolist() == [0, -1, -1, 0b0010]
-    assert _syndrome_table((0, 0), 4)[1].tolist() == [0, -1, -1, -1]
+    for rows, want in (((r, r), [0, -1, -1, 0b0010]), ((0, 0), [0, -1, -1, -1])):
+        assert _syndrome_tables([rows], 4)[1][0].tolist() == want
+        assert oracle_leaders(rows, 4) == want
 
 
 def test_exact_error_prob_nested_pairs_match_oracle():
@@ -265,7 +268,7 @@ def test_monte_carlo_error_prob_matches_exact():
     h = HashFamily(HashFamilySpec("random_linear", 12, 8)).sample(1, 0)[0]
     trials = 2000
     exact = float(exact_error_prob(kernel_code(h), Fraction(1, 20)))
-    labels, leaders = _syndrome_table(h.matrix.rows, 12)
+    (labels,), (leaders,) = _syndrome_tables([h.matrix.rows], 12)
     est = _mc_error_prob(labels, leaders, LinearCode.zero(12), 0.05, trials,
                          random.Random(0))
     half_width = Z_99 * math.sqrt(est * (1 - est) / trials)
@@ -279,7 +282,7 @@ def test_monte_carlo_equals_per_trial_loop(n, m, p, with_base):
     h = HashFamily(HashFamilySpec("random_linear", n, m)).sample(1, n)[0]
     base = LinearCode(n, kernel_code(h).basis[:1]) if with_base else LinearCode.zero(n)
     rng, ref_rng = random.Random(n * m), random.Random(n * m)
-    labels, leaders = _syndrome_table(h.matrix.rows, n)
+    (labels,), (leaders,) = _syndrome_tables([h.matrix.rows], n)
     got = _mc_error_prob(labels, leaders, base, p, 300, rng)
     assert got == oracle_mc_error_prob(h.matrix.rows, n, p, 300, ref_rng, base)
     assert rng.getstate() == ref_rng.getstate()
@@ -650,7 +653,7 @@ def test_family_average_rejects_bad_mode_before_any_work(monkeypatch):
         raise AssertionError("members evaluated before the mode was checked")
 
     monkeypatch.setattr(HashFamily, "sample", refuse)
-    monkeypatch.setattr("dualhash.simulator._syndrome_table", refuse)
+    monkeypatch.setattr("dualhash.simulator._syndrome_tables", refuse)
     for family in (fam, hf):
         with pytest.raises(ValueError, match="unknown mode"):
             family_average_error(family, Fraction(1, 10), R=0.5, mode="bogus",
@@ -761,14 +764,17 @@ def test_hash_rows_decode_as_their_kernel_code():
     for i, h in enumerate(_hash_members()):
         n, rows, code = h.n, h.matrix.rows, kernel_code(h)
         deficient += h.matrix.rank() < h.m
-        labels, leaders = _syndrome_table(rows, n)
-        kernel_table = _syndrome_table(dual(code).basis, n)
+        # the member's rows and its kernel code's dual basis, one table each
+        labels, leaders = _syndrome_tables([rows, dual(code).basis], n)
+        decoded = leaders[[[0], [1]], labels]  # each word's coset leader
+        assert (decoded[0] == decoded[1]).all()
         for base in (LinearCode.zero(n), LinearCode(n, code.basis[:1])):
-            for p in (Fraction(0), Fraction(1, 7), Fraction(1, 2)):
-                assert _error_prob(leaders, base, p) == exact_error_prob((code, base), p)
+            correct = _correct_weights(leaders, base)
+            assert (correct[0] == correct[1]).all()
             rng, kernel_rng = random.Random(i), random.Random(i)
-            got = _mc_error_prob(labels, leaders, base, 1 / 7, 50, rng)
-            assert got == _mc_error_prob(*kernel_table, base, 1 / 7, 50, kernel_rng)
+            got = _mc_error_prob(labels[0], leaders[0], base, 1 / 7, 50, rng)
+            assert got == _mc_error_prob(labels[1], leaders[1], base, 1 / 7, 50,
+                                         kernel_rng)
             assert rng.getstate() == kernel_rng.getstate()
     assert deficient >= 50
 
@@ -783,17 +789,23 @@ def test_family_average_refuses_length_beyond_cap_before_sampling(monkeypatch):
 
 
 def oracle_family_average(members, weights, c2, p, mode="exact", seed=None):
-    """family_average_error's mean and upper CI limit, one member at a time
-    through _syndrome_table and _error_prob (or _mc_error_prob with the
-    member's own random.Random(seed + i))."""
+    """family_average_error's mean and upper CI limit, one member at a time:
+    exact through the member's oracle_leaders (a word decodes into C2 iff
+    its error is a reached leader plus a word of C2), Monte Carlo through
+    oracle_mc_error_prob with the member's own random.Random(seed + i)."""
+    n, p = c2.n, Fraction(p)
     values = []
     for i, rows in enumerate(members):
-        labels, leaders = _syndrome_table(rows, c2.n)
         if mode == "exact":
-            values.append(_error_prob(leaders, c2, Fraction(p)))
+            correct = sum(
+                p ** (e ^ c).bit_count() * (1 - p) ** (n - (e ^ c).bit_count())
+                for e in oracle_leaders(rows, n) if e >= 0
+                for c in c2.codewords()
+            )
+            values.append(1 - correct)
         else:
-            values.append(_mc_error_prob(labels, leaders, c2, float(Fraction(p)),
-                                         MC_TRIALS, random.Random(seed + i)))
+            values.append(oracle_mc_error_prob(rows, n, float(p), MC_TRIALS,
+                                               random.Random(seed + i), c2))
     mean = sum(w * v for w, v in zip(weights, values)) / sum(weights)
     fl = [float(v) for v in values]
     mu = sum(fl) / len(fl)
@@ -872,6 +884,8 @@ def test_family_average_chunks_stay_within_cap(monkeypatch):
 
 
 def test_syndrome_tables_match_syndrome_table_row_by_row():
+    # each row of a batch equals the row set's own one-set table and the
+    # reference walk, padded with -1 past its 2^len(rows) labels
     rng = random.Random(10)
     for n in (1, 4, 7, 9):
         row_sets = [tuple(rng.randrange(1 << n) for _ in range(rng.randrange(n + 1)))
@@ -879,7 +893,10 @@ def test_syndrome_tables_match_syndrome_table_row_by_row():
         row_sets += [(), (0,) * n, (1, 1)] if n > 1 else [()]
         labels, leaders = _syndrome_tables(row_sets, n)
         for k, rows in enumerate(row_sets):
-            lab, lead = _syndrome_table(rows, n)
-            assert labels[k].tolist() == lab.tolist()
-            assert leaders[k, : len(lead)].tolist() == lead.tolist()
+            (lab,), (lead,) = _syndrome_tables([rows], n)
+            h = BinaryMatrix(rows, n)
+            assert labels[k].tolist() == lab.tolist() == [
+                h.mul_vector(x) for x in range(1 << n)]
+            assert leaders[k, : len(lead)].tolist() == lead.tolist() == \
+                oracle_leaders(rows, n)
             assert (leaders[k, len(lead):] == -1).all()
