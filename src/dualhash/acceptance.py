@@ -288,7 +288,7 @@ def criterion_6(seed: int):
         for p in (0.05, 0.1, 0.25):
             pxz = [(1 - p, 0.0, p, 0.0)] * n
             for c1, c2 in code_pairs:
-                res = wiretap_eval(n, pxz, c1, c2, mode="exact")
+                res = wiretap_eval(pxz, c1, c2, mode="exact")
                 d1 = res.exact_value
                 chi = res.params["holevo"]
                 d1_bound = next(b for b in res.bounds if b.formula_id == "trace_distance")
@@ -298,7 +298,7 @@ def criterion_6(seed: int):
                 checked += 1
         for pxz in ([(1.0, 0.0, 0.0, 0.0)] * n, [(0.9, 0.1, 0.0, 0.0)] * n):
             for c1, c2 in code_pairs:
-                res = wiretap_eval(n, pxz, c1, c2, mode="exact")
+                res = wiretap_eval(pxz, c1, c2, mode="exact")
                 if res.exact_value != 0.0 or res.params["holevo"] != 0.0:
                     return False, f"n={n}: phase-noiseless channel leaks"
     return True, f"{checked} dephasing evaluations within bounds; zero-leakage exact"

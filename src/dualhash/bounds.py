@@ -109,9 +109,9 @@ def _refine(f, lo, hi, tol):
     return x, f(x)
 
 
-def maximize_scalar(f, lo: float, hi: float, grid_step=GRID_STEP, tol=ARG_TOL,
-                    *, f_grid=None):
-    """Grid scan plus ternary refinement; returns (argmax, max).
+def maximize_scalar(f, lo: float, hi: float, *, f_grid=None):
+    """Grid scan (step GRID_STEP) plus ternary refinement to ARG_TOL;
+    returns (argmax, max).
 
     f_grid, if given, evaluates f on a numpy array of grid points, equal to f
     up to rounding.  The scan then calls f only on the grid points within
@@ -119,7 +119,7 @@ def maximize_scalar(f, lo: float, hi: float, grid_step=GRID_STEP, tol=ARG_TOL,
     every point where f is largest, and takes the first largest of those:
     the index, grid value and result of the scan with f alone.
     """
-    steps = max(1, int(round((hi - lo) / grid_step)))
+    steps = max(1, int(round((hi - lo) / GRID_STEP)))
     grid = lo + (hi - lo) * np.arange(steps + 1) / steps  # lo + (hi - lo) i / steps
     xs = grid.tolist()
     if f_grid is None:
@@ -134,16 +134,15 @@ def maximize_scalar(f, lo: float, hi: float, grid_step=GRID_STEP, tol=ARG_TOL,
     i = max(vals, key=vals.__getitem__)
     a = xs[max(0, i - 1)]
     b = xs[min(steps, i + 1)]
-    x, v = _refine(f, a, b, tol)
+    x, v = _refine(f, a, b, ARG_TOL)
     if vals[i] > v:
         return xs[i], vals[i]
     return x, v
 
 
-def minimize_scalar(f, lo: float, hi: float, grid_step=GRID_STEP, tol=ARG_TOL,
-                    *, f_grid=None):
+def minimize_scalar(f, lo: float, hi: float, *, f_grid=None):
     neg_grid = None if f_grid is None else (lambda t: -f_grid(t))
-    x, v = maximize_scalar(lambda t: -f(t), lo, hi, grid_step, tol, f_grid=neg_grid)
+    x, v = maximize_scalar(lambda t: -f(t), lo, hi, f_grid=neg_grid)
     return x, -v
 
 
@@ -219,24 +218,11 @@ def renyi_h(s: float, p: float) -> float:
     return math.log2(p ** (1 - s) + (1 - p) ** (1 - s)) / s
 
 
-def _weight_masses(W) -> list[float]:
-    return [float(m) for m in W.mass]
+def weighted_decoding_bound(W, R: float, epsilon: float, k_start: int = 1) -> BoundReport:
+    """Average decoding error bound from an error-weight distribution:
+    ε Σ_k W(k) 2^(-n[1-h(min(k/n,1/2))-R]_+), summing from k_start (1 for
+    plain codes, 0 for coset decoding).
 
-
-def weighted_decoding_bound(
-    W,
-    R: float,
-    epsilon: float,
-    variant: str = "sum",
-    k_start: int = 1,
-    p: float | None = None,
-) -> BoundReport:
-    """Average decoding error bound from an error-weight distribution.
-
-    sum variant: ε Σ_k W(k) 2^(-n[1-h(min(k/n,1/2))-R]_+), summing from
-    k_start (1 for plain codes, 0 for coset decoding).
-    type_method variant: floor(n/2+2) ε 2^(-n min_q [1-h(q)-R]_+ + d(q||p)),
-    which needs the crossover probability p.
     Valid only for ε >= 1: the derivation clips per-weight terms at 1.
     """
     if not epsilon >= 1:
@@ -244,32 +230,18 @@ def weighted_decoding_bound(
     if not 0 <= R <= 1:
         raise ValueError("R must be in [0, 1]")
     n = W.n
-    if variant == "sum":
-        total = 0.0
-        masses = _weight_masses(W)
-        for k in range(k_start, n + 1):
-            if masses[k] == 0:
-                continue
-            expo = max(1 - binary_entropy(min(k / n, 0.5)) - R, 0.0)
-            total += masses[k] * 2.0 ** (-n * expo)
-        value = epsilon * total
-        return BoundReport(
-            "weighted_sum",
-            value,
-            {"n": n, "R": R, "epsilon": epsilon, "k_start": k_start},
-        )
-    if variant == "type_method":
-        if p is None:
-            raise ValueError("type_method needs the crossover probability p")
-        _, emin = minimize_scalar(lambda q: _type_exponent(q, p, R), 0.0, 0.5)
-        value = math.floor(n / 2 + 2) * epsilon * 2.0 ** (-n * emin)
-        return BoundReport(
-            "type_method",
-            value,
-            {"n": n, "R": R, "epsilon": epsilon, "p": p},
-            aux={"exponent": emin},
-        )
-    raise ValueError(f"unknown variant: {variant}")
+    total = 0.0
+    for k in range(k_start, n + 1):
+        mass = float(W.mass[k])
+        if mass == 0:
+            continue
+        expo = max(1 - binary_entropy(min(k / n, 0.5)) - R, 0.0)
+        total += mass * 2.0 ** (-n * expo)
+    return BoundReport(
+        "weighted_sum",
+        epsilon * total,
+        {"n": n, "R": R, "epsilon": epsilon, "k_start": k_start},
+    )
 
 
 def gallager_family_bound(n: int, R: float, p: float, epsilon: float) -> BoundReport:
@@ -310,6 +282,9 @@ def _log2_binom(n: int, k: int) -> float:
 # 2.0 ** x is exactly 0.0 for x < -1075, so a term this far below the
 # largest adds exactly +0.0 to the normalised sum.
 _NEGLIGIBLE_LOG2 = 1100
+# Largest block length whose binomial phase_sum window is walked.  The
+# window grows as sqrt(n); at n = 10^9 it is at most about 1.2M terms.
+PHASE_SUM_N_CAP = 10**9
 
 
 def _binomial_window_terms(n: int, S: float, p_ph: float) -> list[float]:
@@ -346,36 +321,31 @@ def _binomial_window_terms(n: int, S: float, p_ph: float) -> list[float]:
     return terms
 
 
-def _phase_sum_log2(n: int, S: float, epsilon: float, W=None, p_ph=None) -> float:
-    """log2 of ε Σ_k W(k) 2^(-n[S-h(min(k/n,1/2))]_+).
+def _phase_sum_log2(n: int, S: float, epsilon: float, p_ph: float) -> float:
+    """log2 of ε Σ_k W(k) 2^(-n[S-h(min(k/n,1/2))]_+), W the binomial(n,
+    p_ph) weights.
 
-    With p_ph given, the weights are the binomial distribution computed in
-    the log domain, which stays exact enough far beyond exact-rational
-    reach.  Its log2 terms are concave in k (log2 binom is, the linear part
-    is, and -n[S-h(min(k/n,1/2))]_+ is concave, flat past n/2), so only the
-    window around their peak where they exceed the largest minus 1100 is
-    summed.  Every term outside it contributes 2.0 ** (t - top), which is
-    exactly 0.0, so the result is the same float as the sum over all k.
-    By concavity the outward walk covers that window from any start, so the
-    peak search only keeps the window short.
+    The weights are computed in the log domain, which stays exact enough
+    far beyond exact-rational reach.  Their log2 terms are concave in k
+    (log2 binom is, the linear part is, and -n[S-h(min(k/n,1/2))]_+ is
+    concave, flat past n/2), so only the window around their peak where
+    they exceed the largest minus 1100 is summed.  Every term outside it
+    contributes 2.0 ** (t - top), which is exactly 0.0, so the result is
+    the same float as the sum over all k.  By concavity the outward walk
+    covers that window from any start, so the peak search only keeps the
+    window short.  The window grows as sqrt(n), so for 0 < p_ph < 1 a block
+    length above PHASE_SUM_N_CAP is refused before any term is walked.
     """
-    terms = []
-    if W is not None:
-        masses = _weight_masses(W)
-        for k in range(n + 1):
-            if masses[k] == 0:
-                continue
-            expo = max(S - binary_entropy(min(k / n, 0.5)), 0.0)
-            terms.append(math.log2(masses[k]) - n * expo)
+    if p_ph == 0:
+        terms = [-n * max(S, 0.0)]
+    elif p_ph == 1:
+        terms = [-n * max(S - binary_entropy(min(1.0, 0.5)), 0.0)]
+    elif n > PHASE_SUM_N_CAP:
+        raise ValueError(
+            f"n={n} exceeds phase_sum block length cap {PHASE_SUM_N_CAP}"
+        )
     else:
-        if p_ph is None:
-            raise ValueError("phase_sum needs a weight distribution or p_ph")
-        if p_ph == 0:
-            terms.append(-n * max(S, 0.0))
-        elif p_ph == 1:
-            terms.append(-n * max(S - binary_entropy(min(1.0, 0.5)), 0.0))
-        else:
-            terms = _binomial_window_terms(n, S, p_ph)
+        terms = _binomial_window_terms(n, S, p_ph)
     top = max(terms)
     total = top + math.log2(sum(2.0 ** (t - top) for t in terms))
     return total + math.log2(epsilon)
@@ -387,14 +357,13 @@ def qkd_bounds(
     S: float | None = None,
     l: int | None = None,
     p_ph: float | None = None,
-    W=None,
     epsilon: float = 1.0,
 ) -> BoundReport:
     """Closed-form key-security bounds, named by approach.
 
-    phase_sum: trace-distance bound 2√2 √(ε Σ_k W(k) 2^(-n[S-h(k/n)]_+));
-      aux carries the matching Holevo bound through η_l and the log2 of the
-      inner sum for trend checks.
+    phase_sum: trace-distance bound 2√2 √(ε Σ_k W(k) 2^(-n[S-h(k/n)]_+)),
+      W the binomial(n, p_ph) weights; aux carries the matching Holevo
+      bound through η_l and the log2 of the inner sum for trend checks.
     phase_iid: 2^(-nE(1-S,p_ph)/2 + 3/2) max(√ε, 1); aux Holevo form
       η_l(2^(-nE) max(ε,1)).
     phase_deterministic: the permutation-orbit forms with ε = n+1.
@@ -409,16 +378,16 @@ def qkd_bounds(
         raise ValueError("epsilon must be positive")
     if S is None or not 0 <= S <= 1:
         raise ValueError("S must be given in [0, 1]")
-    if p_ph is not None and not 0 <= p_ph <= 1:
+    if p_ph is None:
+        raise ValueError(f"{approach} needs p_ph")
+    if not 0 <= p_ph <= 1:
         raise ValueError("p_ph must be in [0, 1]")
-    inputs = {"n": n, "S": S, "epsilon": epsilon}
+    inputs = {"n": n, "S": S, "epsilon": epsilon, "p_ph": p_ph}
     if l is not None:
         inputs["l"] = l
-    if p_ph is not None:
-        inputs["p_ph"] = p_ph
 
     if approach == "phase_sum":
-        lg = _phase_sum_log2(n, S, epsilon, W=W, p_ph=p_ph)
+        lg = _phase_sum_log2(n, S, epsilon, p_ph)
         value = 2.0 ** (1.5 + 0.5 * lg)
         aux = {"sum_log2": lg, "value_log2": 1.5 + 0.5 * lg}
         if l is not None:
@@ -427,8 +396,6 @@ def qkd_bounds(
 
     if approach in ("phase_iid", "phase_deterministic", "delta_biased_d1",
                     "delta_biased_chi_b"):
-        if p_ph is None:
-            raise ValueError(f"{approach} needs p_ph")
         e_val, _, _ = reliability_e(1 - S, p_ph)
         if approach == "phase_iid":
             value = 2.0 ** (-0.5 * n * e_val + 1.5) * max(math.sqrt(epsilon), 1.0)
@@ -455,9 +422,6 @@ def qkd_bounds(
         )
 
     if approach == "delta_biased_chi_c":
-        if p_ph is None:
-            raise ValueError("delta_biased_chi_c needs p_ph")
-
         def gain(s):
             if s == 0:
                 return 0.0

@@ -144,18 +144,24 @@ def _parse_grid(text: str) -> list[float]:
     return [float(x) for x in text.split(",")]
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text); a zero denominator is a ValueError like any bad input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def _build_family(args) -> CodeFamily | HashFamily:
     kind = args.kind
     if kind in HASH_KINDS:
         return HashFamily(HashFamilySpec(kind.replace("-", "_"), args.n, args.m))
     if kind == "counterexample":
         return counterexample_family(args.n, seed=args.seed)
-    return tight_family(args.n, args.t, Fraction(args.epsilon), args.x)
+    return tight_family(args.n, args.t, _fraction(args.epsilon), args.x)
 
 
 def _cmd_analyze(args) -> int:
-    if args.mc:
-        raise ValueError("analyze measures by exact enumeration; --mc is not supported")
     fam = _build_family(args)
     rep, drep = epsilon_reports(fam, args.convention)
     _emit(
@@ -203,13 +209,13 @@ def _cmd_simulate(args) -> int:
         target = code
         if args.base:
             target = (code, parse_code(Path(args.base).read_text()))
-        value = exact_error_prob(target, Fraction(args.p))
+        value = exact_error_prob(target, _fraction(args.p))
         _emit(args, {"error_prob": value, "n": code.n, "p": args.p})
         return 0
     if args.what == "family-average":
         res = family_average_error(
             _build_family(args),
-            Fraction(args.p),
+            _fraction(args.p),
             args.R,
             epsilon=args.epsilon,
             mode="monte_carlo" if args.mc else "exact",
@@ -224,13 +230,11 @@ def _cmd_simulate(args) -> int:
         pxz = parse_channel(Path(args.channel).read_text())
         c1 = parse_code(Path(args.c1).read_text())
         c2 = parse_code(Path(args.c2).read_text())
-        res = wiretap_eval(
-            len(pxz), pxz, c1, c2, mode="phase_only" if args.phase_only else "exact"
-        )
+        res = wiretap_eval(pxz, c1, c2, mode="phase_only" if args.phase_only else "exact")
         _emit(args, res.to_record())
         return 0
     if args.what == "counterexample":
-        res = counterexample_leakage(args.n, float(Fraction(args.p)), seed=args.seed)
+        res = counterexample_leakage(args.n, float(_fraction(args.p)), seed=args.seed)
         rec = res.to_record()
         rec["seed"] = args.seed
         _emit(args, rec)
@@ -321,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", help="target epsilon as a fraction (tight)")
     p.add_argument("-x", type=int, default=1, help="equality point (tight)")
     p.add_argument("--convention", choices=("min_dim", "max_dim"), default="min_dim")
-    p.add_argument("--exact", action="store_true", help="exact enumeration (default)")
-    p.add_argument("--mc", action="store_true", help="rejected: analyze is exact only")
     p.add_argument("--seed", type=int, help="seed for sampled constructions")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_analyze)
@@ -387,7 +389,7 @@ def main(argv=None) -> int:
     for flag in REQUIRED.get((args.verb, topic), ()):
         if getattr(args, flag.lstrip("-").replace("-", "_")) is None:
             parser.error(f"{args.verb} {topic} needs {flag}")
-    if getattr(args, "mc", False) and args.seed is None and args.verb == "simulate":
+    if getattr(args, "mc", False) and args.seed is None:
         parser.error("--mc needs --seed")
     try:
         return args.func(args)

@@ -18,7 +18,6 @@ from .gf2 import LinearCode, dual, syndromes, walsh_hadamard
 from .universality import epsilon_dual_universal
 
 __all__ = [
-    "DensityOperator",
     "CQState",
     "BiasReport",
     "d1_distance",
@@ -34,34 +33,8 @@ __all__ = [
     "random_cq_state",
 ]
 
-PSD_TOL = 1e-10
 PINV_CUTOFF = 1e-12
 WALSH_CAP = 20
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """A (possibly subnormalized) positive semidefinite operator."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -PSD_TOL:
-            raise ValueError("matrix has a negative eigenvalue beyond tolerance")
-        tr = float(np.real(np.trace(m)))
-        if not 0 < tr <= 1 + 1e-9:
-            raise ValueError("trace must be in (0, 1]")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 class CQState:
@@ -115,12 +88,10 @@ def d1_distance(rho: CQState) -> float:
     return sum(_trace_norm(b - ideal) for b in rho.blocks)
 
 
-def _sigma_matrix(rho: CQState, sigma) -> np.ndarray:
+def _sigma_matrix(rho: CQState, sigma: np.ndarray | None) -> np.ndarray:
     """sigma as a matrix on Eve's space; None stands for Eve's marginal."""
     if sigma is None:
         sigma_m = rho.rho_e()
-    elif isinstance(sigma, DensityOperator):
-        sigma_m = sigma.matrix
     else:
         sigma_m = np.asarray(sigma, dtype=complex)
     if sigma_m.shape[0] != rho.eve_dim:
@@ -154,7 +125,7 @@ def _d2(rho: CQState, s_q: np.ndarray) -> tuple[float, float]:
     return coll, coll - _collision(rho.rho_e()[None], s_q) / rho.num_values
 
 
-def h2_d2_hmin(rho: CQState, sigma: np.ndarray | DensityOperator | None = None):
+def h2_d2_hmin(rho: CQState, sigma: np.ndarray | None = None):
     """Conditional collision entropy, d2 distance, and min-entropy.
 
     sigma defaults to Eve's marginal.  Returns (H2, d2, Hmin), base 2.
@@ -288,14 +259,15 @@ def hash_marginal(rho: CQState, c: LinearCode) -> CQState:
     return CQState(c.n - c.dim, out, normalized=False)
 
 
-def verify_pa(rho: CQState, family, sigma=None, epsilon=None) -> tuple[float, float]:
+def verify_pa(rho: CQState, family, sigma: np.ndarray | None = None
+              ) -> tuple[float, float]:
     """Privacy amplification bound: average hashed-key d2 vs epsilon 2^(-H2).
 
     The hash of member C_r sends the key to its coset modulo C_r.  sigma
     defaults to Eve's marginal, which hashing leaves as it is, so its powers
-    are taken once for the state and every member.  epsilon defaults to the
-    measured dual-universality parameter of the family with the
-    minimum-dimension convention.
+    are taken once for the state and every member.  epsilon is the measured
+    dual-universality parameter of the family with the minimum-dimension
+    convention.
     """
     s_q, _ = _sigma_powers(_sigma_matrix(rho, sigma))
     h2 = -math.log2(_collision(rho.blocks, s_q))
@@ -303,8 +275,7 @@ def verify_pa(rho: CQState, family, sigma=None, epsilon=None) -> tuple[float, fl
     for code, w in zip(family.codes, family.weights):
         lhs += w * _d2(hash_marginal(rho, code), s_q)[1]
     lhs /= family.total_weight
-    if epsilon is None:
-        epsilon = float(epsilon_dual_universal(family, "min_dim").epsilon)
+    epsilon = float(epsilon_dual_universal(family, "min_dim").epsilon)
     return lhs, epsilon * 2.0 ** (-h2)
 
 

@@ -493,7 +493,7 @@ def _linear_kernel_family(n: int, m: int) -> CodeFamily:
     return fam
 
 
-def tight_family(n: int, t: int, epsilon, x) -> CodeFamily:
+def tight_family(n: int, t: int, epsilon, x: int) -> CodeFamily:
     """Family achieving the plain duality bound with equality at x.
 
     Mixes all t-dim subspaces of V_x = {y : (x,y) = 0} with all subspaces
@@ -511,10 +511,7 @@ def tight_family(n: int, t: int, epsilon, x) -> CodeFamily:
     eps_max = Fraction(2 - Fraction(2, 1 << t), 1 - Fraction(2, 1 << n))
     if not 0 < epsilon <= eps_max:
         raise ValueError(f"epsilon out of range (0, {eps_max}]")
-    if not isinstance(x, int) and x.n != n:
-        raise ValueError(f"x has length {x.n}, not n={n}")
-    xv = x if isinstance(x, int) else x.value
-    if not 0 < xv < (1 << n):
+    if not 0 < x < (1 << n):
         raise ValueError("x must be a nonzero n-bit vector")
     p = (1 - Fraction(epsilon, 1 << (n - t))) * Fraction(2, 1 << t) + epsilon - 1
     if p < 0:
@@ -530,7 +527,7 @@ def tight_family(n: int, t: int, epsilon, x) -> CodeFamily:
     weight_in, weight_out = a * size_b, ((b - a) * size_a) << (t - 1)
     codes, weights = [], []
     for s in subspaces_of(LinearCode.full(n), t):
-        w = weight_out if any((xv & row).bit_count() & 1 for row in s.basis) else weight_in
+        w = weight_out if any((x & row).bit_count() & 1 for row in s.basis) else weight_in
         if w:
             codes.append(s)
             weights.append(w)

@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dualhash import bounds
 from dualhash.bounds import (
     BoundReport,
     _binomial_window_terms,
@@ -105,16 +107,14 @@ def test_weighted_bound_requires_epsilon_ge_one():
 
 def test_weighted_bound_sum_and_type_method():
     w = WeightDistribution.binomial(12, Fraction(1, 10))
-    s = weighted_decoding_bound(w, 0.4, 1.0, "sum")
-    t = weighted_decoding_bound(w, 0.4, 1.0, "type_method", p=0.1)
+    s = weighted_decoding_bound(w, 0.4, 1.0)
     assert 0 < s.value <= 1.0  # every clipped term is at most its weight
-    assert t.value > 0 and t.aux["exponent"] > 0
 
 
 def test_weighted_bound_k_start_zero_is_larger():
     w = WeightDistribution.binomial(10, Fraction(1, 20))
-    plain = weighted_decoding_bound(w, 0.5, 1.0, "sum", k_start=1)
-    coset = weighted_decoding_bound(w, 0.5, 1.0, "sum", k_start=0)
+    plain = weighted_decoding_bound(w, 0.5, 1.0, k_start=1)
+    coset = weighted_decoding_bound(w, 0.5, 1.0, k_start=0)
     assert coset.value >= plain.value
 
 
@@ -141,13 +141,6 @@ def test_qkd_phase_sum_decreases_with_sacrifice():
     lo = qkd_bounds(200, "phase_sum", S=binary_entropy(p_ph) + 0.05, p_ph=p_ph)
     hi = qkd_bounds(200, "phase_sum", S=binary_entropy(p_ph) + 0.2, p_ph=p_ph)
     assert hi.value < lo.value
-
-
-def test_qkd_phase_sum_accepts_explicit_weights():
-    w = WeightDistribution.binomial(16, Fraction(1, 20))
-    a = qkd_bounds(16, "phase_sum", S=0.5, W=w, epsilon=1.0)
-    b = qkd_bounds(16, "phase_sum", S=0.5, p_ph=0.05, epsilon=1.0)
-    assert abs(a.aux["sum_log2"] - b.aux["sum_log2"]) < 1e-9
 
 
 def oracle_phase_sum_log2(n, S, epsilon, p_ph):
@@ -193,6 +186,29 @@ def test_phase_sum_window_equals_full_sum(n, S, epsilon, p_ph):
 def test_phase_sum_window_is_short():
     # 1902 of the 10^6 + 1 terms lie within 1100 of the largest
     assert len(_binomial_window_terms(10**6, 0.4, 0.05)) < 2000
+
+
+def test_phase_sum_block_length_cap_boundary(monkeypatch):
+    walked = []
+
+    def window(n, S, p_ph):
+        if n > bounds.PHASE_SUM_N_CAP:
+            raise AssertionError("k-window walked above the cap")
+        walked.append(n)
+        return [0.0]
+
+    monkeypatch.setattr(bounds, "_binomial_window_terms", window)
+    cap = bounds.PHASE_SUM_N_CAP
+    assert _phase_sum_log2(cap, 0.2, 1.0, p_ph=0.05) == 0.0
+    assert walked == [cap]
+    with pytest.raises(ValueError, match="exceeds phase_sum block length cap"):
+        _phase_sum_log2(cap + 1, 0.2, 1.0, p_ph=0.05)
+    with pytest.raises(ValueError, match="exceeds phase_sum block length cap"):
+        qkd_bounds(10**16, "phase_sum", S=0.2, p_ph=0.5)
+    # p_ph = 0 or 1 puts all weight on one k, so no window is walked
+    assert _phase_sum_log2(10**16, 0.2, 1.0, p_ph=0.0) == -0.2 * 10**16
+    assert _phase_sum_log2(10**16, 0.2, 1.0, p_ph=1.0) == 0.0
+    assert walked == [cap]
 
 
 def test_qkd_iid_and_deterministic_forms():
@@ -267,9 +283,10 @@ def test_grid_shortlist_matches_scalar_scan(coeffs, quantum, lo, width, grid_ste
 
     hi = lo + width
     expected = _scalar_scan_maximize(f, lo, hi, grid_step)
-    assert maximize_scalar(f, lo, hi, grid_step, f_grid=f_grid) == expected
-    assert maximize_scalar(f, lo, hi, grid_step) == expected
-    x, v = minimize_scalar(f, lo, hi, grid_step, f_grid=f_grid)
+    with mock.patch.object(bounds, "GRID_STEP", grid_step):
+        assert maximize_scalar(f, lo, hi, f_grid=f_grid) == expected
+        assert maximize_scalar(f, lo, hi) == expected
+        x, v = minimize_scalar(f, lo, hi, f_grid=f_grid)
     x_neg, v_neg = _scalar_scan_maximize(lambda t: -f(t), lo, hi, grid_step)
     assert (x, v) == (x_neg, -v_neg)
 

@@ -22,7 +22,6 @@ def run(capsys, *argv):
 def test_analyze_modified_toeplitz(capsys):
     code, out, _ = run(
         capsys, "analyze", "--kind", "modified-toeplitz", "-n", "8", "-m", "3",
-        "--exact",
     )
     assert code == 0
     payload = json.loads(out)
@@ -31,11 +30,12 @@ def test_analyze_modified_toeplitz(capsys):
 
 
 def test_analyze_rejects_mc(capsys):
-    code, _, err = run(
-        capsys, "analyze", "--kind", "modified-toeplitz", "-n", "6", "-m", "2", "--mc"
-    )
-    assert code == 2
-    assert "exact" in err
+    # analyze always counts exactly, so it takes no --mc (nor --exact)
+    for flag in ("--mc", "--exact"):
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", "--kind", "modified-toeplitz", "-n", "6", "-m", "2", flag])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_analyze_rejects_oversized_family_before_enumerating(capsys, monkeypatch):
@@ -343,6 +343,35 @@ def test_nan_or_out_of_range_bound_inputs_are_errors(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    "analyze --kind tight -n 6 -t 3 --epsilon 1/0",
+    "simulate --what family-average -n 8 -m 4 -p 1/0 -R 0.5 --seed 1",
+    "simulate --what counterexample -n 5 -p 1/0",
+    "simulate --what error-prob --code {d}/c.txt -p 1/0",
+])
+def test_zero_denominator_fraction_is_an_error(tmp_path, capsys, argv):
+    # each printed a ZeroDivisionError traceback and exited 1 before
+    (tmp_path / "c.txt").write_text(format_code(LinearCode.repetition(5)))
+    code, out, err = run(capsys, *shlex.split(argv.format(d=tmp_path)))
+    assert code == 2
+    assert out == ""
+    assert err == "error: '1/0' has a zero denominator\n"
+
+
+def test_phase_sum_refuses_oversized_block_length_before_walking(capsys, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("k-window walked")
+
+    monkeypatch.setattr("dualhash.bounds._binomial_window_terms", no_walk)
+    for argv in ("bounds qkd --approach phase_sum -S 0.2 --p-ph 0.05 "
+                 "-n 10000000000000000",
+                 "sweep qkd --n-grid 1000000001 -S 0.2 --p-ph 0.05"):
+        code, out, err = run(capsys, *shlex.split(argv))
+        assert code == 2
+        assert out == ""
+        assert "exceeds phase_sum block length cap 1000000000" in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dualhash.cqstate import (
     CQState,
-    DensityOperator,
     code_bias,
     convolve,
     d1_distance,
@@ -42,15 +41,6 @@ def decoupled_bit_state():
     blocks[0, 0, 0] = 0.5
     blocks[1, 0, 0] = 0.5
     return CQState(1, blocks)
-
-
-def test_density_operator_validation():
-    with pytest.raises(ValueError):
-        DensityOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityOperator(np.array([[-0.5, 0.0], [0.0, 1.0]]))  # negative eigenvalue
-    d = DensityOperator(np.eye(2) / 2)
-    assert d.dim == 2
 
 
 def test_correlated_bit_closed_form():
@@ -254,7 +244,7 @@ def oracle_h2_d2_hmin(rho, sigma=None):
     per power."""
     if sigma is None:
         sigma = rho.rho_e()
-    sigma = np.asarray(getattr(sigma, "matrix", sigma), dtype=complex)
+    sigma = np.asarray(sigma, dtype=complex)
 
     def neg_power(power):
         eigs, vecs = np.linalg.eigh(sigma)
@@ -298,9 +288,8 @@ def test_h2_d2_hmin_matches_blockwise_oracle():
     for _ in range(60):
         rho = random_cq_state(int(rng.integers(1, 4)), int(rng.integers(2, 9)), rng)
         assert_close(h2_d2_hmin(rho), oracle_h2_d2_hmin(rho))
-        sigma = DensityOperator(random_density(rho.eve_dim, rho.eve_dim, rng))
+        sigma = random_density(rho.eve_dim, rho.eve_dim, rng)
         assert_close(h2_d2_hmin(rho, sigma), oracle_h2_d2_hmin(rho, sigma))
-        assert_close(h2_d2_hmin(rho, sigma.matrix), oracle_h2_d2_hmin(rho, sigma))
 
 
 def test_h2_d2_hmin_matches_oracle_on_rank_deficient_sigma():

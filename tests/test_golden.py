@@ -268,6 +268,63 @@ SIMULATE_FAMILY_AVERAGE_MC = (
 )
 
 
+# Paths whose library signatures changed after these bytes were recorded:
+# the exact family average (its bound checks), the gallager and reliability
+# records (the scalar optimisers) and the delta_biased_chi_c record.
+SIMULATE_FAMILY_AVERAGE_EXACT = (
+    "{\n"
+    '  "bound_family_average": 0.295491312645,\n'
+    '  "bound_weighted_sum": 0.146894548729,\n'
+    '  "ci_upper": 0.0394361035748,\n'
+    '  "exact_value": "42423709755989/1280000000000000",\n'
+    '  "n": 12,\n'
+    '  "param_R": 0.333,\n'
+    '  "param_epsilon": 1.0,\n'
+    '  "param_mode": "exact",\n'
+    '  "param_p": "1/20",\n'
+    '  "seed": 7\n'
+    "}\n"
+)
+
+BOUNDS_GALLAGER = (
+    "{\n"
+    '  "aux_loose_value": 0.056755444129,\n'
+    '  "aux_reliability_e": 0.0413909740369,\n'
+    '  "aux_s_star": 0.408514839518,\n'
+    '  "aux_value_log2": -4.13909740369,\n'
+    '  "formula_id": "family_average",\n'
+    '  "input_R": 0.5,\n'
+    '  "input_epsilon": 1.0,\n'
+    '  "input_n": 100,\n'
+    '  "input_p": 0.05,\n'
+    '  "value": 0.056755444129\n'
+    "}\n"
+)
+
+BOUNDS_RELIABILITY = (
+    "{\n"
+    '  "E": 0.000783171783511,\n'
+    '  "R": 0.5,\n'
+    '  "identity_residual": 3.70855793991e-11,\n'
+    '  "p": 0.1,\n'
+    '  "s_star": 0.0510740431242\n'
+    "}\n"
+)
+
+BOUNDS_QKD_DELTA_BIASED_CHI_C = (
+    "{\n"
+    '  "aux_exponent": 0.0051042885257,\n'
+    '  "aux_u": 1361.03443398,\n'
+    '  "formula_id": "delta_biased_chi_c",\n'
+    '  "input_S": 0.4,\n'
+    '  "input_epsilon": 1.0,\n'
+    '  "input_n": 1000,\n'
+    '  "input_p_ph": 0.05,\n'
+    '  "value": 158.905143491\n'
+    "}\n"
+)
+
+
 @pytest.mark.parametrize("argv, expected", [
     ("sweep qkd --n-grid 10000,100000,1000000 --approach phase_sum -S 0.4 "
      "--p-ph 0.05 -l 100", SWEEP_QKD),
@@ -283,10 +340,17 @@ SIMULATE_FAMILY_AVERAGE_MC = (
     ("analyze --kind tight -n 7 -t 3 --epsilon 3/2 -x 5", ANALYZE_TIGHT_X5),
     ("simulate --what family-average -n 12 -m 8 -p 1/20 -R 0.333 --samples 100 "
      "--seed 7 --mc", SIMULATE_FAMILY_AVERAGE_MC),
+    ("simulate --what family-average -n 12 -m 8 -p 1/20 -R 0.333 --samples 100 "
+     "--seed 7", SIMULATE_FAMILY_AVERAGE_EXACT),
+    ("bounds gallager -n 100 -R 0.5 -p 0.05", BOUNDS_GALLAGER),
+    ("bounds reliability -R 0.5 -p 0.1", BOUNDS_RELIABILITY),
+    ("bounds qkd -n 1000 --approach delta_biased_chi_c -S 0.4 --p-ph 0.05",
+     BOUNDS_QKD_DELTA_BIASED_CHI_C),
 ], ids=["sweep_qkd", "analyze_modified_toeplitz", "analyze_modified_toeplitz_14_5",
         "analyze_modified_toeplitz_12_3_max_dim", "analyze_tight", "analyze_counterexample",
         "analyze_toeplitz_10_3", "analyze_random_linear_6_2_max_dim", "analyze_tight_x5",
-        "simulate_family_average_mc"])
+        "simulate_family_average_mc", "simulate_family_average_exact", "bounds_gallager",
+        "bounds_reliability", "bounds_qkd_delta_biased_chi_c"])
 def test_cli_output_bytes(capsys, argv, expected):
     assert main(argv.split()) == 0
     captured = capsys.readouterr()

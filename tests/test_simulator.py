@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualhash.bounds import binary_entropy
+from dualhash.bounds import BoundReport, binary_entropy
 from dualhash.cqstate import CQState, d1_distance, holevo
 from dualhash.gf2 import BinaryMatrix, BitVector, LinearCode, complement_basis, dual, rank
 from dualhash.hashfam import HashFamily, HashFamilySpec, kernel_code
@@ -260,6 +260,18 @@ def test_family_average_hash_family_with_ci():
     assert float(res.exact_value) <= res.ci_upper
     # bound reports attached and respected (enforced at construction)
     assert {b.formula_id for b in res.bounds} == {"family_average", "weighted_sum"}
+    # each report checks the sampled CI's upper limit against its own value
+    assert all(b.dominated_quantity == res.ci_upper for b in res.bounds)
+
+
+def test_family_average_bound_check_uses_the_report(monkeypatch):
+    fam = CodeFamily([LinearCode.repetition(5)])
+    res = family_average_error(fam, Fraction(1, 10), R=0.2)
+    assert all(b.dominated_quantity == float(res.exact_value) for b in res.bounds)
+    tiny = BoundReport("family_average", 1e-6, {})
+    monkeypatch.setattr("dualhash.simulator.gallager_family_bound", lambda *a: tiny)
+    with pytest.raises(ValueError, match="family_average: dominated quantity"):
+        family_average_error(fam, Fraction(1, 10), R=0.2)
 
 
 def test_monte_carlo_error_prob_matches_exact():
@@ -350,7 +362,7 @@ def test_wiretap_phase_only_mode():
     pxz = [(0.9, 0.0, 0.1, 0.0)] * 6
     c1 = LinearCode.full(6)
     c2 = LinearCode.repetition(6)
-    res = wiretap_eval(6, pxz, c1, c2, mode="phase_only")
+    res = wiretap_eval(pxz, c1, c2, mode="phase_only")
     # the reported value is the phase error probability of the dual pair
     assert res.exact_value == float(
         exact_error_prob((dual(c2), dual(c1)), Fraction(1, 10))
@@ -359,7 +371,7 @@ def test_wiretap_phase_only_mode():
 
 def test_wiretap_exact_within_bounds():
     pxz = [(0.9, 0.0, 0.1, 0.0)] * 3
-    res = wiretap_eval(3, pxz, LinearCode.full(3), LinearCode.repetition(3))
+    res = wiretap_eval(pxz, LinearCode.full(3), LinearCode.repetition(3))
     d1_bound = next(b for b in res.bounds if b.formula_id == "trace_distance")
     chi_bound = next(b for b in res.bounds if b.formula_id == "holevo")
     assert res.exact_value <= d1_bound.value + 1e-9
@@ -496,7 +508,7 @@ def test_wiretap_exact_matches_dense_oracle():
               (4, dual(LinearCode.repetition(4)), LinearCode.zero(4))]
     for n, c1, c2 in cases:
         pxz = random_channel(n, np_rng)
-        res = wiretap_eval(n, pxz, c1, c2)
+        res = wiretap_eval(pxz, c1, c2)
         rho = oracle_wiretap_state(pxz, c1, c2)
         assert res.params["l"] == rho.key_length
         assert abs(res.exact_value - d1_distance(rho)) < 1e-12
@@ -519,7 +531,7 @@ def test_wiretap_exact_phase_noiseless_channel_leaks_nothing(n, channel):
              (LinearCode.full(n), LinearCode.zero(n)),
              random_nested_pair(n, rng)]
     for c1, c2 in pairs:
-        res = wiretap_eval(n, [channel] * n, c1, c2)
+        res = wiretap_eval([channel] * n, c1, c2)
         assert res.exact_value == 0.0
         assert res.params["holevo"] == 0.0
 
@@ -533,7 +545,7 @@ def test_wiretap_exact_bounds_hold_beyond_dense_size(n):
         for pxz in ([(1 - p, 0.0, p, 0.0)] * n, random_channel(n, np_rng)):
             for c1, c2 in pairs:
                 # BoundReport raises if a dominated quantity exceeds its bound
-                res = wiretap_eval(n, pxz, c1, c2)
+                res = wiretap_eval(pxz, c1, c2)
                 bound = {b.formula_id: b.value for b in res.bounds}
                 assert res.exact_value <= bound["trace_distance"] + 1e-9
                 assert res.params["holevo"] <= bound["holevo"] + 1e-9
@@ -546,8 +558,8 @@ def test_wiretap_exact_refuses_n_above_cap_before_building(monkeypatch):
     monkeypatch.setattr(np, "kron", no_kron)
     pxz = [(0.9, 0.0, 0.1, 0.0)] * 11
     with pytest.raises(ValueError, match="exceeds exact wiretap cap"):
-        wiretap_eval(11, pxz, LinearCode.full(11), LinearCode.repetition(11))
-    wiretap_eval(11, pxz, LinearCode.full(11), LinearCode.repetition(11),
+        wiretap_eval(pxz, LinearCode.full(11), LinearCode.repetition(11))
+    wiretap_eval(pxz, LinearCode.full(11), LinearCode.repetition(11),
                  mode="phase_only")
 
 
@@ -556,10 +568,9 @@ def test_wiretap_rejects_codes_of_other_length(mode):
     pxz = [(0.9, 0.0, 0.1, 0.0)] * 3
     full3, rep3 = LinearCode.full(3), LinearCode.repetition(3)
     full4, rep4 = LinearCode.full(4), LinearCode.repetition(4)
-    for n, c1, c2 in ((3, full4, rep4), (3, full3, rep4), (3, full4, rep3),
-                      (4, full4, rep4), (4, full3, rep3)):
+    for c1, c2 in ((full4, rep4), (full3, rep4), (full4, rep3)):
         with pytest.raises(ValueError, match="qubits"):
-            wiretap_eval(n, pxz, c1, c2, mode=mode)
+            wiretap_eval(pxz, c1, c2, mode=mode)
 
 
 @pytest.mark.parametrize("mode", ["exact", "phase_only"])
@@ -568,13 +579,13 @@ def test_wiretap_rejects_malformed_channel_tables(mode):
     for bad in ((0.5, 0.5, 0.5, 0.5), (1.2, -0.2, 0.0, 0.0), (0.9, 0.1, 0.0),
                 (float("nan"), 0.0, 0.0, 1.0)):
         with pytest.raises(ValueError, match="table"):
-            wiretap_eval(2, [bad] * 2, full, rep, mode=mode)
+            wiretap_eval([bad] * 2, full, rep, mode=mode)
 
 
 def test_wiretap_rejects_mixed_phase_marginals():
     pxz = [(0.9, 0.0, 0.1, 0.0), (0.8, 0.0, 0.2, 0.0)]
     with pytest.raises(ValueError):
-        wiretap_eval(2, pxz, LinearCode.full(2), LinearCode.repetition(2))
+        wiretap_eval(pxz, LinearCode.full(2), LinearCode.repetition(2))
 
 
 def test_counterexample_leakage_floor():
