@@ -170,17 +170,37 @@ def _is_canonical(basis, n: int) -> bool:
     """Whether ``basis`` is what ``LinearCode.from_rows`` returns for its
     span (the fully reduced echelon with leading-bit pivots, rows in
     decreasing order), checked without elimination: nonzero rows below
-    2^n, leading bits strictly decreasing, and no row has a bit at another
-    row's leading bit."""
-    leads = []
+    2^n, leading bits strictly decreasing, and each row holds exactly one
+    leading bit of the basis (its own)."""
+    pivots = 0
     bound = 1 << n
     for r in basis:
         if not 0 < r < bound:
             return False
         bound = 1 << (r.bit_length() - 1)
-        leads.append(bound)
-    pivots = sum(leads)
-    return all(r & pivots == lead for r, lead in zip(basis, leads))
+        pivots |= bound
+    return all((r & pivots).bit_count() == 1 for r in basis)
+
+
+def _canonical_rows(bases: np.ndarray, n: int) -> np.ndarray:
+    """``_is_canonical`` for each row of a 2-D int array, read as a basis
+    zero-padded at the end.  A zero entry has leading bit 0, which bounds
+    every entry after it to zero; leading bits come from smearing the bits
+    rightwards, exact on int64 and on object arrays of Python ints."""
+    smear, shift = bases, 1
+    while shift < n:
+        smear = smear | smear >> shift
+        shift <<= 1
+    leads = smear ^ (smear >> 1)
+    pivots = np.zeros(len(bases), dtype=bases.dtype)
+    for lead in leads.T:  # column by column: row-wise reduces are slow on short rows
+        pivots |= lead
+    below = (bases > 0) & (bases < 1 << n)
+    below[:, 1:] &= bases[:, 1:] < leads[:, :-1]
+    ok = np.ones(len(bases), dtype=bool)
+    for col in (((bases == 0) | below) & ((bases & pivots[:, None]) == leads)).T:
+        ok &= col
+    return ok
 
 
 @dataclass(frozen=True)

@@ -113,10 +113,25 @@ class HashFamily:
     def __iter__(self):
         return (self[r] for r in range(self.index_space))
 
+    def _sample_indices(self, count: int, seed: int) -> list[int]:
+        rng = random.Random(seed)
+        return [rng.randrange(self.index_space) for _ in range(count)]
+
     def sample(self, count: int, seed: int):
         """Seeded member sample (uniform over the index space)."""
-        rng = random.Random(seed)
-        return [self[rng.randrange(self.index_space)] for _ in range(count)]
+        return [self[r] for r in self._sample_indices(count, seed)]
+
+    def sample_rows(self, count: int, seed: int) -> list[tuple[int, ...]]:
+        """The matrix rows of ``sample(count, seed)``'s members, without
+        building a ``HashFunction``; random-linear rows are read off the index."""
+        indices = self._sample_indices(count, seed)
+        n, m = self.n, self.m
+        if self.spec.kind == "toeplitz":
+            return [toeplitz_matrix(n, m, r).rows for r in indices]
+        if self.spec.kind == "modified_toeplitz":
+            return [modified_toeplitz_matrix(n, m, r).rows for r in indices]
+        mask = (1 << n) - 1
+        return [tuple((r >> (i * n)) & mask for i in range(m)) for r in indices]
 
 
 def apply_hash(h: HashFunction, x: BitVector) -> BitVector:

@@ -245,7 +245,7 @@ def family_average_error(
                 f"sample_count * 2^n = {sample_count << n} exceeds sample cap "
                 f"{SAMPLE_PATTERN_CAP}"
             )
-        members = [h.matrix.rows for h in family.sample(sample_count, seed)]
+        members = family.sample_rows(sample_count, seed)
         weights = [1] * len(members)
     c2 = base if base is not None else LinearCode.zero(n)
     if c2.n != n:

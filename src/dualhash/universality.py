@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import accumulate, combinations
 from math import comb
 
 import numpy as np
@@ -21,6 +22,7 @@ from .gf2 import (
     BinaryMatrix,
     EnumerationCapError,
     LinearCode,
+    _canonical_rows,
     _echelon,
     bits_to_string,
     complement_basis,
@@ -85,28 +87,80 @@ def _merge(members, weights):
     return tuple(merged), tuple(merged.values()), len(members)
 
 
+def _row_dtype(n: int):
+    """int64 for rows of up to 62 bits, else Python ints in an object array."""
+    return np.int64 if n < 63 else object
+
+
+def _int_array(values) -> np.ndarray:
+    """``values`` as an int64 array, or an object array of Python ints when
+    one of them does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 class CodeFamily:
     """Weighted multiset of equal-length linear codes.
 
-    Equal codes are merged when the family is built: ``codes`` holds the
-    distinct members in first-occurrence order and ``weights`` their summed
+    Equal codes are merged when the family is built: the distinct members
+    are kept in first-occurrence order, ``weights`` holds their summed
     weights, so ``len()`` counts distinct members while ``members`` is the
     number of members as given.  Every parameter depends only on the
     distribution over codes, which merging keeps (``total_weight`` too).
+
+    ``bases`` holds one row per distinct member, its canonical basis
+    zero-padded to ``t_max`` entries (int64, or Python ints when n > 62);
+    ``codes``, the members as ``LinearCode``s, is kept when given and
+    otherwise built on first access.
     """
 
     def __init__(self, codes, weights=None):
-        self.codes, self.weights, self.members = _merge(codes, weights)
-        self.n = self.codes[0].n
-        if any(c.n != self.n for c in self.codes):
+        codes, weights, members = _merge(codes, weights)
+        n = codes[0].n
+        if any(c.n != n for c in codes):
             raise ValueError("mixed code lengths")
-        self.total_weight = sum(self.weights)
-        dims = [c.dim for c in self.codes]
-        self.t_min = min(dims)
-        self.t_max = max(dims)
+        t_max = max(c.dim for c in codes)
+        bases = np.array([c.basis + (0,) * (t_max - c.dim) for c in codes], dtype=_row_dtype(n))
+        self._set(n, bases, np.array([c.dim for c in codes]), weights, _int_array(weights),
+                  members)
+        self.codes = codes
+
+    @classmethod
+    def _packed(cls, n: int, bases: np.ndarray, weights: np.ndarray,
+                members: int) -> "CodeFamily":
+        """A family from distinct zero-padded canonical bases, one row per
+        member, and an int array of their weights.  The bulk constructors
+        walk each member once, so nothing is merged."""
+        if not len(bases):
+            raise ValueError("empty family")
+        if not _canonical_rows(bases, n).all():
+            raise ValueError("basis is not in canonical RREF form")
+        if len(weights) != len(bases) or not (weights > 0).all():
+            raise ValueError("weights must be positive, one per member")
+        dims = np.zeros(len(bases), dtype=np.int64)
+        for col in bases.T:  # column by column: a row-wise reduce is slow on short rows
+            dims += col != 0
+        fam = cls.__new__(cls)
+        fam._set(n, bases, dims, tuple(weights.tolist()), weights, members)
+        return fam
+
+    def _set(self, n, bases, dims, weights, weight_array, members):
+        self.n, self.bases, self._dims = n, bases, dims
+        self.weights, self._weight_array = weights, weight_array
+        self.members = members
+        self.total_weight = sum(weights)
+        self.t_min = int(dims.min())
+        self.t_max = int(dims.max())
+
+    @cached_property
+    def codes(self) -> tuple[LinearCode, ...]:
+        return tuple(LinearCode(self.n, tuple(row[:dim]))
+                     for row, dim in zip(self.bases.tolist(), self._dims.tolist()))
 
     def __len__(self):
-        return len(self.codes)
+        return len(self.bases)
 
     def __iter__(self):
         return iter(self.codes)
@@ -183,16 +237,18 @@ class UniversalityReport:
 def _codeword_blocks(family, row_words: int = 1):
     """Yield (dim, weight, words) blocks covering every distinct member.
 
-    Members of equal dimension and weight are expanded together: their
-    bases are doubled into codewords, words[i] holding the 2^dim codewords
-    of one member.  A block holds at most COUNT_BLOCK_WORDS / max(2^dim,
-    row_words) members, and at least one.
+    Members of equal dimension and weight are expanded together, in order
+    of first occurrence: their packed bases are doubled into codewords,
+    words[i] holding the 2^dim codewords of one member.  A block holds at
+    most COUNT_BLOCK_WORDS / max(2^dim, row_words) members, and at least one.
     """
-    groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for code, w in zip(family.codes, family.weights):
-        groups.setdefault((code.dim, w), []).append(code.basis)
-    for (dim, w), bases in groups.items():
-        bases = np.array(bases, dtype=np.int32)
+    dims, weights = family._dims, family._weight_array
+    order = np.lexsort((weights, dims))  # stable: each group stays in member order
+    dims, weights = dims[order], weights[order]
+    starts = np.flatnonzero((dims[1:] != dims[:-1]) | (weights[1:] != weights[:-1])) + 1
+    for members in sorted(np.split(order, starts), key=lambda group: group[0]):
+        dim, w = int(family._dims[members[0]]), family.weights[members[0]]
+        bases = family.bases[members, :dim].astype(np.int32)
         per_block = max(1, COUNT_BLOCK_WORDS // max(1 << dim, row_words))
         for start in range(0, len(bases), per_block):
             block = bases[start:start + per_block]
@@ -435,24 +491,35 @@ def epsilon_floor(t: int, n: int) -> Fraction:
     return Fraction((1 << n) - (1 << (n - t)), (1 << n) - 1)
 
 
-def subspaces_of(code: LinearCode, t: int):
-    """All t-dimensional subspaces of a given code, each exactly once.
+def _subspace_bases(code: LinearCode, t: int) -> np.ndarray:
+    """All t-dimensional subspaces of a given code, each exactly once, as
+    one row of t ints per subspace: its canonical basis.
 
     Picks t pivot rows of the code's canonical basis; each pivot row adds
     any set of the non-pivot rows after it.  The rows keep the pivot rows'
     leading bits and hold no other pivot row's leading bit, so each result
-    is already in canonical RREF.
+    is already in canonical RREF.  Row a of a pivot set's block adds the
+    free rows at the set bits of a, built by doubling.
     """
-    basis = code.basis
+    basis = np.array(code.basis, dtype=_row_dtype(code.n))
+    blocks = [np.zeros((0, t), dtype=basis.dtype)]  # none when t > dim
     for pivots in combinations(range(len(basis)), t):
-        free = [(k, basis[j]) for k, p in enumerate(pivots)
+        free = [(k, j) for k, p in enumerate(pivots)
                 for j in range(p + 1, len(basis)) if j not in pivots]
-        for assignment in range(1 << len(free)):
-            rows = [basis[p] for p in pivots]
-            for idx, (k, v) in enumerate(free):
-                if assignment >> idx & 1:
-                    rows[k] ^= v
-            yield LinearCode(code.n, tuple(rows))
+        block = np.empty((1 << len(free), t), dtype=basis.dtype)
+        block[0] = basis[list(pivots)]
+        for bit, (k, j) in enumerate(free):
+            half = 1 << bit
+            block[half:2 * half] = block[:half]
+            block[half:2 * half, k] ^= basis[j]
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def subspaces_of(code: LinearCode, t: int):
+    """All t-dimensional subspaces of a given code (``_subspace_bases``)."""
+    for row in _subspace_bases(code, t).tolist():
+        yield LinearCode(code.n, tuple(row))
 
 
 def _gaussian_binomial(n: int, k: int) -> int:
@@ -481,16 +548,17 @@ def _linear_kernel_family(n: int, m: int) -> CodeFamily:
         raise EnumerationCapError(
             f"family of {distinct} distinct members exceeds cap {FAMILY_MEMBER_CAP}"
         )
-    codes, weights = [], []
+    blocks, weights = [], []
     weight = 1
     for r in range(min(m, n) + 1):
-        kernels = list(subspaces_of(LinearCode.full(n), n - r))
-        codes += kernels
-        weights += [weight] * len(kernels)
+        blocks.append(_subspace_bases(LinearCode.full(n), n - r))
+        weights.append(weight)
         weight *= (1 << m) - (1 << r)
-    fam = CodeFamily(codes, weights)
-    fam.members = 1 << (m * n)
-    return fam
+    counts = [len(block) for block in blocks]
+    bases = np.zeros((sum(counts), n), dtype=_row_dtype(n))
+    for block, end in zip(blocks, accumulate(counts)):
+        bases[end - len(block):end, :block.shape[1]] = block
+    return CodeFamily._packed(n, bases, np.repeat(_int_array(weights), counts), 1 << (m * n))
 
 
 def tight_family(n: int, t: int, epsilon, x: int) -> CodeFamily:
@@ -525,15 +593,16 @@ def tight_family(n: int, t: int, epsilon, x: int) -> CodeFamily:
     size_b = _gaussian_binomial(n - 1, t - 1) << (n - 1)
     a, b = p.numerator, p.denominator
     weight_in, weight_out = a * size_b, ((b - a) * size_a) << (t - 1)
-    codes, weights = [], []
-    for s in subspaces_of(LinearCode.full(n), t):
-        w = weight_out if any((x & row).bit_count() & 1 for row in s.basis) else weight_in
-        if w:
-            codes.append(s)
-            weights.append(w)
-    fam = CodeFamily(codes, weights)
-    fam.members = size_a * (a > 0) + size_b * (b > a)
-    return fam
+    bases = _subspace_bases(LinearCode.full(n), t)
+    # a member lies outside V_x iff one of its rows has odd parity with x
+    odd = np.array([v.bit_count() & 1 for v in range(1 << n)], dtype=bool)
+    outside = np.zeros(len(bases), dtype=bool)
+    for column in bases.T:  # row j of every member
+        outside |= odd[column & x]
+    weights = _int_array([weight_in, weight_out])[outside.astype(np.intp)]
+    keep = weights != 0
+    return CodeFamily._packed(n, bases[keep], weights[keep],
+                              size_a * (a > 0) + size_b * (b > a))
 
 
 def permuted_epsilon(c: LinearCode) -> Fraction:
@@ -655,9 +724,7 @@ def counterexample_family(n: int, seed: int | None = None) -> CodeFamily:
     else:
         if seed is None:
             raise ValueError("family too large to enumerate; a seed is required")
-        sample = HashFamily(HashFamilySpec("random_linear", n - 1, 2)).sample(1 << 10, seed)
-        inner = CodeFamily([kernel_code(h) for h in sample])
-    fam = CodeFamily([LinearCode(n, tuple(row << 1 for row in c.basis)) for c in inner.codes],
-                     inner.weights)
-    fam.members = inner.members
-    return fam
+        hf = HashFamily(HashFamilySpec("random_linear", n - 1, 2))
+        inner = CodeFamily(kernel(BinaryMatrix(rows, n - 1))
+                           for rows in hf.sample_rows(1 << 10, seed))
+    return CodeFamily._packed(n, inner.bases << 1, inner._weight_array, inner.members)

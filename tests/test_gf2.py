@@ -15,6 +15,8 @@ from dualhash.gf2 import (
     EnumerationCapError,
     LinearCode,
     WeightDistribution,
+    _canonical_rows,
+    _is_canonical,
     bits_from_string,
     bits_to_string,
     complement_basis,
@@ -141,6 +143,68 @@ def accepted(n, basis):
 def test_canonical_check_matches_rref(case):
     n, basis = case
     assert accepted(n, basis) == (oracle_rref(basis, n)[0] == basis)
+
+
+def oracle_is_canonical(basis, n):
+    """The earlier form of ``gf2._is_canonical``: the leading bits are kept
+    in a list, summed into the pivot mask, and each row must meet the mask
+    in exactly its own leading bit."""
+    leads = []
+    bound = 1 << n
+    for r in basis:
+        if not 0 < r < bound:
+            return False
+        bound = 1 << (r.bit_length() - 1)
+        leads.append(bound)
+    pivots = sum(leads)
+    return all(r & pivots == lead for r, lead in zip(basis, leads))
+
+
+@given(bases())
+@settings(max_examples=300, deadline=None)
+def test_canonical_check_matches_its_earlier_form(case):
+    n, basis = case
+    assert _is_canonical(basis, n) == oracle_is_canonical(basis, n)
+
+
+def padded_oracle(row, n):
+    """A zero-padded row read as a basis: its trailing zeros are padding."""
+    row = list(row)
+    while row and row[-1] == 0:
+        row.pop()
+    return oracle_is_canonical(row, n)
+
+
+@given(st.integers(1, 8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_vectorised_canonical_check_matches_earlier_form(n, data):
+    """Rows of valid and broken bases, zero-padded to one width, with zeros
+    and out-of-range entries mixed in; the all-zero row is the empty basis."""
+    width = data.draw(st.integers(0, n + 1))
+    entry = st.one_of(st.integers(-2, (1 << n) + 1), st.just(0))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        if data.draw(st.booleans()):
+            basis = list(oracle_rref(data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                                                        max_size=width)), n)[0])
+            if basis and data.draw(st.booleans()):
+                i = data.draw(st.integers(0, len(basis) - 1))
+                basis[i] = data.draw(entry)
+        else:
+            basis = data.draw(st.lists(entry, max_size=width))
+        rows.append(basis + [0] * (width - len(basis)))
+    got = _canonical_rows(np.array(rows, dtype=np.int64).reshape(len(rows), width), n)
+    assert got.tolist() == [padded_oracle(r, n) for r in rows]
+
+
+def test_vectorised_canonical_check_on_python_ints():
+    n = 70
+    good = LinearCode.from_rows(n, [(1 << 69) | 5, (1 << 40) | 3, 1 << 2]).basis
+    rows = [list(good), [good[1], good[0], 0], [0, 0, 0], [good[0], 0, good[2]],
+            [1 << 70, 0, 0]]
+    got = _canonical_rows(np.array(rows, dtype=object), n)
+    assert got.tolist() == [padded_oracle(r, n) for r in rows] == [
+        True, False, True, False, False]
 
 
 @given(st.integers(1, 12), st.data())

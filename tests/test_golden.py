@@ -325,6 +325,48 @@ BOUNDS_QKD_DELTA_BIASED_CHI_C = (
 )
 
 
+# captured from the member-by-member family build, before members were packed
+ANALYZE_RANDOM_LINEAR_6_2 = (
+    "{\n"
+    '  "convention": "min_dim",\n'
+    '  "dual_epsilon": "189/256",\n'
+    '  "dual_report": {\n'
+    '    "convention": "max_dim",\n'
+    '    "epsilon_den": 256,\n'
+    '    "epsilon_num": 189,\n'
+    '    "t_max": 2,\n'
+    '    "t_min": 0,\n'
+    '    "worst_x": "000001"\n'
+    "  },\n"
+    '  "epsilon": "1",\n'
+    '  "kind": "random-linear",\n'
+    '  "members": 4096,\n'
+    '  "n": 6,\n'
+    '  "report": {\n'
+    '    "convention": "min_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 6,\n'
+    '    "t_min": 4,\n'
+    '    "worst_x": "000001"\n'
+    "  },\n"
+    '  "seed": null\n'
+    "}\n"
+)
+
+
+# a float leakage, summed block by block over the members' codeword groups
+SIMULATE_COUNTEREXAMPLE_7 = (
+    "{\n"
+    '  "exact_value": "1.0808197885737567",\n'
+    '  "n": 7,\n'
+    '  "param_floor": 0.531004406411,\n'
+    '  "param_p": 0.1,\n'
+    '  "seed": null\n'
+    "}\n"
+)
+
+
 @pytest.mark.parametrize("argv, expected", [
     ("sweep qkd --n-grid 10000,100000,1000000 --approach phase_sum -S 0.4 "
      "--p-ph 0.05 -l 100", SWEEP_QKD),
@@ -338,6 +380,8 @@ BOUNDS_QKD_DELTA_BIASED_CHI_C = (
     ("analyze --kind random-linear -n 6 -m 2 --convention max_dim",
      ANALYZE_RANDOM_LINEAR_6_2_MAX),
     ("analyze --kind tight -n 7 -t 3 --epsilon 3/2 -x 5", ANALYZE_TIGHT_X5),
+    ("analyze --kind random-linear -n 6 -m 2", ANALYZE_RANDOM_LINEAR_6_2),
+    ("simulate --what counterexample -n 7 -p 1/10", SIMULATE_COUNTEREXAMPLE_7),
     ("simulate --what family-average -n 12 -m 8 -p 1/20 -R 0.333 --samples 100 "
      "--seed 7 --mc", SIMULATE_FAMILY_AVERAGE_MC),
     ("simulate --what family-average -n 12 -m 8 -p 1/20 -R 0.333 --samples 100 "
@@ -349,6 +393,7 @@ BOUNDS_QKD_DELTA_BIASED_CHI_C = (
 ], ids=["sweep_qkd", "analyze_modified_toeplitz", "analyze_modified_toeplitz_14_5",
         "analyze_modified_toeplitz_12_3_max_dim", "analyze_tight", "analyze_counterexample",
         "analyze_toeplitz_10_3", "analyze_random_linear_6_2_max_dim", "analyze_tight_x5",
+        "analyze_random_linear_6_2", "simulate_counterexample_7",
         "simulate_family_average_mc", "simulate_family_average_exact", "bounds_gallager",
         "bounds_reliability", "bounds_qkd_delta_biased_chi_c"])
 def test_cli_output_bytes(capsys, argv, expected):

@@ -116,6 +116,17 @@ def test_sample_is_seeded():
     assert a == b
 
 
+@pytest.mark.parametrize("kind, n, m", [
+    ("toeplitz", 10, 4), ("modified_toeplitz", 9, 3), ("random_linear", 12, 8),
+    ("random_linear", 5, 5),
+])
+def test_sample_rows_are_the_sampled_members_rows(kind, n, m):
+    fam = HashFamily(HashFamilySpec(kind, n, m))
+    rows = fam.sample_rows(40, seed=9)
+    assert rows == [h.matrix.rows for h in fam.sample(40, seed=9)]
+    assert all(type(r) is int for member in rows for r in member)
+
+
 def test_bad_shapes_rejected():
     with pytest.raises(ValueError):
         HashFunction(3, 2, BinaryMatrix.from_strings(["101"]))

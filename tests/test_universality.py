@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -515,7 +515,7 @@ def test_tight_family_rejects_t_equal_n_before_walking(monkeypatch):
     def no_walk(*args):
         raise AssertionError("walked before the range check")
 
-    monkeypatch.setattr(universality, "subspaces_of", no_walk)
+    monkeypatch.setattr(universality, "_subspace_bases", no_walk)
     for n, t, eps in ((4, 4, 1), (4, 4, Fraction(3, 2)), (1, 1, 1), (4, 0, 1)):
         with pytest.raises(ValueError, match="need 1 <= t < n"):
             tight_family(n, t, eps, 1)
@@ -595,7 +595,7 @@ def test_counterexample_family_requires_seed_when_large(monkeypatch):
         raise AssertionError("subspaces walked")
 
     # n = 11 is the first length past the cap; the seed is asked for first
-    monkeypatch.setattr(universality, "subspaces_of", no_walk)
+    monkeypatch.setattr(universality, "_subspace_bases", no_walk)
     for n in (11, 12):
         with pytest.raises(ValueError, match="seed is required"):
             counterexample_family(n)
@@ -702,7 +702,7 @@ def test_random_linear_refused_before_walking(monkeypatch, n, m, distinct):
     def no_walk(code, t):
         raise AssertionError("subspaces walked")
 
-    monkeypatch.setattr(universality, "subspaces_of", no_walk)
+    monkeypatch.setattr(universality, "_subspace_bases", no_walk)
     with pytest.raises(EnumerationCapError, match=f"{distinct} distinct members"):
         hash_code_family("random_linear", n, m)
 
@@ -713,3 +713,156 @@ def test_random_code_dimension():
         n = rng.randrange(2, 12)
         t = rng.randrange(0, n + 1)
         assert random_code(n, t, rng).dim == t
+
+
+# The bulk constructors build packed bases without a LinearCode per member.
+# Each must give exactly the family that its member-by-member form gives:
+# the LinearCodes of a pure-Python subspace walk, merged by CodeFamily.
+
+
+def oracle_subspaces(code, t):
+    """The member-by-member subspace walk: pivot rows of the canonical basis,
+    each adding any set of the non-pivot rows after it."""
+    basis = code.basis
+    for pivots in combinations(range(len(basis)), t):
+        free = [(k, basis[j]) for k, p in enumerate(pivots)
+                for j in range(p + 1, len(basis)) if j not in pivots]
+        for assignment in range(1 << len(free)):
+            rows = [basis[p] for p in pivots]
+            for idx, (k, v) in enumerate(free):
+                if assignment >> idx & 1:
+                    rows[k] ^= v
+            yield LinearCode(code.n, tuple(rows))
+
+
+def oracle_linear_family(n, m):
+    codes, weights, weight = [], [], 1
+    for r in range(min(m, n) + 1):
+        kernels = list(oracle_subspaces(LinearCode.full(n), n - r))
+        codes += kernels
+        weights += [weight] * len(kernels)
+        weight *= (1 << m) - (1 << r)
+    fam = CodeFamily(codes, weights)
+    fam.members = 1 << (m * n)
+    return fam
+
+
+def oracle_tight_family(n, t, epsilon, x):
+    p = duality_bound(epsilon, t, n)
+    a, b = p.numerator, p.denominator
+    size_a = universality._gaussian_binomial(n - 1, t)
+    size_b = universality._gaussian_binomial(n - 1, t - 1) << (n - 1)
+    codes, weights = [], []
+    for s in oracle_subspaces(LinearCode.full(n), t):
+        outside = any((x & row).bit_count() & 1 for row in s.basis)
+        w = ((b - a) * size_a) << (t - 1) if outside else a * size_b
+        if w:
+            codes.append(s)
+            weights.append(w)
+    fam = CodeFamily(codes, weights)
+    fam.members = size_a * (a > 0) + size_b * (b > a)
+    return fam
+
+
+def oracle_padded_family(n, inner):
+    fam = CodeFamily([LinearCode(n, tuple(r << 1 for r in c.basis)) for c in inner.codes],
+                     inner.weights)
+    fam.members = inner.members
+    return fam
+
+
+def oracle_codeword_blocks(family, row_words):
+    """The member-by-member codeword blocks: members grouped by (dim,
+    weight) in a dict, so groups come in order of first occurrence."""
+    groups = {}
+    for code, w in zip(family.codes, family.weights):
+        groups.setdefault((code.dim, w), []).append(code)
+    for (dim, w), codes in groups.items():
+        per_block = max(1, universality.COUNT_BLOCK_WORDS // max(1 << dim, row_words))
+        for start in range(0, len(codes), per_block):
+            yield dim, w, [list(c.codewords()) for c in codes[start:start + per_block]]
+
+
+def assert_same_blocks(fam, oracle):
+    """The same blocks in the same order, so float sums over them (the leaky
+    family's leakage) add in the same order.  Codewords within a member may
+    come in another order; the members of a block may not."""
+    for row_words in (1, 1 << fam.n):
+        got = [(dim, w, [sorted(m) for m in words.tolist()])
+               for dim, w, words in universality._codeword_blocks(fam, row_words)]
+        want = [(dim, w, [sorted(m) for m in words])
+                for dim, w, words in oracle_codeword_blocks(oracle, row_words)]
+        assert got == want
+
+
+def assert_same_family(fam, oracle):
+    """Members in the same first-occurrence order, and the same weights,
+    counts of members, dimensions, packed rows, codeword blocks and
+    membership counts."""
+    assert fam.codes == oracle.codes
+    assert list(fam) == list(oracle.codes)
+    assert fam.weights == oracle.weights
+    assert all(type(w) is int for w in fam.weights)
+    assert (fam.n, len(fam), fam.members, fam.total_weight, fam.t_min, fam.t_max) == (
+        oracle.n, len(oracle), oracle.members, oracle.total_weight, oracle.t_min,
+        oracle.t_max)
+    assert fam.bases.dtype == oracle.bases.dtype
+    assert fam.bases.tolist() == oracle.bases.tolist()
+    assert_same_blocks(fam, oracle)
+    got, want = _count(fam), _count(oracle)
+    for side in ("plain", "dual"):
+        assert getattr(got, side).dtype == getattr(want, side).dtype
+        assert getattr(got, side).tolist() == getattr(want, side).tolist()
+
+
+def tight_epsilons(n, t):
+    """Mixture weight 0 (only B, when positive), 1, 3/2 and mixture weight
+    1 (only A), each when it lies in the admitted range."""
+    eps_max = Fraction(2 - Fraction(2, 1 << t), 1 - Fraction(2, 1 << n))
+    eps_zero = (1 - Fraction(2, 1 << t)) / (1 - Fraction(2, 1 << n))
+    return sorted({e for e in (eps_zero, Fraction(1), Fraction(3, 2), eps_max)
+                   if 0 < e <= eps_max})
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_tight_family_equals_member_by_member_build(n):
+    for t in range(1, n):
+        for epsilon in tight_epsilons(n, t):
+            for x in (1, 1 << (n - 1), (1 << n) - 1):
+                fam = tight_family(n, t, epsilon, x)
+                assert_same_family(fam, oracle_tight_family(n, t, epsilon, x))
+
+
+def test_tight_family_with_weights_past_int64_equals_member_by_member_build():
+    epsilon = 1 + Fraction(1, 3 ** 45)
+    fam = tight_family(5, 2, epsilon, 6)
+    assert max(fam.weights) >= 1 << 63
+    assert_same_family(fam, oracle_tight_family(5, 2, epsilon, 6))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_counterexample_family_equals_member_by_member_build(n):
+    fam = counterexample_family(n)
+    assert_same_family(fam, oracle_padded_family(n, oracle_linear_family(n - 1, 2)))
+
+
+def test_sampled_counterexample_family_equals_member_by_member_build():
+    hf = HashFamily(HashFamilySpec("random_linear", 10, 2))
+    inner = CodeFamily([gf2.kernel(h.matrix) for h in hf.sample(1 << 10, 3)])
+    assert_same_family(counterexample_family(11, seed=3), oracle_padded_family(11, inner))
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 6) for m in range(1, min(n, 3) + 1)])
+def test_random_linear_family_equals_member_by_member_build(n, m):
+    assert_same_family(hash_code_family("random_linear", n, m), oracle_linear_family(n, m))
+
+
+def test_subspaces_of_a_partial_code_equals_member_by_member_walk():
+    rng = random.Random(19)
+    for n, k in ((5, 3), (7, 4), (8, 5), (6, 0)):
+        code = random_code(n, k, rng)
+        for t in range(k + 1):
+            subs = list(subspaces_of(code, t))
+            assert subs == list(oracle_subspaces(code, t))
+            assert_same_family(CodeFamily(subs), CodeFamily(list(oracle_subspaces(code, t))))
+        assert list(subspaces_of(code, k + 1)) == []
