@@ -24,6 +24,8 @@ from .bounds import (
     reliability_e,
 )
 from .cqstate import (
+    _d2,
+    _sigma_powers,
     code_bias,
     convolve,
     d1_distance,
@@ -203,14 +205,17 @@ def criterion_4(seed: int):
     d1/d2 and H2/Hmin relations on random c-q states."""
     rng = np.random.default_rng(seed)
     worst_gap = -math.inf
+    families = {}  # five (key_bits, m) pairs occur; each family is built once
     for i in range(200):
         key_bits = int(rng.integers(1, 4))
         eve_dim = int(rng.integers(2, 9))
         rho = random_cq_state(key_bits, eve_dim, rng)
         m = int(rng.integers(1, min(key_bits, 6 // key_bits) + 1))
-        fam = CodeFamily.from_hash_family(
-            HashFamily(HashFamilySpec("random_linear", key_bits, m))
-        )
+        if (key_bits, m) not in families:
+            families[key_bits, m] = CodeFamily.from_hash_family(
+                HashFamily(HashFamilySpec("random_linear", key_bits, m))
+            )
+        fam = families[key_bits, m]
         lhs, rhs = verify_pa(rho, fam)
         if lhs > rhs + 1e-9:
             return False, f"state {i}: E_r d2 = {lhs} > eps 2^-H2 = {rhs}"
@@ -218,10 +223,10 @@ def criterion_4(seed: int):
 
         r = int(rng.integers(0, fam.total_weight))
         member = fam.codes[bisect_right(list(accumulate(fam.weights)), r)]
-        sigma = rho.rho_e()
+        s_q, _ = _sigma_powers(rho.rho_e())
         noisy = convolve(rho, [float(x) for x in uniform_on_code(member)])
-        _, d2_noisy, _ = h2_d2_hmin(noisy, sigma)
-        _, d2_marg, _ = h2_d2_hmin(hash_marginal(rho, member), sigma)
+        _, d2_noisy = _d2(noisy, s_q)
+        _, d2_marg = _d2(hash_marginal(rho, member), s_q)
         if abs(d2_noisy - 2.0 ** (-member.dim) * d2_marg) > 1e-10:
             return False, f"state {i}: block identity off by more than 1e-10"
 

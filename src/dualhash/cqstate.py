@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .gf2 import LinearCode, dual, syndromes, walsh_hadamard
-from .universality import epsilon_dual_universal
+from .universality import _count, _report, epsilon_dual_universal
 
 __all__ = [
     "CQState",
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 PINV_CUTOFF = 1e-12
+HERMITIAN_TOL = 1e-10
 WALSH_CAP = 20
 
 
@@ -46,7 +47,7 @@ class CQState:
             raise ValueError("blocks must have shape (2^key_length, d, d)")
         if blocks.shape[1] != blocks.shape[2]:
             raise ValueError("blocks must be square")
-        if np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1))) > 1e-10:
+        if np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1))) > HERMITIAN_TOL:
             raise ValueError("block is not Hermitian")
         total = float(np.real(np.trace(blocks, axis1=1, axis2=2).sum()))
         if normalized and abs(total - 1) > 1e-9:
@@ -76,33 +77,44 @@ class BiasReport:
     per_x: tuple | None = None
 
 
-def _trace_norm(m: np.ndarray) -> float:
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+def _decoupled(rho: CQState) -> bool:
+    """Whether every block equals the first (the key tells Eve nothing)."""
+    return bool(np.all(rho.blocks == rho.blocks[0]))
 
 
 def d1_distance(rho: CQState) -> float:
-    """Trace distance from the ideal decoupled state, blockwise."""
-    if all(np.array_equal(b, rho.blocks[0]) for b in rho.blocks[1:]):
+    """Trace distance from the ideal decoupled state: the eigenvalues of
+    every block minus rho_E / |A|, in one stacked eigvalsh."""
+    if _decoupled(rho):
         return 0.0
     ideal = rho.rho_e() / rho.num_values
-    return sum(_trace_norm(b - ideal) for b in rho.blocks)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(rho.blocks - ideal))))
 
 
 def _sigma_matrix(rho: CQState, sigma: np.ndarray | None) -> np.ndarray:
-    """sigma as a matrix on Eve's space; None stands for Eve's marginal."""
+    """sigma as a matrix on Eve's space; None stands for Eve's marginal.
+
+    A given sigma must be a square Hermitian matrix of Eve's dimension (to
+    the tolerance CQState allows its blocks): eigh reads one triangle only,
+    so an asymmetric sigma would pass unseen."""
     if sigma is None:
-        sigma_m = rho.rho_e()
-    else:
-        sigma_m = np.asarray(sigma, dtype=complex)
-    if sigma_m.shape[0] != rho.eve_dim:
-        raise ValueError("sigma dimension mismatch")
+        return rho.rho_e()
+    sigma_m = np.asarray(sigma, dtype=complex)
+    if sigma_m.shape != (rho.eve_dim, rho.eve_dim):
+        raise ValueError(f"sigma must be a {rho.eve_dim} x {rho.eve_dim} matrix, "
+                         f"got shape {sigma_m.shape}")
+    if np.max(np.abs(sigma_m - sigma_m.conj().T)) > HERMITIAN_TOL:
+        raise ValueError("sigma is not Hermitian")
     return sigma_m
 
 
 def _sigma_powers(sigma_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sigma^(-1/4) and sigma^(-1/2) on the support of sigma (pseudo-inverse
-    below the cutoff), both from one eigendecomposition."""
+    below the cutoff), both from one eigendecomposition.  sigma must be
+    positive semidefinite and nonzero."""
     eigs, vecs = np.linalg.eigh(sigma_m)
+    if eigs[0] < -HERMITIAN_TOL or eigs[-1] <= PINV_CUTOFF:
+        raise ValueError("sigma must be positive semidefinite and nonzero")
     mask = eigs > PINV_CUTOFF
 
     def power(p):
@@ -138,7 +150,7 @@ def h2_d2_hmin(rho: CQState, sigma: np.ndarray | None = None):
 
 def holevo(rho: CQState) -> float:
     """Mutual information between the key register and Eve, in bits."""
-    if all(np.array_equal(b, rho.blocks[0]) for b in rho.blocks[1:]):
+    if _decoupled(rho):
         return 0.0  # identical conditional states carry nothing
     rho_e = rho.rho_e()
     e_eigs, e_vecs = np.linalg.eigh(rho_e)
@@ -165,12 +177,10 @@ def convolve(rho: CQState, pw) -> CQState:
     pw = np.asarray([float(x) for x in pw])
     if pw.shape[0] != rho.num_values:
         raise ValueError("distribution length mismatch")
-    out = np.zeros_like(rho.blocks)
-    for w in range(rho.num_values):
-        if pw[w] == 0:
-            continue
-        for a in range(rho.num_values):
-            out[a ^ w] += pw[w] * rho.blocks[a]
+    # block b of the result is sum_w pw[w] rho_(b xor w), over the support of pw
+    support = np.flatnonzero(pw)
+    sources = np.arange(rho.num_values)[:, None] ^ support
+    out = np.einsum("w,bwij->bij", pw[support], rho.blocks[sources])
     return CQState(rho.key_length, out, normalized=False)
 
 
@@ -263,28 +273,50 @@ def verify_pa(rho: CQState, family, sigma: np.ndarray | None = None
               ) -> tuple[float, float]:
     """Privacy amplification bound: average hashed-key d2 vs epsilon 2^(-H2).
 
-    The hash of member C_r sends the key to its coset modulo C_r.  sigma
-    defaults to Eve's marginal, which hashing leaves as it is, so its powers
-    are taken once for the state and every member.  epsilon is the measured
-    dual-universality parameter of the family with the minimum-dimension
-    convention.
+    The hash of member C_r sends the key to its coset modulo C_r.  With
+    T_a = sigma^(-1/4) rho_a sigma^(-1/4) and the autocorrelation
+    g(x) = sum_a tr(T_a T_(a xor x)), the hashed state's collision sum is
+    sum over x in C_r of g(x), and its marginal term is |C_r| G / 2^k,
+    G = sum_y g(y).  So
+
+        E_r d2 = sum_x (N(x) / W) (g(x) - G / 2^k),
+
+    N(x) the total weight of the members containing x and W the family's
+    total weight: the family enters only through its membership counts, and
+    no hashed state is built.  g is one Walsh transform over the key axis:
+    the transform of g is the squared Frobenius norm of the transformed
+    blocks, g = WHT(||T_hat||^2) / 2^k, and g(0) is the collision sum
+    2^(-H2).  sigma defaults to Eve's marginal, which hashing leaves as it
+    is.  ``family`` is a CodeFamily or a HashFamily (a modified-Toeplitz one
+    is counted by parameter ranks, no member built) of length key_length.
+    epsilon is the family's measured dual-universality parameter with the
+    minimum-dimension convention, read from the same counts.
     """
+    if family.n != rho.key_length:
+        raise ValueError(f"family length {family.n} does not match "
+                         f"the key register length {rho.key_length}")
     s_q, _ = _sigma_powers(_sigma_matrix(rho, sigma))
-    h2 = -math.log2(_collision(rho.blocks, s_q))
-    lhs = 0.0
-    for code, w in zip(family.codes, family.weights):
-        lhs += w * _d2(hash_marginal(rho, code), s_q)[1]
-    lhs /= family.total_weight
-    epsilon = float(epsilon_dual_universal(family, "min_dim").epsilon)
-    return lhs, epsilon * 2.0 ** (-h2)
+    tilted = s_q @ rho.blocks @ s_q
+    spectrum = np.ascontiguousarray(tilted.transpose(1, 2, 0))
+    walsh_hadamard(spectrum)
+    g = walsh_hadamard((spectrum.real ** 2 + spectrum.imag ** 2).sum(axis=(0, 1)))
+    g /= rho.num_values
+    counts = _count(family)
+    lhs = float(counts.plain.astype(float) @ (g - g.sum() / rho.num_values))
+    lhs /= counts.total_weight
+    epsilon = float(_report(counts, "dual", "min_dim").epsilon)
+    return lhs, epsilon * float(g[0])
 
 
 def random_cq_state(key_bits: int, eve_dim: int, rng: np.random.Generator) -> CQState:
-    """A random normalized c-q state with full-rank-ish Eve blocks."""
+    """A random normalized c-q state with full-rank-ish Eve blocks.
+
+    Block a is P(a) G G^dagger / tr(G G^dagger), G a complex Gaussian matrix;
+    all normals are drawn at once, block by block, real part then imaginary.
+    """
     probs = rng.dirichlet(np.ones(1 << key_bits))
-    blocks = []
-    for a in range(1 << key_bits):
-        g = rng.normal(size=(eve_dim, eve_dim)) + 1j * rng.normal(size=(eve_dim, eve_dim))
-        m = g @ g.conj().T
-        blocks.append(probs[a] * m / np.real(np.trace(m)))
-    return CQState(key_bits, np.array(blocks))
+    parts = rng.normal(size=(1 << key_bits, 2, eve_dim, eve_dim))
+    g = parts[:, 0] + 1j * parts[:, 1]
+    m = g @ g.conj().transpose(0, 2, 1)
+    traces = np.real(np.trace(m, axis1=1, axis2=2))
+    return CQState(key_bits, probs[:, None, None] * m / traces[:, None, None])

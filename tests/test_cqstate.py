@@ -25,7 +25,13 @@ from dualhash.cqstate import (
 )
 from dualhash.gf2 import BinaryMatrix, EnumerationCapError, LinearCode, dual
 from dualhash.hashfam import HashFamily, HashFamilySpec
-from dualhash.universality import CodeFamily, epsilon_dual_universal, random_code
+from dualhash.universality import (
+    CodeFamily,
+    counterexample_family,
+    epsilon_dual_universal,
+    random_code,
+    tight_family,
+)
 
 
 def correlated_bit_state():
@@ -309,18 +315,137 @@ def test_h2_d2_hmin_matches_oracle_on_rank_deficient_sigma():
 
 
 def test_verify_pa_matches_oracle_with_sigma_given_and_defaulted():
+    """Full-rank and rank-deficient sigma, key lengths 1-5, and families
+    with members of unequal dimension and weight."""
     rng = np.random.default_rng(23)
-    for key_bits, m in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
-        fam = CodeFamily.from_hash_family(
-            HashFamily(HashFamilySpec("random_linear", key_bits, m))
-        )
-        for _ in range(4):
-            rho = random_cq_state(key_bits, int(rng.integers(2, 7)), rng)
-            eps = float(epsilon_dual_universal(fam, "min_dim").epsilon)
-            for sigma in (None, random_density(rho.eve_dim, rho.eve_dim, rng)):
+    families = [
+        CodeFamily.from_hash_family(HashFamily(HashFamilySpec("random_linear", n, m)))
+        for n, m in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (5, 1))
+    ]
+    unequal = [tight_family(4, 2, Fraction(3, 2), 3), tight_family(5, 2, Fraction(3, 2), 6),
+               counterexample_family(4), counterexample_family(5)]
+    assert all(len(set(fam.weights)) > 1 for fam in unequal)
+    assert all(len({c.dim for c in fam.codes}) > 1 for fam in unequal[2:])
+    for fam in families + unequal:
+        eps = float(epsilon_dual_universal(fam, "min_dim").epsilon)
+        for _ in range(3):
+            rho = random_cq_state(fam.n, int(rng.integers(2, 7)), rng)
+            for sigma in (None, random_density(rho.eve_dim, rho.eve_dim, rng),
+                          random_density(rho.eve_dim, rho.eve_dim - 1, rng)):
                 lhs, rhs = verify_pa(rho, fam, sigma=sigma)
                 lhs_o, h2_o = oracle_verify_pa(rho, fam, sigma)
                 assert_close((lhs, rhs), (lhs_o, eps * 2.0 ** -h2_o))
+                assert lhs <= rhs + 1e-9
+
+
+def test_verify_pa_takes_a_hash_family_as_its_code_family():
+    rng = np.random.default_rng(26)
+    hf = HashFamily(HashFamilySpec("modified_toeplitz", 5, 2))
+    fam = CodeFamily.from_hash_family(hf)
+    for _ in range(5):
+        rho = random_cq_state(5, int(rng.integers(2, 6)), rng)
+        assert_close(verify_pa(rho, hf), verify_pa(rho, fam))
+
+
+def test_verify_pa_builds_no_hashed_state(monkeypatch):
+    import dualhash.cqstate as cqstate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hashed state built")
+
+    rho = random_cq_state(4, 3, np.random.default_rng(30))
+    fam = counterexample_family(4)
+    expected = verify_pa(rho, fam)
+    monkeypatch.setattr(cqstate, "hash_marginal", refuse)
+    monkeypatch.setattr(cqstate.CQState, "__init__", refuse)
+    assert verify_pa(rho, fam) == expected
+
+
+def test_verify_pa_runs_at_key_length_12():
+    rho = random_cq_state(12, 3, np.random.default_rng(27))
+    lhs, rhs = verify_pa(rho, HashFamily(HashFamilySpec("modified_toeplitz", 12, 4)))
+    assert 0 <= lhs <= rhs + 1e-9
+
+
+def test_verify_pa_refuses_a_family_of_another_length():
+    rho = random_cq_state(3, 2, np.random.default_rng(28))
+    for fam in (HashFamily(HashFamilySpec("modified_toeplitz", 4, 2)),
+                CodeFamily([LinearCode.repetition(2)])):
+        with pytest.raises(ValueError, match="family length"):
+            verify_pa(rho, fam)
+
+
+def bad_sigmas():
+    skewed = np.eye(3, dtype=complex) / 3
+    skewed[0, 2] = 0.5  # eigh would read the lower triangle only
+    return [("not Hermitian", skewed),
+            ("must be a 3 x 3", np.ones((3, 2)) / 3),
+            ("must be a 3 x 3", np.eye(2) / 2),
+            ("positive semidefinite", -np.eye(3)),
+            ("positive semidefinite", np.zeros((3, 3)))]
+
+
+@pytest.mark.parametrize("match,sigma", bad_sigmas())
+def test_sigma_is_refused_unless_a_square_hermitian_psd_matrix(match, sigma):
+    rho = random_cq_state(2, 3, np.random.default_rng(29))
+    fam = CodeFamily([LinearCode.repetition(2)])
+    with pytest.raises(ValueError, match=match):
+        h2_d2_hmin(rho, sigma)
+    with pytest.raises(ValueError, match=match):
+        verify_pa(rho, fam, sigma=sigma)
+
+
+def oracle_random_cq_state(key_bits, eve_dim, rng):
+    """random_cq_state one block at a time."""
+    probs = rng.dirichlet(np.ones(1 << key_bits))
+    blocks = []
+    for a in range(1 << key_bits):
+        g = rng.normal(size=(eve_dim, eve_dim)) + 1j * rng.normal(size=(eve_dim, eve_dim))
+        m = g @ g.conj().T
+        blocks.append(probs[a] * m / np.real(np.trace(m)))
+    return CQState(key_bits, np.array(blocks))
+
+
+def oracle_convolve(rho, pw):
+    """convolve one (w, a) pair at a time."""
+    pw = [float(x) for x in pw]
+    out = np.zeros_like(rho.blocks)
+    for w in range(rho.num_values):
+        if pw[w] == 0:
+            continue
+        for a in range(rho.num_values):
+            out[a ^ w] += pw[w] * rho.blocks[a]
+    return CQState(rho.key_length, out, normalized=False)
+
+
+def oracle_d1_distance(rho):
+    """d1_distance one block at a time."""
+    if all(np.array_equal(b, rho.blocks[0]) for b in rho.blocks[1:]):
+        return 0.0
+    ideal = rho.rho_e() / rho.num_values
+    return sum(float(np.sum(np.abs(np.linalg.eigvalsh(b - ideal)))) for b in rho.blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 6), st.integers(1, 9))
+def test_random_cq_state_matches_per_block_draws(seed, key_bits, eve_dim):
+    rng, rng_o = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, expected = random_cq_state(key_bits, eve_dim, rng), oracle_random_cq_state(
+        key_bits, eve_dim, rng_o)
+    assert np.array_equal(got.blocks, expected.blocks)
+    assert rng.bit_generator.state == rng_o.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 5), st.integers(1, 5))
+def test_convolve_and_d1_match_per_block_oracles(seed, key_bits, eve_dim):
+    rng = np.random.default_rng(seed)
+    rho = random_cq_state(key_bits, eve_dim, rng)
+    pw = rng.dirichlet(np.ones(rho.num_values)) * (rng.random(rho.num_values) < 0.6)
+    got, expected = convolve(rho, pw), oracle_convolve(rho, pw)
+    assert np.max(np.abs(got.blocks - expected.blocks), initial=0) < 1e-12
+    for state in (rho, got, decoupled_bit_state(), correlated_bit_state()):
+        assert abs(d1_distance(state) - oracle_d1_distance(state)) < 1e-12
 
 
 def test_cq_state_refuses_one_non_hermitian_block_among_good_ones():
