@@ -138,11 +138,9 @@ def criterion_2(seed: int):
         return False, "dual of the all-subspace family is not optimally universal"
 
     # a universal_2 family (epsilon = 1) has a 2-almost dual universal dual
-    toep = CodeFamily.from_hash_family(HashFamily(HashFamilySpec("toeplitz", 6, 2)))
-    trep = epsilon_universal(toep, "min_dim")
+    trep, tdual = epsilon_reports(HashFamily(HashFamilySpec("toeplitz", 6, 2)), "min_dim")
     if trep.epsilon != 1:
         return False, f"Toeplitz family epsilon = {trep.epsilon} != 1"
-    tdual = epsilon_dual_universal(toep, "min_dim")
     if tdual.epsilon > 2:
         return False, f"Toeplitz dual epsilon = {tdual.epsilon} > 2"
     return True, (
@@ -170,9 +168,7 @@ def criterion_3(seed: int):
         "modified_toeplitz(6,2)": HashFamily(HashFamilySpec("modified_toeplitz", 6, 2)),
         "modified_toeplitz(8,3)": HashFamily(HashFamilySpec("modified_toeplitz", 8, 3)),
         "modified_toeplitz(10,4)": HashFamily(HashFamilySpec("modified_toeplitz", 10, 4)),
-        "toeplitz(6,2)": CodeFamily.from_hash_family(
-            HashFamily(HashFamilySpec("toeplitz", 6, 2))
-        ),
+        "toeplitz(6,2)": HashFamily(HashFamilySpec("toeplitz", 6, 2)),
         "random_linear(5,2)": CodeFamily.from_hash_family(
             HashFamily(HashFamilySpec("random_linear", 5, 2))
         ),

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf2 import BinaryMatrix, BitVector, LinearCode, kernel
 
 __all__ = [
@@ -19,6 +21,7 @@ __all__ = [
     "apply_hash",
     "kernel_code",
     "toeplitz_matrix",
+    "toeplitz_rows",
     "modified_toeplitz_matrix",
 ]
 
@@ -53,6 +56,24 @@ def toeplitz_matrix(n: int, m: int, diagonals: int) -> BinaryMatrix:
             row |= bit << (n - 1 - k)
         rows.append(row)
     return BinaryMatrix(tuple(rows), n)
+
+
+def toeplitz_rows(n: int, m: int, diagonals: np.ndarray) -> np.ndarray:
+    """The rows of ``toeplitz_matrix(n, m, r)`` for every r in an int64 array
+    of diagonal words, as an int64 array of shape (len(diagonals), m).
+
+    With R the word r bit-reversed over its n+m-1 bits, row i is
+    (R >> i) & (2^n - 1): entry (i, k) sits at bit n-1-k of row i and reads
+    diagonal bit k - i + m - 1, which is bit n-1-k+i of R.
+    """
+    width = n + m - 1
+    if width > 62:
+        raise ValueError(f"n + m - 1 = {width} diagonal bits do not fit int64")
+    diagonals = np.asarray(diagonals, dtype=np.int64)
+    reversed_ = np.zeros_like(diagonals)
+    for j in range(width):
+        reversed_ |= ((diagonals >> j) & 1) << (width - 1 - j)
+    return (reversed_[:, None] >> np.arange(m)) & ((1 << n) - 1)
 
 
 def modified_toeplitz_matrix(n: int, m: int, diagonals: int) -> BinaryMatrix:

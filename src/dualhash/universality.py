@@ -3,8 +3,9 @@
 A code family is a weighted multiset of linear codes; "choose r uniformly"
 means choosing a member with probability proportional to its integer weight.
 All universality parameters are exact rationals computed by exhaustive
-codeword counting, or, for the modified-Toeplitz hash family, by exact ranks
-over its parameter space.
+codeword counting, or, for the Toeplitz hash families, by counting the row
+combinations of all members at once (plain Toeplitz) or by exact ranks over
+the parameter space (modified Toeplitz).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .gf2 import (
     syndromes,
     walsh_hadamard,
 )
-from .hashfam import HashFamily, HashFamilySpec, kernel_code
+from .hashfam import HashFamily, HashFamilySpec, kernel_code, toeplitz_rows
 
 __all__ = [
     "CodeFamily",
@@ -307,22 +308,75 @@ def _modified_toeplitz_counts(hf: HashFamily) -> np.ndarray:
     return counts.ravel()
 
 
+def _count_dtypes(total: int, n: int):
+    """The dtypes of a count record of total weight ``total``: plain counts
+    reach ``total``, dual counts pass through ``total << n`` in the Walsh
+    transform; int64 while the values fit, else object arrays."""
+    return (np.int64 if total < 1 << 63 else object,
+            np.int64 if total << n < 1 << 63 else object)
+
+
+def _toeplitz_counts(hf: HashFamily) -> _Counts:
+    """Membership counts of the plain-Toeplitz family from the row
+    combinations of all its members; no member, kernel or code is built.
+
+    The 2^m XOR combinations of member r's rows are its dual code (its row
+    space), each word 2^(m - rank) times: z times, z the number of zero
+    combinations.  So the dual count adds, for each z, the count of the
+    words of the members with z zero combinations divided by z (exact: each
+    such member adds z at each of its words), and a member's kernel has
+    dimension n - m + log2 z.  On the plain side the multiplicity cancels:
+    the Walsh transform of a member's words is 2^(m - rank) 2^rank = 2^m
+    times the indicator of its kernel, so the plain count is the transform
+    of 2^(n-m) times the count of all words, shifted right by n.  The index
+    range is walked in chunks of at most COUNT_BLOCK_WORDS words; the cap
+    is checked before any array is built.
+    """
+    n, m, total = hf.n, hf.m, hf.index_space
+    if total > FAMILY_MEMBER_CAP:
+        raise EnumerationCapError(f"family of {total} members exceeds cap {FAMILY_MEMBER_CAP}")
+    narrow, wide = _count_dtypes(total, n)
+    word_count = np.zeros(1 << n, dtype=np.int64)
+    dual_count = np.zeros_like(word_count)
+    z_min, z_max = 1 << m, 1
+    per_chunk = max(1, COUNT_BLOCK_WORDS >> m)
+    for start in range(0, total, per_chunk):
+        rows = toeplitz_rows(n, m, np.arange(start, min(start + per_chunk, total)))
+        words = np.zeros((len(rows), 1 << m), dtype=np.int64)
+        for j in range(m):
+            words[:, 1 << j:2 << j] = words[:, :1 << j] ^ rows[:, j:j + 1]
+        word_count += np.bincount(words.ravel(), minlength=1 << n)
+        zeros = (words == 0).sum(axis=1)
+        z_values = np.unique(zeros).tolist()
+        for z in z_values:
+            dual_count += np.bincount(words[zeros == z].ravel(), minlength=1 << n) // z
+        z_min, z_max = min(z_min, z_values[0]), max(z_max, z_values[-1])
+    plain = walsh_hadamard(word_count.astype(wide) << (n - m)) >> n
+    return _Counts(n, total, n - m + z_min.bit_length() - 1, n - m + z_max.bit_length() - 1,
+                   plain.astype(narrow, copy=False), dual_count.astype(wide, copy=False))
+
+
 def _count(family) -> _Counts:
     """Count a CodeFamily or HashFamily once, for both sides.
 
     A CodeFamily adds each member's weight w at its codewords, block by
     block, into one count per member dimension; the plain counts are their
-    sum.  A modified-Toeplitz HashFamily is counted by parameter ranks (all
-    its members have dimension n - m), any other HashFamily through its
-    kernel family.  The dual counts need no dual code: the Walsh transform
-    of the indicator of C is 2^dim(C) times the indicator of C^perp, so
-    summing w 2^(n-dim) per member (each dimension's count shifted left by
-    n - dim), transforming once and shifting right by n gives
-    sum_r w_r [x in C_r^perp] exactly.  The cap is checked before any
+    sum.  A HashFamily is counted one of three ways: a plain-Toeplitz one
+    from the row combinations of its members (``_toeplitz_counts``), a
+    modified-Toeplitz one by parameter ranks (all its members have
+    dimension n - m), and the family of all linear maps through its
+    weighted kernel family.  The dual counts need no dual code: the Walsh
+    transform of the indicator of C is 2^dim(C) times the indicator of
+    C^perp, so summing w 2^(n-dim) per member (each dimension's count
+    shifted left by n - dim), transforming once and shifting right by n
+    gives sum_r w_r [x in C_r^perp] exactly.  The cap is checked before any
     array is built.
     """
-    if isinstance(family, HashFamily) and family.spec.kind != "modified_toeplitz":
-        family = CodeFamily.from_hash_family(family)
+    if isinstance(family, HashFamily):
+        if family.spec.kind == "toeplitz":
+            return _toeplitz_counts(family)
+        if family.spec.kind == "random_linear":
+            family = CodeFamily.from_hash_family(family)
     n = family.n
     if n > AMBIENT_CAP:
         raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")
@@ -335,9 +389,9 @@ def _count(family) -> _Counts:
         by_dim = {}
         for dim, w, words in _codeword_blocks(family):
             if dim not in by_dim:
-                by_dim[dim] = np.zeros(1 << n, dtype=np.int64 if total < 1 << 63 else object)
+                by_dim[dim] = np.zeros(1 << n, dtype=_count_dtypes(total, n)[0])
             np.add.at(by_dim[dim], words.ravel(), w)
-    wide = np.int64 if total << n < 1 << 63 else object
+    wide = _count_dtypes(total, n)[1]
     (dim, plain), *rest = by_dim.items()
     scaled = plain.astype(wide, copy=False) << (n - dim)
     for dim, count in rest:
@@ -383,8 +437,8 @@ def _report(counts: _Counts, side: str, convention: str, candidates=None,
 def epsilon_universal(family, convention: str = "min_dim") -> UniversalityReport:
     """Smallest ε with Pr[x ∈ C_r] ≤ 2^(t-n) ε for all x ≠ 0 (exact).
 
-    ``family`` is a CodeFamily or a HashFamily; a modified-Toeplitz
-    HashFamily is counted by parameter ranks, without building a member.
+    ``family`` is a CodeFamily or a HashFamily; a Toeplitz or
+    modified-Toeplitz HashFamily is counted without building a member.
     """
     convention = _check_convention(convention)
     return _report(_count(family), "plain", convention)

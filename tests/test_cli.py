@@ -42,10 +42,15 @@ def test_analyze_rejects_oversized_family_before_enumerating(capsys, monkeypatch
     def no_members(h):
         raise AssertionError("member enumerated")
 
+    def no_rows(*args):
+        raise AssertionError("rows built")
+
     monkeypatch.setattr("dualhash.hashfam.kernel_code", no_members)
+    monkeypatch.setattr("dualhash.universality.toeplitz_rows", no_rows)
     code, _, err = run(capsys, "analyze", "--kind", "toeplitz", "-n", "16", "-m", "8")
     assert code == 2
     assert "exceeds cap" in err
+    assert f"family of {1 << 23} members exceeds cap 65536" in err
 
 
 def test_analyze_modified_toeplitz_builds_no_member(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from dualhash.gf2 import BinaryMatrix, BitVector
@@ -14,6 +15,7 @@ from dualhash.hashfam import (
     kernel_code,
     modified_toeplitz_matrix,
     toeplitz_matrix,
+    toeplitz_rows,
 )
 
 
@@ -24,6 +26,19 @@ def test_toeplitz_constant_diagonals():
         for k in range(n):
             if i + 1 < m and k + 1 < n:
                 assert t.entry(i, k) == t.entry(i + 1, k + 1)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (4, 4), (6, 2), (5, 1), (7, 3)])
+def test_toeplitz_rows_match_toeplitz_matrix(n, m):
+    diagonals = np.arange(1 << (n + m - 1))
+    got = toeplitz_rows(n, m, diagonals)
+    assert got.dtype == np.int64 and got.shape == (len(diagonals), m)
+    assert got.tolist() == [list(toeplitz_matrix(n, m, r).rows) for r in range(len(diagonals))]
+
+
+def test_toeplitz_rows_refuse_words_wider_than_int64():
+    with pytest.raises(ValueError, match="do not fit int64"):
+        toeplitz_rows(40, 24, np.arange(1))
 
 
 def test_modified_toeplitz_blocks():

@@ -368,6 +368,47 @@ def test_modified_toeplitz_rank_counts_match_enumeration(n):
         assert code_bias(hf) == code_bias(fam)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_toeplitz_row_counts_match_enumeration(n):
+    for m in range(1, min(n, 13 - n) + 1):
+        hf = HashFamily(HashFamilySpec("toeplitz", n, m))
+        fam = CodeFamily.from_hash_family(hf)
+        counted, enumerated = _count(hf), _count(fam)
+        assert (counted.t_min, counted.t_max) == (fam.t_min, fam.t_max)
+        assert counted.total_weight == fam.total_weight == hf.members
+        for side in ("plain", "dual"):
+            got, want = getattr(counted, side), getattr(enumerated, side)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+        for convention in ("min_dim", "max_dim"):
+            want = (epsilon_universal(fam, convention), epsilon_dual_universal(fam, convention))
+            got = (epsilon_universal(hf, convention), epsilon_dual_universal(hf, convention))
+            assert got == want
+            assert epsilon_reports(hf, convention) == want
+        assert code_bias(hf) == code_bias(fam)
+
+
+@pytest.mark.parametrize("n, m", [(6, 2), (5, 5), (7, 3), (4, 1)])
+def test_toeplitz_row_counts_walk_in_chunks(monkeypatch, n, m):
+    hf = HashFamily(HashFamilySpec("toeplitz", n, m))
+    whole = _count(hf)
+    chunks = []
+
+    def rows(n, m, diagonals):
+        chunks.append(len(diagonals))
+        return build(n, m, diagonals)
+
+    build = universality.toeplitz_rows
+    monkeypatch.setattr(universality, "toeplitz_rows", rows)
+    monkeypatch.setattr(universality, "COUNT_BLOCK_WORDS", 4)
+    chunked = _count(hf)
+    assert sum(chunks) == hf.members and len(chunks) > 1
+    assert all(size << m <= max(4, 1 << m) for size in chunks)
+    assert (chunked.t_min, chunked.t_max) == (whole.t_min, whole.t_max)
+    assert chunked.plain.tolist() == whole.plain.tolist()
+    assert chunked.dual.tolist() == whole.dual.tolist()
+
+
 @pytest.mark.parametrize("kind, n, m", [("toeplitz", 6, 2), ("random_linear", 5, 2)])
 def test_other_hash_kinds_measured_through_kernel_family(kind, n, m):
     hf = HashFamily(HashFamilySpec(kind, n, m))
