@@ -287,8 +287,8 @@ def verify_pa(rho: CQState, family, sigma: np.ndarray | None = None
     the transform of g is the squared Frobenius norm of the transformed
     blocks, g = WHT(||T_hat||^2) / 2^k, and g(0) is the collision sum
     2^(-H2).  sigma defaults to Eve's marginal, which hashing leaves as it
-    is.  ``family`` is a CodeFamily or a HashFamily (a modified-Toeplitz one
-    is counted by parameter ranks, no member built) of length key_length.
+    is.  ``family`` is a CodeFamily or a HashFamily (a Toeplitz one is
+    counted from row combinations, no member built) of length key_length.
     epsilon is the family's measured dual-universality parameter with the
     minimum-dimension convention, read from the same counts.
     """

@@ -26,6 +26,7 @@ __all__ = [
     "kernel",
     "dual",
     "weight_distribution",
+    "span",
     "syndromes",
     "parse_code",
     "format_code",
@@ -363,20 +364,38 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
     return WeightDistribution(c.n, tuple(Fraction(k, total) for k in counts))
 
 
+def span(gens) -> np.ndarray:
+    """words[..., a] = the XOR of gens[..., j] over the set bits j of a, for
+    generator lists stacked on the leading axes, in the dtype of ``gens``:
+    a basis's codewords, in one doubling pass.  The last axis has 2^len
+    entries; callers bound it.
+    """
+    gens = np.asarray(gens)
+    size = gens.shape[-1]
+    words = np.zeros((*gens.shape[:-1], 1 << size), dtype=gens.dtype)
+    for j in range(size):
+        np.bitwise_xor(words[..., : 1 << j], gens[..., j, None],
+                       out=words[..., 1 << j : 2 << j])
+    return words
+
+
 def syndromes(rows, n: int) -> np.ndarray:
-    """s[x] = Hx for every x in F_2^n, H the matrix with these rows, in the
-    row order of ``BinaryMatrix.mul_vector`` (row 0 is the top bit).
+    """s[..., x] = Hx for every x in F_2^n, H the matrix whose rows are the
+    last axis of ``rows`` (row 0 is the top bit, as in ``mul_vector``).
 
     Two words share a label iff they differ by an element of the kernel of
-    H, so with the rows spanning C^perp the labels key the cosets of C.  One
-    doubling pass: s[x + 2^j] = s[x] ^ H e_j for x < 2^j.  The array has
-    2^n entries; callers bound n.
+    H, so with the rows spanning C^perp the labels key the cosets of C.  The
+    labels are the span of the column syndromes H e_j, in the dtype of the
+    rows (int64 for a list); the last axis has 2^n entries, callers bound n.
     """
-    h = BinaryMatrix(tuple(rows), n)
-    s = np.zeros(1 << n, dtype=np.int64)
-    for j in range(n):
-        s[1 << j : 2 << j] = s[: 1 << j] ^ h.mul_vector(1 << j)
-    return s
+    rows = np.asarray(rows)
+    if ((rows < 0) | (rows >= 1 << n)).any():
+        raise ValueError("row out of range for cols")
+    if rows.dtype.kind != "i":  # a list of Python ints, or an empty one
+        rows = rows.astype(np.int64)
+    bits = (rows[..., None] >> np.arange(n, dtype=rows.dtype)) & 1
+    shifts = np.arange(rows.shape[-1] - 1, -1, -1, dtype=rows.dtype)[:, None]
+    return span((bits << shifts).sum(axis=-2, dtype=rows.dtype))
 
 
 def complement_basis(c1: LinearCode, c2: LinearCode) -> list[int]:

@@ -1,10 +1,10 @@
 """Exact desk-scale channel simulation: decoding, family averages, key
 distillation, and wiretap security evaluation.
 
-Every decoding path uses one coset-leader table keyed by syndromes Hx,
-labels and leaders computed once per code in one vectorised pass over all
-2^n error patterns, H a code's dual basis or a hash member's own matrix
-(whose kernel is the member's code); the cap n <= 16 bounds that work.
+Every decoding path uses one coset-leader table keyed by the syndromes Hx
+of ``gf2.syndromes``, labels and leaders computed once per code in one pass
+over all 2^n error patterns, H a code's dual basis or a hash member's own
+matrix (whose kernel is its code); the cap n <= 16 bounds that work.
 Family averages table a chunk of members in one pass.
 Exact wiretap leakage comes from the joint (phase, bit) error histogram
 over syndrome labels, capped at n <= 10 (4^n error pairs).  Error probabilities are exact rationals; Monte
@@ -37,6 +37,7 @@ from .gf2 import (
     _reduce,
     complement_basis,
     dual,
+    span,
     syndromes,
     walsh_hadamard,
 )
@@ -106,11 +107,10 @@ def _syndrome_tables(row_sets, n: int) -> tuple[np.ndarray, np.ndarray]:
     or padded rows reach fewer labels).  Rows spanning C^perp, a code's
     dual basis or a hash member's own matrix rows, key the cosets of C;
     which rows do so changes no leader.  Shorter row sets are padded with
-    zero rows on top, which changes no label.  The column syndromes H_k e_j
-    come from the row bits and the labels from one doubling pass over every
-    row set; the leaders take one np.minimum.at per row, which needs no
-    K 2^n array of flat indices or keys.  n <= 16, and callers bound K 2^n,
-    so every array is int32.
+    zero rows on top, which changes no label.  The labels are
+    ``gf2.syndromes`` of the stacked row sets; the leaders take one
+    np.minimum.at per row, which needs no K 2^n array of flat indices or
+    keys.  n <= 16, and callers bound K 2^n, so every array is int32.
     """
     if n > ERROR_ENUM_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
@@ -118,13 +118,7 @@ def _syndrome_tables(row_sets, n: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.zeros((count, m), dtype=np.int32)
     for k, r in enumerate(row_sets):
         rows[k, m - len(r):] = r
-    bits = (rows[:, :, None] >> np.arange(n, dtype=np.int32)) & 1
-    cols = (bits << np.arange(m - 1, -1, -1, dtype=np.int32)[:, None]).sum(
-        axis=1, dtype=np.int32)  # cols[k, j] = H_k e_j
-    labels = np.zeros((count, 1 << n), dtype=np.int32)
-    for j in range(n):
-        np.bitwise_xor(labels[:, : 1 << j], cols[:, j, None],
-                       out=labels[:, 1 << j : 2 << j])
+    labels = syndromes(rows, n)
     _, key = _pattern_weights(n)
     unreached = np.iinfo(np.int32).max
     best = np.full((count, 1 << m), unreached, dtype=np.int32)
@@ -181,10 +175,8 @@ def _correct_weights(leaders: np.ndarray, c2: LinearCode) -> np.ndarray:
     count, n = len(leaders), c2.n
     weight, _ = _pattern_weights(n)
     member, slot = np.nonzero(leaders >= 0)
-    correct = np.bitwise_xor.outer(
-        leaders[member, slot],
-        np.fromiter(c2.codewords(), dtype=np.int64, count=len(c2)),
-    )
+    correct = np.bitwise_xor.outer(leaders[member, slot],
+                                   span(np.array(c2.basis, dtype=np.int64)))
     flat = member[:, None] * (n + 1) + weight[correct]
     return np.bincount(flat.ravel(), minlength=count * (n + 1)).reshape(count, n + 1)
 
@@ -321,7 +313,7 @@ def _mc_error_prob(labels: np.ndarray, leaders: np.ndarray, c2: LinearCode,
     e = flips @ (1 << np.arange(n, dtype=np.int64))
     decoded = e ^ leaders[labels[e]]
     inside = np.zeros(1 << n, dtype=bool)
-    inside[np.fromiter(c2.codewords(), dtype=np.int64, count=len(c2))] = True
+    inside[span(np.array(c2.basis, dtype=np.int64))] = True
     return int(np.count_nonzero(~inside[decoded])) / trials
 
 

@@ -3,9 +3,9 @@
 A code family is a weighted multiset of linear codes; "choose r uniformly"
 means choosing a member with probability proportional to its integer weight.
 All universality parameters are exact rationals computed by exhaustive
-codeword counting, or, for the Toeplitz hash families, by counting the row
-combinations of all members at once (plain Toeplitz) or by exact ranks over
-the parameter space (modified Toeplitz).
+codeword counting, or, for the Toeplitz hash families, by counting row
+combinations: of all members at once (plain Toeplitz), or of one small
+matrix per input prefix, with one Walsh transform (modified Toeplitz).
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from .gf2 import (
     EnumerationCapError,
     LinearCode,
     _canonical_rows,
-    _echelon,
     bits_to_string,
     complement_basis,
     dual,
     kernel,
-    syndromes,
+    span,
     walsh_hadamard,
 )
 from .hashfam import HashFamily, HashFamilySpec, kernel_code, toeplitz_rows
@@ -239,9 +238,9 @@ def _codeword_blocks(family, row_words: int = 1):
     """Yield (dim, weight, words) blocks covering every distinct member.
 
     Members of equal dimension and weight are expanded together, in order
-    of first occurrence: their packed bases are doubled into codewords,
-    words[i] holding the 2^dim codewords of one member.  A block holds at
-    most COUNT_BLOCK_WORDS / max(2^dim, row_words) members, and at least one.
+    of first occurrence: words[i] holds the 2^dim codewords of one member,
+    the ``span`` of its packed basis.  A block holds at most
+    COUNT_BLOCK_WORDS / max(2^dim, row_words) members, and at least one.
     """
     dims, weights = family._dims, family._weight_array
     order = np.lexsort((weights, dims))  # stable: each group stays in member order
@@ -252,11 +251,7 @@ def _codeword_blocks(family, row_words: int = 1):
         bases = family.bases[members, :dim].astype(np.int32)
         per_block = max(1, COUNT_BLOCK_WORDS // max(1 << dim, row_words))
         for start in range(0, len(bases), per_block):
-            block = bases[start:start + per_block]
-            words = np.zeros((len(block), 1 << dim), dtype=np.int32)
-            for j in range(dim):
-                words[:, 1 << j:2 << j] = words[:, :1 << j] ^ block[:, j:j + 1]
-            yield dim, w, words
+            yield dim, w, span(bases[start:start + per_block])
 
 
 @dataclass(frozen=True)
@@ -276,35 +271,28 @@ class _Counts:
 
 def _modified_toeplitz_counts(hf: HashFamily) -> np.ndarray:
     """Plain membership counts of the modified-Toeplitz family (T_r | I), r
-    over its n - 1 diagonal bits, from one small elimination per u; no
-    member is built.
+    over its n - 1 diagonal bits; no member is built.
 
-    Write x = (u, v), u the top n - m bits.  Then x is in ker(T_r | I) iff
-    T_r u = v, and T_r u = A_u r: diagonal bit k - i + m - 1 feeds entry
-    (i, k) of T_r, so row i of A_u is u bit-reversed, shifted left by
-    m - 1 - i.  So counts[x] is 2^(n-1-rank A_u) when v lies in the column
-    space of A_u and 0 otherwise.  Each row of A_u is eliminated with its
-    tag e_i below bit m; the rows left with no A_u part span the left
-    kernel, and v lies in the column space iff it is orthogonal to all of
-    them.  The rank of the members is measured, not assumed: every kernel
-    has dimension at least n - m, and sum_x counts[x] = sum_r 2^dim ker
-    equals 2^(n-1) 2^(n-m) iff every member has rank m.
+    Write x = (u, v), u the top k = n - m bits.  x is in ker(T_r | I) iff
+    T_r u = v, and T_r u = A_u r, A_u the m x (n-1) Toeplitz matrix of
+    diagonal word u << (m - 1).  So counts[x] is 2^(n-1-rank A_u) if v is
+    orthogonal to the left kernel L_u of A_u, else 0.  L_u is the zero
+    combinations of A_u's rows (reversed, so combination bit j pairs with
+    bit j of v), and the Walsh transform of its indicator is
+    |L_u| [v in L_u^perp], |L_u| = 2^(m - rank A_u); times 2^(k-1) that is
+    counts[u].  Every member contains I_m, so t_min = t_max = n - m, and
+    sum_x counts[x] = 2^(n-1) 2^(n-m) checks the span and transform.
     """
     n, m = hf.n, hf.m
     if n <= m:
         raise ValueError("modified_toeplitz needs n > m")
     k = n - m
-    counts = np.zeros((1 << k, 1 << m), dtype=np.int64)
-    for u in range(1 << k):
-        w = int(bits_to_string(u, k)[::-1], 2)
-        ech = _echelon((w << (2 * m - 1 - i)) | (1 << (m - 1 - i)) for i in range(m))
-        left = [row for row in ech.values() if row >> m == 0]
-        if left:
-            counts[u] = (syndromes(left, m) == 0) << (k - 1 + len(left))
-        else:
-            counts[u] = 1 << (k - 1)
+    rows = toeplitz_rows(n - 1, m, np.arange(1 << k) << (m - 1))
+    counts = (span(rows[:, ::-1]) == 0).astype(np.int64)
+    walsh_hadamard(counts)
+    counts <<= k - 1
     if int(counts.sum()) != 1 << (n - 1 + k):
-        raise ArithmeticError(f"modified_toeplitz({n}, {m}) has a member of rank below m")
+        raise ArithmeticError(f"modified_toeplitz({n}, {m}) counts do not sum to 2^(n-1) 2^(n-m)")
     return counts.ravel()
 
 
@@ -341,10 +329,7 @@ def _toeplitz_counts(hf: HashFamily) -> _Counts:
     z_min, z_max = 1 << m, 1
     per_chunk = max(1, COUNT_BLOCK_WORDS >> m)
     for start in range(0, total, per_chunk):
-        rows = toeplitz_rows(n, m, np.arange(start, min(start + per_chunk, total)))
-        words = np.zeros((len(rows), 1 << m), dtype=np.int64)
-        for j in range(m):
-            words[:, 1 << j:2 << j] = words[:, :1 << j] ^ rows[:, j:j + 1]
+        words = span(toeplitz_rows(n, m, np.arange(start, min(start + per_chunk, total))))
         word_count += np.bincount(words.ravel(), minlength=1 << n)
         zeros = (words == 0).sum(axis=1)
         z_values = np.unique(zeros).tolist()
@@ -363,14 +348,14 @@ def _count(family) -> _Counts:
     block, into one count per member dimension; the plain counts are their
     sum.  A HashFamily is counted one of three ways: a plain-Toeplitz one
     from the row combinations of its members (``_toeplitz_counts``), a
-    modified-Toeplitz one by parameter ranks (all its members have
-    dimension n - m), and the family of all linear maps through its
-    weighted kernel family.  The dual counts need no dual code: the Walsh
-    transform of the indicator of C is 2^dim(C) times the indicator of
-    C^perp, so summing w 2^(n-dim) per member (each dimension's count
-    shifted left by n - dim), transforming once and shifting right by n
-    gives sum_r w_r [x in C_r^perp] exactly.  The cap is checked before any
-    array is built.
+    modified-Toeplitz one from those of one matrix per input prefix
+    (``_modified_toeplitz_counts``), and the family of all linear maps
+    through its weighted kernel family.  The dual counts need no dual code:
+    the Walsh transform of the indicator of C is 2^dim(C) times the
+    indicator of C^perp, so summing w 2^(n-dim) per member (each dimension's
+    count shifted left by n - dim), transforming once and shifting right by
+    n gives sum_r w_r [x in C_r^perp] exactly.  The cap is checked before
+    any array is built.
     """
     if isinstance(family, HashFamily):
         if family.spec.kind == "toeplitz":
@@ -769,10 +754,13 @@ def counterexample_family(n: int, seed: int | None = None) -> CodeFamily:
     Takes the kernels of all 2 x (n-1) matrices and appends a zero last bit
     to every codeword; privacy amplification with this family leaks the
     last input bit in full.  Built weighted while its distinct members fit
-    the family cap (n <= 10), otherwise a seeded sample of 2^10 matrices.
+    the family cap (n <= 10), otherwise a seeded sample of 2^10 matrices;
+    n above AMBIENT_CAP, which no count admits, is refused before sampling.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if n > AMBIENT_CAP:
+        raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")
     if _linear_kernel_count(n - 1, 2) <= FAMILY_MEMBER_CAP:
         inner = _linear_kernel_family(n - 1, 2)
     else:

@@ -365,6 +365,16 @@ def test_zero_denominator_fraction_is_an_error(tmp_path, capsys, argv):
     assert err == "error: '1/0' has a zero denominator\n"
 
 
+def test_oversized_counterexample_is_refused_before_sampling(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernels sampled")
+
+    monkeypatch.setattr(HashFamily, "sample_rows", refuse)
+    code, out, err = run(capsys, "analyze", "--kind", "counterexample", "-n", "2000",
+                         "--seed", "1")
+    assert (code, out, err) == (2, "", "error: ambient length 2000 exceeds cap 20\n")
+
+
 def test_phase_sum_refuses_oversized_block_length_before_walking(capsys, monkeypatch):
     def no_walk(*args):
         raise AssertionError("k-window walked")

@@ -25,6 +25,7 @@ from dualhash.gf2 import (
     kernel,
     parse_code,
     rank,
+    span,
     syndromes,
     walsh_hadamard,
     weight_distribution,
@@ -319,6 +320,51 @@ def test_syndromes_label_each_coset_once(seed):
         assert coset_of.setdefault(int(s[x]), rep) == rep
     assert sorted(coset_of) == list(range(1 << h.nrows))
     assert len(set(coset_of.values())) == 1 << (n - c.dim)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_span_is_the_codewords_in_gray_order(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 11)
+    c = random_code(n, rng.randrange(0, n + 1), rng)
+    words = span(np.array(c.basis, dtype=np.int64))
+    gray = [i ^ (i >> 1) for i in range(len(c))]
+    assert words[gray].tolist() == list(c.codewords())
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_stacked_span_is_span_per_row(dtype):
+    gens = np.random.default_rng(5).integers(0, 1 << 12, size=(2, 3, 5)).astype(dtype)
+    words = span(gens)
+    assert words.dtype == dtype and words.shape == (2, 3, 32)
+    for block, row in zip(words.reshape(-1, 32), gens.reshape(-1, 5)):
+        assert block.tolist() == span(row).tolist()
+
+
+def test_span_of_no_generators_is_zero():
+    for gens in (np.zeros(0, dtype=np.int64), np.zeros((3, 0), dtype=np.int32)):
+        words = span(gens)
+        assert words.dtype == gens.dtype
+        assert words.tolist() == np.zeros((*gens.shape[:-1], 1), dtype=int).tolist()
+
+
+def test_stacked_syndromes_match_per_set_calls():
+    rng = random.Random(4)
+    n = 6
+    sets = [[rng.randrange(1 << n) for _ in range(3)] for _ in range(5)]
+    labels = syndromes(np.array(sets, dtype=np.int32), n)
+    assert labels.dtype == np.int32 and labels.shape == (5, 1 << n)
+    for lab, rows in zip(labels, sets):
+        one = syndromes(rows, n)
+        assert one.dtype == np.int64
+        assert lab.tolist() == one.tolist()
+    assert syndromes((), n).tolist() == [0] * (1 << n)
+
+
+@pytest.mark.parametrize("rows", [(0b1000,), (0b101, 1 << 3), (-1,), (1, -2)])
+def test_syndromes_refuse_out_of_range_rows(rows):
+    with pytest.raises(ValueError, match="out of range"):
+        syndromes(rows, 3)
 
 
 def test_complement_basis_spans():

@@ -367,6 +367,65 @@ SIMULATE_COUNTEREXAMPLE_7 = (
 )
 
 
+# recorded from the per-u elimination that the row-combination count replaced
+ANALYZE_MODIFIED_TOEPLITZ_20_1 = (
+    "{\n"
+    '  "convention": "min_dim",\n'
+    '  "dual_epsilon": "1",\n'
+    '  "dual_report": {\n'
+    '    "convention": "max_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 1,\n'
+    '    "t_min": 1,\n'
+    '    "worst_x": "00000000000000000001"\n'
+    "  },\n"
+    '  "epsilon": "1",\n'
+    '  "kind": "modified-toeplitz",\n'
+    '  "members": 524288,\n'
+    '  "n": 20,\n'
+    '  "report": {\n'
+    '    "convention": "min_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 19,\n'
+    '    "t_min": 19,\n'
+    '    "worst_x": "00000000000000000010"\n'
+    "  },\n"
+    '  "seed": null\n'
+    "}\n"
+)
+
+
+ANALYZE_MODIFIED_TOEPLITZ_20_19 = (
+    "{\n"
+    '  "convention": "min_dim",\n'
+    '  "dual_epsilon": "1",\n'
+    '  "dual_report": {\n'
+    '    "convention": "max_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 19,\n'
+    '    "t_min": 19,\n'
+    '    "worst_x": "00000000000000000001"\n'
+    "  },\n"
+    '  "epsilon": "1",\n'
+    '  "kind": "modified-toeplitz",\n'
+    '  "members": 524288,\n'
+    '  "n": 20,\n'
+    '  "report": {\n'
+    '    "convention": "min_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 1,\n'
+    '    "t_min": 1,\n'
+    '    "worst_x": "10000000000000000000"\n'
+    "  },\n"
+    '  "seed": null\n'
+    "}\n"
+)
+
+
 @pytest.mark.parametrize("argv, expected", [
     ("sweep qkd --n-grid 10000,100000,1000000 --approach phase_sum -S 0.4 "
      "--p-ph 0.05 -l 100", SWEEP_QKD),
@@ -374,6 +433,8 @@ SIMULATE_COUNTEREXAMPLE_7 = (
     ("analyze --kind modified-toeplitz -n 14 -m 5", ANALYZE_MODIFIED_TOEPLITZ_14_5),
     ("analyze --kind modified-toeplitz -n 12 -m 3 --convention max_dim",
      ANALYZE_MODIFIED_TOEPLITZ_12_3_MAX),
+    ("analyze --kind modified-toeplitz -n 20 -m 1", ANALYZE_MODIFIED_TOEPLITZ_20_1),
+    ("analyze --kind modified-toeplitz -n 20 -m 19", ANALYZE_MODIFIED_TOEPLITZ_20_19),
     ("analyze --kind tight -n 7 -t 3 --epsilon 3/2 -x 77", ANALYZE_TIGHT),
     ("analyze --kind counterexample -n 8", ANALYZE_COUNTEREXAMPLE),
     ("analyze --kind toeplitz -n 10 -m 3", ANALYZE_TOEPLITZ_10_3),
@@ -391,7 +452,8 @@ SIMULATE_COUNTEREXAMPLE_7 = (
     ("bounds qkd -n 1000 --approach delta_biased_chi_c -S 0.4 --p-ph 0.05",
      BOUNDS_QKD_DELTA_BIASED_CHI_C),
 ], ids=["sweep_qkd", "analyze_modified_toeplitz", "analyze_modified_toeplitz_14_5",
-        "analyze_modified_toeplitz_12_3_max_dim", "analyze_tight", "analyze_counterexample",
+        "analyze_modified_toeplitz_12_3_max_dim", "analyze_modified_toeplitz_20_1",
+        "analyze_modified_toeplitz_20_19", "analyze_tight", "analyze_counterexample",
         "analyze_toeplitz_10_3", "analyze_random_linear_6_2_max_dim", "analyze_tight_x5",
         "analyze_random_linear_6_2", "simulate_counterexample_7",
         "simulate_family_average_mc", "simulate_family_average_exact", "bounds_gallager",

@@ -409,7 +409,7 @@ def test_toeplitz_row_counts_walk_in_chunks(monkeypatch, n, m):
     assert chunked.dual.tolist() == whole.dual.tolist()
 
 
-@pytest.mark.parametrize("kind, n, m", [("toeplitz", 6, 2), ("random_linear", 5, 2)])
+@pytest.mark.parametrize("kind, n, m", [("random_linear", 5, 2)])
 def test_other_hash_kinds_measured_through_kernel_family(kind, n, m):
     hf = HashFamily(HashFamilySpec(kind, n, m))
     fam = CodeFamily.from_hash_family(hf)
@@ -425,7 +425,7 @@ def test_modified_toeplitz_rank_path_refuses_before_any_array(monkeypatch):
         raise AssertionError("array built")
 
     monkeypatch.setattr(universality.np, "zeros", refuse)
-    monkeypatch.setattr(universality, "_echelon", refuse)
+    monkeypatch.setattr(universality, "toeplitz_rows", refuse)
     hf = HashFamily(HashFamilySpec("modified_toeplitz", universality.AMBIENT_CAP + 1, 8))
     for call in (epsilon_universal, epsilon_dual_universal, epsilon_reports, code_bias):
         with pytest.raises(EnumerationCapError, match="exceeds cap"):
@@ -440,9 +440,10 @@ def test_modified_toeplitz_rank_path_refuses_before_any_array(monkeypatch):
 
 
 def test_modified_toeplitz_miscount_is_raised(monkeypatch):
-    # every v counted as reachable from u = 0, where only v = 0 is
-    monkeypatch.setattr(universality, "syndromes", lambda rows, m: np.zeros(1 << m, dtype=int))
-    with pytest.raises(ArithmeticError, match="rank below m"):
+    # no zero row combination for any u, where the empty one always is
+    monkeypatch.setattr(universality, "span", lambda gens: np.ones(
+        (*gens.shape[:-1], 1 << gens.shape[-1]), dtype=gens.dtype))
+    with pytest.raises(ArithmeticError, match="do not sum to"):
         epsilon_universal(HashFamily(HashFamilySpec("modified_toeplitz", 6, 2)))
 
 
@@ -642,6 +643,19 @@ def test_counterexample_family_requires_seed_when_large(monkeypatch):
             counterexample_family(n)
     fam = counterexample_family(12, seed=1)
     assert fam.members == 1 << 10
+
+
+def test_counterexample_family_refuses_above_cap_before_sampling(monkeypatch):
+    # n = 2000 sampled and eliminated 1024 kernels before the count refused it
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernels sampled")
+
+    monkeypatch.setattr(HashFamily, "sample_rows", refuse)
+    monkeypatch.setattr(universality, "kernel", refuse)
+    cap = universality.AMBIENT_CAP
+    for n, seed in ((cap + 1, 1), (2000, 1), (2000, None)):
+        with pytest.raises(EnumerationCapError, match=f"ambient length {n} exceeds cap {cap}"):
+            counterexample_family(n, seed)
 
 
 def gaussian_binomial(n, k):
