@@ -439,6 +439,6 @@ def qkd_bounds(
 
 def approach_ratio(n: int, epsilon: float) -> float:
     """Ratio of the phase-error trace bound to the δ-biased one."""
-    if n < 1 or not epsilon >= 1:
-        raise ValueError("need n >= 1 and epsilon >= 1")
+    if n < 1 or not 1 <= epsilon < math.inf:
+        raise ValueError("need n >= 1 and a finite epsilon >= 1")
     return 2**1.5 * math.sqrt(epsilon) / (4 + math.sqrt(n + 1) * math.sqrt(epsilon))

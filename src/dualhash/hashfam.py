@@ -138,13 +138,10 @@ class HashFamily:
         rng = random.Random(seed)
         return [rng.randrange(self.index_space) for _ in range(count)]
 
-    def sample(self, count: int, seed: int):
-        """Seeded member sample (uniform over the index space)."""
-        return [self[r] for r in self._sample_indices(count, seed)]
-
     def sample_rows(self, count: int, seed: int) -> list[tuple[int, ...]]:
-        """The matrix rows of ``sample(count, seed)``'s members, without
-        building a ``HashFunction``; random-linear rows are read off the index."""
+        """The matrix rows of a seeded member sample, uniform over the index
+        space, without building a ``HashFunction``; random-linear rows are
+        read off the index."""
         indices = self._sample_indices(count, seed)
         n, m = self.n, self.m
         if self.spec.kind == "toeplitz":

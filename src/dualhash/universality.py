@@ -269,9 +269,47 @@ class _Counts:
     dual: np.ndarray
 
 
-def _modified_toeplitz_counts(hf: HashFamily) -> np.ndarray:
+def _code_counts(family: CodeFamily, dtype) -> dict:
+    """Plain membership counts of a CodeFamily by member dimension: each
+    member adds its weight w at its codewords, block by block."""
+    by_dim = {}
+    for dim, w, words in _codeword_blocks(family):
+        if dim not in by_dim:
+            by_dim[dim] = np.zeros(1 << family.n, dtype=dtype)
+        np.add.at(by_dim[dim], words.ravel(), w)
+    return by_dim
+
+
+def _toeplitz_counts(hf: HashFamily, dtype) -> dict:
+    """Dual membership counts of the plain-Toeplitz family by member rank,
+    from the row combinations of all its members; no member, kernel or
+    code is built.
+
+    The 2^m XOR combinations of member r's rows are its dual code (its row
+    space), each word z = 2^(m - rank) times, z the number of zero
+    combinations.  So the members with z zero combinations add the count
+    of their words divided by z (exact: each adds z at each of its words)
+    under rank m - log2 z.  The index range is walked in chunks of at most
+    COUNT_BLOCK_WORDS words.
+    """
+    n, m, total = hf.n, hf.m, hf.index_space
+    by_rank = {}
+    per_chunk = max(1, COUNT_BLOCK_WORDS >> m)
+    for start in range(0, total, per_chunk):
+        words = span(toeplitz_rows(n, m, np.arange(start, min(start + per_chunk, total))))
+        zeros = (words == 0).sum(axis=1)
+        for z in np.unique(zeros).tolist():
+            rank = m + 1 - z.bit_length()
+            if rank not in by_rank:
+                by_rank[rank] = np.zeros(1 << n, dtype=dtype)
+            by_rank[rank] += np.bincount(words[zeros == z].ravel(), minlength=1 << n) // z
+    return by_rank
+
+
+def _modified_toeplitz_counts(hf: HashFamily, dtype) -> dict:
     """Plain membership counts of the modified-Toeplitz family (T_r | I), r
-    over its n - 1 diagonal bits; no member is built.
+    over its n - 1 diagonal bits, under its one member dimension n - m; no
+    member is built.
 
     Write x = (u, v), u the top k = n - m bits.  x is in ker(T_r | I) iff
     T_r u = v, and T_r u = A_u r, A_u the m x (n-1) Toeplitz matrix of
@@ -280,111 +318,69 @@ def _modified_toeplitz_counts(hf: HashFamily) -> np.ndarray:
     combinations of A_u's rows (reversed, so combination bit j pairs with
     bit j of v), and the Walsh transform of its indicator is
     |L_u| [v in L_u^perp], |L_u| = 2^(m - rank A_u); times 2^(k-1) that is
-    counts[u].  Every member contains I_m, so t_min = t_max = n - m, and
-    sum_x counts[x] = 2^(n-1) 2^(n-m) checks the span and transform.
+    counts[u].  A_u's rows have n - 1 < 31 bits under AMBIENT_CAP, so the
+    combinations are int32.  sum_x counts[x] = 2^(n-1) 2^(n-m) checks the
+    span and transform.
     """
     n, m = hf.n, hf.m
     if n <= m:
         raise ValueError("modified_toeplitz needs n > m")
     k = n - m
     rows = toeplitz_rows(n - 1, m, np.arange(1 << k) << (m - 1))
-    counts = (span(rows[:, ::-1]) == 0).astype(np.int64)
+    counts = (span(rows[:, ::-1].astype(np.int32)) == 0).astype(dtype)
     walsh_hadamard(counts)
     counts <<= k - 1
     if int(counts.sum()) != 1 << (n - 1 + k):
         raise ArithmeticError(f"modified_toeplitz({n}, {m}) counts do not sum to 2^(n-1) 2^(n-m)")
-    return counts.ravel()
-
-
-def _count_dtypes(total: int, n: int):
-    """The dtypes of a count record of total weight ``total``: plain counts
-    reach ``total``, dual counts pass through ``total << n`` in the Walsh
-    transform; int64 while the values fit, else object arrays."""
-    return (np.int64 if total < 1 << 63 else object,
-            np.int64 if total << n < 1 << 63 else object)
-
-
-def _toeplitz_counts(hf: HashFamily) -> _Counts:
-    """Membership counts of the plain-Toeplitz family from the row
-    combinations of all its members; no member, kernel or code is built.
-
-    The 2^m XOR combinations of member r's rows are its dual code (its row
-    space), each word 2^(m - rank) times: z times, z the number of zero
-    combinations.  So the dual count adds, for each z, the count of the
-    words of the members with z zero combinations divided by z (exact: each
-    such member adds z at each of its words), and a member's kernel has
-    dimension n - m + log2 z.  On the plain side the multiplicity cancels:
-    the Walsh transform of a member's words is 2^(m - rank) 2^rank = 2^m
-    times the indicator of its kernel, so the plain count is the transform
-    of 2^(n-m) times the count of all words, shifted right by n.  The index
-    range is walked in chunks of at most COUNT_BLOCK_WORDS words; the cap
-    is checked before any array is built.
-    """
-    n, m, total = hf.n, hf.m, hf.index_space
-    if total > FAMILY_MEMBER_CAP:
-        raise EnumerationCapError(f"family of {total} members exceeds cap {FAMILY_MEMBER_CAP}")
-    narrow, wide = _count_dtypes(total, n)
-    word_count = np.zeros(1 << n, dtype=np.int64)
-    dual_count = np.zeros_like(word_count)
-    z_min, z_max = 1 << m, 1
-    per_chunk = max(1, COUNT_BLOCK_WORDS >> m)
-    for start in range(0, total, per_chunk):
-        words = span(toeplitz_rows(n, m, np.arange(start, min(start + per_chunk, total))))
-        word_count += np.bincount(words.ravel(), minlength=1 << n)
-        zeros = (words == 0).sum(axis=1)
-        z_values = np.unique(zeros).tolist()
-        for z in z_values:
-            dual_count += np.bincount(words[zeros == z].ravel(), minlength=1 << n) // z
-        z_min, z_max = min(z_min, z_values[0]), max(z_max, z_values[-1])
-    plain = walsh_hadamard(word_count.astype(wide) << (n - m)) >> n
-    return _Counts(n, total, n - m + z_min.bit_length() - 1, n - m + z_max.bit_length() - 1,
-                   plain.astype(narrow, copy=False), dual_count.astype(wide, copy=False))
+    return {k: counts.ravel()}
 
 
 def _count(family) -> _Counts:
     """Count a CodeFamily or HashFamily once, for both sides.
 
-    A CodeFamily adds each member's weight w at its codewords, block by
-    block, into one count per member dimension; the plain counts are their
-    sum.  A HashFamily is counted one of three ways: a plain-Toeplitz one
-    from the row combinations of its members (``_toeplitz_counts``), a
-    modified-Toeplitz one from those of one matrix per input prefix
-    (``_modified_toeplitz_counts``), and the family of all linear maps
-    through its weighted kernel family.  The dual counts need no dual code:
-    the Walsh transform of the indicator of C is 2^dim(C) times the
-    indicator of C^perp, so summing w 2^(n-dim) per member (each dimension's
-    count shifted left by n - dim), transforming once and shifting right by
-    n gives sum_r w_r [x in C_r^perp] exactly.  The cap is checked before
-    any array is built.
+    Each kind counts one side directly, as one count per code dimension on
+    that side: a CodeFamily its plain side (``_code_counts``), a
+    plain-Toeplitz HashFamily its dual side from its members' row
+    combinations (``_toeplitz_counts``), a modified-Toeplitz one its plain
+    side from one matrix per input prefix (``_modified_toeplitz_counts``);
+    the family of all linear maps is counted as its weighted kernel family.
+    The other side needs no code: the Walsh transform of the indicator of a
+    code C is 2^dim(C) times the indicator of C^perp, so summing each
+    dimension's count shifted left by n - dim, transforming once and
+    shifting right by n gives, at x, the total weight of the members whose
+    code on the other side contains x.  Counts are int64 while the total
+    weight (and, through the transform, the total weight times 2^n) fits,
+    else object arrays.  The caps are checked before any array is built.
     """
     if isinstance(family, HashFamily):
-        if family.spec.kind == "toeplitz":
-            return _toeplitz_counts(family)
         if family.spec.kind == "random_linear":
             family = CodeFamily.from_hash_family(family)
+        elif family.spec.kind == "toeplitz" and family.index_space > FAMILY_MEMBER_CAP:
+            raise EnumerationCapError(
+                f"family of {family.index_space} members exceeds cap {FAMILY_MEMBER_CAP}"
+            )
     n = family.n
     if n > AMBIENT_CAP:
         raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")
-    if isinstance(family, HashFamily):
-        k = n - family.m
-        total, dims = family.index_space, (k, k)
-        by_dim = {k: _modified_toeplitz_counts(family)}
+    if isinstance(family, CodeFamily):
+        total, side, counter = family.total_weight, "plain", _code_counts
+    elif family.spec.kind == "toeplitz":
+        total, side, counter = family.index_space, "dual", _toeplitz_counts
     else:
-        total, dims = family.total_weight, (family.t_min, family.t_max)
-        by_dim = {}
-        for dim, w, words in _codeword_blocks(family):
-            if dim not in by_dim:
-                by_dim[dim] = np.zeros(1 << n, dtype=_count_dtypes(total, n)[0])
-            np.add.at(by_dim[dim], words.ravel(), w)
-    wide = _count_dtypes(total, n)[1]
-    (dim, plain), *rest = by_dim.items()
-    scaled = plain.astype(wide, copy=False) << (n - dim)
+        total, side, counter = family.index_space, "plain", _modified_toeplitz_counts
+    wide = np.int64 if total << n < 1 << 63 else object
+    by_dim = counter(family, np.int64 if total < 1 << 63 else object)
+    (dim, counted), *rest = by_dim.items()
+    other = counted.astype(wide, copy=False) << (n - dim)
     for dim, count in rest:
-        plain += count
-        scaled += count.astype(wide, copy=False) << (n - dim)
-    walsh_hadamard(scaled)
-    scaled >>= n
-    return _Counts(n, total, *dims, plain, scaled)
+        counted += count
+        other += count.astype(wide, copy=False) << (n - dim)
+    walsh_hadamard(other)
+    other >>= n
+    if side == "plain":
+        return _Counts(n, total, min(by_dim), max(by_dim), counted, other)
+    # member dimensions are n minus the dual side's
+    return _Counts(n, total, n - max(by_dim), n - min(by_dim), other, counted)
 
 
 _SWAP = {"min_dim": "max_dim", "max_dim": "min_dim"}

@@ -234,8 +234,9 @@ def test_qkd_delta_biased_forms():
 def test_approach_ratio_monotone():
     vals = [approach_ratio(n, 1.0) for n in (1, 10, 100, 1000)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        approach_ratio(10, 0.5)
+    for epsilon in (0.5, float("inf")):
+        with pytest.raises(ValueError):
+            approach_ratio(10, epsilon)
 
 
 def _scalar_scan_maximize(f, lo, hi, grid_step=1e-3, tol=1e-9):

@@ -233,7 +233,7 @@ def test_simulate_family_average_refuses_oversized_sample(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("members sampled")
 
-    monkeypatch.setattr(HashFamily, "sample", refuse)
+    monkeypatch.setattr(HashFamily, "sample_rows", refuse)
     for flag in ("--exact", "--mc"):
         code, _, err = run(
             capsys, "simulate", "--what", "family-average", "-n", "12", "-m", "8",
@@ -338,6 +338,9 @@ def test_simulate_error_prob_refuses_base_of_other_length(tmp_path, capsys):
      "epsilon must be positive"),
     ("bounds qkd --approach phase_sum -n 100 -S 0.5 --p-ph 1.5", "p_ph must be in [0, 1]"),
     ("bounds ratio -n 10 --epsilon nan", "epsilon >= 1"),
+    # an infinite epsilon printed "ratio": "nan" and exited 0 before
+    ("bounds ratio -n 10 --epsilon inf", "finite epsilon >= 1"),
+    ("sweep ratio --n-grid 10,100 --epsilon inf", "finite epsilon >= 1"),
     ("simulate --what family-average -n 8 -m 4 -p 1/20 -R 0.5 --seed 1 --epsilon nan",
      "epsilon must be positive"),
 ])

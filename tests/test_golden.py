@@ -195,6 +195,36 @@ ANALYZE_TOEPLITZ_10_3 = (
     "}\n"
 )
 
+# the widest admitted plain-Toeplitz family with mixed ranks; its t_max comes
+# from the rank-0 member
+ANALYZE_TOEPLITZ_9_8_MAX = (
+    "{\n"
+    '  "convention": "max_dim",\n'
+    '  "dual_epsilon": "7281/32",\n'
+    '  "dual_report": {\n'
+    '    "convention": "min_dim",\n'
+    '    "epsilon_den": 32,\n'
+    '    "epsilon_num": 7281,\n'
+    '    "t_max": 8,\n'
+    '    "t_min": 0,\n'
+    '    "worst_x": "011111111"\n'
+    "  },\n"
+    '  "epsilon": "1/256",\n'
+    '  "kind": "toeplitz",\n'
+    '  "members": 65536,\n'
+    '  "n": 9,\n'
+    '  "report": {\n'
+    '    "convention": "max_dim",\n'
+    '    "epsilon_den": 256,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 9,\n'
+    '    "t_min": 1,\n'
+    '    "worst_x": "000000001"\n'
+    "  },\n"
+    '  "seed": null\n'
+    "}\n"
+)
+
 ANALYZE_RANDOM_LINEAR_6_2_MAX = (
     "{\n"
     '  "convention": "max_dim",\n'
@@ -438,6 +468,7 @@ ANALYZE_MODIFIED_TOEPLITZ_20_19 = (
     ("analyze --kind tight -n 7 -t 3 --epsilon 3/2 -x 77", ANALYZE_TIGHT),
     ("analyze --kind counterexample -n 8", ANALYZE_COUNTEREXAMPLE),
     ("analyze --kind toeplitz -n 10 -m 3", ANALYZE_TOEPLITZ_10_3),
+    ("analyze --kind toeplitz -n 9 -m 8 --convention max_dim", ANALYZE_TOEPLITZ_9_8_MAX),
     ("analyze --kind random-linear -n 6 -m 2 --convention max_dim",
      ANALYZE_RANDOM_LINEAR_6_2_MAX),
     ("analyze --kind tight -n 7 -t 3 --epsilon 3/2 -x 5", ANALYZE_TIGHT_X5),
@@ -454,7 +485,8 @@ ANALYZE_MODIFIED_TOEPLITZ_20_19 = (
 ], ids=["sweep_qkd", "analyze_modified_toeplitz", "analyze_modified_toeplitz_14_5",
         "analyze_modified_toeplitz_12_3_max_dim", "analyze_modified_toeplitz_20_1",
         "analyze_modified_toeplitz_20_19", "analyze_tight", "analyze_counterexample",
-        "analyze_toeplitz_10_3", "analyze_random_linear_6_2_max_dim", "analyze_tight_x5",
+        "analyze_toeplitz_10_3", "analyze_toeplitz_9_8_max_dim",
+        "analyze_random_linear_6_2_max_dim", "analyze_tight_x5",
         "analyze_random_linear_6_2", "simulate_counterexample_7",
         "simulate_family_average_mc", "simulate_family_average_exact", "bounds_gallager",
         "bounds_reliability", "bounds_qkd_delta_biased_chi_c"])

@@ -274,10 +274,10 @@ def test_family_average_bound_check_uses_the_report(monkeypatch):
         family_average_error(fam, Fraction(1, 10), R=0.2)
 
 
-def test_monte_carlo_error_prob_matches_exact():
+def test_monte_carlo_error_prob_matches_exact(sample_members):
     # the transmitted word is 0, so decoding fails iff the decoded word
     # leaves C2 (here the zero code)
-    h = HashFamily(HashFamilySpec("random_linear", 12, 8)).sample(1, 0)[0]
+    h = sample_members(HashFamily(HashFamilySpec("random_linear", 12, 8)), 1, 0)[0]
     trials = 2000
     exact = float(exact_error_prob(kernel_code(h), Fraction(1, 20)))
     (labels,), (leaders,) = _syndrome_tables([h.matrix.rows], 12)
@@ -290,8 +290,8 @@ def test_monte_carlo_error_prob_matches_exact():
 @pytest.mark.parametrize("n, m", [(6, 3), (10, 4), (12, 8), (16, 9)])
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.3])
 @pytest.mark.parametrize("with_base", [False, True])
-def test_monte_carlo_equals_per_trial_loop(n, m, p, with_base):
-    h = HashFamily(HashFamilySpec("random_linear", n, m)).sample(1, n)[0]
+def test_monte_carlo_equals_per_trial_loop(sample_members, n, m, p, with_base):
+    h = sample_members(HashFamily(HashFamilySpec("random_linear", n, m)), 1, n)[0]
     base = LinearCode(n, kernel_code(h).basis[:1]) if with_base else LinearCode.zero(n)
     rng, ref_rng = random.Random(n * m), random.Random(n * m)
     (labels,), (leaders,) = _syndrome_tables([h.matrix.rows], n)
@@ -663,7 +663,7 @@ def test_family_average_rejects_bad_mode_before_any_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("members evaluated before the mode was checked")
 
-    monkeypatch.setattr(HashFamily, "sample", refuse)
+    monkeypatch.setattr(HashFamily, "sample_rows", refuse)
     monkeypatch.setattr("dualhash.simulator._syndrome_tables", refuse)
     for family in (fam, hf):
         with pytest.raises(ValueError, match="unknown mode"):
@@ -677,7 +677,7 @@ def _refuse_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("members sampled")
 
-    monkeypatch.setattr(HashFamily, "sample", refuse)
+    monkeypatch.setattr(HashFamily, "sample_rows", refuse)
 
 
 @pytest.mark.parametrize("samples", [0, -2])
@@ -760,19 +760,19 @@ def test_family_average_decodes_hash_members_through_their_rows(monkeypatch):
             assert 0 <= res.exact_value <= res.ci_upper <= 1
 
 
-def _hash_members():
+def _hash_members(sample_members):
     """Every member of toeplitz(6, 3) and modified_toeplitz(7, 3), and
     seeded random_linear(7, 4) members with the zero matrix among them."""
     rl = HashFamily(HashFamilySpec("random_linear", 7, 4))
     yield from HashFamily(HashFamilySpec("toeplitz", 6, 3))
     yield from HashFamily(HashFamilySpec("modified_toeplitz", 7, 3))
     yield rl[0]
-    yield from rl.sample(300, 14)
+    yield from sample_members(rl, 300, 14)
 
 
-def test_hash_rows_decode_as_their_kernel_code():
+def test_hash_rows_decode_as_their_kernel_code(sample_members):
     deficient = 0
-    for i, h in enumerate(_hash_members()):
+    for i, h in enumerate(_hash_members(sample_members)):
         n, rows, code = h.n, h.matrix.rows, kernel_code(h)
         deficient += h.matrix.rank() < h.m
         # the member's rows and its kernel code's dual basis, one table each
@@ -832,10 +832,10 @@ def oracle_family_average(members, weights, c2, p, mode="exact", seed=None):
     ("random_linear", 5, 5, 70, "monte_carlo"),
     ("random_linear", 16, 3, 3, "exact"),  # one member per chunk
 ])
-def test_family_average_matches_per_member_oracle(kind, n, m, samples, mode):
+def test_family_average_matches_per_member_oracle(sample_members, kind, n, m, samples, mode):
     hf = HashFamily(HashFamilySpec(kind, n, m))
     p, seed = Fraction(1, 7), 5
-    members = [h.matrix.rows for h in hf.sample(samples, seed)]
+    members = [h.matrix.rows for h in sample_members(hf, samples, seed)]
     if (kind, n, m) == ("random_linear", 6, 5):
         assert sum(BinaryMatrix(r, n).rank() < m for r in members) >= 50
     assert samples % max(1, CHUNK_PATTERN_CAP >> n) or samples == 3

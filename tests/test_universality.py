@@ -420,6 +420,37 @@ def test_other_hash_kinds_measured_through_kernel_family(kind, n, m):
     assert code_bias(hf) == code_bias(fam)
 
 
+def _weighted_code_family():
+    rng = random.Random(6)
+    codes = [random_code(7, t, rng) for t in (0, 2, 2, 5, 7)]
+    return CodeFamily(codes, [1 << 63, 3, 1 << 64, 1, 5])
+
+
+@pytest.mark.parametrize("family, counter, side", [
+    (HashFamily(HashFamilySpec("toeplitz", 6, 4)), "_toeplitz_counts", "dual"),
+    (HashFamily(HashFamilySpec("modified_toeplitz", 8, 3)), "_modified_toeplitz_counts",
+     "plain"),
+    (_weighted_code_family(), "_code_counts", "plain"),
+], ids=["toeplitz", "modified_toeplitz", "weighted_code_family"])
+def test_each_counter_counts_one_side_by_dimension(family, counter, side):
+    # a counter keys its side's counts by the dimension of the codes it
+    # counts: member dimensions on the plain side, n minus them (ranks) on
+    # the dual side
+    fam = family if isinstance(family, CodeFamily) else CodeFamily.from_hash_family(family)
+    counted = fam if side == "plain" else fam.dual()
+    dtype = np.int64 if fam.total_weight < 1 << 63 else object
+    by_dim = getattr(universality, counter)(family, dtype)
+    assert sorted(by_dim) == sorted({c.dim for c in counted.codes})
+    total = [0] * (1 << fam.n)
+    for dim, count in by_dim.items():
+        assert count.dtype == dtype
+        part = CodeFamily(*zip(*((c, w) for c, w in zip(counted.codes, counted.weights)
+                                 if c.dim == dim)))
+        assert count.tolist() == oracle_membership_counts(part)
+        total = [a + b for a, b in zip(total, count.tolist())]
+    assert total == oracle_membership_counts(counted)
+
+
 def test_modified_toeplitz_rank_path_refuses_before_any_array(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("array built")
@@ -436,7 +467,7 @@ def test_modified_toeplitz_rank_path_refuses_before_any_array(monkeypatch):
         index_space = 8
 
     with pytest.raises(ValueError, match="modified_toeplitz needs n > m"):
-        universality._modified_toeplitz_counts(Square())
+        universality._modified_toeplitz_counts(Square(), np.int64)
 
 
 def test_modified_toeplitz_miscount_is_raised(monkeypatch):
@@ -901,9 +932,9 @@ def test_counterexample_family_equals_member_by_member_build(n):
     assert_same_family(fam, oracle_padded_family(n, oracle_linear_family(n - 1, 2)))
 
 
-def test_sampled_counterexample_family_equals_member_by_member_build():
+def test_sampled_counterexample_family_equals_member_by_member_build(sample_members):
     hf = HashFamily(HashFamilySpec("random_linear", 10, 2))
-    inner = CodeFamily([gf2.kernel(h.matrix) for h in hf.sample(1 << 10, 3)])
+    inner = CodeFamily([gf2.kernel(h.matrix) for h in sample_members(hf, 1 << 10, 3)])
     assert_same_family(counterexample_family(11, seed=3), oracle_padded_family(11, inner))
 
 
