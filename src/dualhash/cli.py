@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import acceptance
@@ -307,7 +308,10 @@ def _add_output_flags(p, default_format="json"):
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and help text is laid out when it is printed."""
     parser = argparse.ArgumentParser(
         prog="dualhash",
         description="Measure, bound, and simulate dual universal hash families.",

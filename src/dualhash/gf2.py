@@ -312,17 +312,19 @@ def walsh_hadamard(a: np.ndarray) -> np.ndarray:
     axis, in place: a[..., x] becomes sum_y a[..., y] (-1)^(x.y).
 
     One butterfly stage per bit; each stage writes a + b and a - b back
-    into the pair.  Exact on integer and object arrays as long as the
-    values fit the dtype; returns ``a``.
+    into the pair, a - b through one half-size buffer that every stage
+    reuses.  Exact on integer and object arrays as long as the values fit
+    the dtype; returns ``a``.
     """
     size = a.shape[-1]
     if size & (size - 1) or not a.flags.c_contiguous:
         raise ValueError("need a C-contiguous array with a power-of-two last axis")
+    buf = np.empty(a.size // 2, dtype=a.dtype)
     h = 1
     while h < size:
         pairs = a.reshape(*a.shape[:-1], size // (2 * h), 2, h)
         lo, hi = pairs[..., 0, :], pairs[..., 1, :]
-        diff = lo - hi
+        diff = np.subtract(lo, hi, out=buf.reshape(lo.shape))
         lo += hi
         hi[...] = diff
         h *= 2

@@ -58,6 +58,7 @@ ERROR_ENUM_CAP = 16
 SAMPLE_PATTERN_CAP = 1 << 24  # sampled members times 2^n patterns each
 CHUNK_PATTERN_CAP = 1 << 16  # members times 2^n patterns labelled at once
 MC_TRIALS = 2000  # Monte Carlo transmissions per sampled member
+MC_DRAW_CAP = 1 << 20  # Monte Carlo draws (members times trials times n) made at once
 WIRETAP_EXACT_CAP = 10
 BISECT_STEPS = 64
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -208,7 +209,8 @@ def family_average_error(
     (_syndrome_tables).  An exact value comes from the member's weight
     histogram; every member's error probability is over the same b^n
     (p = a/b), so the mean is one integer sum over b^n times the total
-    weight.  Monte Carlo member i draws from its own random.Random(seed + i).
+    weight.  Monte Carlo member i draws the random() stream of its own
+    random.Random(seed + i) (_mc_errors).
     """
     if mode not in ("exact", "monte_carlo"):
         raise ValueError(f"unknown mode: {mode}")
@@ -243,6 +245,8 @@ def family_average_error(
     if c2.n != n:
         raise ValueError("C2 is not a subcode of C1")
     terms, den = _weight_terms(n, pf)
+    if mode == "monte_carlo":
+        errors = _mc_errors(range(seed, seed + len(members)), n, MC_TRIALS, float(pf))
     values = []  # exact: b^n P(error) per member; monte carlo: the estimate
     chunk = max(1, CHUNK_PATTERN_CAP >> n)
     for start in range(0, len(members), chunk):
@@ -253,11 +257,8 @@ def family_average_error(
             values += [den - sum(cnt * t for cnt, t in zip(row, terms))
                        for row in _correct_weights(leaders, c2).tolist()]
         else:
-            values += [
-                _mc_error_prob(lab, lead, c2, float(pf), MC_TRIALS,
-                               random.Random(seed + start + k))
-                for k, (lab, lead) in enumerate(zip(labels, leaders))
-            ]
+            values += [_mc_error_prob(lab, lead, c2, next(errors))
+                       for lab, lead in zip(labels, leaders)]
         del labels, leaders  # free this chunk's tables before the next is built
     total = sum(weights)
     if mode == "exact":
@@ -289,32 +290,105 @@ def family_average_error(
     )
 
 
-def _mc_error_prob(labels: np.ndarray, leaders: np.ndarray, c2: LinearCode,
-                   p: float, trials: int, rng: random.Random) -> float:
-    """Share of `trials` seeded BSC(p) transmissions of 0 that decode outside
-    C2, through one row of the _syndrome_tables labels and leaders of a
-    code C1 ⊇ C2.
+# MT19937's word masks, twist matrix and tempering masks, as uint32 scalars
+_UPPER, _LOWER, _ONE = np.uint32(0x80000000), np.uint32(0x7FFFFFFF), np.uint32(1)
+_TWIST, _TEMPER_B, _TEMPER_C = np.uint32(0x9908B0DF), np.uint32(0x9D2C5680), np.uint32(0xEFC60000)
 
-    Trial t, bit i flips iff the (t n + i)-th rng.random() is below p.  All
-    2 trials n Mersenne Twister words come from one rng.getrandbits call,
-    little-endian word first, and each double is rebuilt as random() builds
-    it from consecutive words a, b: ((a >> 5) 2^26 + (b >> 6)) / 2^53.  So
-    the draws, the count and rng's final state equal those of a loop of
-    random() calls.  Every trial then decodes in one gather through the
-    coset leaders by syndrome label.
+
+def _mt_twist(mt: np.ndarray, scratch: np.ndarray) -> None:
+    """One MT19937 twist of every column of ``mt``, a (624, K) uint32 array
+    of states, in place; ``scratch`` is a (227, K) uint32 buffer.
+
+    Word i becomes word i + 397 (mod 624) XOR the twisted upper bit of word
+    i and lower bits of word i + 1.  Done in order, words 0..226 read only
+    old words, 227..453 read new words 0..226, 454..622 new words 227..395,
+    and 623 new words 0 and 396, so four vector steps give the sequential
+    result.
     """
-    n = c2.n
-    words = 2 * trials * n
-    raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-    a, b = np.frombuffer(raw, dtype="<u4").reshape(-1, 2).T
-    # every partial result is an integer below 2^53 times a power of 2: exact
-    draws = ((a >> 5) * 2.0**26 + (b >> 6)) * 2.0**-53
-    flips = (draws < p).reshape(trials, n)
-    e = flips @ (1 << np.arange(n, dtype=np.int64))
-    decoded = e ^ leaders[labels[e]]
-    inside = np.zeros(1 << n, dtype=bool)
+    for lo, hi, src in ((0, 227, 397), (227, 454, 0), (454, 623, 227)):
+        y = scratch[:hi - lo]
+        np.bitwise_and(mt[lo:hi], _UPPER, out=y)
+        y |= mt[lo + 1:hi + 1] & _LOWER
+        odd = (y & _ONE) * _TWIST
+        y >>= _ONE
+        y ^= odd
+        np.bitwise_xor(mt[src:src + hi - lo], y, out=mt[lo:hi])
+    y = (mt[623] & _UPPER) | (mt[0] & _LOWER)
+    mt[623] = mt[396] ^ (y >> _ONE) ^ ((y & _ONE) * _TWIST)
+
+
+def _mt_temper(y: np.ndarray) -> np.ndarray:
+    """MT19937's output words for the state words ``y`` (uint32)."""
+    y = y ^ (y >> np.uint32(11))
+    y ^= (y << np.uint32(7)) & _TEMPER_B
+    y ^= (y << np.uint32(15)) & _TEMPER_C
+    return y ^ (y >> np.uint32(18))
+
+
+def _random_below(seeds, count: int, p: float) -> np.ndarray:
+    """A (count, len(seeds)) bool array: entry [j, k] says whether the j-th
+    random() of random.Random(seeds[k]) is below p.
+
+    CPython's random is the standard MT19937 (Matsumoto and Nishimura
+    1998): a freshly seeded Random holds 624 state words at position 624,
+    so its first call twists the state, and each call to random() takes
+    two tempered words a, b as X 2^-53, X = (a >> 5) 2^26 + (b >> 6).  Here
+    the states from getstate() are twisted and tempered in numpy, one
+    column per seed, with no Python int per word.  X 2^-53 < p iff
+    X < T = ceil(p 2^53) (p 2^53 is exact), that is iff a >> 5 < T >> 26,
+    or a >> 5 == T >> 26 and b >> 6 < T mod 2^26; only that rare tie needs
+    b, so only the a words are tempered in bulk.  numpy's np.random.MT19937
+    would give the same words, but importing numpy.random loads OpenSSL's
+    libcrypto (through secrets), about 6 MB of resident memory.
+    """
+    t = math.ceil(p * 2**53)
+    t_hi, t_lo = np.uint32(t >> 26), np.uint32(t & ((1 << 26) - 1))
+    mt = np.array([random.Random(s).getstate()[1][:624] for s in seeds],
+                  dtype=np.uint32).T.copy()
+    scratch = np.empty((227, mt.shape[1]), dtype=np.uint32)
+    below = np.empty((-(-count // 312) * 312, mt.shape[1]), dtype=bool)
+    for start in range(0, count, 312):  # 312 draws from each twist
+        _mt_twist(mt, scratch)
+        a = _mt_temper(mt[0::2]) >> np.uint32(5)
+        block = below[start:start + 312]
+        np.less(a, t_hi, out=block)
+        tie = a == t_hi
+        if tie.any():
+            j, k = np.nonzero(tie)
+            block[j, k] = _mt_temper(mt[2 * j + 1, k]) >> np.uint32(6) < t_lo
+    return below[:count]
+
+
+def _mc_errors(seeds, n: int, trials: int, p: float):
+    """Yield, seed by seed, the (trials,) error words of `trials` BSC(p)
+    transmissions of n bits: in trial t, bit i flips iff the (t n + i)-th
+    random() of random.Random(seed) is below p.
+
+    Seeds are drawn together (_random_below), at most MC_DRAW_CAP draws at
+    a time, since each numpy step serves every seed of a batch.
+    """
+    seeds = list(seeds)
+    batch = max(1, MC_DRAW_CAP // (trials * n))
+    for start in range(0, len(seeds), batch):
+        flips = _random_below(seeds[start:start + batch], trials * n, p).reshape(trials, n, -1)
+        errors = np.zeros(flips[:, 0].shape, dtype=np.int32)
+        for i in range(n):
+            errors |= flips[:, i] * np.int32(1 << i)
+        del flips  # only the error words stay while the batch is decoded
+        yield from errors.T
+
+
+def _mc_error_prob(labels: np.ndarray, leaders: np.ndarray, c2: LinearCode,
+                   errors: np.ndarray) -> float:
+    """Share of the error words ``errors`` (_mc_errors) that carry the
+    sent word 0 outside C2, through one row of the _syndrome_tables labels
+    and leaders of a code C1 ⊇ C2: every trial decodes in one gather
+    through the coset leaders by syndrome label.
+    """
+    decoded = errors ^ leaders[labels[errors]]
+    inside = np.zeros(1 << c2.n, dtype=bool)
     inside[span(np.array(c2.basis, dtype=np.int64))] = True
-    return int(np.count_nonzero(~inside[decoded])) / trials
+    return int(np.count_nonzero(~inside[decoded])) / len(errors)
 
 
 def distill_keys(

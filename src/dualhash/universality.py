@@ -155,6 +155,11 @@ class CodeFamily:
         self.t_max = int(dims.max())
 
     @cached_property
+    def _counts(self) -> "_Counts":
+        """Membership counts of both sides, made on first use (``_count``)."""
+        return _count_sides(self)
+
+    @cached_property
     def codes(self) -> tuple[LinearCode, ...]:
         return tuple(LinearCode(self.n, tuple(row[:dim]))
                      for row, dim in zip(self.bases.tolist(), self._dims.tolist()))
@@ -259,7 +264,8 @@ class _Counts:
     """Membership counts of a family, the one record every report reads:
     plain[x] is the total weight of members containing x, dual[x] of members
     whose dual code contains x.  Both are int64 arrays, or object arrays
-    when a value could reach 2^63."""
+    when a value could reach 2^63, and read-only, since a CodeFamily keeps
+    its counts for every later report."""
 
     n: int
     total_weight: int
@@ -267,6 +273,9 @@ class _Counts:
     t_max: int
     plain: np.ndarray
     dual: np.ndarray
+
+    def __post_init__(self):
+        self.plain.flags.writeable = self.dual.flags.writeable = False
 
 
 def _code_counts(family: CodeFamily, dtype) -> dict:
@@ -323,8 +332,6 @@ def _modified_toeplitz_counts(hf: HashFamily, dtype) -> dict:
     span and transform.
     """
     n, m = hf.n, hf.m
-    if n <= m:
-        raise ValueError("modified_toeplitz needs n > m")
     k = n - m
     rows = toeplitz_rows(n - 1, m, np.arange(1 << k) << (m - 1))
     counts = (span(rows[:, ::-1].astype(np.int32)) == 0).astype(dtype)
@@ -338,19 +345,8 @@ def _modified_toeplitz_counts(hf: HashFamily, dtype) -> dict:
 def _count(family) -> _Counts:
     """Count a CodeFamily or HashFamily once, for both sides.
 
-    Each kind counts one side directly, as one count per code dimension on
-    that side: a CodeFamily its plain side (``_code_counts``), a
-    plain-Toeplitz HashFamily its dual side from its members' row
-    combinations (``_toeplitz_counts``), a modified-Toeplitz one its plain
-    side from one matrix per input prefix (``_modified_toeplitz_counts``);
-    the family of all linear maps is counted as its weighted kernel family.
-    The other side needs no code: the Walsh transform of the indicator of a
-    code C is 2^dim(C) times the indicator of C^perp, so summing each
-    dimension's count shifted left by n - dim, transforming once and
-    shifting right by n gives, at x, the total weight of the members whose
-    code on the other side contains x.  Counts are int64 while the total
-    weight (and, through the transform, the total weight times 2^n) fits,
-    else object arrays.  The caps are checked before any array is built.
+    A CodeFamily keeps its counts (``CodeFamily._counts``), so however many
+    reports read one family, it is counted once.
     """
     if isinstance(family, HashFamily):
         if family.spec.kind == "random_linear":
@@ -359,6 +355,27 @@ def _count(family) -> _Counts:
             raise EnumerationCapError(
                 f"family of {family.index_space} members exceeds cap {FAMILY_MEMBER_CAP}"
             )
+    return family._counts if isinstance(family, CodeFamily) else _count_sides(family)
+
+
+def _count_sides(family) -> _Counts:
+    """Count a CodeFamily or a Toeplitz-kind HashFamily for both sides.
+
+    Each kind counts one side directly, as one count per code dimension on
+    that side: a CodeFamily its plain side (``_code_counts``), a
+    plain-Toeplitz HashFamily its dual side from its members' row
+    combinations (``_toeplitz_counts``), a modified-Toeplitz one its plain
+    side from one matrix per input prefix (``_modified_toeplitz_counts``);
+    ``_count`` counts the family of all linear maps as its weighted kernel
+    family.  The other side needs no code: the Walsh transform of the
+    indicator of a code C is 2^dim(C) times the indicator of C^perp, so
+    summing each dimension's count shifted left by n - dim, transforming
+    once and shifting right by n gives, at x, the total weight of the
+    members whose code on the other side contains x.  Counts are int64
+    while the total weight (and, through the transform, the total weight
+    times 2^n) fits, else object arrays.  The caps are checked before any
+    array is built.
+    """
     n = family.n
     if n > AMBIENT_CAP:
         raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")

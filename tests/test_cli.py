@@ -3,20 +3,40 @@
 import csv
 import io
 import json
+import random
 import shlex
 from pathlib import Path
 
 import pytest
 
-from dualhash.cli import APPROACHES, GRID_POINT_CAP, _parse_grid, main
+from dualhash.cli import APPROACHES, GRID_POINT_CAP, _parse_grid, build_parser, main
 from dualhash.gf2 import LinearCode, format_code
-from dualhash.hashfam import HashFamily
+from dualhash.hashfam import HashFamily, HashFamilySpec
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(capsys):
+    assert build_parser() is build_parser()
+
+    def refused(argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        return err.value.code, capsys.readouterr()
+
+    bad = ["analyze", "-n", "6", "-m", "2"]  # no --kind
+    first = refused(bad)
+    assert first[0] == 2 and "the following arguments are required: --kind" in first[1].err
+    helped = refused(["simulate", "--help"])
+    assert helped[0] == 0 and "--mc" in helped[1].out
+    assert run(capsys, "analyze", "--kind", "modified-toeplitz", "-n", "6", "-m", "2")[0] == 0
+    # nothing from the earlier calls leaks into the later ones
+    assert refused(bad) == first
+    assert refused(["simulate", "--help"]) == helped
 
 
 def test_analyze_modified_toeplitz(capsys):
@@ -268,11 +288,37 @@ def test_simulate_family_average_monte_carlo(capsys):
     assert json.loads(out)["param_mode"] == "monte_carlo"
 
 
+def test_simulate_family_average_monte_carlo_builds_no_big_int(capsys, monkeypatch):
+    # the trials come from numpy's MT19937, never from Random.getrandbits;
+    # the member sample (which does call it) is drawn before it is refused
+    argv = ["simulate", "--what", "family-average", "--kind", "toeplitz", "-n", "12",
+            "-m", "8", "-p", "1/20", "-R", "0.333", "--samples", "20", "--seed", "5",
+            "--mc"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    rows = HashFamily(HashFamilySpec("toeplitz", 12, 8)).sample_rows(20, 5)
+
+    def sampled(self, count, seed):
+        assert (self.spec.kind, self.n, self.m, count, seed) == ("toeplitz", 12, 8, 20, 5)
+        return rows
+
+    def no_getrandbits(self, k):
+        raise AssertionError("getrandbits called")
+
+    monkeypatch.setattr(HashFamily, "sample_rows", sampled)
+    monkeypatch.setattr(random.Random, "getrandbits", no_getrandbits)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == expected
+
+
 @pytest.mark.parametrize("p", ["3/4", "2"])
 def test_simulate_family_average_rejects_p_before_sampling(capsys, monkeypatch, p):
     def no_trials(*args):
         raise AssertionError("member sampled")
 
+    monkeypatch.setattr(HashFamily, "sample_rows", no_trials)
+    monkeypatch.setattr("dualhash.simulator._random_below", no_trials)
     monkeypatch.setattr("dualhash.simulator._mc_error_prob", no_trials)
     code, _, err = run(
         capsys, "simulate", "--what", "family-average", "-n", "8", "-m", "4",

@@ -1,6 +1,7 @@
 """Exact GF(2) linear algebra: ranks, duals, weight enumerators, syndromes."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -235,6 +236,31 @@ def test_walsh_hadamard_rows_in_place():
         walsh_hadamard(np.zeros(6))
     with pytest.raises(ValueError):
         walsh_hadamard(np.zeros((4, 8))[:, ::2])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object, float])
+def test_walsh_hadamard_exact_in_every_dtype(dtype):
+    # object entries pass 2^63; floats are small integers, exact in float64
+    big = 1 << 70 if dtype is object else 1
+    rows = [[big * v for v in range(size)] for size in (1, 2, 32)]
+    for row in rows:
+        expected = [sum(v * (-1) ** (x & y).bit_count() for y, v in enumerate(row))
+                    for x in range(len(row))]
+        got = walsh_hadamard(np.array([row, row[::-1]], dtype=dtype))
+        assert got.dtype == dtype and got[0].tolist() == expected
+
+
+def test_walsh_hadamard_peaks_at_one_half_size_buffer():
+    # the slack is numpy's own iteration buffers, np.getbufsize() entries for
+    # each of at most three operands, which do not grow with the array
+    a = np.arange(1 << 16, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        walsh_hadamard(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= a.nbytes // 2 + 3 * np.getbufsize() * a.itemsize + (8 << 10)
 
 
 def test_codeword_enumeration_matches_span():

@@ -22,6 +22,8 @@ from dualhash.simulator import (
     _correct_weights,
     _coset_reps,
     _mc_error_prob,
+    _mc_errors,
+    _random_below,
     _syndrome_tables,
     counterexample_leakage,
     decode,
@@ -75,6 +77,11 @@ def oracle_mc_error_prob(rows, n, p, trials, rng, c2):
         if not c2.contains(decoded):
             wrong += 1
     return wrong / trials
+
+
+def mc_errors(seed, n, trials, p):
+    """The error words of one seed's Monte Carlo trials."""
+    return next(_mc_errors([seed], n, trials, p))
 
 
 def span(basis):
@@ -281,23 +288,51 @@ def test_monte_carlo_error_prob_matches_exact(sample_members):
     trials = 2000
     exact = float(exact_error_prob(kernel_code(h), Fraction(1, 20)))
     (labels,), (leaders,) = _syndrome_tables([h.matrix.rows], 12)
-    est = _mc_error_prob(labels, leaders, LinearCode.zero(12), 0.05, trials,
-                         random.Random(0))
+    est = _mc_error_prob(labels, leaders, LinearCode.zero(12), mc_errors(0, 12, trials, 0.05))
     half_width = Z_99 * math.sqrt(est * (1 - est) / trials)
     assert abs(est - exact) <= half_width
 
 
-@pytest.mark.parametrize("n, m", [(6, 3), (10, 4), (12, 8), (16, 9)])
-@pytest.mark.parametrize("p", [0.0, 0.05, 0.3])
+@pytest.mark.parametrize("n, m", [(6, 3), (10, 4), (12, 8), (16, 9), (1, 1)])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1 / 7, 0.5])
 @pytest.mark.parametrize("with_base", [False, True])
 def test_monte_carlo_equals_per_trial_loop(sample_members, n, m, p, with_base):
     h = sample_members(HashFamily(HashFamilySpec("random_linear", n, m)), 1, n)[0]
     base = LinearCode(n, kernel_code(h).basis[:1]) if with_base else LinearCode.zero(n)
-    rng, ref_rng = random.Random(n * m), random.Random(n * m)
     (labels,), (leaders,) = _syndrome_tables([h.matrix.rows], n)
-    got = _mc_error_prob(labels, leaders, base, p, 300, rng)
-    assert got == oracle_mc_error_prob(h.matrix.rows, n, p, 300, ref_rng, base)
-    assert rng.getstate() == ref_rng.getstate()
+    for seed in (n * m, 0, -3, 2**32 + 1):
+        got = _mc_error_prob(labels, leaders, base, mc_errors(seed, n, 300, p))
+        assert got == oracle_mc_error_prob(h.matrix.rows, n, p, 300, random.Random(seed), base)
+
+
+def test_random_below_is_randoms_stream():
+    # every column is its seed's own random() < p, across twists (312 draws
+    # each), for p whose threshold ties a draw's first word: a draw's own
+    # value (not below) and the next double up (below)
+    seeds = [0, 1, 5, -7, 12345, 2**31 - 1, 2**32 + 3, 2**40 + 7]
+    draws = {}
+    for s in seeds:
+        rng = random.Random(s)
+        draws[s] = [rng.random() for _ in range(1000)]
+    tie = draws[5][400]
+    for p in (0.0, 1 / 7, 0.5, 0.05, tie, math.nextafter(tie, 1)):
+        for count in (1, 312, 313, 1000):
+            got = _random_below(seeds, count, p)
+            assert got.shape == (count, len(seeds))
+            for k, s in enumerate(seeds):
+                assert got[:, k].tolist() == [d < p for d in draws[s][:count]]
+
+
+def test_mc_errors_pack_the_draws_in_any_batch(monkeypatch):
+    # trial t, bit i is draw t n + i; batches of 1, 2 and all seeds agree
+    seeds, n, trials, p = range(-2, 5), 6, 40, 1 / 7
+    expected = []
+    for s in seeds:
+        rng = random.Random(s)
+        expected.append([sum((rng.random() < p) << i for i in range(n)) for _ in range(trials)])
+    for cap in (1, 2 * n * trials, 1 << 20):
+        monkeypatch.setattr("dualhash.simulator.MC_DRAW_CAP", cap)
+        assert [e.tolist() for e in _mc_errors(seeds, n, trials, p)] == expected
 
 
 def test_family_average_requires_seed():
@@ -782,11 +817,10 @@ def test_hash_rows_decode_as_their_kernel_code(sample_members):
         for base in (LinearCode.zero(n), LinearCode(n, code.basis[:1])):
             correct = _correct_weights(leaders, base)
             assert (correct[0] == correct[1]).all()
-            rng, kernel_rng = random.Random(i), random.Random(i)
-            got = _mc_error_prob(labels[0], leaders[0], base, 1 / 7, 50, rng)
-            assert got == _mc_error_prob(labels[1], leaders[1], base, 1 / 7, 50,
-                                         kernel_rng)
-            assert rng.getstate() == kernel_rng.getstate()
+            errors = mc_errors(i, n, 50, 1 / 7)
+            got = _mc_error_prob(labels[0], leaders[0], base, errors)
+            assert got == _mc_error_prob(labels[1], leaders[1], base, errors)
+            assert got == oracle_mc_error_prob(rows, n, 1 / 7, 50, random.Random(i), base)
     assert deficient >= 50
 
 

@@ -278,8 +278,10 @@ def test_codeword_blocks_respect_row_budget():
 
 
 def test_reports_walk_the_codewords_once(monkeypatch):
+    # the expected reports come from an equal family, counted on its own
+    expected_fam = tight_family(5, 2, Fraction(3, 2), 3)
+    expected = (epsilon_universal(expected_fam), epsilon_dual_universal(expected_fam))
     fam = tight_family(5, 2, Fraction(3, 2), 3)
-    expected = (epsilon_universal(fam), epsilon_dual_universal(fam))
     walks = []
 
     def walk(family, row_words=1):
@@ -289,6 +291,10 @@ def test_reports_walk_the_codewords_once(monkeypatch):
     blocks = universality._codeword_blocks
     monkeypatch.setattr(universality, "_codeword_blocks", walk)
     assert epsilon_reports(fam) == expected
+    # a family keeps its counts: later reports on it walk nothing
+    assert (epsilon_universal(fam), epsilon_dual_universal(fam)) == expected
+    assert epsilon_reports(fam, "max_dim") == (epsilon_universal(expected_fam, "max_dim"),
+                                               epsilon_dual_universal(expected_fam, "max_dim"))
     assert walks == [fam]
 
 
@@ -461,13 +467,6 @@ def test_modified_toeplitz_rank_path_refuses_before_any_array(monkeypatch):
     for call in (epsilon_universal, epsilon_dual_universal, epsilon_reports, code_bias):
         with pytest.raises(EnumerationCapError, match="exceeds cap"):
             call(hf)
-
-    class Square:  # what HashFamily itself refuses to build
-        n = m = 4
-        index_space = 8
-
-    with pytest.raises(ValueError, match="modified_toeplitz needs n > m"):
-        universality._modified_toeplitz_counts(Square(), np.int64)
 
 
 def test_modified_toeplitz_miscount_is_raised(monkeypatch):
