@@ -50,7 +50,6 @@ from .cqstate import (
     h2_d2_hmin,
     holevo,
     verify_pa,
-    walsh_bias,
 )
 from .simulator import (
     SimResult,
@@ -110,7 +109,6 @@ __all__ = [
     "search_permuted_code",
     "tight_family",
     "verify_pa",
-    "walsh_bias",
     "weighted_decoding_bound",
     "wiretap_eval",
 ]

@@ -13,7 +13,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -25,19 +25,16 @@ from .bounds import (
 )
 from .cqstate import (
     _d2,
+    _h2_d2_hmin,
     _sigma_powers,
+    _verify_pa,
     code_bias,
     convolve,
     d1_distance,
-    h2_d2_hmin,
     hash_marginal,
     random_cq_state,
-    uniform_on_code,
-    verify_pa,
-    walsh_bias,
-    walsh_transform,
 )
-from .gf2 import LinearCode, dual
+from .gf2 import LinearCode, dual, span, walsh_hadamard
 from .hashfam import HashFamily, HashFamilySpec
 from .simulator import counterexample_leakage, family_average_error, wiretap_eval
 from .universality import (
@@ -119,11 +116,13 @@ def criterion_2(seed: int):
         rep = epsilon_universal(fam, "min_dim")
         if rep.epsilon > eps:
             return False, f"tight family at eps={eps} measures {rep.epsilon}"
-        # x lies in C^perp when it is orthogonal to every basis row of C
-        hit = sum(
-            w for c, w in zip(fam.codes, fam.weights)
-            if not any((xv & row).bit_count() & 1 for row in c.basis)
-        )
+        # x lies in C^perp when it is orthogonal to every basis row of C (a
+        # zero padding row of fam.bases always is); each row's parity with
+        # x folds into its lowest bit
+        parity = fam.bases & xv
+        for shift in (32, 16, 8, 4, 2, 1):
+            parity ^= parity >> shift
+        hit = sum(compress(fam.weights, ~(parity & 1).any(axis=1)))
         prob = Fraction(hit, fam.total_weight)
         bound = duality_bound(eps, t, n)
         if prob != bound:
@@ -149,20 +148,32 @@ def criterion_2(seed: int):
     )
 
 
+def _indicator(c: LinearCode) -> np.ndarray:
+    """The indicator of c's codewords, an int64 array of 2^n."""
+    out = np.zeros(1 << c.n, dtype=np.int64)
+    out[span(np.array(c.basis, dtype=np.int64))] = 1
+    return out
+
+
 def criterion_3(seed: int):
     """Character-sum indicator identity (exact) and the bias lemma
-    delta^2 <= epsilon 2^(-t_min) for every family constructor."""
+    delta^2 <= epsilon 2^(-t_min) for every family constructor.
+
+    The identity sum_(y in C) (-1)^(x.y) = |C| [x in C^perp] is checked on
+    every x by one integer Walsh transform of C's indicator.  The counted
+    bias of a small family is checked against its spectral form
+    delta^2 = max_(x != 0) sum_r (w_r / W) (W_hat_r(x) / |C_r|)^2, from one
+    stacked integer transform of the members' indicators.
+    """
     rng = random.Random(seed)
     for n in (4, 8, 12):
         for _ in range(3):
             t = rng.randrange(1, n)
             c = random_code(n, t, rng)
-            spectrum = walsh_transform(uniform_on_code(c))
-            d = dual(c)
-            for x in range(1 << n):
-                expected = 1 if d.contains(x) else 0
-                if spectrum[x] != expected:
-                    return False, f"indicator identity fails at n={n}, x={x}"
+            wrong = np.flatnonzero(walsh_hadamard(_indicator(c))
+                                   != len(c) * _indicator(dual(c)))
+            if wrong.size:
+                return False, f"indicator identity fails at n={n}, x={wrong[0]}"
 
     families = {
         "modified_toeplitz(6,2)": HashFamily(HashFamilySpec("modified_toeplitz", 6, 2)),
@@ -187,8 +198,15 @@ def criterion_3(seed: int):
     small = CodeFamily.from_hash_family(
         HashFamily(HashFamilySpec("modified_toeplitz", 4, 2))
     )
-    spectral = walsh_bias([uniform_on_code(c) for c in small.codes], small.weights)
-    if spectral.delta_sq != code_bias(small).delta_sq:
+    spectra = np.zeros((len(small), 1 << small.n), dtype=np.int64)
+    np.put_along_axis(spectra, span(small.bases), 1, axis=1)
+    walsh_hadamard(spectra)
+    # W_hat_r(0) = |C_r|; scale every member to the largest |C|
+    size = int(spectra[:, 0].max())
+    squares = (spectra * (size // spectra[:, :1])) ** 2
+    sums = np.array(small.weights, dtype=np.int64) @ squares
+    spectral = Fraction(int(sums[1:].max()), size * size * small.total_weight)
+    if spectral != code_bias(small).delta_sq:
         return False, "spectral and counting bias disagree"
     return True, (
         "indicator identity exact up to n=12; bias lemma holds for all "
@@ -198,7 +216,13 @@ def criterion_3(seed: int):
 
 def criterion_4(seed: int):
     """Privacy-amplification bound, the proof's block identity, and the
-    d1/d2 and H2/Hmin relations on random c-q states."""
+    d1/d2 and H2/Hmin relations on random c-q states.
+
+    Every check of a state is against sigma = rho_E, whose two powers
+    come from one eigendecomposition per state.  The block identity
+    convolves the state with the uniform distribution on a random member,
+    given as a float array.
+    """
     rng = np.random.default_rng(seed)
     worst_gap = -math.inf
     families = {}  # five (key_bits, m) pairs occur; each family is built once
@@ -212,21 +236,21 @@ def criterion_4(seed: int):
                 HashFamily(HashFamilySpec("random_linear", key_bits, m))
             )
         fam = families[key_bits, m]
-        lhs, rhs = verify_pa(rho, fam)
+        s_q, s_h = _sigma_powers(rho.rho_e())
+        lhs, rhs = _verify_pa(rho, fam, s_q)
         if lhs > rhs + 1e-9:
             return False, f"state {i}: E_r d2 = {lhs} > eps 2^-H2 = {rhs}"
         worst_gap = max(worst_gap, lhs - rhs)
 
         r = int(rng.integers(0, fam.total_weight))
         member = fam.codes[bisect_right(list(accumulate(fam.weights)), r)]
-        s_q, _ = _sigma_powers(rho.rho_e())
-        noisy = convolve(rho, [float(x) for x in uniform_on_code(member)])
+        noisy = convolve(rho, _indicator(member) / len(member))
         _, d2_noisy = _d2(noisy, s_q)
         _, d2_marg = _d2(hash_marginal(rho, member), s_q)
         if abs(d2_noisy - 2.0 ** (-member.dim) * d2_marg) > 1e-10:
             return False, f"state {i}: block identity off by more than 1e-10"
 
-        h2, d2, hmin = h2_d2_hmin(rho)
+        h2, d2, hmin = _h2_d2_hmin(rho, s_q, s_h)
         if d1_distance(rho) > math.sqrt(rho.num_values) * math.sqrt(d2) + 1e-9:
             return False, f"state {i}: d1 exceeds sqrt(|A| d2)"
         if h2 < hmin - 1e-9:

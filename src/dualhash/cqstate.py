@@ -24,10 +24,7 @@ __all__ = [
     "h2_d2_hmin",
     "holevo",
     "convolve",
-    "walsh_transform",
-    "walsh_bias",
     "code_bias",
-    "uniform_on_code",
     "hash_marginal",
     "verify_pa",
     "random_cq_state",
@@ -35,7 +32,6 @@ __all__ = [
 
 PINV_CUTOFF = 1e-12
 HERMITIAN_TOL = 1e-10
-WALSH_CAP = 20
 
 
 class CQState:
@@ -72,9 +68,8 @@ class CQState:
 @dataclass(frozen=True)
 class BiasReport:
     delta: float
-    delta_sq: Fraction | float
+    delta_sq: Fraction
     worst_x: int
-    per_x: tuple | None = None
 
 
 def _decoupled(rho: CQState) -> bool:
@@ -142,7 +137,13 @@ def h2_d2_hmin(rho: CQState, sigma: np.ndarray | None = None):
 
     sigma defaults to Eve's marginal.  Returns (H2, d2, Hmin), base 2.
     """
-    s_q, s_h = _sigma_powers(_sigma_matrix(rho, sigma))
+    return _h2_d2_hmin(rho, *_sigma_powers(_sigma_matrix(rho, sigma)))
+
+
+def _h2_d2_hmin(rho: CQState, s_q: np.ndarray, s_h: np.ndarray):
+    """h2_d2_hmin against the sigma with sigma^(-1/4) = s_q and
+    sigma^(-1/2) = s_h (_sigma_powers), so that callers holding one sigma
+    for several checks decompose it once."""
     coll, d2 = _d2(rho, s_q)
     op_norm = float(np.max(np.abs(np.linalg.eigvalsh(s_h @ rho.blocks @ s_h))))
     return -math.log2(coll), d2, -math.log2(op_norm)
@@ -173,8 +174,9 @@ def holevo(rho: CQState) -> float:
 
 
 def convolve(rho: CQState, pw) -> CQState:
-    """Randomize the key register by an additive noise distribution pw."""
-    pw = np.asarray([float(x) for x in pw])
+    """Randomize the key register by an additive noise distribution pw
+    (a float array, or a sequence of numbers such as Fractions)."""
+    pw = np.asarray(pw, dtype=float)
     if pw.shape[0] != rho.num_values:
         raise ValueError("distribution length mismatch")
     # block b of the result is sum_w pw[w] rho_(b xor w), over the support of pw
@@ -182,64 +184,6 @@ def convolve(rho: CQState, pw) -> CQState:
     sources = np.arange(rho.num_values)[:, None] ^ support
     out = np.einsum("w,bwij->bij", pw[support], rho.blocks[sources])
     return CQState(rho.key_length, out, normalized=False)
-
-
-def walsh_transform(w: list) -> list:
-    """Character sums W_hat(x) = sum_y W(y) (-1)^(x.y); exact on rationals.
-
-    Integers are transformed on int64, or as Python ints when a sum could
-    reach 2^63; Fractions are scaled by their common denominator,
-    transformed as integers and divided once.  Float and complex input is
-    transformed directly.
-    """
-    n_vals = len(w)
-    if n_vals & (n_vals - 1):
-        raise ValueError("length must be a power of two")
-    if n_vals > (1 << WALSH_CAP):
-        raise ValueError(f"length exceeds 2^{WALSH_CAP} cap")
-    values = list(w)
-    if any(isinstance(v, (float, complex, np.inexact)) for v in values):
-        return walsh_hadamard(np.array(values)).tolist()
-    fracs = [Fraction(v) for v in values]
-    den = math.lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (den // f.denominator) for f in fracs]
-    bound = n_vals * max(map(abs, ints), default=0)
-    spectrum = walsh_hadamard(
-        np.array(ints, dtype=np.int64 if bound < 1 << 63 else object)
-    ).tolist()
-    if any(isinstance(v, Fraction) for v in values):
-        return [Fraction(v, den) for v in spectrum]
-    return spectrum
-
-
-def uniform_on_code(c: LinearCode) -> list[Fraction]:
-    mass = [Fraction(0)] * (1 << c.n)
-    share = Fraction(1, len(c))
-    for x in c.codewords():
-        mass[x] = share
-    return mass
-
-
-def walsh_bias(distributions, weights=None) -> BiasReport:
-    """delta of a family of distributions on F_2^n.
-
-    delta^2 = max over x != 0 of the family average of W_hat_r(x)^2,
-    exact when the distributions are rational.
-    """
-    distributions = list(distributions)
-    if weights is None:
-        weights = [1] * len(distributions)
-    total = sum(weights)
-    spectra = [walsh_transform(d) for d in distributions]
-    size = len(spectra[0])
-    per_x = []
-    for x in range(size):
-        acc = sum(w * s[x] * s[x] for w, s in zip(weights, spectra))
-        per_x.append(Fraction(acc, total) if isinstance(acc, (int, Fraction))
-                     else acc / total)
-    worst_x = max(range(1, size), key=lambda x: per_x[x])
-    dsq = per_x[worst_x]
-    return BiasReport(math.sqrt(float(dsq)), dsq, worst_x, tuple(per_x))
 
 
 def code_bias(family) -> BiasReport:
@@ -296,6 +240,12 @@ def verify_pa(rho: CQState, family, sigma: np.ndarray | None = None
         raise ValueError(f"family length {family.n} does not match "
                          f"the key register length {rho.key_length}")
     s_q, _ = _sigma_powers(_sigma_matrix(rho, sigma))
+    return _verify_pa(rho, family, s_q)
+
+
+def _verify_pa(rho: CQState, family, s_q: np.ndarray) -> tuple[float, float]:
+    """verify_pa against the sigma with sigma^(-1/4) = s_q (_sigma_powers),
+    for a family whose length is the key length."""
     tilted = s_q @ rho.blocks @ s_q
     spectrum = np.ascontiguousarray(tilted.transpose(1, 2, 0))
     walsh_hadamard(spectrum)

@@ -247,6 +247,8 @@ def family_average_error(
     terms, den = _weight_terms(n, pf)
     if mode == "monte_carlo":
         errors = _mc_errors(range(seed, seed + len(members)), n, MC_TRIALS, float(pf))
+        inside = np.zeros(1 << n, dtype=bool)
+        inside[span(np.array(c2.basis, dtype=np.int64))] = True
     values = []  # exact: b^n P(error) per member; monte carlo: the estimate
     chunk = max(1, CHUNK_PATTERN_CAP >> n)
     for start in range(0, len(members), chunk):
@@ -257,7 +259,7 @@ def family_average_error(
             values += [den - sum(cnt * t for cnt, t in zip(row, terms))
                        for row in _correct_weights(leaders, c2).tolist()]
         else:
-            values += [_mc_error_prob(lab, lead, c2, next(errors))
+            values += [_mc_error_prob(lab, lead, inside, next(errors))
                        for lab, lead in zip(labels, leaders)]
         del labels, leaders  # free this chunk's tables before the next is built
     total = sum(weights)
@@ -378,16 +380,15 @@ def _mc_errors(seeds, n: int, trials: int, p: float):
         yield from errors.T
 
 
-def _mc_error_prob(labels: np.ndarray, leaders: np.ndarray, c2: LinearCode,
+def _mc_error_prob(labels: np.ndarray, leaders: np.ndarray, inside: np.ndarray,
                    errors: np.ndarray) -> float:
     """Share of the error words ``errors`` (_mc_errors) that carry the
     sent word 0 outside C2, through one row of the _syndrome_tables labels
     and leaders of a code C1 ⊇ C2: every trial decodes in one gather
-    through the coset leaders by syndrome label.
+    through the coset leaders by syndrome label.  ``inside`` is C2's
+    membership table over all 2^n words, built once per family.
     """
     decoded = errors ^ leaders[labels[errors]]
-    inside = np.zeros(1 << c2.n, dtype=bool)
-    inside[span(np.array(c2.basis, dtype=np.int64))] = True
     return int(np.count_nonzero(~inside[decoded])) / len(errors)
 
 

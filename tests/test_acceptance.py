@@ -4,10 +4,17 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the lines inline;
 the same checks back the CLI `verify all` subcommand.
 """
 
+import re
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from dualhash import acceptance
 from dualhash.acceptance import CRITERIA, run_criteria
+from dualhash.cqstate import BiasReport, code_bias
+from dualhash.gf2 import LinearCode
+from dualhash.universality import CodeFamily, tight_family
 
 SEED = 7
 
@@ -62,3 +69,41 @@ def test_search_crash_is_reported_not_counted_as_failure(monkeypatch):
     result = run_criteria([8])[0]
     assert not result.passed
     assert "RuntimeError: boom" in result.detail
+
+
+def test_criterion_3_fails_on_a_wrong_dual(monkeypatch):
+    monkeypatch.setattr(acceptance, "dual", lambda c: LinearCode.zero(c.n))
+    passed, detail = acceptance.criterion_3(SEED)
+    assert not passed
+    assert re.fullmatch(r"indicator identity fails at n=4, x=[1-9][0-9]*", detail)
+
+
+def test_criterion_3_fails_when_the_counted_bias_is_off(monkeypatch):
+    def off(family):
+        rep = code_bias(family)
+        return BiasReport(rep.delta, rep.delta_sq + Fraction(1, 1 << 20), rep.worst_x)
+
+    monkeypatch.setattr(acceptance, "code_bias", off)
+    assert acceptance.criterion_3(SEED) == (False, "spectral and counting bias disagree")
+
+
+def test_criterion_2_fails_on_a_tight_family_off_the_bound(monkeypatch):
+    """The weight of the members outside V_x raised by one: epsilon stays
+    within its nominal value at eps = 1, but Pr[x in C^perp] drops."""
+    def off(n, t, eps, x):
+        fam = tight_family(n, t, eps, x)
+        weights = np.array(fam.weights, dtype=object)
+        weights[weights == min(fam.weights)] += 1
+        return CodeFamily._packed(n, fam.bases, weights, fam.members)
+
+    monkeypatch.setattr(acceptance, "tight_family", off)
+    passed, detail = acceptance.criterion_2(SEED)
+    assert not passed
+    assert re.fullmatch(r"tight family at eps=1: Pr = \d+/\d+ != bound 7/32", detail)
+
+
+def test_criterion_4_fails_when_hashing_leaves_the_state_as_it_is(monkeypatch):
+    monkeypatch.setattr(acceptance, "hash_marginal", lambda rho, c: rho)
+    passed, detail = acceptance.criterion_4(SEED)
+    assert not passed
+    assert re.fullmatch(r"state \d+: block identity off by more than 1e-10", detail)

@@ -11,6 +11,10 @@ from hypothesis import strategies as st
 
 from dualhash.cqstate import (
     CQState,
+    _h2_d2_hmin,
+    _sigma_matrix,
+    _sigma_powers,
+    _verify_pa,
     code_bias,
     convolve,
     d1_distance,
@@ -18,12 +22,9 @@ from dualhash.cqstate import (
     hash_marginal,
     holevo,
     random_cq_state,
-    uniform_on_code,
     verify_pa,
-    walsh_bias,
-    walsh_transform,
 )
-from dualhash.gf2 import BinaryMatrix, EnumerationCapError, LinearCode, dual
+from dualhash.gf2 import BinaryMatrix, EnumerationCapError, LinearCode, dual, span, walsh_hadamard
 from dualhash.hashfam import HashFamily, HashFamilySpec
 from dualhash.universality import (
     CodeFamily,
@@ -89,12 +90,23 @@ def test_convolve_identities():
     assert d1_distance(flat) < 1e-12
 
 
+def uniform_on_code(c):
+    """The uniform distribution on the codewords of c, a list of 2^n
+    Fractions."""
+    mass = [Fraction(0)] * (1 << c.n)
+    for x in c.codewords():
+        mass[x] = Fraction(1, len(c))
+    return mass
+
+
 def test_walsh_transform_exact_indicator():
     c = LinearCode.from_strings(["1100", "0011"])
-    spectrum = walsh_transform(uniform_on_code(c))
+    indicator = np.zeros(16, dtype=np.int64)
+    indicator[list(c.codewords())] = 1
+    spectrum = walsh_hadamard(indicator)
     d = dual(c)
     for x in range(16):
-        assert spectrum[x] == (1 if d.contains(x) else 0)
+        assert spectrum[x] == (len(c) if d.contains(x) else 0)
 
 
 def oracle_walsh_transform(w):
@@ -110,39 +122,45 @@ def oracle_walsh_transform(w):
     return out
 
 
-def values_of(element):
-    return st.integers(0, 7).flatmap(
-        lambda k: st.lists(element, min_size=1 << k, max_size=1 << k))
+def values_of(dtype, element):
+    return st.tuples(st.just(dtype), st.integers(0, 7).flatmap(
+        lambda k: st.lists(element, min_size=1 << k, max_size=1 << k)))
 
 
 @given(st.one_of(
-    values_of(st.integers(-50, 50)),
-    values_of(st.integers(-(1 << 70), 1 << 70)),  # sums pass 2^63
-    values_of(st.fractions(max_denominator=60)),
-    values_of(st.floats(-1e6, 1e6)),
-    values_of(st.complex_numbers(max_magnitude=1e6)),
+    values_of(np.int64, st.integers(-50, 50)),
+    values_of(object, st.integers(-(1 << 70), 1 << 70)),  # sums pass 2^63
+    values_of(float, st.floats(-1e6, 1e6)),
+    values_of(complex, st.complex_numbers(max_magnitude=1e6)),
 ))
 @settings(max_examples=200, deadline=None)
-def test_walsh_transform_matches_butterfly(values):
-    got = walsh_transform(values)
+def test_walsh_transform_matches_butterfly(case):
+    dtype, values = case
+    got = walsh_hadamard(np.array(values, dtype=dtype)).tolist()
     expected = oracle_walsh_transform(values)
     assert got == expected
     assert [type(v) for v in got] == [type(v) for v in expected]
 
 
-def test_walsh_transform_validation():
-    with pytest.raises(ValueError):
-        walsh_transform([1, 2, 3])  # not a power of two
-
-
 def test_walsh_bias_matches_code_bias():
+    """delta^2 from one stacked integer transform of the members'
+    indicators equals the counted bias and the per-member Fraction form."""
     fam = CodeFamily.from_hash_family(
         HashFamily(HashFamilySpec("modified_toeplitz", 5, 2))
     )
-    spectral = walsh_bias([uniform_on_code(c) for c in fam.codes], fam.weights)
+    spectra = np.zeros((len(fam), 1 << fam.n), dtype=np.int64)
+    np.put_along_axis(spectra, span(fam.bases), 1, axis=1)
+    walsh_hadamard(spectra)
+    size = len(fam.codes[0])
+    assert (spectra[:, 0] == size).all()
+    sums = np.array(fam.weights) @ spectra ** 2
+    spectral = Fraction(int(sums[1:].max()), size * size * fam.total_weight)
+    fractions = [oracle_walsh_transform(uniform_on_code(c)) for c in fam.codes]
+    per_x = [sum(w * s[x] ** 2 for w, s in zip(fam.weights, fractions)) / fam.total_weight
+             for x in range(1 << fam.n)]
     counted = code_bias(fam)
-    assert spectral.delta_sq == counted.delta_sq
-    assert spectral.delta == counted.delta
+    assert spectral == max(per_x[1:]) == counted.delta_sq
+    assert math.sqrt(float(spectral)) == counted.delta
 
 
 def test_code_bias_single_code():
@@ -298,10 +316,9 @@ def test_h2_d2_hmin_matches_blockwise_oracle():
         assert_close(h2_d2_hmin(rho, sigma), oracle_h2_d2_hmin(rho, sigma))
 
 
-def test_h2_d2_hmin_matches_oracle_on_rank_deficient_sigma():
-    """Blocks on a rank-2 subspace of a 5-dim Eve space: sigma = rho_E has
-    three eigenvalues below PINV_CUTOFF, inverted as zero."""
-    rng = np.random.default_rng(22)
+def rank_deficient_states(rng):
+    """Blocks on a rank-2 subspace of a 5-dim Eve space, key lengths 1-3:
+    sigma = rho_E has three eigenvalues below PINV_CUTOFF."""
     for key_bits in (1, 2, 3):
         probs = rng.dirichlet(np.ones(1 << key_bits))
         blocks = np.array([p * random_density(5, 2, rng) for p in probs])
@@ -309,9 +326,45 @@ def test_h2_d2_hmin_matches_oracle_on_rank_deficient_sigma():
         proj = basis @ basis.conj().T
         blocks = proj @ blocks @ proj
         blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
-        rho = CQState(key_bits, blocks / np.real(np.trace(blocks.sum(axis=0))))
+        yield CQState(key_bits, blocks / np.real(np.trace(blocks.sum(axis=0))))
+
+
+def test_h2_d2_hmin_matches_oracle_on_rank_deficient_sigma():
+    """The small eigenvalues of a rank-deficient sigma are inverted as zero."""
+    for rho in rank_deficient_states(np.random.default_rng(22)):
         assert np.sum(np.linalg.eigvalsh(rho.rho_e()) > 1e-12) == 2
         assert_close(h2_d2_hmin(rho), oracle_h2_d2_hmin(rho))
+
+
+def test_private_forms_share_one_sigma_decomposition_bit_for_bit():
+    """_h2_d2_hmin and _verify_pa, given the powers of one _sigma_powers,
+    return the public functions' floats exactly: random states with sigma
+    defaulted and given, and rank-deficient sigma."""
+    rng = np.random.default_rng(31)
+    fams = {n: CodeFamily.from_hash_family(HashFamily(HashFamilySpec("random_linear", n, 1)))
+            for n in (1, 2, 3)}
+    cases = []
+    for _ in range(20):
+        rho = random_cq_state(int(rng.integers(1, 4)), int(rng.integers(2, 7)), rng)
+        cases += [(rho, None), (rho, random_density(rho.eve_dim, rho.eve_dim, rng)),
+                  (rho, random_density(rho.eve_dim, rho.eve_dim - 1, rng))]
+    cases += [(rho, None) for rho in rank_deficient_states(np.random.default_rng(22))]
+    for rho, sigma in cases:
+        s_q, s_h = _sigma_powers(_sigma_matrix(rho, sigma))
+        assert _h2_d2_hmin(rho, s_q, s_h) == h2_d2_hmin(rho, sigma)
+        fam = fams[rho.key_length]
+        assert _verify_pa(rho, fam, s_q) == verify_pa(rho, fam, sigma=sigma)
+
+
+def test_convolve_takes_a_float_array_as_its_fraction_list():
+    rng = np.random.default_rng(32)
+    for code in (LinearCode.from_strings(["101", "011"]), LinearCode.repetition(3),
+                 LinearCode.zero(3), LinearCode.full(3)):
+        rho = random_cq_state(3, 4, rng)
+        indicator = np.zeros(8)
+        indicator[list(code.codewords())] = 1
+        got = convolve(rho, indicator / len(code))
+        assert np.array_equal(got.blocks, convolve(rho, uniform_on_code(code)).blocks)
 
 
 def test_verify_pa_matches_oracle_with_sigma_given_and_defaulted():

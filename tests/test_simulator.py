@@ -92,6 +92,13 @@ def span(basis):
     return words
 
 
+def membership(c2):
+    """C2's membership table over all 2^n words, as _mc_error_prob takes it."""
+    inside = np.zeros(1 << c2.n, dtype=bool)
+    inside[span(c2.basis)] = True
+    return inside
+
+
 def oracle_distill_keys(k_a, k_b, c1, c2, seed):
     """Reference distillation: the same masking draws, the codeword-scan
     decoder, and keys looked up among span(complement_basis(c1, c2))."""
@@ -288,7 +295,8 @@ def test_monte_carlo_error_prob_matches_exact(sample_members):
     trials = 2000
     exact = float(exact_error_prob(kernel_code(h), Fraction(1, 20)))
     (labels,), (leaders,) = _syndrome_tables([h.matrix.rows], 12)
-    est = _mc_error_prob(labels, leaders, LinearCode.zero(12), mc_errors(0, 12, trials, 0.05))
+    est = _mc_error_prob(labels, leaders, membership(LinearCode.zero(12)),
+                         mc_errors(0, 12, trials, 0.05))
     half_width = Z_99 * math.sqrt(est * (1 - est) / trials)
     assert abs(est - exact) <= half_width
 
@@ -300,8 +308,9 @@ def test_monte_carlo_equals_per_trial_loop(sample_members, n, m, p, with_base):
     h = sample_members(HashFamily(HashFamilySpec("random_linear", n, m)), 1, n)[0]
     base = LinearCode(n, kernel_code(h).basis[:1]) if with_base else LinearCode.zero(n)
     (labels,), (leaders,) = _syndrome_tables([h.matrix.rows], n)
+    inside = membership(base)
     for seed in (n * m, 0, -3, 2**32 + 1):
-        got = _mc_error_prob(labels, leaders, base, mc_errors(seed, n, 300, p))
+        got = _mc_error_prob(labels, leaders, inside, mc_errors(seed, n, 300, p))
         assert got == oracle_mc_error_prob(h.matrix.rows, n, p, 300, random.Random(seed), base)
 
 
@@ -818,8 +827,8 @@ def test_hash_rows_decode_as_their_kernel_code(sample_members):
             correct = _correct_weights(leaders, base)
             assert (correct[0] == correct[1]).all()
             errors = mc_errors(i, n, 50, 1 / 7)
-            got = _mc_error_prob(labels[0], leaders[0], base, errors)
-            assert got == _mc_error_prob(labels[1], leaders[1], base, errors)
+            got = _mc_error_prob(labels[0], leaders[0], membership(base), errors)
+            assert got == _mc_error_prob(labels[1], leaders[1], membership(base), errors)
             assert got == oracle_mc_error_prob(rows, n, 1 / 7, 50, random.Random(i), base)
     assert deficient >= 50
 
