@@ -40,6 +40,7 @@ from .simulator import counterexample_leakage, family_average_error, wiretap_eva
 from .universality import (
     CodeFamily,
     SearchBudgetError,
+    _counted,
     counterexample_family,
     duality_bound,
     epsilon_dual_universal,
@@ -95,18 +96,22 @@ def criterion_2(seed: int):
     """Duality bound soundness on random families; tight-family equality;
     optimal and epsilon = 1 families map to optimal / 2-almost duals."""
     rng = random.Random(seed)
-    for i in range(1000):
-        n = rng.randrange(3, 11)
-        t = rng.randrange(1, n)
-        codes = []
-        for _ in range(rng.randrange(2, 9)):
-            d = t if rng.random() < 0.7 else min(n, t + rng.randrange(1, 3))
-            codes.append(random_code(n, d, rng))
-        if all(c.dim > t for c in codes):
-            codes.append(random_code(n, t, rng))
-        fam = CodeFamily(codes)
+
+    def random_families():
+        for _ in range(1000):
+            n = rng.randrange(3, 11)
+            t = rng.randrange(1, n)
+            codes = []
+            for _ in range(rng.randrange(2, 9)):
+                d = t if rng.random() < 0.7 else min(n, t + rng.randrange(1, 3))
+                codes.append(random_code(n, d, rng))
+            if all(c.dim > t for c in codes):
+                codes.append(random_code(n, t, rng))
+            yield CodeFamily(codes)
+
+    for i, fam in enumerate(_counted(random_families())):
         rep, drep = epsilon_reports(fam, "min_dim")
-        bound = duality_bound(rep.epsilon, fam.t_min, n)
+        bound = duality_bound(rep.epsilon, fam.t_min, fam.n)
         if drep.max_prob > bound:
             return False, f"family {i}: dual probability {drep.max_prob} > bound {bound}"
 

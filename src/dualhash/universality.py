@@ -14,8 +14,9 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, groupby
 from math import comb
+from operator import itemgetter
 
 import numpy as np
 
@@ -156,8 +157,9 @@ class CodeFamily:
 
     @cached_property
     def _counts(self) -> "_Counts":
-        """Membership counts of both sides, made on first use (``_count``)."""
-        return _count_sides(self)
+        """Membership counts of both sides, made on first use (``_count``),
+        or set when the family is counted in a batch (``_counted``)."""
+        return _code_counts([self])[0]
 
     @cached_property
     def codes(self) -> tuple[LinearCode, ...]:
@@ -239,24 +241,39 @@ class UniversalityReport:
         }
 
 
-def _codeword_blocks(family, row_words: int = 1):
-    """Yield (dim, weight, words) blocks covering every distinct member.
+def _codeword_blocks(families, row_words: int = 1):
+    """Yield (dim, weight, words) blocks covering every distinct member of
+    a list of CodeFamilies of one length n.
 
     Members of equal dimension and weight are expanded together, in order
-    of first occurrence: words[i] holds the 2^dim codewords of one member,
-    the ``span`` of its packed basis.  A block holds at most
+    of first occurrence (family by family): words[i] holds the 2^dim
+    codewords of one member, the ``span`` of its packed basis, each plus
+    k 2^n for a member of the k-th family, so that the words index the
+    families' counts stacked one row per family (a single family's words
+    are its codewords).  A block holds at most
     COUNT_BLOCK_WORDS / max(2^dim, row_words) members, and at least one.
     """
-    dims, weights = family._dims, family._weight_array
+    n, sizes = families[0].n, [len(f) for f in families]
+    dtype = np.int32 if len(families) << n <= 1 << 31 else np.int64
+    bases = np.zeros((sum(sizes), max(f.t_max for f in families)), dtype=dtype)
+    for f, end in zip(families, accumulate(sizes)):
+        bases[end - len(f):end, :f.t_max] = f.bases
+    dims = np.concatenate([f._dims for f in families])
+    weights = np.concatenate([f._weight_array for f in families])
+    offsets = np.repeat(np.arange(len(families), dtype=dtype) << n, sizes)
     order = np.lexsort((weights, dims))  # stable: each group stays in member order
-    dims, weights = dims[order], weights[order]
-    starts = np.flatnonzero((dims[1:] != dims[:-1]) | (weights[1:] != weights[:-1])) + 1
+    by_dim, by_weight = dims[order], weights[order]
+    starts = np.flatnonzero((by_dim[1:] != by_dim[:-1])
+                            | (by_weight[1:] != by_weight[:-1])) + 1
     for members in sorted(np.split(order, starts), key=lambda group: group[0]):
-        dim, w = int(family._dims[members[0]]), family.weights[members[0]]
-        bases = family.bases[members, :dim].astype(np.int32)
+        dim, w = int(dims[members[0]]), int(weights[members[0]])
         per_block = max(1, COUNT_BLOCK_WORDS // max(1 << dim, row_words))
-        for start in range(0, len(bases), per_block):
-            yield dim, w, span(bases[start:start + per_block])
+        for start in range(0, len(members), per_block):
+            block = members[start:start + per_block]
+            words = span(bases[block, :dim])
+            if len(families) > 1:
+                words += offsets[block, None]
+            yield dim, w, words
 
 
 @dataclass(frozen=True)
@@ -264,8 +281,9 @@ class _Counts:
     """Membership counts of a family, the one record every report reads:
     plain[x] is the total weight of members containing x, dual[x] of members
     whose dual code contains x.  Both are int64 arrays, or object arrays
-    when a value could reach 2^63, and read-only, since a CodeFamily keeps
-    its counts for every later report."""
+    when a value counted with them (the families of one batch are counted
+    together) could reach 2^63, and read-only, since a CodeFamily keeps its
+    counts for every later report."""
 
     n: int
     total_weight: int
@@ -278,15 +296,91 @@ class _Counts:
         self.plain.flags.writeable = self.dual.flags.writeable = False
 
 
-def _code_counts(family: CodeFamily, dtype) -> dict:
-    """Plain membership counts of a CodeFamily by member dimension: each
-    member adds its weight w at its codewords, block by block."""
-    by_dim = {}
-    for dim, w, words in _codeword_blocks(family):
-        if dim not in by_dim:
-            by_dim[dim] = np.zeros(1 << family.n, dtype=dtype)
-        np.add.at(by_dim[dim], words.ravel(), w)
-    return by_dim
+def _check_ambient(n: int) -> None:
+    if n > AMBIENT_CAP:
+        raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")
+
+
+def _dtypes(total: int, n: int):
+    """The dtypes of one side's counts and of those counts shifted left by
+    up to n bits: int64 while the total weight, and the total weight times
+    2^n, fit, else object arrays of Python ints."""
+    return (np.int64 if total < 1 << 63 else object,
+            np.int64 if total << n < 1 << 63 else object)
+
+
+def _other_side(shifted: np.ndarray, n: int) -> np.ndarray:
+    """The other side's counts, in place along the last axis, from one
+    side's counts with each dimension's count shifted left by n - dim.
+
+    The Walsh transform of the indicator of a code C is 2^dim(C) times the
+    indicator of C^perp, so transforming once and shifting right by n gives,
+    at x, the total weight of the members whose code on the other side
+    contains x.
+    """
+    walsh_hadamard(shifted)
+    shifted >>= n
+    return shifted
+
+
+def _code_counts(families) -> list[_Counts]:
+    """Count CodeFamilies of one length n for both sides at once; a single
+    family is a batch of one.
+
+    The counts are stacked one row per family.  Each run of blocks of one
+    dimension from ``_codeword_blocks`` adds its weights at its words into
+    one count, which is added to the plain counts, and shifted left by
+    n - dim to the shifted counts; one ``_other_side`` over the stack then
+    gives every family's dual counts.  The dtypes follow the batch's
+    largest total weight.  Returns one record per family, its arrays row
+    views of the stack.
+    """
+    n = families[0].n
+    _check_ambient(n)
+    dtype, wide = _dtypes(max(f.total_weight for f in families), n)
+    size = len(families) << n
+    plain, shifted = np.zeros(size, dtype=dtype), np.zeros(size, dtype=wide)
+    count = np.empty(size, dtype=dtype)
+    for dim, blocks in groupby(_codeword_blocks(families), key=itemgetter(0)):
+        count.fill(0)
+        for _, w, words in blocks:
+            np.add.at(count, words, w)
+        plain += count
+        shifted += count.astype(wide, copy=False) << (n - dim)
+    rows = (len(families), 1 << n)
+    plain, dual = plain.reshape(rows), _other_side(shifted.reshape(rows), n)
+    return [_Counts(n, f.total_weight, f.t_min, f.t_max, p, d)
+            for f, p, d in zip(families, plain, dual)]
+
+
+def _counted(families):
+    """Yield CodeFamilies in order, each with its counts made
+    (``CodeFamily._counts``), counted in batches: families are buffered
+    until the arrays their count holds reach about COUNT_BLOCK_WORDS words,
+    and the families of each length in the buffer are counted at once
+    (``_code_counts``).  A family already counted, or above AMBIENT_CAP
+    (which its reports refuse), is passed through as it is."""
+    def count(batch):
+        by_length = {}
+        for fam in batch:
+            if "_counts" not in fam.__dict__ and fam.n <= AMBIENT_CAP:
+                by_length.setdefault(fam.n, {})[id(fam)] = fam
+        for group in by_length.values():
+            group = list(group.values())
+            for fam, counts in zip(group, _code_counts(group)):
+                fam._counts = counts
+        return batch
+
+    pending, words = [], 0
+    for fam in families:
+        pending.append(fam)
+        # its plain, shifted and one-dimension counts, 2^n words each, and
+        # its share of the Walsh transform's half-size buffer
+        words += 4 << fam.n
+        if words >= COUNT_BLOCK_WORDS:
+            yield from count(pending)
+            pending, words = [], 0
+    yield from count(pending)
 
 
 def _toeplitz_counts(hf: HashFamily, dtype) -> dict:
@@ -358,42 +452,33 @@ def _count(family) -> _Counts:
     return family._counts if isinstance(family, CodeFamily) else _count_sides(family)
 
 
-def _count_sides(family) -> _Counts:
-    """Count a CodeFamily or a Toeplitz-kind HashFamily for both sides.
+def _count_sides(family: HashFamily) -> _Counts:
+    """Count a Toeplitz-kind HashFamily for both sides.
 
-    Each kind counts one side directly, as one count per code dimension on
-    that side: a CodeFamily its plain side (``_code_counts``), a
-    plain-Toeplitz HashFamily its dual side from its members' row
-    combinations (``_toeplitz_counts``), a modified-Toeplitz one its plain
-    side from one matrix per input prefix (``_modified_toeplitz_counts``);
-    ``_count`` counts the family of all linear maps as its weighted kernel
-    family.  The other side needs no code: the Walsh transform of the
-    indicator of a code C is 2^dim(C) times the indicator of C^perp, so
-    summing each dimension's count shifted left by n - dim, transforming
-    once and shifting right by n gives, at x, the total weight of the
-    members whose code on the other side contains x.  Counts are int64
-    while the total weight (and, through the transform, the total weight
-    times 2^n) fits, else object arrays.  The caps are checked before any
-    array is built.
+    Each counter counts one side directly, as one count per code dimension
+    on that side: a plain-Toeplitz family its dual side from its members'
+    row combinations (``_toeplitz_counts``), a modified-Toeplitz one its
+    plain side from one matrix per input prefix
+    (``_modified_toeplitz_counts``).  As for a CodeFamily
+    (``_code_counts``), the sum of each dimension's count shifted left by
+    n - dim gives the other side (``_other_side``), and the dtypes follow
+    the total weight (``_dtypes``).  ``_count`` counts the family of all
+    linear maps as its weighted kernel family.  The caps are checked before
+    any array is built.
     """
     n = family.n
-    if n > AMBIENT_CAP:
-        raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")
-    if isinstance(family, CodeFamily):
-        total, side, counter = family.total_weight, "plain", _code_counts
-    elif family.spec.kind == "toeplitz":
-        total, side, counter = family.index_space, "dual", _toeplitz_counts
-    else:
-        total, side, counter = family.index_space, "plain", _modified_toeplitz_counts
-    wide = np.int64 if total << n < 1 << 63 else object
-    by_dim = counter(family, np.int64 if total < 1 << 63 else object)
+    _check_ambient(n)
+    side, counter = (("dual", _toeplitz_counts) if family.spec.kind == "toeplitz"
+                     else ("plain", _modified_toeplitz_counts))
+    total = family.index_space
+    dtype, wide = _dtypes(total, n)
+    by_dim = counter(family, dtype)
     (dim, counted), *rest = by_dim.items()
     other = counted.astype(wide, copy=False) << (n - dim)
     for dim, count in rest:
         counted += count
         other += count.astype(wide, copy=False) << (n - dim)
-    walsh_hadamard(other)
-    other >>= n
+    _other_side(other, n)
     if side == "plain":
         return _Counts(n, total, min(by_dim), max(by_dim), counted, other)
     # member dimensions are n minus the dual side's
@@ -772,8 +857,7 @@ def counterexample_family(n: int, seed: int | None = None) -> CodeFamily:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if n > AMBIENT_CAP:
-        raise EnumerationCapError(f"ambient length {n} exceeds cap {AMBIENT_CAP}")
+    _check_ambient(n)
     if _linear_kernel_count(n - 1, 2) <= FAMILY_MEMBER_CAP:
         inner = _linear_kernel_family(n - 1, 2)
     else:

@@ -87,6 +87,13 @@ def test_criterion_3_fails_when_the_counted_bias_is_off(monkeypatch):
     assert acceptance.criterion_3(SEED) == (False, "spectral and counting bias disagree")
 
 
+def test_criterion_2_names_the_first_random_family_off_the_bound(monkeypatch):
+    monkeypatch.setattr(acceptance, "duality_bound", lambda *args: Fraction(-1))
+    passed, detail = acceptance.criterion_2(SEED)
+    assert not passed
+    assert re.fullmatch(r"family 0: dual probability \d+(/\d+)? > bound -1", detail)
+
+
 def test_criterion_2_fails_on_a_tight_family_off_the_bound(monkeypatch):
     """The weight of the members outside V_x raised by one: epsilon stays
     within its nominal value at eps = 1, but Pr[x in C^perp] drops."""

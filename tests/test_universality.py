@@ -270,7 +270,7 @@ def test_codeword_blocks_respect_row_budget():
     codes = [random_code(n, t, rng) for t in (0, 3, 7, 12) for _ in range(30)]
     fam = CodeFamily(codes, [rng.randrange(1, 3) for _ in codes])
     seen = {}
-    for dim, w, words in universality._codeword_blocks(fam, row_words=1 << n):
+    for dim, w, words in universality._codeword_blocks([fam], row_words=1 << n):
         assert len(words) * (1 << n) <= max(universality.COUNT_BLOCK_WORDS, 1 << n)
         for row in words.tolist():
             seen[LinearCode.from_rows(n, row)] = w
@@ -284,9 +284,9 @@ def test_reports_walk_the_codewords_once(monkeypatch):
     fam = tight_family(5, 2, Fraction(3, 2), 3)
     walks = []
 
-    def walk(family, row_words=1):
-        walks.append(family)
-        return blocks(family, row_words)
+    def walk(families, row_words=1):
+        walks.append(families)
+        return blocks(families, row_words)
 
     blocks = universality._codeword_blocks
     monkeypatch.setattr(universality, "_codeword_blocks", walk)
@@ -295,7 +295,101 @@ def test_reports_walk_the_codewords_once(monkeypatch):
     assert (epsilon_universal(fam), epsilon_dual_universal(fam)) == expected
     assert epsilon_reports(fam, "max_dim") == (epsilon_universal(expected_fam, "max_dim"),
                                                epsilon_dual_universal(expected_fam, "max_dim"))
-    assert walks == [fam]
+    assert walks == [[fam]]
+
+
+def random_family_stream(rng):
+    """CodeFamilies of mixed length 3..10: members of mixed dimension, some
+    given twice with weights above 1 (merged when the family is built), and
+    one family of a single member."""
+    for i in range(40):
+        n = rng.randrange(3, 11)
+        codes = [random_code(n, rng.randrange(n + 1), rng) for _ in range(rng.randrange(1, 6))]
+        codes += codes[:rng.randrange(3)]
+        yield CodeFamily(codes[:1] if i == 17 else codes,
+                         None if i == 17 else [rng.randrange(1, 5) for _ in codes])
+
+
+@pytest.fixture
+def code_count_batches(monkeypatch):
+    """The family lists ``_code_counts`` is called with, in order."""
+    batches = []
+
+    def count(families):
+        batches.append(list(families))
+        return code_counts(families)
+
+    code_counts = universality._code_counts
+    monkeypatch.setattr(universality, "_code_counts", count)
+    return batches
+
+
+def test_batched_counts_equal_each_family_counted_alone(monkeypatch, code_count_batches):
+    monkeypatch.setattr(universality, "COUNT_BLOCK_WORDS", 1 << 11)
+    fams = list(random_family_stream(random.Random(3)))
+    assert any(len(f) < f.members for f in fams) and any(len(f) == 1 for f in fams)
+    assert len({f.n for f in fams}) > 3
+    got = list(universality._counted(iter(fams)))
+    assert got == fams and all("_counts" in f.__dict__ for f in got)
+    # batches of several families, and a batch boundary between two
+    # families of one length
+    assert max(len(batch) for batch in code_count_batches) > 1
+    assert len(code_count_batches) > len({batch[0].n for batch in code_count_batches})
+    for convention in ("min_dim", "max_dim"):
+        for f in got:
+            # from the merged weights: f.codes holds only the distinct members
+            alone = CodeFamily(f.codes, f.weights)
+            assert epsilon_reports(f, convention) == epsilon_reports(alone, convention)
+            assert code_bias(f) == code_bias(alone)
+    for f in got:
+        assert _count(f).plain.tolist() == oracle_membership_counts(f)
+        assert _count(f).dual.tolist() == oracle_membership_counts(f.dual())
+
+
+def test_counted_passes_counted_and_oversized_families_through(code_count_batches):
+    rng = random.Random(5)
+    counted = CodeFamily([random_code(5, 2, rng)])
+    record = _count(counted)
+    code_count_batches.clear()
+    oversized = CodeFamily([LinearCode(universality.AMBIENT_CAP + 1, ())])
+    fresh = CodeFamily([random_code(5, 3, rng)])
+    stream = [counted, oversized, fresh, fresh]
+    assert list(universality._counted(stream)) == stream
+    assert code_count_batches == [[fresh]] and _count(counted) is record
+    with pytest.raises(EnumerationCapError, match="ambient length"):
+        epsilon_reports(oversized)
+
+
+def _weighted_code_family():
+    rng = random.Random(6)
+    codes = [random_code(7, t, rng) for t in (0, 2, 2, 5, 7)]
+    return CodeFamily(codes, [1 << 63, 3, 1 << 64, 1, 5])
+
+
+@pytest.mark.parametrize("make_family, dtypes", [
+    (lambda: CodeFamily([LinearCode(4, (0b1001, 0b0110)), LinearCode(4, (0b0011,))],
+                        [1 << 60, 1]), (np.int64, object)),
+    (_weighted_code_family, (object, object)),
+], ids=["wide_shifted_counts", "weighted_code_family"])
+def test_batch_counts_in_the_dtypes_of_its_largest_weight(code_count_batches, make_family,
+                                                          dtypes):
+    # the largest total weight of a batch sets its dtypes: int64 while it
+    # fits, and for the shifted counts while it times 2^n fits
+    rng = random.Random(9)
+    family = make_family()
+    n = family.n
+    ordinary = [CodeFamily([random_code(n, t, rng) for t in (1, 2, n - 1)], [1, 2, 3])
+                for _ in range(3)]
+    stream = ordinary[:2] + [family] + ordinary[2:]
+    for f in universality._counted(stream):
+        assert (f._counts.plain.dtype, f._counts.dual.dtype) == dtypes
+    assert code_count_batches == [stream]
+    for f in stream:
+        alone = CodeFamily(f.codes, f.weights)
+        for side in ("plain", "dual"):
+            assert getattr(f._counts, side).tolist() == getattr(_count(alone), side).tolist()
+        assert f._counts.plain.tolist() == oracle_membership_counts(f)
+        assert f._counts.dual.tolist() == oracle_membership_counts(f.dual())
 
 
 @pytest.mark.parametrize("call", [
@@ -426,23 +520,16 @@ def test_other_hash_kinds_measured_through_kernel_family(kind, n, m):
     assert code_bias(hf) == code_bias(fam)
 
 
-def _weighted_code_family():
-    rng = random.Random(6)
-    codes = [random_code(7, t, rng) for t in (0, 2, 2, 5, 7)]
-    return CodeFamily(codes, [1 << 63, 3, 1 << 64, 1, 5])
-
-
 @pytest.mark.parametrize("family, counter, side", [
     (HashFamily(HashFamilySpec("toeplitz", 6, 4)), "_toeplitz_counts", "dual"),
     (HashFamily(HashFamilySpec("modified_toeplitz", 8, 3)), "_modified_toeplitz_counts",
      "plain"),
-    (_weighted_code_family(), "_code_counts", "plain"),
-], ids=["toeplitz", "modified_toeplitz", "weighted_code_family"])
+], ids=["toeplitz", "modified_toeplitz"])
 def test_each_counter_counts_one_side_by_dimension(family, counter, side):
-    # a counter keys its side's counts by the dimension of the codes it
-    # counts: member dimensions on the plain side, n minus them (ranks) on
-    # the dual side
-    fam = family if isinstance(family, CodeFamily) else CodeFamily.from_hash_family(family)
+    # a hash-family counter keys its side's counts by the dimension of the
+    # codes it counts: member dimensions on the plain side, n minus them
+    # (ranks) on the dual side
+    fam = CodeFamily.from_hash_family(family)
     counted = fam if side == "plain" else fam.dual()
     dtype = np.int64 if fam.total_weight < 1 << 63 else object
     by_dim = getattr(universality, counter)(family, dtype)
@@ -874,7 +961,7 @@ def assert_same_blocks(fam, oracle):
     come in another order; the members of a block may not."""
     for row_words in (1, 1 << fam.n):
         got = [(dim, w, [sorted(m) for m in words.tolist()])
-               for dim, w, words in universality._codeword_blocks(fam, row_words)]
+               for dim, w, words in universality._codeword_blocks([fam], row_words)]
         want = [(dim, w, [sorted(m) for m in words])
                 for dim, w, words in oracle_codeword_blocks(oracle, row_words)]
         assert got == want
