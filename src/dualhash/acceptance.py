@@ -24,19 +24,26 @@ from .bounds import (
     reliability_e,
 )
 from .cqstate import (
+    _convolve,
+    _d1,
     _d2,
     _h2_d2_hmin,
+    _hash_marginals,
     _sigma_powers,
     _verify_pa,
     code_bias,
-    convolve,
-    d1_distance,
-    hash_marginal,
     random_cq_state,
 )
-from .gf2 import LinearCode, dual, span, walsh_hadamard
+from .gf2 import LinearCode, dual, span, syndromes, walsh_hadamard
 from .hashfam import HashFamily, HashFamilySpec
-from .simulator import counterexample_leakage, family_average_error, wiretap_eval
+# criterion 5 calls the batched form; family_average_error stays bound here
+# because perfbench's tracer test checks that this module's binding is wrapped
+from .simulator import (  # noqa: F401
+    _family_average_errors,
+    counterexample_leakage,
+    family_average_error,
+    wiretap_eval,
+)
 from .universality import (
     CodeFamily,
     SearchBudgetError,
@@ -223,40 +230,61 @@ def criterion_4(seed: int):
     """Privacy-amplification bound, the proof's block identity, and the
     d1/d2 and H2/Hmin relations on random c-q states.
 
-    Every check of a state is against sigma = rho_E, whose two powers
-    come from one eigendecomposition per state.  The block identity
-    convolves the state with the uniform distribution on a random member,
-    given as a float array.
+    Every check of a state is against sigma = rho_E.  The block identity
+    convolves the state with the uniform distribution on a random member.
+    All 200 states are drawn first; the states of one (key length, Eve
+    dimension) shape are checked as one stack, with one eigendecomposition
+    per sigma, and the states are then read in the order they were drawn,
+    so the first failure is the one a state-by-state walk would meet.
     """
     rng = np.random.default_rng(seed)
-    worst_gap = -math.inf
     families = {}  # five (key_bits, m) pairs occur; each family is built once
-    for i in range(200):
+    members = {}  # (key_bits, m, j): member j's dimension, syndrome labels, noise
+    states = []
+    for _ in range(200):
         key_bits = int(rng.integers(1, 4))
         eve_dim = int(rng.integers(2, 9))
         rho = random_cq_state(key_bits, eve_dim, rng)
         m = int(rng.integers(1, min(key_bits, 6 // key_bits) + 1))
         if (key_bits, m) not in families:
-            families[key_bits, m] = CodeFamily.from_hash_family(
+            fam = CodeFamily.from_hash_family(
                 HashFamily(HashFamilySpec("random_linear", key_bits, m))
             )
-        fam = families[key_bits, m]
-        s_q, s_h = _sigma_powers(rho.rho_e())
-        lhs, rhs = _verify_pa(rho, fam, s_q)
+            families[key_bits, m] = fam, list(accumulate(fam.weights))
+        fam, cumulative = families[key_bits, m]
+        r = int(rng.integers(0, fam.total_weight))
+        j = bisect_right(cumulative, r)
+        if (key_bits, m, j) not in members:
+            member = fam.codes[j]
+            members[key_bits, m, j] = (member.dim, syndromes(dual(member).basis, key_bits),
+                                       _indicator(member) / len(member))
+        states.append((rho.blocks, fam, members[key_bits, m, j]))
+
+    stacks = {}
+    for i, (blocks, _, _) in enumerate(states):
+        stacks.setdefault(blocks.shape, []).append(i)
+    checks = [None] * len(states)
+    for (size, _, _), index in stacks.items():
+        blocks = np.stack([states[i][0] for i in index])
+        dims, labels, noise = (np.array(v) for v in zip(*(states[i][2] for i in index)))
+        s_q, s_h = _sigma_powers(blocks.sum(axis=1))
+        lhs, rhs = _verify_pa(blocks, [states[i][1] for i in index], s_q)
+        _, d2_noisy = _d2(_convolve(blocks, noise), s_q, size)
+        _, d2_marg = _d2(_hash_marginals(blocks, labels), s_q, size >> dims)
+        off = np.abs(d2_noisy - 2.0 ** -dims * d2_marg) > 1e-10
+        h2, d2, hmin = _h2_d2_hmin(blocks, s_q, s_h)
+        d1_over = _d1(blocks) > math.sqrt(size) * np.sqrt(d2) + 1e-9
+        for row in zip(index, lhs, rhs, off, d1_over, h2, hmin):
+            checks[row[0]] = row[1:]
+
+    worst_gap = -math.inf
+    for i, (lhs, rhs, off, d1_over, h2, hmin) in enumerate(checks):
         if lhs > rhs + 1e-9:
             return False, f"state {i}: E_r d2 = {lhs} > eps 2^-H2 = {rhs}"
         worst_gap = max(worst_gap, lhs - rhs)
-
-        r = int(rng.integers(0, fam.total_weight))
-        member = fam.codes[bisect_right(list(accumulate(fam.weights)), r)]
-        noisy = convolve(rho, _indicator(member) / len(member))
-        _, d2_noisy = _d2(noisy, s_q)
-        _, d2_marg = _d2(hash_marginal(rho, member), s_q)
-        if abs(d2_noisy - 2.0 ** (-member.dim) * d2_marg) > 1e-10:
+        if off:
             return False, f"state {i}: block identity off by more than 1e-10"
-
-        h2, d2, hmin = _h2_d2_hmin(rho, s_q, s_h)
-        if d1_distance(rho) > math.sqrt(rho.num_values) * math.sqrt(d2) + 1e-9:
+        if d1_over:
             return False, f"state {i}: d1 exceeds sqrt(|A| d2)"
         if h2 < hmin - 1e-9:
             return False, f"state {i}: H2 = {h2} < Hmin = {hmin}"
@@ -266,12 +294,13 @@ def criterion_4(seed: int):
 def criterion_5(seed: int):
     """Family-average decoding error within the optimized exponent bound;
     zero-noise reliability; divergence-form identity residual."""
+    ps = (Fraction(1, 20), Fraction(1, 10))
     for rate, t in ((1 / 3, 4), (1 / 2, 6)):
-        for p in (Fraction(1, 20), Fraction(1, 10)):
-            hf = HashFamily(HashFamilySpec("random_linear", 12, 12 - t))
-            res = family_average_error(
-                hf, p, rate, epsilon=1.0, sample_count=1000, seed=seed
-            )
+        hf = HashFamily(HashFamilySpec("random_linear", 12, 12 - t))
+        results = _family_average_errors(
+            hf, ps, rate, epsilon=1.0, sample_count=1000, seed=seed
+        )
+        for p, res in zip(ps, results):
             gal = next(b for b in res.bounds if b.formula_id == "family_average")
             if res.ci_upper > gal.value + 1e-9:
                 return False, (

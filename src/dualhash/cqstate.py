@@ -72,18 +72,26 @@ class BiasReport:
     worst_x: int
 
 
-def _decoupled(rho: CQState) -> bool:
-    """Whether every block equals the first (the key tells Eve nothing)."""
-    return bool(np.all(rho.blocks == rho.blocks[0]))
+def _decoupled(blocks: np.ndarray) -> np.ndarray:
+    """For each state of a stack of blocks (S, 2^k, d, d), whether every
+    block equals the first (the key tells Eve nothing)."""
+    return (blocks == blocks[:, :1]).all(axis=(1, 2, 3))
 
 
 def d1_distance(rho: CQState) -> float:
-    """Trace distance from the ideal decoupled state: the eigenvalues of
-    every block minus rho_E / |A|, in one stacked eigvalsh."""
-    if _decoupled(rho):
-        return 0.0
-    ideal = rho.rho_e() / rho.num_values
-    return float(np.sum(np.abs(np.linalg.eigvalsh(rho.blocks - ideal))))
+    """Trace distance from the ideal decoupled state (0.0 exactly when
+    every block is the same)."""
+    return float(_d1(rho.blocks[None])[0])
+
+
+def _d1(blocks: np.ndarray) -> np.ndarray:
+    """d1_distance of each state of a stack of blocks (S, 2^k, d, d): the
+    eigenvalues of every block minus rho_E / 2^k, in one stacked eigvalsh,
+    and 0.0 for a state whose blocks are all the same."""
+    ideal = blocks.sum(axis=1, keepdims=True) / blocks.shape[1]
+    d1 = np.abs(np.linalg.eigvalsh(blocks - ideal)).sum(axis=(1, 2))
+    d1[_decoupled(blocks)] = 0.0
+    return d1
 
 
 def _sigma_matrix(rho: CQState, sigma: np.ndarray | None) -> np.ndarray:
@@ -103,33 +111,38 @@ def _sigma_matrix(rho: CQState, sigma: np.ndarray | None) -> np.ndarray:
     return sigma_m
 
 
-def _sigma_powers(sigma_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigma^(-1/4) and sigma^(-1/2) on the support of sigma (pseudo-inverse
-    below the cutoff), both from one eigendecomposition.  sigma must be
-    positive semidefinite and nonzero."""
-    eigs, vecs = np.linalg.eigh(sigma_m)
-    if eigs[0] < -HERMITIAN_TOL or eigs[-1] <= PINV_CUTOFF:
+def _sigma_powers(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma^(-1/4) and sigma^(-1/2) of each sigma of a stack (S, d, d), on
+    its support (pseudo-inverse below the cutoff), both from one stacked
+    eigendecomposition.  Every sigma must be positive semidefinite and
+    nonzero."""
+    eigs, vecs = np.linalg.eigh(sigma)
+    if (eigs[:, 0] < -HERMITIAN_TOL).any() or (eigs[:, -1] <= PINV_CUTOFF).any():
         raise ValueError("sigma must be positive semidefinite and nonzero")
     mask = eigs > PINV_CUTOFF
+    vecs_h = vecs.conj().transpose(0, 2, 1)
 
     def power(p):
         inv = np.zeros_like(eigs)
         inv[mask] = eigs[mask] ** -p
-        return (vecs * inv) @ vecs.conj().T
+        return (vecs * inv[:, None, :]) @ vecs_h
 
     return power(0.25), power(0.5)
 
 
-def _collision(blocks: np.ndarray, s_q: np.ndarray) -> float:
-    """sum over a stack of blocks b of tr((s_q b s_q)^2), in one stacked pass."""
-    t = s_q @ blocks @ s_q
-    return float(np.real(np.einsum("kij,kji->", t, t)))
+def _collision(blocks: np.ndarray, s_q: np.ndarray) -> np.ndarray:
+    """For each state s of a stack, the sum over its blocks b of
+    tr((s_q[s] b s_q[s])^2), in one stacked pass."""
+    t = s_q[:, None] @ blocks @ s_q[:, None]
+    return np.real(np.einsum("skij,skji->s", t, t))
 
 
-def _d2(rho: CQState, s_q: np.ndarray) -> tuple[float, float]:
-    """(collision sum, d2) of rho against the sigma with sigma^(-1/4) = s_q."""
-    coll = _collision(rho.blocks, s_q)
-    return coll, coll - _collision(rho.rho_e()[None], s_q) / rho.num_values
+def _d2(blocks: np.ndarray, s_q: np.ndarray, num_values) -> tuple[np.ndarray, np.ndarray]:
+    """(collision sum, d2) of each state of a stack against the sigma with
+    sigma^(-1/4) = s_q; state s has num_values (a number, or one per state)
+    key values, and any blocks past them are zero."""
+    coll = _collision(blocks, s_q)
+    return coll, coll - _collision(blocks.sum(axis=1, keepdims=True), s_q) / num_values
 
 
 def h2_d2_hmin(rho: CQState, sigma: np.ndarray | None = None):
@@ -137,21 +150,23 @@ def h2_d2_hmin(rho: CQState, sigma: np.ndarray | None = None):
 
     sigma defaults to Eve's marginal.  Returns (H2, d2, Hmin), base 2.
     """
-    return _h2_d2_hmin(rho, *_sigma_powers(_sigma_matrix(rho, sigma)))
+    powers = _sigma_powers(_sigma_matrix(rho, sigma)[None])
+    return tuple(float(v[0]) for v in _h2_d2_hmin(rho.blocks[None], *powers))
 
 
-def _h2_d2_hmin(rho: CQState, s_q: np.ndarray, s_h: np.ndarray):
-    """h2_d2_hmin against the sigma with sigma^(-1/4) = s_q and
-    sigma^(-1/2) = s_h (_sigma_powers), so that callers holding one sigma
-    for several checks decompose it once."""
-    coll, d2 = _d2(rho, s_q)
-    op_norm = float(np.max(np.abs(np.linalg.eigvalsh(s_h @ rho.blocks @ s_h))))
-    return -math.log2(coll), d2, -math.log2(op_norm)
+def _h2_d2_hmin(blocks: np.ndarray, s_q: np.ndarray, s_h: np.ndarray):
+    """h2_d2_hmin of each state of a stack (S, 2^k, d, d), against the
+    sigma with sigma^(-1/4) = s_q and sigma^(-1/2) = s_h (_sigma_powers):
+    three arrays of S."""
+    coll, d2 = _d2(blocks, s_q, blocks.shape[1])
+    weighted = s_h[:, None] @ blocks @ s_h[:, None]
+    op_norm = np.abs(np.linalg.eigvalsh(weighted)).max(axis=(1, 2))
+    return -np.log2(coll), d2, -np.log2(op_norm)
 
 
 def holevo(rho: CQState) -> float:
     """Mutual information between the key register and Eve, in bits."""
-    if _decoupled(rho):
+    if _decoupled(rho.blocks[None])[0]:
         return 0.0  # identical conditional states carry nothing
     rho_e = rho.rho_e()
     e_eigs, e_vecs = np.linalg.eigh(rho_e)
@@ -179,11 +194,18 @@ def convolve(rho: CQState, pw) -> CQState:
     pw = np.asarray(pw, dtype=float)
     if pw.shape[0] != rho.num_values:
         raise ValueError("distribution length mismatch")
-    # block b of the result is sum_w pw[w] rho_(b xor w), over the support of pw
-    support = np.flatnonzero(pw)
-    sources = np.arange(rho.num_values)[:, None] ^ support
-    out = np.einsum("w,bwij->bij", pw[support], rho.blocks[sources])
-    return CQState(rho.key_length, out, normalized=False)
+    return CQState(rho.key_length, _convolve(rho.blocks[None], pw[None])[0],
+                   normalized=False)
+
+
+def _convolve(blocks: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """convolve each state of a stack (S, 2^k, d, d) with its own noise
+    distribution pw[s]: block b of state s becomes
+    sum_w pw[s, w] blocks[s, b xor w], over the union of the supports, in
+    one XOR-index gather and one einsum."""
+    support = np.flatnonzero(pw.any(axis=0))
+    sources = np.arange(blocks.shape[1])[:, None] ^ support
+    return np.einsum("sw,sbwij->sbij", pw[:, support], blocks[:, sources])
 
 
 def code_bias(family) -> BiasReport:
@@ -208,9 +230,17 @@ def hash_marginal(rho: CQState, c: LinearCode) -> CQState:
     if c.n != rho.key_length:
         raise ValueError("code length must match the key register length")
     labels = syndromes(dual(c).basis, c.n)
-    out = np.zeros((1 << (c.n - c.dim), rho.eve_dim, rho.eve_dim), dtype=complex)
-    np.add.at(out, labels, rho.blocks)
-    return CQState(c.n - c.dim, out, normalized=False)
+    out = _hash_marginals(rho.blocks[None], labels[None])[0]
+    return CQState(c.n - c.dim, out[:1 << (c.n - c.dim)], normalized=False)
+
+
+def _hash_marginals(blocks: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """hash_marginal of each state of a stack (S, 2^k, d, d), key value a
+    of state s added to block labels[s, a]; a state keeps 2^k blocks, those
+    past its labels zero."""
+    out = np.zeros_like(blocks)
+    np.add.at(out, (np.arange(len(blocks))[:, None], labels), blocks)
+    return out
 
 
 def verify_pa(rho: CQState, family, sigma: np.ndarray | None = None
@@ -239,23 +269,32 @@ def verify_pa(rho: CQState, family, sigma: np.ndarray | None = None
     if family.n != rho.key_length:
         raise ValueError(f"family length {family.n} does not match "
                          f"the key register length {rho.key_length}")
-    s_q, _ = _sigma_powers(_sigma_matrix(rho, sigma))
-    return _verify_pa(rho, family, s_q)
+    s_q, _ = _sigma_powers(_sigma_matrix(rho, sigma)[None])
+    lhs, rhs = _verify_pa(rho.blocks[None], [family], s_q)
+    return float(lhs[0]), float(rhs[0])
 
 
-def _verify_pa(rho: CQState, family, s_q: np.ndarray) -> tuple[float, float]:
-    """verify_pa against the sigma with sigma^(-1/4) = s_q (_sigma_powers),
-    for a family whose length is the key length."""
-    tilted = s_q @ rho.blocks @ s_q
-    spectrum = np.ascontiguousarray(tilted.transpose(1, 2, 0))
+def _verify_pa(blocks: np.ndarray, families, s_q: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """verify_pa of each state s of a stack (S, 2^k, d, d) with
+    families[s], of length k, against the sigma with sigma^(-1/4) = s_q[s]
+    (_sigma_powers): two arrays of S.  Each distinct family's counts and
+    epsilon are read once."""
+    size = blocks.shape[1]
+    tilted = s_q[:, None] @ blocks @ s_q[:, None]
+    spectrum = np.ascontiguousarray(tilted.transpose(0, 2, 3, 1))
     walsh_hadamard(spectrum)
-    g = walsh_hadamard((spectrum.real ** 2 + spectrum.imag ** 2).sum(axis=(0, 1)))
-    g /= rho.num_values
-    counts = _count(family)
-    lhs = float(counts.plain.astype(float) @ (g - g.sum() / rho.num_values))
-    lhs /= counts.total_weight
-    epsilon = float(_report(counts, "dual", "min_dim").epsilon)
-    return lhs, epsilon * float(g[0])
+    g = walsh_hadamard((spectrum.real ** 2 + spectrum.imag ** 2).sum(axis=(1, 2)))
+    g /= size
+    reads = {}
+    for fam in families:
+        if id(fam) not in reads:
+            counts = _count(fam)
+            reads[id(fam)] = (counts.plain.astype(float), float(counts.total_weight),
+                              float(_report(counts, "dual", "min_dim").epsilon))
+    plain, total, epsilon = (np.array(v) for v in zip(*map(reads.get, map(id, families))))
+    lhs = np.einsum("sx,sx->s", plain, g - g.sum(axis=1, keepdims=True) / size)
+    return lhs / total, epsilon * g[:, 0]
 
 
 def random_cq_state(key_bits: int, eve_dim: int, rng: np.random.Generator) -> CQState:

@@ -212,12 +212,24 @@ def family_average_error(
     weight.  Monte Carlo member i draws the random() stream of its own
     random.Random(seed + i) (_mc_errors).
     """
+    (res,) = _family_average_errors(family, [p], R, epsilon, mode, base, sample_count, seed)
+    return res
+
+
+def _family_average_errors(family, ps, R, epsilon=1.0, mode="exact", base=None,
+                           sample_count=None, seed=None) -> list[SimResult]:
+    """family_average_error at each crossover probability of ``ps``, one
+    SimResult per p, from one sample of members: each chunk's tables and,
+    in exact mode, its weight histograms are built once for every p.  In
+    monte_carlo mode the draws depend on p, so each p has its own
+    _mc_errors stream, the one a single call would draw.  Every p is
+    checked before any member is sampled."""
     if mode not in ("exact", "monte_carlo"):
         raise ValueError(f"unknown mode: {mode}")
     if mode == "monte_carlo" and isinstance(family, CodeFamily):
         raise ValueError("monte_carlo mode needs a HashFamily")
-    pf = Fraction(p)
-    if not 0 <= pf <= Fraction(1, 2):
+    pfs = [Fraction(p) for p in ps]
+    if not all(0 <= pf <= Fraction(1, 2) for pf in pfs):
         raise ValueError("p must be in [0, 1/2]")
     if not 0 <= R <= 1:
         raise ValueError("R must be in [0, 1]")
@@ -244,52 +256,58 @@ def family_average_error(
     c2 = base if base is not None else LinearCode.zero(n)
     if c2.n != n:
         raise ValueError("C2 is not a subcode of C1")
-    terms, den = _weight_terms(n, pf)
+    terms = [_weight_terms(n, pf) for pf in pfs]
     if mode == "monte_carlo":
-        errors = _mc_errors(range(seed, seed + len(members)), n, MC_TRIALS, float(pf))
+        errors = [_mc_errors(range(seed, seed + len(members)), n, MC_TRIALS, float(pf))
+                  for pf in pfs]
         inside = np.zeros(1 << n, dtype=bool)
         inside[span(np.array(c2.basis, dtype=np.int64))] = True
-    values = []  # exact: b^n P(error) per member; monte carlo: the estimate
+    values = [[] for _ in pfs]  # exact: b^n P(error) per member; monte carlo: the estimate
     chunk = max(1, CHUNK_PATTERN_CAP >> n)
     for start in range(0, len(members), chunk):
         labels, leaders = _syndrome_tables(members[start : start + chunk], n)
         if labels[:, list(c2.basis)].any():
             raise ValueError("C2 is not a subcode of C1")
         if mode == "exact":
-            values += [den - sum(cnt * t for cnt, t in zip(row, terms))
-                       for row in _correct_weights(leaders, c2).tolist()]
+            correct = _correct_weights(leaders, c2).tolist()
+            for vals, (ts, den) in zip(values, terms):
+                vals += [den - sum(cnt * t for cnt, t in zip(row, ts)) for row in correct]
         else:
-            values += [_mc_error_prob(lab, lead, inside, next(errors))
-                       for lab, lead in zip(labels, leaders)]
+            for vals, errs in zip(values, errors):
+                vals += [_mc_error_prob(lab, lead, inside, next(errs))
+                         for lab, lead in zip(labels, leaders)]
         del labels, leaders  # free this chunk's tables before the next is built
     total = sum(weights)
-    if mode == "exact":
-        # every member's error probability is over the same b^n
-        mean = Fraction(sum(w * v for w, v in zip(weights, values)), den * total)
-        values = [v / den for v in values]  # correctly rounded, as float(Fraction)
-    else:
-        mean = sum(w * v for w, v in zip(weights, values)) / total
-    ci = None
-    if not isinstance(family, CodeFamily):
-        mu = sum(values) / len(values)
-        var = sum((v - mu) ** 2 for v in values) / max(len(values) - 1, 1)
-        ci = mu + Z_99 * math.sqrt(var / len(values))
-
-    # each bound checks the sampled CI's upper limit, or the exact mean
-    check = float(mean) if ci is None else ci
     k_start = 0 if base is not None else 1
-    w_binom = WeightDistribution.binomial(n, pf)
-    bounds = [
-        gallager_family_bound(n, R, float(pf), epsilon),
-        weighted_decoding_bound(w_binom, R, max(epsilon, 1.0), k_start),
-    ]
-    return SimResult(
-        mean,
-        n,
-        {"p": str(pf), "R": R, "epsilon": epsilon, "mode": mode},
-        bounds=[replace(b, dominated_quantity=check) for b in bounds],
-        ci_upper=ci,
-    )
+    results = []
+    for pf, vals, (_, den) in zip(pfs, values, terms):
+        if mode == "exact":
+            # every member's error probability is over the same b^n
+            mean = Fraction(sum(w * v for w, v in zip(weights, vals)), den * total)
+            vals = [v / den for v in vals]  # correctly rounded, as float(Fraction)
+        else:
+            mean = sum(w * v for w, v in zip(weights, vals)) / total
+        ci = None
+        if not isinstance(family, CodeFamily):
+            mu = sum(vals) / len(vals)
+            var = sum((v - mu) ** 2 for v in vals) / max(len(vals) - 1, 1)
+            ci = mu + Z_99 * math.sqrt(var / len(vals))
+
+        # each bound checks the sampled CI's upper limit, or the exact mean
+        check = float(mean) if ci is None else ci
+        w_binom = WeightDistribution.binomial(n, pf)
+        bounds = [
+            gallager_family_bound(n, R, float(pf), epsilon),
+            weighted_decoding_bound(w_binom, R, max(epsilon, 1.0), k_start),
+        ]
+        results.append(SimResult(
+            mean,
+            n,
+            {"p": str(pf), "R": R, "epsilon": epsilon, "mode": mode},
+            bounds=[replace(b, dominated_quantity=check) for b in bounds],
+            ci_upper=ci,
+        ))
+    return results
 
 
 # MT19937's word masks, twist matrix and tempering masks, as uint32 scalars

@@ -4,7 +4,9 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the lines inline;
 the same checks back the CLI `verify all` subcommand.
 """
 
+import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +14,9 @@ import pytest
 
 from dualhash import acceptance
 from dualhash.acceptance import CRITERIA, run_criteria
-from dualhash.cqstate import BiasReport, code_bias
+from dualhash.cqstate import BiasReport, _d1, code_bias, random_cq_state
 from dualhash.gf2 import LinearCode
+from dualhash.simulator import _family_average_errors
 from dualhash.universality import CodeFamily, tight_family
 
 SEED = 7
@@ -110,7 +113,51 @@ def test_criterion_2_fails_on_a_tight_family_off_the_bound(monkeypatch):
 
 
 def test_criterion_4_fails_when_hashing_leaves_the_state_as_it_is(monkeypatch):
-    monkeypatch.setattr(acceptance, "hash_marginal", lambda rho, c: rho)
+    monkeypatch.setattr(acceptance, "_hash_marginals", lambda blocks, labels: blocks)
     passed, detail = acceptance.criterion_4(SEED)
     assert not passed
     assert re.fullmatch(r"state \d+: block identity off by more than 1e-10", detail)
+
+
+def test_criterion_4_names_the_state_drawn_first_not_the_first_stack(monkeypatch):
+    """Two states of different shapes fail: i, the first state whose shape
+    differs from state 0's, and a later state j of state 0's shape, whose
+    stack is checked first.  The detail names i."""
+    drawn = []
+
+    def recording(*args):
+        rho = random_cq_state(*args)
+        drawn.append(rho.blocks)
+        return rho
+
+    monkeypatch.setattr(acceptance, "random_cq_state", recording)
+    assert acceptance.criterion_4(SEED)[0]
+    i = next(k for k, b in enumerate(drawn) if b.shape != drawn[0].shape)
+    j = next(k for k, b in enumerate(drawn) if k > i and b.shape == drawn[0].shape)
+    failing = [drawn[i], drawn[j]]
+
+    def d1(blocks):
+        out = _d1(blocks)
+        for s, b in enumerate(blocks):
+            if any(np.array_equal(b, f) for f in failing):
+                out[s] = np.inf
+        return out
+
+    monkeypatch.setattr(acceptance, "_d1", d1)
+    assert acceptance.criterion_4(SEED) == (False, f"state {i}: d1 exceeds sqrt(|A| d2)")
+
+
+def test_criterion_5_names_the_first_failing_configuration(monkeypatch):
+    """(R=1/3, p=1/10) and (R=1/2, p=1/20) are made to fail; the p loop is
+    inside the R loop, so the first is named."""
+    def failing(family, ps, R, **kwargs):
+        results = _family_average_errors(family, ps, R, **kwargs)
+        return [replace(res, ci_upper=math.inf) if (R, p) in bad else res
+                for p, res in zip(ps, results)]
+
+    bad = {(1 / 3, Fraction(1, 10)), (1 / 2, Fraction(1, 20))}
+    monkeypatch.setattr(acceptance, "_family_average_errors", failing)
+    passed, detail = acceptance.criterion_5(SEED)
+    assert not passed
+    assert re.fullmatch(r"\(R=0\.3333333333333333, p=1/10\): upper CI inf exceeds bound "
+                        r"[0-9.e-]+", detail)

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from dualhash.cqstate import (
     CQState,
+    _convolve,
+    _d1,
+    _d2,
+    _decoupled,
     _h2_d2_hmin,
+    _hash_marginals,
     _sigma_matrix,
     _sigma_powers,
     _verify_pa,
@@ -24,13 +29,22 @@ from dualhash.cqstate import (
     random_cq_state,
     verify_pa,
 )
-from dualhash.gf2 import BinaryMatrix, EnumerationCapError, LinearCode, dual, span, walsh_hadamard
+from dualhash.gf2 import (
+    BinaryMatrix,
+    EnumerationCapError,
+    LinearCode,
+    dual,
+    span,
+    syndromes,
+    walsh_hadamard,
+)
 from dualhash.hashfam import HashFamily, HashFamilySpec
 from dualhash.universality import (
     CodeFamily,
     counterexample_family,
     epsilon_dual_universal,
     random_code,
+    subspaces_of,
     tight_family,
 )
 
@@ -296,9 +310,9 @@ def oracle_verify_pa(rho, family, sigma=None):
     return lhs / family.total_weight, oracle_h2_d2_hmin(rho, sigma)[0]
 
 
-def assert_close(got, expected):
+def assert_close(got, expected, abs_tol=1e-12):
     for g, e in zip(got, expected, strict=True):
-        assert math.isclose(g, e, rel_tol=1e-12, abs_tol=1e-12), (got, expected)
+        assert math.isclose(g, e, rel_tol=1e-12, abs_tol=abs_tol), (got, expected)
 
 
 def random_density(dim, rank, rng):
@@ -337,9 +351,10 @@ def test_h2_d2_hmin_matches_oracle_on_rank_deficient_sigma():
 
 
 def test_private_forms_share_one_sigma_decomposition_bit_for_bit():
-    """_h2_d2_hmin and _verify_pa, given the powers of one _sigma_powers,
-    return the public functions' floats exactly: random states with sigma
-    defaulted and given, and rank-deficient sigma."""
+    """_h2_d2_hmin and _verify_pa on a stack of one state, given the powers
+    of one _sigma_powers, return the public functions' floats exactly:
+    random states with sigma defaulted and given, and rank-deficient
+    sigma."""
     rng = np.random.default_rng(31)
     fams = {n: CodeFamily.from_hash_family(HashFamily(HashFamilySpec("random_linear", n, 1)))
             for n in (1, 2, 3)}
@@ -350,10 +365,69 @@ def test_private_forms_share_one_sigma_decomposition_bit_for_bit():
                   (rho, random_density(rho.eve_dim, rho.eve_dim - 1, rng))]
     cases += [(rho, None) for rho in rank_deficient_states(np.random.default_rng(22))]
     for rho, sigma in cases:
-        s_q, s_h = _sigma_powers(_sigma_matrix(rho, sigma))
-        assert _h2_d2_hmin(rho, s_q, s_h) == h2_d2_hmin(rho, sigma)
+        s_q, s_h = _sigma_powers(_sigma_matrix(rho, sigma)[None])
+        stack = rho.blocks[None]
+        assert [v[0] for v in _h2_d2_hmin(stack, s_q, s_h)] == list(h2_d2_hmin(rho, sigma))
         fam = fams[rho.key_length]
-        assert _verify_pa(rho, fam, s_q) == verify_pa(rho, fam, sigma=sigma)
+        assert [v[0] for v in _verify_pa(stack, [fam], s_q)] == \
+            list(verify_pa(rho, fam, sigma=sigma))
+
+
+def shape_stacks():
+    """Random states of five shapes, the rank-deficient states (in the
+    stacks of shape (2|4|8, 5, 5)) and a decoupled state (in (8, 5, 5):
+    eight equal blocks do not sum to exactly 8 times one, so only the
+    decoupled test gives its d1 as 0.0), grouped by shape as criterion 4
+    groups its states."""
+    rng = np.random.default_rng(33)
+    states = [random_cq_state(kb, d, rng)
+              for kb, d in ((1, 5), (2, 5), (3, 5), (2, 3), (3, 2)) for _ in range(3)]
+    states += rank_deficient_states(np.random.default_rng(22))
+    states.append(CQState(3, np.array([random_density(5, 5, rng) / 8] * 8)))
+    stacks = {}
+    for rho in states:
+        stacks.setdefault(rho.blocks.shape, []).append(rho)
+    return list(stacks.values())
+
+
+def test_stacked_kernels_match_the_public_functions_state_by_state():
+    """H2, d2, Hmin, d1, verify_pa and both sides of the block identity of
+    every state of a stack, with a family and a member of its own per
+    state, equal the public functions on that state alone."""
+    families = {k: [CodeFamily.from_hash_family(HashFamily(HashFamilySpec("random_linear", k, m)))
+                    for m in range(1, k + 1)]
+                   + ([HashFamily(HashFamilySpec("modified_toeplitz", k, 1))] if k > 1 else [])
+                for k in (1, 2, 3)}
+    codes = {k: [c for t in range(k + 1) for c in subspaces_of(LinearCode.full(k), t)]
+             for k in (1, 2, 3)}
+    shapes = 0
+    for stack in shape_stacks():
+        k, size = stack[0].key_length, stack[0].num_values
+        fams = [families[k][s % len(families[k])] for s in range(len(stack))]
+        members = [codes[k][s % len(codes[k])] for s in range(len(stack))]
+        dims = np.array([c.dim for c in members])
+        labels = np.array([syndromes(dual(c).basis, k) for c in members])
+        noise = np.array([[float(x) for x in uniform_on_code(c)] for c in members])
+        blocks = np.stack([rho.blocks for rho in stack])
+        s_q, s_h = _sigma_powers(blocks.sum(axis=1))
+        entropies = zip(*_h2_d2_hmin(blocks, s_q, s_h))
+        pa = zip(*_verify_pa(blocks, fams, s_q))
+        _, d2_noisy = _d2(_convolve(blocks, noise), s_q, size)
+        _, d2_marg = _d2(_hash_marginals(blocks, labels), s_q, size >> dims)
+        for rho, sigma, (h2, d2, hmin), d1, (lhs, rhs), fam, c, dn, dm, pw in zip(
+                stack, blocks.sum(axis=1), entropies, _d1(blocks), pa, fams, members,
+                d2_noisy, d2_marg, noise, strict=True):
+            h2_1, d2_1, hmin_1 = h2_d2_hmin(rho)
+            lhs_1, rhs_1 = verify_pa(rho, fam)
+            assert_close((h2, hmin, rhs, d1), (h2_1, hmin_1, rhs_1, d1_distance(rho)), abs_tol=0)
+            # d2 and E_r d2 are differences of collision sums of order one
+            assert_close((d2, lhs, dn, dm), (d2_1, lhs_1,
+                                             h2_d2_hmin(convolve(rho, pw), sigma)[1],
+                                             h2_d2_hmin(hash_marginal(rho, c), sigma)[1]))
+            if _decoupled(rho.blocks[None])[0]:
+                assert d1 == d1_distance(rho) == 0.0
+        shapes += 1
+    assert shapes == 5
 
 
 def test_convolve_takes_a_float_array_as_its_fraction_list():

@@ -1,5 +1,6 @@
 """Exact decoding simulation, family averages, distillation, wiretap."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from dualhash.simulator import (
     Z_99,
     _correct_weights,
     _coset_reps,
+    _family_average_errors,
     _mc_error_prob,
     _mc_errors,
     _random_below,
@@ -917,6 +919,57 @@ def test_family_average_with_base_matches_per_member_oracle():
         [dual(c).basis for c in fam.codes], fam.weights, base, Fraction(1, 10)
     )
     assert res.exact_value == mean > 0
+
+
+BATCH_PS = (Fraction(0), Fraction(1, 20), Fraction(1, 7), Fraction(1, 2))
+
+
+def record_bytes(res):
+    return json.dumps(res.to_record(), sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+@pytest.mark.parametrize("base", ["none", "zero", "e0"])
+def test_family_average_errors_equal_one_call_per_p_on_a_hash_family(monkeypatch, mode, base):
+    """Every sampled member has bit 0 of its rows cleared, so its kernel
+    holds e_0 and the base span(e_0) lies in every member."""
+    rows_of = HashFamily.sample_rows
+    monkeypatch.setattr(HashFamily, "sample_rows", lambda self, count, seed: [
+        tuple(r & ~1 for r in rows) for rows in rows_of(self, count, seed)])
+    n = 8
+    c2 = {"none": None, "zero": LinearCode.zero(n), "e0": LinearCode(n, (1,))}[base]
+    hf = HashFamily(HashFamilySpec("random_linear", n, 3))
+    kwargs = dict(epsilon=1.5, mode=mode, base=c2, sample_count=40, seed=11)
+    batch = _family_average_errors(hf, BATCH_PS, 0.5, **kwargs)
+    assert [record_bytes(r) for r in batch] == [
+        record_bytes(family_average_error(hf, p, 0.5, **kwargs)) for p in BATCH_PS]
+
+
+def test_family_average_errors_equal_one_call_per_p_on_a_code_family():
+    rng = random.Random(12)
+    base = LinearCode.from_strings(["1100000", "0011001"])
+    codes = [LinearCode.from_rows(7, list(base.basis) + [rng.randrange(1, 1 << 7)
+                                                         for _ in range(extra)])
+             for extra in (0, 1, 2, 3, 5)]
+    fam = CodeFamily(codes, [rng.randrange(1, 5) for _ in codes])
+    for c2 in (None, base):
+        batch = _family_average_errors(fam, BATCH_PS, 0.4, epsilon=2.0, base=c2)
+        assert [record_bytes(r) for r in batch] == [
+            record_bytes(family_average_error(fam, p, 0.4, epsilon=2.0, base=c2))
+            for p in BATCH_PS]
+
+
+@pytest.mark.parametrize("ps", [
+    (Fraction(1, 10), Fraction(3, 4)),
+    (-Fraction(1, 10), Fraction(0)),
+    (Fraction(1, 2), Fraction(1, 20), 1),
+])
+def test_family_average_errors_check_every_p_before_sampling(monkeypatch, ps):
+    _refuse_sampling(monkeypatch)
+    hf = HashFamily(HashFamilySpec("random_linear", 6, 3))
+    for mode in ("exact", "monte_carlo"):
+        with pytest.raises(ValueError, match="p must be"):
+            _family_average_errors(hf, ps, 0.5, mode=mode, sample_count=4, seed=1)
 
 
 def test_family_average_chunks_stay_within_cap(monkeypatch):
