@@ -34,7 +34,7 @@ from .cqstate import (
     code_bias,
     random_cq_state,
 )
-from .gf2 import LinearCode, dual, span, syndromes, walsh_hadamard
+from .gf2 import BinaryMatrix, LinearCode, dual, kernel, span, syndromes, walsh_hadamard
 from .hashfam import HashFamily, HashFamilySpec
 # criterion 5 calls the batched form; family_average_error stays bound here
 # because perfbench's tracer test checks that this module's binding is wrapped
@@ -47,7 +47,8 @@ from .simulator import (  # noqa: F401
 from .universality import (
     CodeFamily,
     SearchBudgetError,
-    _counted,
+    _parity_batches,
+    _random_rows,
     counterexample_family,
     duality_bound,
     epsilon_dual_universal,
@@ -99,28 +100,50 @@ def criterion_1(seed: int):
     return True, f"epsilon = dual epsilon = 1 exactly for all {checked} (n, m) pairs"
 
 
+def _random_families(rng: random.Random):
+    """Criterion 2's 1,000 random families as (n, members' parity rows),
+    drawn as ``random_code`` draws them."""
+    for _ in range(1000):
+        n = rng.randrange(3, 11)
+        t = rng.randrange(1, n)
+        members = []
+        for _ in range(rng.randrange(2, 9)):
+            d = t if rng.random() < 0.7 else min(n, t + rng.randrange(1, 3))
+            members.append(_random_rows(n, d, rng))
+        if all(len(rows) < n - t for rows in members):
+            members.append(_random_rows(n, t, rng))
+        yield n, members
+
+
+def _duality_margins(n: int, W, t, P, D):
+    """W 2^t (duality_bound(ε, t, n) - D / W) with ε = P 2^(n-t) / W, for
+    families of W members, smallest dimension t and largest plain and dual
+    counts P and D at x != 0: negative iff a family is off the bound."""
+    return 2 * (W - P) + (P << n) - (W << t) - (D << t)
+
+
 def criterion_2(seed: int):
     """Duality bound soundness on random families; tight-family equality;
-    optimal and epsilon = 1 families map to optimal / 2-almost duals."""
+    optimal and epsilon = 1 families map to optimal / 2-almost duals.
+
+    The random families are counted from their parity rows in stacks
+    (``_parity_batches``) and checked in integers (``_duality_margins``);
+    the first failing family in drawing order is reported from its
+    CodeFamily, ``epsilon_reports`` and ``duality_bound``.
+    """
     rng = random.Random(seed)
-
-    def random_families():
-        for _ in range(1000):
-            n = rng.randrange(3, 11)
-            t = rng.randrange(1, n)
-            codes = []
-            for _ in range(rng.randrange(2, 9)):
-                d = t if rng.random() < 0.7 else min(n, t + rng.randrange(1, 3))
-                codes.append(random_code(n, d, rng))
-            if all(c.dim > t for c in codes):
-                codes.append(random_code(n, t, rng))
-            yield CodeFamily(codes)
-
-    for i, fam in enumerate(_counted(random_families())):
+    off = []
+    for n, group, counts in _parity_batches(_random_families(rng)):
+        off += [(*group[k], n) for k in np.flatnonzero(_duality_margins(n, *counts) < 0)]
+    if off:
+        i, members, n = min(off, key=lambda item: item[0])
+        fam = CodeFamily([kernel(BinaryMatrix(rows, n)) for rows in members])
         rep, drep = epsilon_reports(fam, "min_dim")
         bound = duality_bound(rep.epsilon, fam.t_min, fam.n)
-        if drep.max_prob > bound:
-            return False, f"family {i}: dual probability {drep.max_prob} > bound {bound}"
+        if drep.max_prob <= bound:
+            raise ArithmeticError(f"family {i}: the integer duality check disagrees with "
+                                  f"its reports ({drep.max_prob} <= {bound})")
+        return False, f"family {i}: dual probability {drep.max_prob} > bound {bound}"
 
     n, t, xv = 6, 3, 1
     for eps in (Fraction(1), epsilon_floor(t, n), Fraction(3, 2), Fraction(56, 31)):

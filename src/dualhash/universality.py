@@ -29,6 +29,7 @@ from .gf2 import (
     complement_basis,
     dual,
     kernel,
+    rank,
     span,
     walsh_hadamard,
 )
@@ -157,8 +158,7 @@ class CodeFamily:
 
     @cached_property
     def _counts(self) -> "_Counts":
-        """Membership counts of both sides, made on first use (``_count``),
-        or set when the family is counted in a batch (``_counted``)."""
+        """Membership counts of both sides, made on first use (``_count``)."""
         return _code_counts([self])[0]
 
     @cached_property
@@ -241,26 +241,23 @@ class UniversalityReport:
         }
 
 
-def _codeword_blocks(families, row_words: int = 1):
-    """Yield (dim, weight, words) blocks covering every distinct member of
-    a list of CodeFamilies of one length n.
+def _span_blocks(n: int, gens: np.ndarray, dims: np.ndarray, weights: np.ndarray,
+                 fam: np.ndarray, row_words: int = 1):
+    """Yield (dim, weight, words) blocks covering every member of packed
+    arrays of families of one length n, given family by family: member i
+    spans the first dims[i] rows of gens[i], with weight weights[i], in
+    family fam[i].
 
     Members of equal dimension and weight are expanded together, in order
-    of first occurrence (family by family): words[i] holds the 2^dim
-    codewords of one member, the ``span`` of its packed basis, each plus
-    k 2^n for a member of the k-th family, so that the words index the
-    families' counts stacked one row per family (a single family's words
-    are its codewords).  A block holds at most
+    of first occurrence: words[i] holds one member's span, each word plus
+    k 2^n in the k-th family, so that the words index the families' counts
+    stacked one row per family.  A block holds at most
     COUNT_BLOCK_WORDS / max(2^dim, row_words) members, and at least one.
     """
-    n, sizes = families[0].n, [len(f) for f in families]
-    dtype = np.int32 if len(families) << n <= 1 << 31 else np.int64
-    bases = np.zeros((sum(sizes), max(f.t_max for f in families)), dtype=dtype)
-    for f, end in zip(families, accumulate(sizes)):
-        bases[end - len(f):end, :f.t_max] = f.bases
-    dims = np.concatenate([f._dims for f in families])
-    weights = np.concatenate([f._weight_array for f in families])
-    offsets = np.repeat(np.arange(len(families), dtype=dtype) << n, sizes)
+    stacked = int(fam[-1]) > 0
+    dtype = np.int32 if int(fam[-1]) + 1 << n <= 1 << 31 else np.int64
+    gens = gens.astype(dtype, copy=False)
+    offsets = fam.astype(dtype) << n if stacked else None
     order = np.lexsort((weights, dims))  # stable: each group stays in member order
     by_dim, by_weight = dims[order], weights[order]
     starts = np.flatnonzero((by_dim[1:] != by_dim[:-1])
@@ -270,10 +267,24 @@ def _codeword_blocks(families, row_words: int = 1):
         per_block = max(1, COUNT_BLOCK_WORDS // max(1 << dim, row_words))
         for start in range(0, len(members), per_block):
             block = members[start:start + per_block]
-            words = span(bases[block, :dim])
-            if len(families) > 1:
+            words = span(gens[block, :dim])
+            if stacked:
                 words += offsets[block, None]
             yield dim, w, words
+
+
+def _codeword_blocks(families, row_words: int = 1):
+    """``_span_blocks`` of a list of CodeFamilies of one length n, each
+    member spanned by its canonical basis: the words are codewords."""
+    sizes = [len(f) for f in families]
+    bases = np.zeros((sum(sizes), max(f.t_max for f in families)),
+                     dtype=np.int32 if families[0].n < 32 else np.int64)
+    for f, end in zip(families, accumulate(sizes)):
+        bases[end - len(f):end, :f.t_max] = f.bases
+    yield from _span_blocks(families[0].n, bases, np.concatenate([f._dims for f in families]),
+                            np.concatenate([f._weight_array for f in families]),
+                            np.repeat(np.arange(len(families), dtype=np.int32), sizes),
+                            row_words)
 
 
 @dataclass(frozen=True)
@@ -323,60 +334,85 @@ def _other_side(shifted: np.ndarray, n: int) -> np.ndarray:
     return shifted
 
 
-def _code_counts(families) -> list[_Counts]:
-    """Count CodeFamilies of one length n for both sides at once; a single
-    family is a batch of one.
+def _span_counts(blocks, n: int, families: int, total: int):
+    """Count one side of families of one length n from the blocks of
+    their spans on that side (``_span_blocks``), stacked one row of 2^n
+    per family, and give the other side; returns (counted, other).
 
-    The counts are stacked one row per family.  Each run of blocks of one
-    dimension from ``_codeword_blocks`` adds its weights at its words into
-    one count, which is added to the plain counts, and shifted left by
-    n - dim to the shifted counts; one ``_other_side`` over the stack then
-    gives every family's dual counts.  The dtypes follow the batch's
-    largest total weight.  Returns one record per family, its arrays row
-    views of the stack.
+    Each run of blocks of one dimension adds its weights at its words into
+    one count, added to the counted side and, shifted left by n - dim, to
+    the shifted counts, which one ``_other_side`` turns into the other
+    side.  The dtypes follow ``total``, the largest total weight.
     """
-    n = families[0].n
     _check_ambient(n)
-    dtype, wide = _dtypes(max(f.total_weight for f in families), n)
-    size = len(families) << n
-    plain, shifted = np.zeros(size, dtype=dtype), np.zeros(size, dtype=wide)
+    dtype, wide = _dtypes(total, n)
+    size = families << n
+    counted, shifted = np.zeros(size, dtype=dtype), np.zeros(size, dtype=wide)
     count = np.empty(size, dtype=dtype)
-    for dim, blocks in groupby(_codeword_blocks(families), key=itemgetter(0)):
+    for dim, run in groupby(blocks, key=itemgetter(0)):
         count.fill(0)
-        for _, w, words in blocks:
+        # in place on the int32 words; np.bincount would copy them to intp
+        for _, w, words in run:
             np.add.at(count, words, w)
-        plain += count
+        counted += count
         shifted += count.astype(wide, copy=False) << (n - dim)
-    rows = (len(families), 1 << n)
-    plain, dual = plain.reshape(rows), _other_side(shifted.reshape(rows), n)
+    rows = (families, 1 << n)
+    return counted.reshape(rows), _other_side(shifted.reshape(rows), n)
+
+
+def _code_counts(families) -> list[_Counts]:
+    """Count CodeFamilies of one length n for both sides, from their
+    codewords (``_span_counts``); a single family is a batch of one.
+    Returns one record per family, its arrays row views of the stack."""
+    n = families[0].n
+    plain, dual = _span_counts(_codeword_blocks(families), n, len(families),
+                               max(f.total_weight for f in families))
     return [_Counts(n, f.total_weight, f.t_min, f.t_max, p, d)
             for f, p, d in zip(families, plain, dual)]
 
 
-def _counted(families):
-    """Yield CodeFamilies in order, each with its counts made
-    (``CodeFamily._counts``), counted in batches: families are buffered
-    until the arrays their count holds reach about COUNT_BLOCK_WORDS words,
-    and the families of each length in the buffer are counted at once
-    (``_code_counts``).  A family already counted, or above AMBIENT_CAP
-    (which its reports refuse), is passed through as it is."""
+def _parity_counts(n: int, families):
+    """Count families of one length n given as lists of their members'
+    parity rows, one tuple of independent rows per member (its code is
+    their kernel), each member of weight 1.  The rows span the dual code,
+    so the dual side is counted (``_span_counts``) and no kernel is built.
+
+    Returns int64 arrays with one entry per family: the member count W,
+    the smallest code dimension t, and the largest plain and dual counts
+    P and D at x != 0.
+    """
+    sizes = np.array([len(members) for members in families])
+    ranks = np.array([len(rows) for members in families for rows in members])
+    width = int(ranks.max())
+    gens = np.array([rows + (0,) * (width - len(rows))
+                     for members in families for rows in members], dtype=np.int64)
+    dual, plain = _span_counts(
+        _span_blocks(n, gens, ranks, np.ones_like(ranks),
+                     np.repeat(np.arange(len(families)), sizes)),
+        n, len(families), int(sizes.max()))
+    starts = np.cumsum(sizes) - sizes
+    return (sizes, n - np.maximum.reduceat(ranks, starts),
+            plain[:, 1:].max(axis=1), dual[:, 1:].max(axis=1))
+
+
+def _parity_batches(families):
+    """Count a stream of (n, members' parity rows) families in batches of
+    about COUNT_BLOCK_WORDS words of arrays, the families of each length
+    in a batch at once (``_parity_counts``).  Yields (n, group, counts) per
+    length: group holds the (stream index, members) of its families."""
     def count(batch):
         by_length = {}
-        for fam in batch:
-            if "_counts" not in fam.__dict__ and fam.n <= AMBIENT_CAP:
-                by_length.setdefault(fam.n, {})[id(fam)] = fam
-        for group in by_length.values():
-            group = list(group.values())
-            for fam, counts in zip(group, _code_counts(group)):
-                fam._counts = counts
-        return batch
+        for i, (n, members) in batch:
+            by_length.setdefault(n, []).append((i, members))
+        for n, group in by_length.items():
+            yield n, group, _parity_counts(n, [members for _, members in group])
 
     pending, words = [], 0
-    for fam in families:
-        pending.append(fam)
-        # its plain, shifted and one-dimension counts, 2^n words each, and
+    for item in enumerate(families):
+        pending.append(item)
+        # its dual, shifted and one-dimension counts, 2^n words each, and
         # its share of the Walsh transform's half-size buffer
-        words += 4 << fam.n
+        words += 4 << item[1][0]
         if words >= COUNT_BLOCK_WORDS:
             yield from count(pending)
             pending, words = [], 0
@@ -766,17 +802,20 @@ def permuted_pair_epsilon(c1: LinearCode, c2: LinearCode) -> Fraction:
     )
 
 
-def random_code(n: int, t: int, rng: random.Random) -> LinearCode:
-    """Kernel of a uniform full-rank (n-t) x n matrix: a uniform t-dim code."""
+def _random_rows(n: int, t: int, rng: random.Random) -> tuple[int, ...]:
+    """The rows of a uniform full-rank (n-t) x n matrix, drawn again while
+    their rank is below n - t; t = n draws nothing."""
     if not 0 <= t <= n:
         raise ValueError("need 0 <= t <= n")
-    if t == n:
-        return LinearCode.full(n)
     while True:
         rows = tuple(rng.randrange(1 << n) for _ in range(n - t))
-        code = kernel(BinaryMatrix(rows, n))
-        if code.dim == t:
-            return code
+        if rank(rows) == n - t:
+            return rows
+
+
+def random_code(n: int, t: int, rng: random.Random) -> LinearCode:
+    """Kernel of a uniform full-rank (n-t) x n matrix: a uniform t-dim code."""
+    return kernel(BinaryMatrix(_random_rows(n, t, rng), n))
 
 
 def random_extension(base: LinearCode, t: int, rng: random.Random) -> LinearCode:

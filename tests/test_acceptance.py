@@ -5,6 +5,7 @@ the same checks back the CLI `verify all` subcommand.
 """
 
 import math
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -12,12 +13,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dualhash import acceptance
+from dualhash import acceptance, universality
 from dualhash.acceptance import CRITERIA, run_criteria
 from dualhash.cqstate import BiasReport, _d1, code_bias, random_cq_state
-from dualhash.gf2 import LinearCode
+from dualhash.gf2 import BinaryMatrix, LinearCode, kernel
 from dualhash.simulator import _family_average_errors
-from dualhash.universality import CodeFamily, tight_family
+from dualhash.universality import (
+    CodeFamily,
+    duality_bound,
+    epsilon_dual_universal,
+    epsilon_reports,
+    random_code,
+    tight_family,
+)
 
 SEED = 7
 
@@ -90,11 +98,109 @@ def test_criterion_3_fails_when_the_counted_bias_is_off(monkeypatch):
     assert acceptance.criterion_3(SEED) == (False, "spectral and counting bias disagree")
 
 
+def code_family(n, members):
+    """The CodeFamily of the kernels of the members' parity rows."""
+    return CodeFamily([kernel(BinaryMatrix(rows, n)) for rows in members])
+
+
+def member_by_member_families(seed):
+    """Criterion 2's random families as it drew them before it checked
+    parity rows: a CodeFamily of random_code members per family."""
+    rng = random.Random(seed)
+    for _ in range(1000):
+        n = rng.randrange(3, 11)
+        t = rng.randrange(1, n)
+        codes = []
+        for _ in range(rng.randrange(2, 9)):
+            d = t if rng.random() < 0.7 else min(n, t + rng.randrange(1, 3))
+            codes.append(random_code(n, d, rng))
+        if all(c.dim > t for c in codes):
+            codes.append(random_code(n, t, rng))
+        yield CodeFamily(codes)
+
+
+@pytest.mark.parametrize("seed", [SEED, 1, 2])
+def test_integer_duality_check_matches_the_fraction_reports(seed):
+    """Every random family's (W, t, P, D) and integer margin equal what its
+    member-by-member CodeFamily, epsilon_reports and duality_bound give."""
+    packed = {}
+    for n, group, counts in universality._parity_batches(
+            acceptance._random_families(random.Random(seed))):
+        margins = acceptance._duality_margins(n, *counts)
+        for k, (i, members) in enumerate(group):
+            packed[i] = n, members, *(int(c[k]) for c in counts), int(margins[k])
+    assert sorted(packed) == list(range(1000))
+    seen = set()
+    for i, fam in enumerate(member_by_member_families(seed)):
+        n, members, W, t, P, D, margin = packed[i]
+        drawn = code_family(n, members)
+        assert (drawn.codes, drawn.weights) == (fam.codes, fam.weights)
+        rep, drep = epsilon_reports(fam, "min_dim")
+        bound = duality_bound(rep.epsilon, fam.t_min, n)
+        assert (W, t) == (fam.total_weight, fam.t_min)
+        assert rep.epsilon == Fraction(P << (n - t), W)
+        assert drep.max_prob == Fraction(D, W)
+        assert margin == (bound - drep.max_prob) * (W << t)
+        seen.add(n)
+        if len(fam) < fam.members:
+            seen.add("repeat")
+        if () in members:
+            seen.add("full")
+    assert seen == set(range(3, 11)) | {"repeat", "full"}
+
+
+def fail_two_random_families(monkeypatch):
+    """Make the integer check fail on two random families: i, the first
+    family whose length differs from family 0's, and a later family j of
+    family 0's length, in the same batch, whose length is counted and
+    checked first.  Returns i and its family's CodeFamily."""
+    drawn, calls, failing = [], [], []
+    draw, count = acceptance._random_families, universality._parity_counts
+
+    def recording(rng):
+        for item in draw(rng):
+            drawn.append(item)
+            yield item
+
+    def counting(n, families):
+        calls.append((n, families))
+        W, t, P, D = count(n, families)
+        off = np.array([(n, members) in failing for members in families])
+        return W, t, P, D + off * (W << n)
+
+    monkeypatch.setattr(acceptance, "_random_families", recording)
+    monkeypatch.setattr(universality, "_parity_counts", counting)
+    assert acceptance.criterion_2(SEED)[0]
+    n0 = drawn[0][0]
+    i = next(k for k, (n, _) in enumerate(drawn) if n != n0)
+    j = next(k for k, (n, _) in enumerate(drawn) if k > i and n == n0)
+
+    def call(n, members):
+        return next(c for c, (m, fams) in enumerate(calls)
+                    if m == n and any(f is members for f in fams))
+
+    assert call(*drawn[j]) < call(*drawn[i])
+    failing += [drawn[i], drawn[j]]
+    return i, code_family(*drawn[i])
+
+
 def test_criterion_2_names_the_first_random_family_off_the_bound(monkeypatch):
+    """The detail names the family drawn first, not the first one checked,
+    in the message of the Fraction check (here made to fail as well)."""
+    i, fam = fail_two_random_families(monkeypatch)
     monkeypatch.setattr(acceptance, "duality_bound", lambda *args: Fraction(-1))
-    passed, detail = acceptance.criterion_2(SEED)
-    assert not passed
-    assert re.fullmatch(r"family 0: dual probability \d+(/\d+)? > bound -1", detail)
+    p = epsilon_dual_universal(fam).max_prob
+    assert acceptance.criterion_2(SEED) == (False, f"family {i}: dual probability {p} > bound -1")
+
+
+def test_criterion_2_refuses_an_integer_check_its_reports_contradict(monkeypatch):
+    i, fam = fail_two_random_families(monkeypatch)
+    rep, drep = epsilon_reports(fam, "min_dim")
+    bound = duality_bound(rep.epsilon, fam.t_min, fam.n)
+    [result] = run_criteria([2], seed=SEED)
+    assert (result.passed, result.detail) == (
+        False, f"ArithmeticError: family {i}: the integer duality check disagrees with its "
+               f"reports ({drep.max_prob} <= {bound})")
 
 
 def test_criterion_2_fails_on_a_tight_family_off_the_bound(monkeypatch):

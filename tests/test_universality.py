@@ -310,54 +310,104 @@ def random_family_stream(rng):
                          None if i == 17 else [rng.randrange(1, 5) for _ in codes])
 
 
-@pytest.fixture
-def code_count_batches(monkeypatch):
-    """The family lists ``_code_counts`` is called with, in order."""
-    batches = []
-
-    def count(families):
-        batches.append(list(families))
-        return code_counts(families)
-
-    code_counts = universality._code_counts
-    monkeypatch.setattr(universality, "_code_counts", count)
-    return batches
-
-
-def test_batched_counts_equal_each_family_counted_alone(monkeypatch, code_count_batches):
+def test_batched_counts_equal_each_family_counted_alone(monkeypatch):
+    # a small block budget splits a dimension's members over several blocks
     monkeypatch.setattr(universality, "COUNT_BLOCK_WORDS", 1 << 11)
     fams = list(random_family_stream(random.Random(3)))
     assert any(len(f) < f.members for f in fams) and any(len(f) == 1 for f in fams)
-    assert len({f.n for f in fams}) > 3
-    got = list(universality._counted(iter(fams)))
-    assert got == fams and all("_counts" in f.__dict__ for f in got)
-    # batches of several families, and a batch boundary between two
-    # families of one length
-    assert max(len(batch) for batch in code_count_batches) > 1
-    assert len(code_count_batches) > len({batch[0].n for batch in code_count_batches})
-    for convention in ("min_dim", "max_dim"):
-        for f in got:
+    by_length = {}
+    for f in fams:
+        by_length.setdefault(f.n, []).append(f)
+    assert len(by_length) > 3 and max(len(group) for group in by_length.values()) > 1
+    for group in by_length.values():
+        for f, counts in zip(group, universality._code_counts(group)):
             # from the merged weights: f.codes holds only the distinct members
-            alone = CodeFamily(f.codes, f.weights)
-            assert epsilon_reports(f, convention) == epsilon_reports(alone, convention)
-            assert code_bias(f) == code_bias(alone)
-    for f in got:
-        assert _count(f).plain.tolist() == oracle_membership_counts(f)
-        assert _count(f).dual.tolist() == oracle_membership_counts(f.dual())
+            alone = _count(CodeFamily(f.codes, f.weights))
+            assert (counts.n, counts.total_weight, counts.t_min, counts.t_max) == (
+                alone.n, alone.total_weight, alone.t_min, alone.t_max)
+            assert counts.plain.tolist() == alone.plain.tolist() == oracle_membership_counts(f)
+            assert counts.dual.tolist() == alone.dual.tolist() == oracle_membership_counts(
+                f.dual())
 
 
-def test_counted_passes_counted_and_oversized_families_through(code_count_batches):
-    rng = random.Random(5)
-    counted = CodeFamily([random_code(5, 2, rng)])
-    record = _count(counted)
-    code_count_batches.clear()
-    oversized = CodeFamily([LinearCode(universality.AMBIENT_CAP + 1, ())])
-    fresh = CodeFamily([random_code(5, 3, rng)])
-    stream = [counted, oversized, fresh, fresh]
-    assert list(universality._counted(stream)) == stream
-    assert code_count_batches == [[fresh]] and _count(counted) is record
-    with pytest.raises(EnumerationCapError, match="ambient length"):
-        epsilon_reports(oversized)
+def random_parity_family(rng, n):
+    """Parity rows of two to six members of rank 0..n, some repeated."""
+    members = [universality._random_rows(n, rng.randrange(n + 1), rng)
+               for _ in range(rng.randrange(2, 6))]
+    return members + members[:rng.randrange(3)]
+
+
+def test_parity_rows_counted_on_the_dual_side_match_their_kernel_families(monkeypatch):
+    """The stacked counter fed parity rows: their spans counted as the dual
+    side, and the plain side from the shift by each code dimension, equal
+    the counts of the CodeFamily of the rows' kernels, and so do the four
+    numbers ``_parity_counts`` reads off them."""
+    monkeypatch.setattr(universality, "COUNT_BLOCK_WORDS", 1 << 9)
+    rng = random.Random(11)
+    seen = set()
+    for n in range(1, 9):
+        fams = [random_parity_family(rng, n) for _ in range(5)]
+        ranks = [np.array([len(rows) for rows in members]) for members in fams]
+        width = max(int(r.max()) for r in ranks)
+        gens = np.array([rows + (0,) * (width - len(rows))
+                         for members in fams for rows in members])
+        blocks = universality._span_blocks(
+            n, gens, np.concatenate(ranks), np.ones(len(gens), dtype=np.int64),
+            np.repeat(np.arange(len(fams)), [len(members) for members in fams]))
+        dual_counts, plain_counts = universality._span_counts(blocks, n, len(fams), 8)
+        W, t, P, D = universality._parity_counts(n, fams)
+        for k, members in enumerate(fams):
+            codes = [gf2.kernel(gf2.BinaryMatrix(rows, n)) for rows in members]
+            want = _count(CodeFamily(codes))
+            assert plain_counts[k].tolist() == want.plain.tolist()
+            assert dual_counts[k].tolist() == want.dual.tolist()
+            assert (W[k], t[k]) == (len(members), want.t_min)
+            assert (P[k], D[k]) == (want.plain[1:].max(), want.dual[1:].max())
+            if len(set(codes)) < len(codes):
+                seen.add("repeat")
+            if () in members:
+                seen.add("full")
+    assert seen == {"repeat", "full"}
+    with pytest.raises(EnumerationCapError, match="ambient length 21"):
+        epsilon_reports(CodeFamily([LinearCode(universality.AMBIENT_CAP + 1, ())]))
+
+
+def test_random_rows_and_random_code_draw_one_stream():
+    """The same code, from the draws of the kernel loop that random_code
+    ran before it read rows, with the rng left in the same state; rejected
+    rank-deficient draws and t in {0, n} included."""
+    class CountingRandom(random.Random):
+        draws = 0
+
+        def randrange(self, *args):
+            self.draws += 1
+            return super().randrange(*args)
+
+    def kernel_loop(n, t, rng):
+        if t == n:
+            return LinearCode.full(n)
+        while True:
+            code = gf2.kernel(gf2.BinaryMatrix(
+                tuple(rng.randrange(1 << n) for _ in range(n - t)), n))
+            if code.dim == t:
+                return code
+
+    rejected = set()
+    for seed in range(30):
+        for n in range(1, 7):
+            for t in range(n + 1):
+                rngs = [CountingRandom(seed) for _ in range(3)]
+                rows = universality._random_rows(n, t, rngs[0])
+                code = random_code(n, t, rngs[1])
+                assert len(rows) == gf2.rank(rows) == n - t
+                assert code == gf2.kernel(gf2.BinaryMatrix(rows, n)) == kernel_loop(n, t, rngs[2])
+                assert len({rng.getstate() for rng in rngs}) == 1
+                assert len({rng.draws for rng in rngs}) == 1
+                if rngs[0].draws > n - t:
+                    rejected.add(t)
+                if t == n:
+                    assert rows == () and rngs[0].draws == 0
+    assert 0 in rejected and len(rejected) > 2
 
 
 def _weighted_code_family():
@@ -371,8 +421,7 @@ def _weighted_code_family():
                         [1 << 60, 1]), (np.int64, object)),
     (_weighted_code_family, (object, object)),
 ], ids=["wide_shifted_counts", "weighted_code_family"])
-def test_batch_counts_in_the_dtypes_of_its_largest_weight(code_count_batches, make_family,
-                                                          dtypes):
+def test_batch_counts_in_the_dtypes_of_its_largest_weight(make_family, dtypes):
     # the largest total weight of a batch sets its dtypes: int64 while it
     # fits, and for the shifted counts while it times 2^n fits
     rng = random.Random(9)
@@ -381,15 +430,13 @@ def test_batch_counts_in_the_dtypes_of_its_largest_weight(code_count_batches, ma
     ordinary = [CodeFamily([random_code(n, t, rng) for t in (1, 2, n - 1)], [1, 2, 3])
                 for _ in range(3)]
     stream = ordinary[:2] + [family] + ordinary[2:]
-    for f in universality._counted(stream):
-        assert (f._counts.plain.dtype, f._counts.dual.dtype) == dtypes
-    assert code_count_batches == [stream]
-    for f in stream:
+    for f, counts in zip(stream, universality._code_counts(stream)):
+        assert (counts.plain.dtype, counts.dual.dtype) == dtypes
         alone = CodeFamily(f.codes, f.weights)
         for side in ("plain", "dual"):
-            assert getattr(f._counts, side).tolist() == getattr(_count(alone), side).tolist()
-        assert f._counts.plain.tolist() == oracle_membership_counts(f)
-        assert f._counts.dual.tolist() == oracle_membership_counts(f.dual())
+            assert getattr(counts, side).tolist() == getattr(_count(alone), side).tolist()
+        assert counts.plain.tolist() == oracle_membership_counts(f)
+        assert counts.dual.tolist() == oracle_membership_counts(f.dual())
 
 
 @pytest.mark.parametrize("call", [
