@@ -47,7 +47,7 @@ from .universality import (
 __all__ = ["main"]
 
 HASH_KINDS = {"toeplitz", "modified-toeplitz", "random-linear"}
-GRID_POINT_CAP = 10_000  # points in one "a:b:step" sweep grid
+GRID_POINT_CAP = 10_000  # points in one sweep grid, range or comma list
 APPROACHES = (
     "phase_sum", "phase_iid", "phase_deterministic",
     "delta_biased_d1", "delta_biased_chi_b", "delta_biased_chi_c",
@@ -120,8 +120,9 @@ def _emit(args, payload, records=None):
 def _parse_grid(text: str) -> list[float]:
     """Either a comma list "1,2,3" or an inclusive range "a:b:step".
 
-    A range needs finite ends a <= b and a finite step > 0, and may hold at
-    most GRID_POINT_CAP points, checked before any point is built.
+    A range needs finite ends a <= b and a finite step > 0.  Either form
+    may hold at most GRID_POINT_CAP points, checked before any point is
+    built.
     """
     if ":" in text:
         a, b, step = (float(x) for x in text.split(":"))
@@ -142,7 +143,10 @@ def _parse_grid(text: str) -> list[float]:
             vals.append(v)
             i += 1
         return vals
-    return [float(x) for x in text.split(",")]
+    points = text.split(",")
+    if len(points) > GRID_POINT_CAP:
+        raise ValueError(f"grid has {len(points)} points, more than {GRID_POINT_CAP} points")
+    return [float(x) for x in points]
 
 
 def _fraction(text: str) -> Fraction:

@@ -31,6 +31,7 @@ from .gf2 import (
     kernel,
     rank,
     span,
+    syndromes,
     walsh_hadamard,
 )
 from .hashfam import HashFamily, HashFamilySpec, kernel_code, toeplitz_rows
@@ -530,27 +531,20 @@ def _check_convention(convention: str) -> str:
     return convention
 
 
-def _report(counts: _Counts, side: str, convention: str, candidates=None,
-            base: int | None = None) -> UniversalityReport:
-    """Report one side ("plain" or "dual") of a family's counts: the first
-    candidate x (in scan order; by default every x != 0) of greatest count,
-    with ε = Pr[x] 2^(base - t), base defaulting to n.  No candidate (a
-    vacuous inequality) gives x = 0 and ε = 0.  ``convention`` is checked
-    and names the family's convention; the dual family's dimensions are
-    n - t of the family's, so it is swapped on the dual side (a minimum
+def _report(counts: _Counts, side: str, convention: str) -> UniversalityReport:
+    """Report one side ("plain" or "dual") of a family's counts: the first x
+    != 0 of greatest count, with ε = Pr[x] 2^(n - t).  ``convention`` is
+    checked and names the family's convention; the dual family's dimensions
+    are n - t of the family's, so it is swapped on the dual side (a minimum
     dimension t corresponds to a dual maximum dimension n - t)."""
     n, values = counts.n, getattr(counts, side)
     dims = (counts.t_min, counts.t_max)
     if side == "dual":
         dims, convention = (n - dims[1], n - dims[0]), _SWAP[convention]
-    if candidates is None:
-        worst_x = int(np.argmax(values[1:])) + 1
-    else:
-        worst_x = max(candidates, key=values.__getitem__, default=0)
-    max_prob = Fraction(int(values[worst_x]) if worst_x else 0, counts.total_weight)
+    worst_x = int(np.argmax(values[1:])) + 1
+    max_prob = Fraction(int(values[worst_x]), counts.total_weight)
     t = dims[0] if convention == "min_dim" else dims[1]
-    eps = max_prob * (1 << ((n if base is None else base) - t))
-    return UniversalityReport(eps, convention, *dims, n, worst_x, max_prob)
+    return UniversalityReport(max_prob * (1 << (n - t)), convention, *dims, n, worst_x, max_prob)
 
 
 def epsilon_universal(family, convention: str = "min_dim") -> UniversalityReport:
@@ -583,9 +577,6 @@ def epsilon_reports(
     return _report(counts, "plain", convention), _report(counts, "dual", convention)
 
 
-_DUAL_VARIANT = {"subcode": "extended", "extended": "subcode", "pair": "pair"}
-
-
 def epsilon_pair(
     family: CodePairFamily, variant: str, convention: str = "min_dim"
 ) -> UniversalityReport:
@@ -597,66 +588,75 @@ def epsilon_pair(
       Pr[x ∈ C_r] ≤ 2^(t-n) ε with t from the outer dims.
     pair: over x ≠ 0, Pr[x ∈ outer_r \\ inner_r] ≤ 2^(t-n) ε.
     Dual variants measure the corresponding variant on the dual pairs
-    (outer_r^⊥, inner_r^⊥), counted from the primal members without
-    building their duals.
+    (outer_r^⊥, inner_r^⊥).  Subcode and extended count one plain family:
+    the members in C1's coordinates (bits at C1's pivots) in F_2^m, or
+    {Q C_r} in F_2^(n-m), Q the canonical basis of C1^⊥.  The worst x is
+    the first over C1's (C1^⊥'s) codewords in ``codewords()`` order on the
+    side over that code, else ascending; no x to bound gives x = 0, ε = 0.
     """
     primal = variant.removesuffix("_dual")
-    if primal not in _DUAL_VARIANT:
+    if primal not in ("subcode", "extended", "pair"):
         raise ValueError(f"unknown variant: {variant}")
     convention = _check_convention(convention)
     side = "plain" if primal == variant else "dual"
-    inners = CodeFamily([inner for inner, _ in family.pairs], family.weights)
-    outers = family.outers()
-    if side == "dual":
-        # the dual pairs are (outer^⊥, inner^⊥): inner and outer trade places
-        variant = _DUAL_VARIANT[primal]
-        inners, outers = outers, inners
-
-    def fixed(codes: CodeFamily) -> LinearCode:
-        return dual(codes.codes[0]) if side == "dual" else codes.codes[0]
-
-    if variant == "subcode":
-        if len(outers) > 1:
-            raise ValueError("subcode variant needs a fixed outer code")
-        c1 = fixed(outers)
-        return _report(_count(inners), side, convention,
-                       (x for x in c1.codewords() if x), c1.dim)
-    if variant == "extended":
-        if len(inners) > 1:
-            raise ValueError("extended variant needs a fixed inner code")
-        c1 = fixed(inners)
-        return _report(_count(outers), side, convention,
-                       (x for x in range(1, 1 << family.n) if not c1.contains(x)))
-    # inner ⊆ outer, so Pr[x ∈ outer \ inner] = Pr[x ∈ outer] - Pr[x ∈ inner]
-    outer, inner = _count(outers), _count(inners)
-    return _report(replace(outer, plain=outer.plain - inner.plain,
-                           dual=outer.dual - inner.dual), side, convention)
+    if primal == "pair":
+        # inner ⊆ outer, so Pr[x ∈ outer \ inner] = Pr[x ∈ outer] - Pr[x ∈ inner];
+        # the dual pairs (outer^⊥, inner^⊥) trade places
+        outer, inner = (_count(CodeFamily([pair[i] for pair in family.pairs], family.weights))
+                        for i in ((1, 0) if side == "plain" else (0, 1)))
+        return _report(replace(outer, plain=outer.plain - inner.plain,
+                               dual=outer.dual - inner.dual), side, convention)
+    within = primal == "subcode"  # members within C1 = pair[1], else containing C1 = pair[0]
+    c1, *others = {pair[within] for pair in family.pairs}
+    if others:
+        raise ValueError(f"{primal} variant needs a fixed {'outer' if within else 'inner'} code")
+    _check_ambient(n := family.n)
+    f = c1 if within else dual(c1)
+    k, over_f = f.dim, within == (side == "plain")
+    shift = 0 if over_f else n - k  # dim F^⊥, which the side's members contain
+    if not k:
+        return UniversalityReport(Fraction(0), convention if side == "plain" else _SWAP[convention],
+                                  shift, shift, n, 0, Fraction(0))
+    onto = BinaryMatrix([1 << (r.bit_length() - 1) for r in f.basis] if within else f.basis, n)
+    reduced = [LinearCode.from_rows(k, map(onto.mul_vector, pair[not within].basis))
+               for pair in family.pairs]
+    counts = _count(CodeFamily(reduced, family.weights))
+    rep = _report(counts, side, convention)
+    if over_f:  # F's codewords in codewords() (Gray) order, and their coordinates
+        i = np.arange(1 << k)
+        words, labels = span(np.array([f.basis, LinearCode.full(k).basis]))[:, i ^ (i >> 1)]
+    else:
+        words, labels = np.arange(1 << n), syndromes(f.basis, n)
+    scan = np.where(labels != 0, getattr(counts, side)[labels], -1)
+    return replace(rep, n=n, t_min=rep.t_min + shift, t_max=rep.t_max + shift,
+                   worst_x=int(words[np.argmax(scan)]))
 
 
 def duality_bound(epsilon, t: int, n: int, m: int | None = None, variant: str = "plain") -> Fraction:
     """Upper bound on Pr[x ∈ C_r^⊥] implied by an ε-almost universal family.
 
-    plain: family of minimum dimension t in F_2^n.
-    subcode: subcode family of a fixed code of dimension m, minimum dim t ≤ m.
-    extended: extended family of a fixed code of dimension m, minimum dim
-    t ≥ m; bound applies to the dual subcode family.
+    plain: family of minimum dimension t in F_2^n, 1 ≤ t ≤ n.
+    subcode: subcode family of a fixed code of dimension m, 1 ≤ t ≤ m ≤ n;
+    the plain bound at (t, m).  extended: extended family of a fixed code of
+    dimension m, 0 ≤ m < t ≤ n, bounding the dual subcode family; the plain
+    bound at (t - m, n - m).
     """
+    if variant == "subcode":
+        if m is None or not 1 <= t <= m <= n:
+            raise ValueError("subcode variant needs 1 <= t <= m <= n")
+        n = m
+    elif variant == "extended":
+        if m is None or not 0 <= m < t <= n:
+            raise ValueError("extended variant needs 0 <= m < t <= n")
+        t, n = t - m, n - m
+    elif variant != "plain":
+        raise ValueError(f"unknown variant: {variant}")
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    if variant == "plain":
-        if not 1 <= t <= n:
-            raise ValueError("need 1 <= t <= n")
-        return (1 - Fraction(epsilon, 1 << (n - t))) * Fraction(2, 1 << t) + epsilon - 1
-    if variant == "subcode":
-        if m is None or t > m:
-            raise ValueError("subcode variant needs t <= m")
-        return (1 - Fraction(epsilon, 1 << (m - t))) * Fraction(2, 1 << t) + epsilon - 1
-    if variant == "extended":
-        if m is None or not m <= t <= n:
-            raise ValueError("extended variant needs m <= t <= n")
-        return (1 - Fraction(epsilon, 1 << (n - t))) * Fraction(1 << (m + 1), 1 << t) + epsilon - 1
-    raise ValueError(f"unknown variant: {variant}")
+    if not 1 <= t <= n:
+        raise ValueError("need 1 <= t <= n")
+    return (1 - Fraction(epsilon, 1 << (n - t))) * Fraction(2, 1 << t) + epsilon - 1
 
 
 def epsilon_floor(t: int, n: int) -> Fraction:

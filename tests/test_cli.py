@@ -478,6 +478,19 @@ def test_grid_point_cap_boundary():
     assert _parse_grid("5:5:1") == [5.0]
 
 
+def test_sweep_caps_a_comma_grid_before_evaluating_a_point(capsys, monkeypatch):
+    def evaluated(args):
+        raise AssertionError("a grid point was evaluated before the cap was checked")
+
+    monkeypatch.setattr("dualhash.cli._bound_record", evaluated)
+    grid = ",".join(str(n) for n in range(10, 11 + GRID_POINT_CAP))
+    code, out, err = run(capsys, "sweep", "ratio", "--n-grid", grid)
+    assert code == 2
+    assert out == ""
+    assert f"grid has {GRID_POINT_CAP + 1} points, more than {GRID_POINT_CAP} points" in err
+    assert len(_parse_grid(",".join(["10"] * GRID_POINT_CAP))) == GRID_POINT_CAP
+
+
 def test_simulate_wiretap(tmp_path, capsys):
     chan = tmp_path / "chan.txt"
     chan.write_text("0.9 0 0.1 0\n" * 3)

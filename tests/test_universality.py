@@ -683,6 +683,85 @@ def test_pair_variants_on_fixed_inner():
     assert dual_rep.epsilon == swapped.epsilon
 
 
+def test_pair_duality_bounds_hold_on_random_nested_families():
+    # Pr[x ∈ C_r^⊥] over the dual variant's x is at most the variant's bound
+    # at the primal ε, on subcode families of a random C1 drawn with
+    # subspaces_of and extended families drawn with random_extension
+    rng = random.Random(1)
+    drawn, equal = {"subcode": 0, "extended": 0}, 0
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        variant = rng.choice(("subcode", "extended"))
+        if variant == "subcode":
+            m = rng.randint(1, min(n, 6))  # at most [6, 3]_2 = 1395 subspaces
+            c1, t = random_code(n, m, rng), rng.randint(1, m)
+            subs = list(subspaces_of(c1, t))
+            pairs = [(rng.choice(subs), c1) for _ in range(rng.randint(1, 6))]
+        else:
+            m = rng.randint(0, n - 1)
+            c1, t = random_code(n, m, rng), rng.randint(m + 1, n)
+            pairs = [(c1, random_extension(c1, t, rng)) for _ in range(rng.randint(1, 6))]
+        fam = CodePairFamily(pairs, [rng.randint(1, 3) for _ in pairs])
+        bound = duality_bound(epsilon_pair(fam, variant).epsilon, t, n, m, variant)
+        prob = epsilon_pair(fam, variant + "_dual").max_prob
+        assert prob <= bound, (variant, n, m, t, pairs)
+        drawn[variant] += 1
+        equal += prob == bound
+    assert min(drawn.values()) > 100
+    assert equal > 0  # the bound is met, not only respected
+
+
+def test_pair_duality_bounds_are_the_plain_bound_at_reduced_arguments():
+    # the closed forms each variant had before it called the plain formula
+    def subcode(eps, t, m):
+        return (1 - Fraction(eps, 1 << (m - t))) * Fraction(2, 1 << t) + eps - 1
+
+    def extended(eps, t, n, m):
+        return (1 - Fraction(eps, 1 << (n - t))) * Fraction(1 << (m + 1), 1 << t) + eps - 1
+
+    for n in range(1, 8):
+        for eps in (0, Fraction(1, 3), 1, Fraction(3, 2), 5):
+            for m in range(n + 1):
+                for t in range(1, m + 1):
+                    got = duality_bound(eps, t, n, m, "subcode")
+                    assert got == subcode(eps, t, m) == duality_bound(eps, t, m)
+                for t in range(m + 1, n + 1):
+                    got = duality_bound(eps, t, n, m, "extended")
+                    assert got == extended(eps, t, n, m) == duality_bound(eps, t - m, n - m)
+
+
+@pytest.mark.parametrize("t, n, m, variant, message", [
+    (2, 4, 5, "subcode", "subcode variant needs 1 <= t <= m <= n"),  # m > n
+    (0, 4, 3, "subcode", "subcode variant needs 1 <= t <= m <= n"),  # t = 0
+    (3, 6, 3, "extended", "extended variant needs 0 <= m < t <= n"),  # t = m
+], ids=["subcode_m_above_n", "subcode_t_zero", "extended_t_equal_m"])
+def test_duality_bound_refuses_pair_arguments_outside_the_reduced_range(t, n, m, variant,
+                                                                         message):
+    # each was evaluated before; the plain formula refuses it at the
+    # reduced arguments, and the variant refuses it before any arithmetic
+    with pytest.raises(ValueError, match=message):
+        duality_bound(1, t, n, m, variant)
+
+
+def test_pair_variants_scan_no_word_in_python(monkeypatch):
+    rng = random.Random(3)
+    n, c1 = 10, random_code(10, 5, rng)
+    subs = list(subspaces_of(c1, 2))
+    families = {
+        "subcode": CodePairFamily([(rng.choice(subs), c1) for _ in range(4)]),
+        "extended": CodePairFamily([(c1, random_extension(c1, 7, rng)) for _ in range(4)]),
+        "pair": CodePairFamily([(LinearCode.zero(n), random_code(n, 3, rng)) for _ in range(4)]),
+    }
+    variants = [(kind, kind + suffix) for kind in families for suffix in ("", "_dual")]
+    expected = [epsilon_pair(families[kind], variant) for kind, variant in variants]
+
+    def refuse(*args):
+        raise AssertionError("membership tested word by word")
+
+    monkeypatch.setattr(LinearCode, "contains", refuse)
+    assert [epsilon_pair(families[kind], variant) for kind, variant in variants] == expected
+
+
 def test_pair_family_validation():
     c1 = LinearCode.full(4)
     c2 = LinearCode.repetition(4)
