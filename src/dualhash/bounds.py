@@ -321,6 +321,17 @@ def _binomial_window_terms(n: int, S: float, p_ph: float) -> list[float]:
     return terms
 
 
+def _phase_sum_window_bound(n: int, p_ph) -> int:
+    """Most terms one phase_sum point walks: 1 when p_ph is 0 or 1, else
+    2 sqrt(550 n ln 2) + 3.  log2 binom(n, k) has curvature at most
+    -4/(n ln 2), and the linear part and the concave S penalty add none,
+    so a term d away from the peak lies at least 2 d^2 / (n ln 2) below
+    it: past d = sqrt(550 n ln 2) that is more than _NEGLIGIBLE_LOG2."""
+    if p_ph in (0, 1):
+        return 1
+    return int(2 * math.sqrt(_NEGLIGIBLE_LOG2 / 2 * max(n, 0) * math.log(2))) + 3
+
+
 def _phase_sum_log2(n: int, S: float, epsilon: float, p_ph: float) -> float:
     """log2 of ε Σ_k W(k) 2^(-n[S-h(min(k/n,1/2))]_+), W the binomial(n,
     p_ph) weights.

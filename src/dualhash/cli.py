@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import acceptance
 from .bounds import (
+    _phase_sum_window_bound,
     approach_ratio,
     gallager_family_bound,
     qkd_bounds,
@@ -48,6 +49,7 @@ __all__ = ["main"]
 
 HASH_KINDS = {"toeplitz", "modified-toeplitz", "random-linear"}
 GRID_POINT_CAP = 10_000  # points in one sweep grid, range or comma list
+SWEEP_TERM_CAP = 10**7  # phase_sum terms one sweep may walk, summed over its points
 APPROACHES = (
     "phase_sum", "phase_iid", "phase_deterministic",
     "delta_biased_d1", "delta_biased_chi_b", "delta_biased_chi_c",
@@ -282,11 +284,18 @@ def _block_length(v: float) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    """One `bounds` record per grid point, with R or n taken from the grid."""
+    """One `bounds` record per grid point, with R or n taken from the grid.
+    A phase_sum sweep whose points may walk more than SWEEP_TERM_CAP terms
+    in all is refused before any point is evaluated."""
     if args.topic == "reliability":
         points = [{"R": rate} for rate in _parse_grid(args.r_grid)]
     else:
         points = [{"n": _block_length(n)} for n in _parse_grid(args.n_grid)]
+        if args.topic == "qkd" and args.approach == "phase_sum":
+            terms = sum(_phase_sum_window_bound(point["n"], args.p_ph) for point in points)
+            if terms > SWEEP_TERM_CAP:
+                raise ValueError(f"phase_sum sweep may walk {terms} terms, "
+                                 f"more than {SWEEP_TERM_CAP}")
     records = [
         _bound_record(argparse.Namespace(**{**vars(args), **point}))
         for point in points

@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, groupby
 from math import comb
-from operator import itemgetter
 
 import numpy as np
 
@@ -337,24 +336,30 @@ def _other_side(shifted: np.ndarray, n: int) -> np.ndarray:
 
 def _span_counts(blocks, n: int, families: int, total: int):
     """Count one side of families of one length n from the blocks of
-    their spans on that side (``_span_blocks``), stacked one row of 2^n
-    per family, and give the other side; returns (counted, other).
+    their spans on that side (``_span_blocks``, ``_toeplitz_blocks``),
+    stacked one row of 2^n per family, and give the other side; returns
+    (counted, other).
 
-    Each run of blocks of one dimension adds its weights at its words into
-    one count, added to the counted side and, shifted left by n - dim, to
-    the shifted counts, which one ``_other_side`` turns into the other
-    side.  The dtypes follow ``total``, the largest total weight.
+    A block is (dim, weight, words): each row of words holds the 2^r XOR
+    combinations of r rows that span a code of dimension dim, so each word
+    of that code 2^(r - dim) times (once for a basis).  Each run of blocks
+    of one dimension and width adds its weights at its words into one
+    count, shifted right by r - dim and added to the counted side and,
+    shifted left by n - dim, to the shifted counts, which one
+    ``_other_side`` turns into the other side.  The dtypes follow
+    ``total``, the largest total weight.
     """
     _check_ambient(n)
     dtype, wide = _dtypes(total, n)
     size = families << n
     counted, shifted = np.zeros(size, dtype=dtype), np.zeros(size, dtype=wide)
     count = np.empty(size, dtype=dtype)
-    for dim, run in groupby(blocks, key=itemgetter(0)):
+    for (dim, width), run in groupby(blocks, key=lambda b: (b[0], b[2].shape[-1])):
         count.fill(0)
         # in place on the int32 words; np.bincount would copy them to intp
         for _, w, words in run:
             np.add.at(count, words, w)
+        count >>= width.bit_length() - 1 - dim
         counted += count
         shifted += count.astype(wide, copy=False) << (n - dim)
     rows = (families, 1 << n)
@@ -420,106 +425,77 @@ def _parity_batches(families):
     yield from count(pending)
 
 
-def _toeplitz_counts(hf: HashFamily, dtype) -> dict:
-    """Dual membership counts of the plain-Toeplitz family by member rank,
-    from the row combinations of all its members; no member, kernel or
-    code is built.
+def _toeplitz_blocks(hf: HashFamily):
+    """``_span_counts`` blocks of the plain-Toeplitz family's dual side:
+    the 2^m XOR combinations of each member's rows, which span its dual
+    code; no member, kernel or code is built.
 
-    The 2^m XOR combinations of member r's rows are its dual code (its row
-    space), each word z = 2^(m - rank) times, z the number of zero
-    combinations.  So the members with z zero combinations add the count
-    of their words divided by z (exact: each adds z at each of its words)
-    under rank m - log2 z.  The index range is walked in chunks of at most
-    COUNT_BLOCK_WORDS words.
+    A member with z zero combinations has rank m - log2 z, so each chunk
+    of members is split by z.  The index range is walked in chunks of at
+    most COUNT_BLOCK_WORDS words.
     """
     n, m, total = hf.n, hf.m, hf.index_space
-    by_rank = {}
     per_chunk = max(1, COUNT_BLOCK_WORDS >> m)
     for start in range(0, total, per_chunk):
         words = span(toeplitz_rows(n, m, np.arange(start, min(start + per_chunk, total))))
         zeros = (words == 0).sum(axis=1)
         for z in np.unique(zeros).tolist():
-            rank = m + 1 - z.bit_length()
-            if rank not in by_rank:
-                by_rank[rank] = np.zeros(1 << n, dtype=dtype)
-            by_rank[rank] += np.bincount(words[zeros == z].ravel(), minlength=1 << n) // z
-    return by_rank
+            yield m + 1 - z.bit_length(), 1, words[zeros == z]
 
 
-def _modified_toeplitz_counts(hf: HashFamily, dtype) -> dict:
-    """Plain membership counts of the modified-Toeplitz family (T_r | I), r
-    over its n - 1 diagonal bits, under its one member dimension n - m; no
-    member is built.
+def _modified_toeplitz_counts(hf: HashFamily) -> _Counts:
+    """Counts of the modified-Toeplitz family (T_r | I), r over its n - 1
+    diagonal bits, from its plain side under its one member dimension
+    n - m; no member is built, and the ambient cap is checked before any
+    array is.
 
     Write x = (u, v), u the top k = n - m bits.  x is in ker(T_r | I) iff
     T_r u = v, and T_r u = A_u r, A_u the m x (n-1) Toeplitz matrix of
-    diagonal word u << (m - 1).  So counts[x] is 2^(n-1-rank A_u) if v is
+    diagonal word u << (m - 1).  So plain[x] is 2^(n-1-rank A_u) if v is
     orthogonal to the left kernel L_u of A_u, else 0.  L_u is the zero
     combinations of A_u's rows (reversed, so combination bit j pairs with
     bit j of v), and the Walsh transform of its indicator is
     |L_u| [v in L_u^perp], |L_u| = 2^(m - rank A_u); times 2^(k-1) that is
-    counts[u].  A_u's rows have n - 1 < 31 bits under AMBIENT_CAP, so the
-    combinations are int32.  sum_x counts[x] = 2^(n-1) 2^(n-m) checks the
-    span and transform.
+    plain[u].  A_u's rows have n - 1 < 31 bits under AMBIENT_CAP, so the
+    combinations are int32.  sum_x plain[x] = 2^(n-1) 2^(n-m) checks the
+    span and transform.  The plain side shifted left by n - k = m gives the
+    dual side (``_other_side``).
     """
-    n, m = hf.n, hf.m
+    n, m, total = hf.n, hf.m, hf.index_space
+    _check_ambient(n)
     k = n - m
+    dtype, wide = _dtypes(total, n)
     rows = toeplitz_rows(n - 1, m, np.arange(1 << k) << (m - 1))
     counts = (span(rows[:, ::-1].astype(np.int32)) == 0).astype(dtype)
     walsh_hadamard(counts)
     counts <<= k - 1
     if int(counts.sum()) != 1 << (n - 1 + k):
         raise ArithmeticError(f"modified_toeplitz({n}, {m}) counts do not sum to 2^(n-1) 2^(n-m)")
-    return {k: counts.ravel()}
+    counts = counts.ravel()
+    return _Counts(n, total, k, k, counts, _other_side(counts.astype(wide) << m, n))
 
 
 def _count(family) -> _Counts:
     """Count a CodeFamily or HashFamily once, for both sides.
 
     A CodeFamily keeps its counts (``CodeFamily._counts``), so however many
-    reports read one family, it is counted once.
+    reports read one family, it is counted once.  The family of all linear
+    maps is counted as its weighted kernel family, and a plain-Toeplitz one
+    from its members' row combinations on the dual side, of ranks 0 (index
+    0, the zero matrix) to m (the word of bit m - 1 alone, (I_m | 0)).  The
+    caps are checked before any array is built.
     """
-    if isinstance(family, HashFamily):
-        if family.spec.kind == "random_linear":
-            family = CodeFamily.from_hash_family(family)
-        elif family.spec.kind == "toeplitz" and family.index_space > FAMILY_MEMBER_CAP:
-            raise EnumerationCapError(
-                f"family of {family.index_space} members exceeds cap {FAMILY_MEMBER_CAP}"
-            )
-    return family._counts if isinstance(family, CodeFamily) else _count_sides(family)
-
-
-def _count_sides(family: HashFamily) -> _Counts:
-    """Count a Toeplitz-kind HashFamily for both sides.
-
-    Each counter counts one side directly, as one count per code dimension
-    on that side: a plain-Toeplitz family its dual side from its members'
-    row combinations (``_toeplitz_counts``), a modified-Toeplitz one its
-    plain side from one matrix per input prefix
-    (``_modified_toeplitz_counts``).  As for a CodeFamily
-    (``_code_counts``), the sum of each dimension's count shifted left by
-    n - dim gives the other side (``_other_side``), and the dtypes follow
-    the total weight (``_dtypes``).  ``_count`` counts the family of all
-    linear maps as its weighted kernel family.  The caps are checked before
-    any array is built.
-    """
-    n = family.n
-    _check_ambient(n)
-    side, counter = (("dual", _toeplitz_counts) if family.spec.kind == "toeplitz"
-                     else ("plain", _modified_toeplitz_counts))
-    total = family.index_space
-    dtype, wide = _dtypes(total, n)
-    by_dim = counter(family, dtype)
-    (dim, counted), *rest = by_dim.items()
-    other = counted.astype(wide, copy=False) << (n - dim)
-    for dim, count in rest:
-        counted += count
-        other += count.astype(wide, copy=False) << (n - dim)
-    _other_side(other, n)
-    if side == "plain":
-        return _Counts(n, total, min(by_dim), max(by_dim), counted, other)
-    # member dimensions are n minus the dual side's
-    return _Counts(n, total, n - max(by_dim), n - min(by_dim), other, counted)
+    if isinstance(family, CodeFamily):
+        return family._counts
+    if family.spec.kind == "random_linear":
+        return CodeFamily.from_hash_family(family)._counts
+    if family.spec.kind == "modified_toeplitz":
+        return _modified_toeplitz_counts(family)
+    n, m, total = family.n, family.m, family.index_space
+    if total > FAMILY_MEMBER_CAP:
+        raise EnumerationCapError(f"family of {total} members exceeds cap {FAMILY_MEMBER_CAP}")
+    dual, plain = _span_counts(_toeplitz_blocks(family), n, 1, total)
+    return _Counts(n, total, n - m, n, plain[0], dual[0])
 
 
 _SWAP = {"min_dim": "max_dim", "max_dim": "min_dim"}
@@ -602,8 +578,8 @@ def epsilon_pair(
     if primal == "pair":
         # inner ⊆ outer, so Pr[x ∈ outer \ inner] = Pr[x ∈ outer] - Pr[x ∈ inner];
         # the dual pairs (outer^⊥, inner^⊥) trade places
-        outer, inner = (_count(CodeFamily([pair[i] for pair in family.pairs], family.weights))
-                        for i in ((1, 0) if side == "plain" else (0, 1)))
+        outer, inner = _code_counts([CodeFamily([pair[i] for pair in family.pairs], family.weights)
+                                     for i in ((1, 0) if side == "plain" else (0, 1))])
         return _report(replace(outer, plain=outer.plain - inner.plain,
                                dual=outer.dual - inner.dual), side, convention)
     within = primal == "subcode"  # members within C1 = pair[1], else containing C1 = pair[0]
@@ -824,6 +800,8 @@ def random_extension(base: LinearCode, t: int, rng: random.Random) -> LinearCode
     if not d2 <= t <= base.n:
         raise ValueError("need dim(base) <= t <= n")
     q = base.n - d2
+    if not q:
+        return base
     comp = complement_basis(LinearCode.full(base.n), base)
     sub = random_code(q, t - d2, rng)
     lifted = []

@@ -15,6 +15,7 @@ from dualhash.bounds import (
     _binomial_window_terms,
     _log2_binom,
     _phase_sum_log2,
+    _phase_sum_window_bound,
     _refine,
     _type_exponent,
     approach_ratio,
@@ -186,6 +187,27 @@ def test_phase_sum_window_equals_full_sum(n, S, epsilon, p_ph):
 def test_phase_sum_window_is_short():
     # 1902 of the 10^6 + 1 terms lie within 1100 of the largest
     assert len(_binomial_window_terms(10**6, 0.4, 0.05)) < 2000
+
+
+@given(st.integers(1, 20000), st.floats(0.0, 1.0), phase_probabilities)
+@example(20000, 0.0, 0.5)
+@example(1527, 0.2, 0.5)
+@settings(max_examples=60, deadline=None)
+def test_phase_sum_window_bound_holds(n, S, p_ph):
+    assert len(_binomial_window_terms(n, S, p_ph)) <= _phase_sum_window_bound(n, p_ph)
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+@pytest.mark.parametrize("S", [0.0, 0.2, 1.0])
+def test_phase_sum_window_bound_is_tight_at_one_half(n, S):
+    # log2 binom's curvature is at its least negative at k = n/2, which is
+    # where p_ph = 1/2 puts the peak while S <= 1/2 flattens the penalty:
+    # 39,045 terms against a bound of 39,053 at n = 10^6
+    walked, bound = len(_binomial_window_terms(n, S, 0.5)), _phase_sum_window_bound(n, 0.5)
+    assert walked <= bound
+    if S <= 0.5:
+        assert walked > 0.998 * bound
+    assert _phase_sum_window_bound(n, 0.0) == _phase_sum_window_bound(n, 1.0) == 1
 
 
 def test_phase_sum_block_length_cap_boundary(monkeypatch):

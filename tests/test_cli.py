@@ -9,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from dualhash.cli import APPROACHES, GRID_POINT_CAP, _parse_grid, build_parser, main
+from dualhash.cli import (
+    APPROACHES,
+    GRID_POINT_CAP,
+    SWEEP_TERM_CAP,
+    _parse_grid,
+    build_parser,
+    main,
+)
 from dualhash.gf2 import LinearCode, format_code
 from dualhash.hashfam import HashFamily, HashFamilySpec
 
@@ -436,6 +443,42 @@ def test_phase_sum_refuses_oversized_block_length_before_walking(capsys, monkeyp
         assert code == 2
         assert out == ""
         assert "exceeds phase_sum block length cap 1000000000" in err
+
+
+def test_phase_sum_sweep_refuses_its_summed_window_before_walking(capsys, monkeypatch):
+    # 10,000 points at n near 10^9 walk about 1.2M terms each: some 8 hours
+    def no_walk(*args):
+        raise AssertionError("k-window walked")
+
+    monkeypatch.setattr("dualhash.bounds._binomial_window_terms", no_walk)
+    code, out, err = run(capsys, *shlex.split(
+        "sweep qkd --n-grid 999990001:1000000000:1 --approach phase_sum -S 0.2 --p-ph 0.5"))
+    assert code == 2
+    assert out == ""
+    assert f"more than {SWEEP_TERM_CAP}" in err
+
+
+def test_phase_sum_sweep_term_cap_boundary(capsys, monkeypatch):
+    evaluated = []
+
+    def record(args):
+        evaluated.append(args.n)
+        return {"n": args.n}
+
+    monkeypatch.setattr("dualhash.cli._bound_record", record)
+    # 8 points at 10^9 may walk 9,879,048 terms, 9 points 11,113,929
+    for points, admitted in ((8, True), (9, False)):
+        grid = ",".join(["1000000000"] * points)
+        code, out, err = run(capsys, "sweep", "qkd", "--n-grid", grid, "-S", "0.2",
+                             "--p-ph", "0.5")
+        assert (code, err == "") == ((0, True) if admitted else (2, False))
+    assert len(evaluated) == 8
+    # p_ph = 0 walks one term a point; other approaches walk none
+    for argv in ("--p-ph 0", "--approach phase_iid --p-ph 0.5"):
+        code, out, err = run(capsys, "sweep", "qkd", "--n-grid", "1:10000:1", "-S", "0.2",
+                             *argv.split())
+        assert code == 0
+    assert len(evaluated) == 8 + 2 * 10000
 
 
 @pytest.mark.parametrize("argv, message", [

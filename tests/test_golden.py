@@ -225,6 +225,93 @@ ANALYZE_TOEPLITZ_9_8_MAX = (
     "}\n"
 )
 
+# 2^15 square members, half of them rank-deficient: every rank 0..8 occurs
+ANALYZE_TOEPLITZ_8_8 = (
+    "{\n"
+    '  "convention": "min_dim",\n'
+    '  "dual_epsilon": "23663/32768",\n'
+    '  "dual_report": {\n'
+    '    "convention": "max_dim",\n'
+    '    "epsilon_den": 32768,\n'
+    '    "epsilon_num": 23663,\n'
+    '    "t_max": 8,\n'
+    '    "t_min": 0,\n'
+    '    "worst_x": "01111111"\n'
+    "  },\n"
+    '  "epsilon": "1",\n'
+    '  "kind": "toeplitz",\n'
+    '  "members": 32768,\n'
+    '  "n": 8,\n'
+    '  "report": {\n'
+    '    "convention": "min_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 8,\n'
+    '    "t_min": 0,\n'
+    '    "worst_x": "00000001"\n'
+    "  },\n"
+    '  "seed": null\n'
+    "}\n"
+)
+
+# the widest plain-Toeplitz table the caps admit: 2^16 rows of length 16
+ANALYZE_TOEPLITZ_16_1_MAX = (
+    "{\n"
+    '  "convention": "max_dim",\n'
+    '  "dual_epsilon": "1",\n'
+    '  "dual_report": {\n'
+    '    "convention": "min_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 1,\n'
+    '    "t_min": 0,\n'
+    '    "worst_x": "0000000000000001"\n'
+    "  },\n"
+    '  "epsilon": "1/2",\n'
+    '  "kind": "toeplitz",\n'
+    '  "members": 65536,\n'
+    '  "n": 16,\n'
+    '  "report": {\n'
+    '    "convention": "max_dim",\n'
+    '    "epsilon_den": 2,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 16,\n'
+    '    "t_min": 15,\n'
+    '    "worst_x": "0000000000000001"\n'
+    "  },\n"
+    '  "seed": null\n'
+    "}\n"
+)
+
+# the smallest family: the zero map and the identity on one bit
+ANALYZE_TOEPLITZ_1_1 = (
+    "{\n"
+    '  "convention": "min_dim",\n'
+    '  "dual_epsilon": "1/2",\n'
+    '  "dual_report": {\n'
+    '    "convention": "max_dim",\n'
+    '    "epsilon_den": 2,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 1,\n'
+    '    "t_min": 0,\n'
+    '    "worst_x": "1"\n'
+    "  },\n"
+    '  "epsilon": "1",\n'
+    '  "kind": "toeplitz",\n'
+    '  "members": 2,\n'
+    '  "n": 1,\n'
+    '  "report": {\n'
+    '    "convention": "min_dim",\n'
+    '    "epsilon_den": 1,\n'
+    '    "epsilon_num": 1,\n'
+    '    "t_max": 1,\n'
+    '    "t_min": 0,\n'
+    '    "worst_x": "1"\n'
+    "  },\n"
+    '  "seed": null\n'
+    "}\n"
+)
+
 ANALYZE_RANDOM_LINEAR_6_2_MAX = (
     "{\n"
     '  "convention": "max_dim",\n'
@@ -469,6 +556,9 @@ ANALYZE_MODIFIED_TOEPLITZ_20_19 = (
     ("analyze --kind counterexample -n 8", ANALYZE_COUNTEREXAMPLE),
     ("analyze --kind toeplitz -n 10 -m 3", ANALYZE_TOEPLITZ_10_3),
     ("analyze --kind toeplitz -n 9 -m 8 --convention max_dim", ANALYZE_TOEPLITZ_9_8_MAX),
+    ("analyze --kind toeplitz -n 8 -m 8", ANALYZE_TOEPLITZ_8_8),
+    ("analyze --kind toeplitz -n 16 -m 1 --convention max_dim", ANALYZE_TOEPLITZ_16_1_MAX),
+    ("analyze --kind toeplitz -n 1 -m 1", ANALYZE_TOEPLITZ_1_1),
     ("analyze --kind random-linear -n 6 -m 2 --convention max_dim",
      ANALYZE_RANDOM_LINEAR_6_2_MAX),
     ("analyze --kind tight -n 7 -t 3 --epsilon 3/2 -x 5", ANALYZE_TIGHT_X5),
@@ -485,7 +575,8 @@ ANALYZE_MODIFIED_TOEPLITZ_20_19 = (
 ], ids=["sweep_qkd", "analyze_modified_toeplitz", "analyze_modified_toeplitz_14_5",
         "analyze_modified_toeplitz_12_3_max_dim", "analyze_modified_toeplitz_20_1",
         "analyze_modified_toeplitz_20_19", "analyze_tight", "analyze_counterexample",
-        "analyze_toeplitz_10_3", "analyze_toeplitz_9_8_max_dim",
+        "analyze_toeplitz_10_3", "analyze_toeplitz_9_8_max_dim", "analyze_toeplitz_8_8",
+        "analyze_toeplitz_16_1_max_dim", "analyze_toeplitz_1_1",
         "analyze_random_linear_6_2_max_dim", "analyze_tight_x5",
         "analyze_random_linear_6_2", "simulate_counterexample_7",
         "simulate_family_average_mc", "simulate_family_average_exact", "bounds_gallager",

@@ -372,6 +372,45 @@ def test_parity_rows_counted_on_the_dual_side_match_their_kernel_families(monkey
         epsilon_reports(CodeFamily([LinearCode(universality.AMBIENT_CAP + 1, ())]))
 
 
+def test_span_counts_of_rank_deficient_rows_match_their_row_spaces():
+    """Blocks of r rows of rank below r (zero rows, repeated rows, random
+    rows): the counted side equals the weighted member-by-member counts of
+    the row spaces, and the other side those of their duals.  One stream
+    holds a rank at two block widths back to back, which one shift per
+    run of a single width keeps apart."""
+    rng = random.Random(5)
+    n = 5
+
+    def member_rows(kind):
+        r = rng.randrange(1, 5)
+        if kind == "zero":
+            return (0,) * r
+        if kind == "repeat":
+            row = rng.randrange(1, 1 << n)
+            return (row, row) + tuple(rng.randrange(1 << n) for _ in range(r - 1))
+        return tuple(rng.randrange(1 << n) for _ in range(r))
+
+    streams = [[[member_rows(kind) for _ in range(rng.randrange(1, 4))]
+                for kind in kinds] for kinds in (("zero",) * 3, ("repeat",) * 4,
+                                                   ("random",) * 6, ("zero", "repeat", "random"))]
+    # rank 2 from two rows, then from three: two widths of one rank, back to back
+    streams.append([[(0b00011, 0b00110)], [(0b10000, 0b01000, 0b11000)], [(0b00001, 0b00001, 0b00010)]])
+    for groups in streams:
+        # one family per group, each member its own block: consecutive
+        # blocks of one rank and row count form one run
+        weights = [[rng.randrange(1, 4) for _ in members] for members in groups]
+        blocks = ((gf2.rank(rows), w, gf2.span(np.array([rows])) + (k << n))
+                  for k, (members, ws) in enumerate(zip(groups, weights))
+                  for rows, w in zip(members, ws))
+        counted, other = universality._span_counts(blocks, n, len(groups), 16)
+        for k, (members, ws) in enumerate(zip(groups, weights)):
+            spaces = CodeFamily([LinearCode.from_rows(n, rows) for rows in members], ws)
+            assert counted[k].tolist() == oracle_membership_counts(spaces)
+            assert other[k].tolist() == oracle_membership_counts(spaces.dual())
+    keys = [(gf2.rank(rows), len(rows)) for members in streams[-1] for rows in members]
+    assert keys == [(2, 2), (2, 3), (2, 3)]
+
+
 def test_random_rows_and_random_code_draw_one_stream():
     """The same code, from the draws of the kernel loop that random_code
     ran before it read rows, with the rng left in the same state; rejected
@@ -408,6 +447,38 @@ def test_random_rows_and_random_code_draw_one_stream():
                 if t == n:
                     assert rows == () and rngs[0].draws == 0
     assert 0 in rejected and len(rejected) > 2
+
+
+def test_random_extension_of_the_whole_space_draws_nothing():
+    """t = n over a base of dimension n is the base itself, with no draw;
+    every draw with q = n - dim(base) > 0 is the quotient-space lift it
+    was, with the rng left in the same state."""
+    def lifted_draw(base, t, rng):
+        q = base.n - base.dim
+        comp = gf2.complement_basis(LinearCode.full(base.n), base)
+        lifted = []
+        for row in random_code(q, t - base.dim, rng).basis:
+            v = 0
+            for j in range(q):
+                if (row >> (q - 1 - j)) & 1:
+                    v ^= comp[j]
+            lifted.append(v)
+        return LinearCode.from_rows(base.n, lifted + list(base.basis))
+
+    for n in range(1, 7):
+        rng = random.Random(n)
+        full = LinearCode.full(n)
+        state = rng.getstate()
+        assert random_extension(full, n, rng) == full
+        assert rng.getstate() == state
+        for seed in range(5):
+            for base in (LinearCode(n, ()), random_code(n, rng.randrange(n), rng)):
+                for t in range(base.dim, n + 1):
+                    rngs = [random.Random(seed), random.Random(seed)]
+                    got = random_extension(base, t, rngs[0])
+                    assert got == lifted_draw(base, t, rngs[1])
+                    assert got.dim == t and got.contains_code(base)
+                    assert rngs[0].getstate() == rngs[1].getstate()
 
 
 def _weighted_code_family():
@@ -567,28 +638,19 @@ def test_other_hash_kinds_measured_through_kernel_family(kind, n, m):
     assert code_bias(hf) == code_bias(fam)
 
 
-@pytest.mark.parametrize("family, counter, side", [
-    (HashFamily(HashFamilySpec("toeplitz", 6, 4)), "_toeplitz_counts", "dual"),
-    (HashFamily(HashFamilySpec("modified_toeplitz", 8, 3)), "_modified_toeplitz_counts",
-     "plain"),
-], ids=["toeplitz", "modified_toeplitz"])
-def test_each_counter_counts_one_side_by_dimension(family, counter, side):
-    # a hash-family counter keys its side's counts by the dimension of the
-    # codes it counts: member dimensions on the plain side, n minus them
-    # (ranks) on the dual side
+@pytest.mark.parametrize("family", [
+    HashFamily(HashFamilySpec("modified_toeplitz", 8, 3)),
+], ids=["modified_toeplitz"])
+def test_each_counter_counts_one_side_by_dimension(family):
+    # the modified-Toeplitz counter counts the plain side under the one
+    # member dimension n - m, and gives the dual side from it
     fam = CodeFamily.from_hash_family(family)
-    counted = fam if side == "plain" else fam.dual()
-    dtype = np.int64 if fam.total_weight < 1 << 63 else object
-    by_dim = getattr(universality, counter)(family, dtype)
-    assert sorted(by_dim) == sorted({c.dim for c in counted.codes})
-    total = [0] * (1 << fam.n)
-    for dim, count in by_dim.items():
-        assert count.dtype == dtype
-        part = CodeFamily(*zip(*((c, w) for c, w in zip(counted.codes, counted.weights)
-                                 if c.dim == dim)))
-        assert count.tolist() == oracle_membership_counts(part)
-        total = [a + b for a, b in zip(total, count.tolist())]
-    assert total == oracle_membership_counts(counted)
+    counts = universality._modified_toeplitz_counts(family)
+    assert (counts.n, counts.total_weight) == (fam.n, fam.total_weight)
+    assert counts.t_min == counts.t_max == fam.t_min == fam.t_max == family.n - family.m
+    assert counts.plain.dtype == counts.dual.dtype == np.int64
+    assert counts.plain.tolist() == oracle_membership_counts(fam)
+    assert counts.dual.tolist() == oracle_membership_counts(fam.dual())
 
 
 def test_modified_toeplitz_rank_path_refuses_before_any_array(monkeypatch):
