@@ -54,6 +54,14 @@ class CQState:
         self.blocks = blocks
         self.eve_dim = blocks.shape[1]
 
+    @classmethod
+    def _built(cls, key_length: int, blocks: np.ndarray) -> "CQState":
+        """A state of complex blocks that the library built Hermitian and
+        normalized, taken without the checks of ``__init__``."""
+        rho = cls.__new__(cls)
+        rho.key_length, rho.blocks, rho.eve_dim = key_length, blocks, blocks.shape[1]
+        return rho
+
     @property
     def num_values(self) -> int:
         return 1 << self.key_length
@@ -308,4 +316,4 @@ def random_cq_state(key_bits: int, eve_dim: int, rng: np.random.Generator) -> CQ
     g = parts[:, 0] + 1j * parts[:, 1]
     m = g @ g.conj().transpose(0, 2, 1)
     traces = np.real(np.trace(m, axis1=1, axis2=2))
-    return CQState(key_bits, probs[:, None, None] * m / traces[:, None, None])
+    return CQState._built(key_bits, probs[:, None, None] * m / traces[:, None, None])

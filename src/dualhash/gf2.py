@@ -164,7 +164,17 @@ def _echelon(rows, lowest: bool = False) -> dict[int, int]:
 
 
 def rank(rows) -> int:
-    return len(_echelon(rows))
+    """The dimension of the span of ``rows``, from a basis with one row per
+    leading bit: each row is reduced by the basis row holding its leading
+    bit until it is 0 or leads with a new bit.  The rank needs no fully
+    reduced echelon (``_echelon``)."""
+    leads: dict[int, int] = {}
+    for row in rows:
+        while row and (b := leads.get(row.bit_length())):
+            row ^= b
+        if row:
+            leads[row.bit_length()] = row
+    return len(leads)
 
 
 def _is_canonical(basis, n: int) -> bool:
@@ -358,12 +368,17 @@ class WeightDistribution:
         return self.mass[k]
 
 
-def weight_distribution(c: LinearCode) -> WeightDistribution:
+def _weight_counts(c: LinearCode) -> list[int]:
+    """counts[k] = the number of codewords of weight k, for k = 0..n."""
     counts = [0] * (c.n + 1)
     for w in c.codewords():
         counts[w.bit_count()] += 1
+    return counts
+
+
+def weight_distribution(c: LinearCode) -> WeightDistribution:
     total = len(c)
-    return WeightDistribution(c.n, tuple(Fraction(k, total) for k in counts))
+    return WeightDistribution(c.n, tuple(Fraction(k, total) for k in _weight_counts(c)))
 
 
 def span(gens) -> np.ndarray:

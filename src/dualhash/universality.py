@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, groupby
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .gf2 import (
     EnumerationCapError,
     LinearCode,
     _canonical_rows,
+    _weight_counts,
     bits_to_string,
     complement_basis,
     dual,
@@ -402,27 +403,23 @@ def _parity_counts(n: int, families):
 
 
 def _parity_batches(families):
-    """Count a stream of (n, members' parity rows) families in batches of
-    about COUNT_BLOCK_WORDS words of arrays, the families of each length
-    in a batch at once (``_parity_counts``).  Yields (n, group, counts) per
-    length: group holds the (stream index, members) of its families."""
-    def count(batch):
-        by_length = {}
-        for i, (n, members) in batch:
-            by_length.setdefault(n, []).append((i, members))
-        for n, group in by_length.items():
+    """Count a stream of (n, members' parity rows) families one length at
+    a time (``_parity_counts``): the families of a length are counted
+    together once their arrays reach COUNT_BLOCK_WORDS words, and every
+    length still pending at the end of the stream then.  Yields (n, group,
+    counts): group holds the (stream index, members) of its families, in
+    stream order."""
+    pending = {}
+    for i, (n, members) in enumerate(families):
+        group = pending.setdefault(n, [])
+        group.append((i, members))
+        # per family, its dual, shifted and one-dimension counts, 2^n words
+        # each, and its share of the Walsh transform's half-size buffer
+        if len(group) * 4 << n >= COUNT_BLOCK_WORDS:
+            del pending[n]
             yield n, group, _parity_counts(n, [members for _, members in group])
-
-    pending, words = [], 0
-    for item in enumerate(families):
-        pending.append(item)
-        # its dual, shifted and one-dimension counts, 2^n words each, and
-        # its share of the Walsh transform's half-size buffer
-        words += 4 << item[1][0]
-        if words >= COUNT_BLOCK_WORDS:
-            yield from count(pending)
-            pending, words = [], 0
-    yield from count(pending)
+    for n, group in pending.items():
+        yield n, group, _parity_counts(n, [members for _, members in group])
 
 
 def _toeplitz_blocks(hf: HashFamily):
@@ -754,28 +751,31 @@ def tight_family(n: int, t: int, epsilon, x: int) -> CodeFamily:
                               size_a * (a > 0) + size_b * (b > a))
 
 
+def _orbit_epsilon(n: int, counts, size: int) -> Fraction:
+    """max over k ≥ 1 of 2^n counts[k] / (binom(n, k) size), as one
+    Fraction: counts[k] / binom(n, k) = counts[k] k! (n-k)! / n!, so the
+    largest integer counts[k] k! (n-k)! picks k."""
+    k = max(range(1, n + 1), key=lambda k: counts[k] * factorial(k) * factorial(n - k))
+    return Fraction(counts[k] << n, comb(n, k) * size)
+
+
 def permuted_epsilon(c: LinearCode) -> Fraction:
     """Universality parameter of the bit-permutation orbit of a code.
 
     Depends only on the weight distribution: max over k ≥ 1 of
-    2^n Pr_C(k) / binom(n, k).
+    2^n c[k] / (binom(n, k) |C|), c[k] the number of codewords of weight k.
     """
-    w = c.weight_distribution()
-    n = c.n
-    return max(Fraction(1 << n, comb(n, k)) * w[k] for k in range(1, n + 1))
+    return _orbit_epsilon(c.n, _weight_counts(c), len(c))
 
 
 def permuted_pair_epsilon(c1: LinearCode, c2: LinearCode) -> Fraction:
-    """Pair universality parameter ε(C1/C2) of the permuted pair orbit."""
+    """Pair universality parameter ε(C1/C2) of the permuted pair orbit:
+    max over k ≥ 1 of 2^n (c1[k] - c2[k]) / (binom(n, k) |C1|), ci[k] the
+    number of words of weight k in Ci."""
     if not c1.contains_code(c2):
         raise ValueError("C2 is not a subcode of C1")
-    n = c1.n
-    w1 = c1.weight_distribution()
-    w2 = c2.weight_distribution()
-    ratio = Fraction(len(c2), len(c1))
-    return max(
-        Fraction(1 << n, comb(n, k)) * (w1[k] - w2[k] * ratio) for k in range(1, n + 1)
-    )
+    counts = [a - b for a, b in zip(_weight_counts(c1), _weight_counts(c2))]
+    return _orbit_epsilon(c1.n, counts, len(c1))
 
 
 def _random_rows(n: int, t: int, rng: random.Random) -> tuple[int, ...]:

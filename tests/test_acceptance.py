@@ -149,12 +149,12 @@ def test_integer_duality_check_matches_the_fraction_reports(seed):
     assert seen == set(range(3, 11)) | {"repeat", "full"}
 
 
-def fail_two_random_families(monkeypatch):
-    """Make the integer check fail on two random families: i, the first
-    family whose length differs from family 0's, and a later family j of
-    family 0's length, in the same batch, whose length is counted and
-    checked first.  Returns i and its family's CodeFamily."""
-    drawn, calls, failing = [], [], []
+def record_criterion_2(monkeypatch, failing):
+    """Run criterion 2 at SEED with its draws and ``_parity_counts`` calls
+    recorded, and assert that it passes.  The patches stay: a later run
+    fails the integer check on each (n, members) family put in
+    ``failing``.  Returns the draws and the calls, as (n, families)."""
+    drawn, calls = [], []
     draw, count = acceptance._random_families, universality._parity_counts
 
     def recording(rng):
@@ -171,6 +171,32 @@ def fail_two_random_families(monkeypatch):
     monkeypatch.setattr(acceptance, "_random_families", recording)
     monkeypatch.setattr(universality, "_parity_counts", counting)
     assert acceptance.criterion_2(SEED)[0]
+    return drawn, calls
+
+
+def test_criterion_2_counts_each_length_in_its_own_stacks(monkeypatch):
+    """Every ``_parity_counts`` call holds families of one length, of at
+    most COUNT_BLOCK_WORDS words plus one family's (4 2^n words each), and
+    every family is counted once, in drawing order within its length."""
+    drawn, calls = record_criterion_2(monkeypatch, [])
+    index = {id(members): i for i, (_, members) in enumerate(drawn)}
+    by_length = {}
+    for n, families in calls:
+        assert len(families) * 4 << n <= universality.COUNT_BLOCK_WORDS + (4 << n)
+        by_length.setdefault(n, []).extend(index[id(members)] for members in families)
+    for n, counted in by_length.items():
+        assert counted == [i for i, (m, _) in enumerate(drawn) if m == n]
+    assert sum(map(len, by_length.values())) == len(drawn) == 1000
+    assert len(calls) == 21
+
+
+def fail_two_random_families(monkeypatch):
+    """Make the integer check fail on two random families: i, the first
+    family whose length differs from family 0's, and a later family j of
+    family 0's length whose stack is counted before i's.  Returns i and
+    its family's CodeFamily."""
+    failing = []
+    drawn, calls = record_criterion_2(monkeypatch, failing)
     n0 = drawn[0][0]
     i = next(k for k, (n, _) in enumerate(drawn) if n != n0)
     j = next(k for k, (n, _) in enumerate(drawn) if k > i and n == n0)

@@ -560,6 +560,7 @@ def test_random_cq_state_matches_per_block_draws(seed, key_bits, eve_dim):
     got, expected = random_cq_state(key_bits, eve_dim, rng), oracle_random_cq_state(
         key_bits, eve_dim, rng_o)
     assert np.array_equal(got.blocks, expected.blocks)
+    assert (got.key_length, got.eve_dim) == (key_bits, eve_dim)
     assert rng.bit_generator.state == rng_o.bit_generator.state
 
 

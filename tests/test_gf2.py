@@ -3,7 +3,9 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import xor
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from dualhash.gf2 import (
     LinearCode,
     WeightDistribution,
     _canonical_rows,
+    _echelon,
     _is_canonical,
     bits_from_string,
     bits_to_string,
@@ -216,6 +219,21 @@ def test_from_rows_and_rank_match_oracle_rref(n, data):
     reduced, _ = oracle_rref(rows, n)
     assert LinearCode.from_rows(n, rows).basis == reduced
     assert rank(rows) == len(reduced)
+
+
+def test_rank_matches_the_echelon_on_degenerate_and_wide_rows():
+    """rank counts a basis with one row per leading bit; the size of the
+    fully reduced echelon is its oracle, on row sets with zero, repeated
+    and dependent rows, and rows up to 130 bits wide."""
+    rng = random.Random(33)
+    for _ in range(400):
+        n = rng.choice([1, 3, 10, 63, 64, 65, 130])
+        rows = [rng.getrandbits(n) for _ in range(rng.randrange(0, 7))]
+        for _ in range(rng.randrange(0, 5)):
+            # the XOR of a random subset: 0, a repeated row or a dependent one
+            rows.append(reduce(xor, rng.sample(rows, rng.randrange(0, len(rows) + 1)), 0))
+        rng.shuffle(rows)
+        assert rank(rows) == len(_echelon(rows))
 
 
 def test_out_of_range_row_rejected():

@@ -907,6 +907,33 @@ def test_permuted_pair_epsilon_nonnegative_and_bounded():
         assert eps <= permuted_epsilon(c1) * Fraction(1, 1)
 
 
+def fraction_permuted_epsilon(c1, c2=None):
+    """The orbit parameter from the Fraction weight distributions, as
+    permuted_epsilon (no c2) and permuted_pair_epsilon computed it from
+    WeightDistribution: max over k >= 1 of 2^n / binom(n, k) times
+    Pr_C1(k) - Pr_C2(k) |C2| / |C1|."""
+    n, w1 = c1.n, c1.weight_distribution()
+    if c2 is None:
+        return max(Fraction(1 << n, comb(n, k)) * w1[k] for k in range(1, n + 1))
+    w2, ratio = c2.weight_distribution(), Fraction(len(c2), len(c1))
+    return max(Fraction(1 << n, comb(n, k)) * (w1[k] - w2[k] * ratio) for k in range(1, n + 1))
+
+
+def test_permuted_epsilons_match_the_fraction_formula():
+    """The integer weight counts give the Fraction formula's value, on
+    random codes and nested pairs with n <= 10, C2 = C1 and C2 = {0}
+    among them."""
+    rng = random.Random(33)
+    for _ in range(150):
+        n = rng.randrange(1, 11)
+        t2 = rng.randrange(0, n + 1)
+        c2 = random_code(n, t2, rng)
+        c1 = random_extension(c2, rng.randrange(t2, n + 1), rng)
+        assert permuted_epsilon(c1) == fraction_permuted_epsilon(c1)
+        for sub in (c2, c1, LinearCode.zero(n)):
+            assert permuted_pair_epsilon(c1, sub) == fraction_permuted_epsilon(c1, sub)
+
+
 def test_search_modes_and_budget_error():
     c = search_permuted_code(10, 3, 200, seed=0, mode="plain")
     assert c.dim == 3 and permuted_epsilon(c) <= 11
