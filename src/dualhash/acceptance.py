@@ -389,9 +389,9 @@ def criterion_6(seed: int):
 def criterion_7(seed: int):
     """Zero-padded family leaks at least 1 - h(p) bits despite being
     2-almost universal."""
-    res = counterexample_leakage(6, 0.1)
-    floor = res.params["floor"]
     fam = counterexample_family(6)
+    res = counterexample_leakage(6, 0.1, family=fam)
+    floor = res.params["floor"]
     eps = epsilon_universal(fam, "min_dim").epsilon
     if eps > 2:
         return False, f"family epsilon {eps} > 2"

@@ -95,9 +95,9 @@ def _format_value(v):
 
 
 def _emit(args, payload, records=None):
-    """JSON for single payloads; CSV (or JSON) for record lists."""
-    fmt = getattr(args, "format", "json") or "json"
-    if records is not None and fmt == "csv":
+    """JSON for single payloads; CSV (or JSON, by ``sweep --format``) for
+    record lists."""
+    if records is not None and args.format == "csv":
         keys = []
         rows = [_format_value(r) for r in records]
         for r in rows:
@@ -313,12 +313,8 @@ def _add_bound_flags(p, approach=None):
     p.add_argument("--approach", choices=APPROACHES, default=approach)
 
 
-def _add_output_flags(p, default_format="json"):
+def _add_output_flags(p):
     p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument(
-        "--format", choices=("json", "csv"), default=default_format,
-        help="output format",
-    )
 
 
 @cache
@@ -393,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bound_flags(p, approach="phase_sum")
     p.add_argument("--r-grid", help="rate grid: comma list or a:b:step")
     p.add_argument("--n-grid", help="block length grid: comma list or a:b:step")
-    _add_output_flags(p, default_format="csv")
+    p.add_argument("--format", choices=("json", "csv"), default="csv", help="output format")
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

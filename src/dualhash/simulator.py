@@ -589,7 +589,7 @@ def counterexample_leakage(n: int, p: float, family: CodeFamily | None = None,
     size = 1 << n
     noise = np.float_power(1 - 2 * float(p), _pattern_weights(n)[0])
     mi_acc = 0.0
-    for dim, w, words in _codeword_blocks([family], row_words=size):
+    for dim, w, words in _codeword_blocks(family, row_words=size):
         law = np.zeros((len(words), size))
         law[np.arange(len(words))[:, None], words] = 1.0
         walsh_hadamard(law)

@@ -159,8 +159,10 @@ class CodeFamily:
 
     @cached_property
     def _counts(self) -> "_Counts":
-        """Membership counts of both sides, made on first use (``_count``)."""
-        return _code_counts([self])[0]
+        """Membership counts of both sides, made on first use (``_count``),
+        from the codewords (``_span_counts``)."""
+        plain, dual = _span_counts(_codeword_blocks(self), self.n, 1, self.total_weight)
+        return _Counts(self.n, self.total_weight, self.t_min, self.t_max, plain[0], dual[0])
 
     @cached_property
     def codes(self) -> tuple[LinearCode, ...]:
@@ -274,18 +276,11 @@ def _span_blocks(n: int, gens: np.ndarray, dims: np.ndarray, weights: np.ndarray
             yield dim, w, words
 
 
-def _codeword_blocks(families, row_words: int = 1):
-    """``_span_blocks`` of a list of CodeFamilies of one length n, each
-    member spanned by its canonical basis: the words are codewords."""
-    sizes = [len(f) for f in families]
-    bases = np.zeros((sum(sizes), max(f.t_max for f in families)),
-                     dtype=np.int32 if families[0].n < 32 else np.int64)
-    for f, end in zip(families, accumulate(sizes)):
-        bases[end - len(f):end, :f.t_max] = f.bases
-    yield from _span_blocks(families[0].n, bases, np.concatenate([f._dims for f in families]),
-                            np.concatenate([f._weight_array for f in families]),
-                            np.repeat(np.arange(len(families), dtype=np.int32), sizes),
-                            row_words)
+def _codeword_blocks(family: CodeFamily, row_words: int = 1):
+    """``_span_blocks`` of one CodeFamily, each member spanned by its
+    canonical basis: the words are codewords."""
+    return _span_blocks(family.n, family.bases, family._dims, family._weight_array,
+                        np.zeros(len(family), dtype=np.int32), row_words)
 
 
 @dataclass(frozen=True)
@@ -293,9 +288,8 @@ class _Counts:
     """Membership counts of a family, the one record every report reads:
     plain[x] is the total weight of members containing x, dual[x] of members
     whose dual code contains x.  Both are int64 arrays, or object arrays
-    when a value counted with them (the families of one batch are counted
-    together) could reach 2^63, and read-only, since a CodeFamily keeps its
-    counts for every later report."""
+    when a count could reach 2^63, and read-only, since a CodeFamily keeps
+    its counts for every later report."""
 
     n: int
     total_weight: int
@@ -365,17 +359,6 @@ def _span_counts(blocks, n: int, families: int, total: int):
         shifted += count.astype(wide, copy=False) << (n - dim)
     rows = (families, 1 << n)
     return counted.reshape(rows), _other_side(shifted.reshape(rows), n)
-
-
-def _code_counts(families) -> list[_Counts]:
-    """Count CodeFamilies of one length n for both sides, from their
-    codewords (``_span_counts``); a single family is a batch of one.
-    Returns one record per family, its arrays row views of the stack."""
-    n = families[0].n
-    plain, dual = _span_counts(_codeword_blocks(families), n, len(families),
-                               max(f.total_weight for f in families))
-    return [_Counts(n, f.total_weight, f.t_min, f.t_max, p, d)
-            for f, p, d in zip(families, plain, dual)]
 
 
 def _parity_counts(n: int, families):
@@ -575,8 +558,8 @@ def epsilon_pair(
     if primal == "pair":
         # inner ⊆ outer, so Pr[x ∈ outer \ inner] = Pr[x ∈ outer] - Pr[x ∈ inner];
         # the dual pairs (outer^⊥, inner^⊥) trade places
-        outer, inner = _code_counts([CodeFamily([pair[i] for pair in family.pairs], family.weights)
-                                     for i in ((1, 0) if side == "plain" else (0, 1))])
+        outer, inner = (_count(CodeFamily([pair[i] for pair in family.pairs], family.weights))
+                        for i in ((1, 0) if side == "plain" else (0, 1)))
         return _report(replace(outer, plain=outer.plain - inner.plain,
                                dual=outer.dual - inner.dual), side, convention)
     within = primal == "subcode"  # members within C1 = pair[1], else containing C1 = pair[0]
@@ -727,7 +710,7 @@ def tight_family(n: int, t: int, epsilon, x: int) -> CodeFamily:
         raise ValueError(f"epsilon out of range (0, {eps_max}]")
     if not 0 < x < (1 << n):
         raise ValueError("x must be a nonzero n-bit vector")
-    p = (1 - Fraction(epsilon, 1 << (n - t))) * Fraction(2, 1 << t) + epsilon - 1
+    p = duality_bound(epsilon, t, n)
     if p < 0:
         raise ValueError("epsilon below the feasible range: mixture weight negative")
 

@@ -163,6 +163,19 @@ def test_unknown_flag_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--kind", "modified-toeplitz", "-n", "6", "-m", "2"],
+    ["bounds", "ratio", "-n", "100"],
+    ["simulate", "--what", "counterexample", "-n", "5", "-p", "1/10"],
+], ids=["analyze", "bounds", "simulate"])
+def test_format_is_a_sweep_flag_only(argv, capsys):
+    # single results are always JSON, so only sweep takes --format
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--format", "csv"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])

@@ -187,9 +187,11 @@ def weighted_families(draw, min_weight=1, max_weight=5):
 @given(st.one_of(weighted_families(), weighted_families(1 << 63, 1 << 70)))
 @settings(max_examples=80, deadline=None)
 def test_membership_counts_match_codeword_walk(fam):
-    counts = _count(fam).plain.tolist()
-    assert counts == oracle_membership_counts(fam)
-    assert all(type(c) is int for c in counts)
+    counts = _count(fam)
+    for side, oracle in (("plain", fam), ("dual", fam.dual())):
+        values = getattr(counts, side).tolist()
+        assert values == oracle_membership_counts(oracle)
+        assert all(type(c) is int for c in values)
 
 
 def test_membership_counts_blocks_and_big_weights():
@@ -270,7 +272,7 @@ def test_codeword_blocks_respect_row_budget():
     codes = [random_code(n, t, rng) for t in (0, 3, 7, 12) for _ in range(30)]
     fam = CodeFamily(codes, [rng.randrange(1, 3) for _ in codes])
     seen = {}
-    for dim, w, words in universality._codeword_blocks([fam], row_words=1 << n):
+    for dim, w, words in universality._codeword_blocks(fam, row_words=1 << n):
         assert len(words) * (1 << n) <= max(universality.COUNT_BLOCK_WORDS, 1 << n)
         for row in words.tolist():
             seen[LinearCode.from_rows(n, row)] = w
@@ -284,9 +286,9 @@ def test_reports_walk_the_codewords_once(monkeypatch):
     fam = tight_family(5, 2, Fraction(3, 2), 3)
     walks = []
 
-    def walk(families, row_words=1):
-        walks.append(families)
-        return blocks(families, row_words)
+    def walk(family, row_words=1):
+        walks.append(family)
+        return blocks(family, row_words)
 
     blocks = universality._codeword_blocks
     monkeypatch.setattr(universality, "_codeword_blocks", walk)
@@ -295,39 +297,7 @@ def test_reports_walk_the_codewords_once(monkeypatch):
     assert (epsilon_universal(fam), epsilon_dual_universal(fam)) == expected
     assert epsilon_reports(fam, "max_dim") == (epsilon_universal(expected_fam, "max_dim"),
                                                epsilon_dual_universal(expected_fam, "max_dim"))
-    assert walks == [[fam]]
-
-
-def random_family_stream(rng):
-    """CodeFamilies of mixed length 3..10: members of mixed dimension, some
-    given twice with weights above 1 (merged when the family is built), and
-    one family of a single member."""
-    for i in range(40):
-        n = rng.randrange(3, 11)
-        codes = [random_code(n, rng.randrange(n + 1), rng) for _ in range(rng.randrange(1, 6))]
-        codes += codes[:rng.randrange(3)]
-        yield CodeFamily(codes[:1] if i == 17 else codes,
-                         None if i == 17 else [rng.randrange(1, 5) for _ in codes])
-
-
-def test_batched_counts_equal_each_family_counted_alone(monkeypatch):
-    # a small block budget splits a dimension's members over several blocks
-    monkeypatch.setattr(universality, "COUNT_BLOCK_WORDS", 1 << 11)
-    fams = list(random_family_stream(random.Random(3)))
-    assert any(len(f) < f.members for f in fams) and any(len(f) == 1 for f in fams)
-    by_length = {}
-    for f in fams:
-        by_length.setdefault(f.n, []).append(f)
-    assert len(by_length) > 3 and max(len(group) for group in by_length.values()) > 1
-    for group in by_length.values():
-        for f, counts in zip(group, universality._code_counts(group)):
-            # from the merged weights: f.codes holds only the distinct members
-            alone = _count(CodeFamily(f.codes, f.weights))
-            assert (counts.n, counts.total_weight, counts.t_min, counts.t_max) == (
-                alone.n, alone.total_weight, alone.t_min, alone.t_max)
-            assert counts.plain.tolist() == alone.plain.tolist() == oracle_membership_counts(f)
-            assert counts.dual.tolist() == alone.dual.tolist() == oracle_membership_counts(
-                f.dual())
+    assert walks == [fam]
 
 
 def random_parity_family(rng, n):
@@ -492,22 +462,14 @@ def _weighted_code_family():
                         [1 << 60, 1]), (np.int64, object)),
     (_weighted_code_family, (object, object)),
 ], ids=["wide_shifted_counts", "weighted_code_family"])
-def test_batch_counts_in_the_dtypes_of_its_largest_weight(make_family, dtypes):
-    # the largest total weight of a batch sets its dtypes: int64 while it
-    # fits, and for the shifted counts while it times 2^n fits
-    rng = random.Random(9)
+def test_family_counted_alone_in_the_dtypes_of_its_total_weight(make_family, dtypes):
+    # the family's total weight sets its dtypes: int64 while it fits, and
+    # for the shifted counts while it times 2^n fits
     family = make_family()
-    n = family.n
-    ordinary = [CodeFamily([random_code(n, t, rng) for t in (1, 2, n - 1)], [1, 2, 3])
-                for _ in range(3)]
-    stream = ordinary[:2] + [family] + ordinary[2:]
-    for f, counts in zip(stream, universality._code_counts(stream)):
-        assert (counts.plain.dtype, counts.dual.dtype) == dtypes
-        alone = CodeFamily(f.codes, f.weights)
-        for side in ("plain", "dual"):
-            assert getattr(counts, side).tolist() == getattr(_count(alone), side).tolist()
-        assert counts.plain.tolist() == oracle_membership_counts(f)
-        assert counts.dual.tolist() == oracle_membership_counts(f.dual())
+    counts = _count(family)
+    assert (counts.plain.dtype, counts.dual.dtype) == dtypes
+    assert counts.plain.tolist() == oracle_membership_counts(family)
+    assert counts.dual.tolist() == oracle_membership_counts(family.dual())
 
 
 @pytest.mark.parametrize("call", [
@@ -743,6 +705,25 @@ def test_pair_variants_on_fixed_inner():
     dual_rep = epsilon_pair(fam, "extended_dual", "min_dim")
     swapped = epsilon_pair(fam.dual(), "subcode", "max_dim")
     assert dual_rep.epsilon == swapped.epsilon
+
+
+def test_pair_variants_with_weights_past_2_63_match_brute_oracle():
+    # the pair variants subtract the inner family's counts from the outer
+    # family's, each counted alone in object arrays of Python ints
+    rng = random.Random(12)
+    n = 6
+    outers = [random_code(n, t, rng) for t in (2, 3, 4, 4, 6)]
+    pairs = [(LinearCode.from_rows(n, outer.basis[:rng.randrange(outer.dim + 1)]), outer)
+             for outer in outers]
+    weights = [1 << 63, 3, 1 << 64, 1, 5]
+    fam = CodePairFamily(pairs, weights)
+    for i in (1, 0):
+        counts = _count(CodeFamily([pair[i] for pair in fam.pairs], fam.weights))
+        assert counts.plain.dtype == counts.dual.dtype == object
+    for variant in ("pair", "pair_dual"):
+        for convention in ("min_dim", "max_dim"):
+            assert as_tuple(epsilon_pair(fam, variant, convention)) == brute_pair(
+                pairs, weights, variant, convention)
 
 
 def test_pair_duality_bounds_hold_on_random_nested_families():
@@ -1176,7 +1157,7 @@ def assert_same_blocks(fam, oracle):
     come in another order; the members of a block may not."""
     for row_words in (1, 1 << fam.n):
         got = [(dim, w, [sorted(m) for m in words.tolist()])
-               for dim, w, words in universality._codeword_blocks([fam], row_words)]
+               for dim, w, words in universality._codeword_blocks(fam, row_words)]
         want = [(dim, w, [sorted(m) for m in words])
                 for dim, w, words in oracle_codeword_blocks(oracle, row_words)]
         assert got == want
