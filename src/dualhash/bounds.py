@@ -42,24 +42,15 @@ class BoundReport:
     formula_id: str
     value: float
     inputs: dict
-    dominated_quantity: float | None = None
     aux: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.value >= 0:
             raise ValueError("bound value must be nonnegative")
-        if self.dominated_quantity is not None:
-            if self.dominated_quantity > self.value + 1e-9:
-                raise ValueError(
-                    f"{self.formula_id}: dominated quantity "
-                    f"{self.dominated_quantity} exceeds bound {self.value}"
-                )
 
     def to_record(self) -> dict:
         rec = {"formula_id": self.formula_id, "value": self.value}
         rec.update({f"input_{k}": v for k, v in sorted(self.inputs.items())})
-        if self.dominated_quantity is not None:
-            rec["dominated_quantity"] = self.dominated_quantity
         rec.update({f"aux_{k}": v for k, v in sorted(self.aux.items())})
         return rec
 

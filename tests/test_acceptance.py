@@ -13,8 +13,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dualhash import acceptance, universality
+from dualhash import acceptance, simulator, universality
 from dualhash.acceptance import CRITERIA, run_criteria
+from dualhash.bounds import BoundReport
 from dualhash.cqstate import BiasReport, _d1, code_bias, random_cq_state
 from dualhash.gf2 import BinaryMatrix, LinearCode, kernel
 from dualhash.simulator import _family_average_errors
@@ -293,3 +294,19 @@ def test_criterion_5_names_the_first_failing_configuration(monkeypatch):
     assert not passed
     assert re.fullmatch(r"\(R=0\.3333333333333333, p=1/10\): upper CI inf exceeds bound "
                         r"[0-9.e-]+", detail)
+
+
+def test_criterion_5_checks_the_weighted_sum_bound(monkeypatch):
+    """The family-average bound holds and the weighted sum, checked after
+    it, is made tiny: the criterion fails on it at the first configuration."""
+    tiny = BoundReport("weighted_sum", 1e-6, {})
+    monkeypatch.setattr(simulator, "weighted_decoding_bound", lambda *args: tiny)
+    passed, detail = acceptance.criterion_5(SEED)
+    assert not passed
+    assert re.fullmatch(r"\(R=0\.3333333333333333, p=1/20\): upper CI [0-9.e-]+ "
+                        r"exceeds bound 1e-06", detail)
+
+
+def test_criterion_6_fails_when_leakage_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(simulator, "_coset_key_leakage", lambda *args: (9.0, 9.0))
+    assert acceptance.criterion_6(SEED) == (False, "n=3, p=0.05: leakage exceeds its bound")

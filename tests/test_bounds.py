@@ -129,12 +129,14 @@ def test_gallager_family_bound_dominates_nothing_weird():
     assert rep2.value >= rep.value
 
 
-def test_bound_report_domination_check():
-    with pytest.raises(ValueError):
-        BoundReport("x", 0.1, {}, dominated_quantity=0.2)
-    rep = BoundReport("x", 0.2, {}, dominated_quantity=0.1, aux={"k": 1})
-    rec = rep.to_record()
-    assert rec["formula_id"] == "x" and rec["aux_k"] == 1
+def test_bound_report_is_a_plain_record():
+    """A report refuses a negative or NaN value and compares nothing: its
+    record holds the formula, the value, the inputs and aux only."""
+    for value in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            BoundReport("x", value, {})
+    rep = BoundReport("x", 0.2, {"n": 3}, aux={"k": 1})
+    assert rep.to_record() == {"formula_id": "x", "value": 0.2, "input_n": 3, "aux_k": 1}
 
 
 def test_qkd_phase_sum_decreases_with_sacrifice():

@@ -299,6 +299,21 @@ def test_simulate_family_average_reproducible(capsys):
     assert out1 == out2  # byte-identical for identical seed and flags
 
 
+@pytest.mark.parametrize("flags", [
+    "-n 8 -m 1 -p 1/100 -R 0.875 --samples 10 --seed 1 --mc",
+    "-n 8 -m 7 -p 1/100 -R 0.125 --samples 5 --seed 6",
+    "-n 8 -m 6 -p 1/50 -R 0.25 --samples 1 --seed 6",
+])
+def test_simulate_prints_an_estimate_above_its_bound(capsys, flags):
+    """A sampled upper confidence limit above the weighted-sum bound is a
+    result, not a usage error: the bound is a theorem about the exact
+    family average, and criterion 5 is what compares the two."""
+    code, out, err = run(capsys, "simulate", "--what", "family-average", *flags.split())
+    assert code == 0, err
+    rec = json.loads(out)
+    assert rec["ci_upper"] > rec["bound_weighted_sum"]
+
+
 def test_simulate_family_average_monte_carlo(capsys):
     code, out, err = run(
         capsys, "simulate", "--what", "family-average", "-n", "12", "-m", "8",

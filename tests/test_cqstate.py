@@ -350,6 +350,36 @@ def test_h2_d2_hmin_matches_oracle_on_rank_deficient_sigma():
         assert_close(h2_d2_hmin(rho), oracle_h2_d2_hmin(rho))
 
 
+def oracle_holevo(rho):
+    """Relative-entropy form, block by block: the sum over key values a with
+    p_a = tr(b_a) of tr(b_a log2 b_a) - p_a log2 p_a - tr(b_a log2 rho_E),
+    the log of rho_E taken on its support."""
+    e_eigs, e_vecs = np.linalg.eigh(rho.rho_e())
+    support = e_eigs > 1e-12
+    log_e = (e_vecs[:, support] * np.log2(e_eigs[support])) @ e_vecs[:, support].conj().T
+    chi = 0.0
+    for b in rho.blocks:
+        p = float(np.real(np.trace(b)))
+        if p < 1e-12:
+            continue
+        b_eigs = np.linalg.eigvalsh(b)
+        pos = b_eigs > 1e-12
+        chi += float(np.sum(b_eigs[pos] * np.log2(b_eigs[pos])))
+        chi -= p * math.log2(p) + float(np.real(np.trace(b @ log_e)))
+    return max(chi, 0.0)
+
+
+def test_holevo_matches_relative_entropy_oracle():
+    """Random states (key 1-4 bits, Eve dimension 2-8) and the rank-deficient
+    states, whose rho_E has three eigenvalues below the cutoff."""
+    rng = np.random.default_rng(23)
+    states = [random_cq_state(int(rng.integers(1, 5)), int(rng.integers(2, 9)), rng)
+              for _ in range(100)]
+    states += rank_deficient_states(np.random.default_rng(22))
+    for rho in states:
+        assert abs(holevo(rho) - oracle_holevo(rho)) <= 1e-12
+
+
 def test_private_forms_share_one_sigma_decomposition_bit_for_bit():
     """_h2_d2_hmin and _verify_pa on a stack of one state, given the powers
     of one _sigma_powers, return the public functions' floats exactly:
