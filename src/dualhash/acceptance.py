@@ -49,6 +49,7 @@ from .universality import (
     SearchBudgetError,
     _parity_batches,
     _random_rows,
+    _subspace_bases,
     counterexample_family,
     duality_bound,
     epsilon_dual_universal,
@@ -59,7 +60,6 @@ from .universality import (
     permuted_pair_epsilon,
     random_code,
     search_permuted_code,
-    subspaces_of,
     tight_family,
 )
 
@@ -165,7 +165,8 @@ def criterion_2(seed: int):
 
     # an optimally universal family (all t-dim subspaces) has an optimally
     # universal dual family
-    grass = CodeFamily(list(subspaces_of(LinearCode.full(6), 3)))
+    bases = _subspace_bases(LinearCode.full(6), 3)
+    grass = CodeFamily._packed(6, bases, np.ones(len(bases), dtype=np.int64), len(bases))
     if epsilon_universal(grass, "min_dim").epsilon != epsilon_floor(3, 6):
         return False, "all-subspace family is not optimally universal"
     if epsilon_dual_universal(grass, "max_dim").epsilon != epsilon_floor(3, 6):
@@ -321,9 +322,7 @@ def criterion_5(seed: int):
     ps = (Fraction(1, 20), Fraction(1, 10))
     for rate, t in ((1 / 3, 4), (1 / 2, 6)):
         hf = HashFamily(HashFamilySpec("random_linear", 12, 12 - t))
-        results = _family_average_errors(
-            hf, ps, rate, epsilon=1.0, sample_count=1000, seed=seed
-        )
+        results = _family_average_errors(hf, ps, rate, sample_count=1000, seed=seed)
         for p, res in zip(ps, results):
             for bound in res.bounds:  # family_average, then weighted_sum
                 if res.ci_upper > bound.value + 1e-9:

@@ -224,7 +224,6 @@ def _cmd_simulate(args) -> int:
             _build_family(args),
             _fraction(args.p),
             args.R,
-            epsilon=args.epsilon,
             mode="monte_carlo" if args.mc else "exact",
             sample_count=args.samples,
             seed=args.seed,
@@ -366,12 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, help="output length")
     p.add_argument("-p", help="error probability (fraction or decimal)")
     p.add_argument("-R", type=float, help="nominal rate for attached bounds")
-    p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, help="mandatory for sampled computations")
-    how = p.add_mutually_exclusive_group()
-    how.add_argument("--exact", action="store_true", help="exact per member (default)")
-    how.add_argument("--mc", action="store_true", help="Monte-Carlo per member")
+    p.add_argument("--mc", action="store_true",
+                   help="Monte-Carlo per member (default: exact per member)")
     p.add_argument("--phase-only", action="store_true")
     p.add_argument("--key-a", help="Alice's raw key bits (distill)")
     p.add_argument("--key-b", help="Bob's raw key bits (distill)")

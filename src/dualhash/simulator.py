@@ -8,8 +8,9 @@ matrix (whose kernel is its code); the cap n <= 16 bounds that work.
 Family averages table a chunk of members in one pass.
 Exact wiretap leakage comes from the joint (phase, bit) error histogram
 over syndrome labels, capped at n <= 10 (4^n error pairs).
-Error probabilities are exact rationals.  Monte Carlo estimates always
-carry two-sided 99% confidence intervals.  A result carries its bounds as
+Error probabilities are exact rationals.  A sampled family average, of
+exact or Monte Carlo members alike, carries a distribution-free one-sided
+99% upper limit.  A result carries its bounds, at the family's own ε, as
 numbers and compares nothing: criterion 5 checks a sampled family
 average's upper limit against them, and criterion 6 the exact leakage.
 """
@@ -43,7 +44,7 @@ from .gf2 import (
     syndromes,
     walsh_hadamard,
 )
-from .universality import CodeFamily, _codeword_blocks, counterexample_family
+from .universality import CodeFamily, _codeword_blocks, counterexample_family, epsilon_universal
 
 __all__ = [
     "SimResult",
@@ -63,7 +64,6 @@ MC_TRIALS = 2000  # Monte Carlo transmissions per sampled member
 MC_DRAW_CAP = 1 << 20  # Monte Carlo draws (members times trials times n) made at once
 WIRETAP_EXACT_CAP = 10
 BISECT_STEPS = 64
-Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
 @dataclass
@@ -188,7 +188,6 @@ def family_average_error(
     family,
     p,
     R: float,
-    epsilon: float = 1.0,
     mode: str = "exact",
     base: LinearCode | None = None,
     sample_count: int | None = None,
@@ -198,14 +197,19 @@ def family_average_error(
 
     family: a CodeFamily (full weighted average) or a HashFamily, in which
     case sample_count and seed select exact-per-member evaluation over a
-    seeded sample, reported with a 99% confidence interval; each member
-    walks 2^n patterns, so sample_count * 2^n is capped at
+    seeded sample of k members, reported with Hoeffding's one-sided 99%
+    upper limit min(1, mean + sqrt(ln(100) / 2k)) (k independent uniform
+    members, each value in [0, 1], unbiased in monte_carlo mode); each
+    member walks 2^n patterns, so sample_count * 2^n is capped at
     SAMPLE_PATTERN_CAP before any member is sampled.  A hash member is
     decoded through its own matrix M.  With `base` given, each member is
     an outer code C1 containing it (M b = 0 for every base row b), and the
-    message is the coset C1/base.  R and epsilon name the family's nominal
-    rate and universality parameter for the attached bounds.  `mode` is
-    "exact" or, for a HashFamily only, "monte_carlo" (MC_TRIALS trials).
+    message is the coset C1/base.  The attached bounds pair R, the nominal
+    rate t_min / n, with the family's minimum-dimension ε: 1 for every hash
+    kind, else the counted one (1 for {0} alone, whose ε is 0; with a
+    base, it counts the base's own words too, so the bounds are loose).
+    `mode` is "exact" or, for a HashFamily only, "monte_carlo" (MC_TRIALS
+    trials).
 
     Members are tabled in chunks of at most CHUNK_PATTERN_CAP patterns
     (_syndrome_tables).  An exact value comes from the member's weight
@@ -214,12 +218,12 @@ def family_average_error(
     weight.  Monte Carlo member i draws the random() stream of its own
     random.Random(seed + i) (_mc_errors).
     """
-    (res,) = _family_average_errors(family, [p], R, epsilon, mode, base, sample_count, seed)
+    (res,) = _family_average_errors(family, [p], R, mode, base, sample_count, seed)
     return res
 
 
-def _family_average_errors(family, ps, R, epsilon=1.0, mode="exact", base=None,
-                           sample_count=None, seed=None) -> list[SimResult]:
+def _family_average_errors(family, ps, R, mode="exact", base=None, sample_count=None,
+                           seed=None) -> list[SimResult]:
     """family_average_error at each crossover probability of ``ps``, one
     SimResult per p, from one sample of members: each chunk's tables and,
     in exact mode, its weight histograms are built once for every p.  In
@@ -235,15 +239,15 @@ def _family_average_errors(family, ps, R, epsilon=1.0, mode="exact", base=None,
         raise ValueError("p must be in [0, 1/2]")
     if not 0 <= R <= 1:
         raise ValueError("R must be in [0, 1]")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
     n = family.n
     if n > ERROR_ENUM_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
     if isinstance(family, CodeFamily):
         members = [dual(c).basis for c in family.codes]
         weights = family.weights
+        epsilon = float(epsilon_universal(family).epsilon) or 1.0
     else:
+        epsilon = 1.0  # universal_2: Pr[Mx = 0] <= 2^-m at x != 0, met at some x
         if sample_count is None or seed is None:
             raise ValueError("hash families need sample_count and seed")
         if sample_count < 1:
@@ -286,14 +290,10 @@ def _family_average_errors(family, ps, R, epsilon=1.0, mode="exact", base=None,
         if mode == "exact":
             # every member's error probability is over the same b^n
             mean = Fraction(sum(w * v for w, v in zip(weights, vals)), den * total)
-            vals = [v / den for v in vals]  # correctly rounded, as float(Fraction)
         else:
             mean = sum(w * v for w, v in zip(weights, vals)) / total
-        ci = None
-        if not isinstance(family, CodeFamily):
-            mu = sum(vals) / len(vals)
-            var = sum((v - mu) ** 2 for v in vals) / max(len(vals) - 1, 1)
-            ci = mu + Z_99 * math.sqrt(var / len(vals))
+        ci = (None if isinstance(family, CodeFamily)
+              else min(1.0, float(mean) + math.sqrt(math.log(100) / (2 * len(vals)))))
         w_binom = WeightDistribution.binomial(n, pf)
         results.append(SimResult(
             mean,

@@ -246,19 +246,6 @@ def test_missing_required_option_is_usage_error(tmp_path, capsys, target, requir
         assert f"needs {flag}" in capsys.readouterr().err
 
 
-def test_simulate_exact_and_mc_are_exclusive(capsys):
-    argv = ["simulate", "--what", "family-average", "-n", "8", "-m", "4",
-            "-p", "1/20", "-R", "0.5", "--samples", "5", "--seed", "9"]
-    with pytest.raises(SystemExit) as err:
-        main(argv + ["--exact", "--mc"])
-    assert err.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
-    for flag, mode in [("--exact", "exact"), ("--mc", "monte_carlo")]:
-        code, out, err = run(capsys, *argv, flag)
-        assert code == 0, err
-        assert json.loads(out)["param_mode"] == mode
-
-
 @pytest.mark.parametrize("samples", ["0", "-2"])
 def test_simulate_family_average_rejects_empty_sample(capsys, samples):
     code, _, err = run(
@@ -274,13 +261,24 @@ def test_simulate_family_average_refuses_oversized_sample(capsys, monkeypatch):
         raise AssertionError("members sampled")
 
     monkeypatch.setattr(HashFamily, "sample_rows", refuse)
-    for flag in ("--exact", "--mc"):
+    for flags in ((), ("--mc",)):
         code, _, err = run(
             capsys, "simulate", "--what", "family-average", "-n", "12", "-m", "8",
-            "-p", "1/20", "-R", "0.5", "--samples", "5000", "--seed", "1", flag,
+            "-p", "1/20", "-R", "0.5", "--samples", "5000", "--seed", "1", *flags,
         )
         assert code == 2
         assert "exceeds sample cap" in err
+
+
+@pytest.mark.parametrize("flag", [["--epsilon", "0.001"], ["--exact"]])
+def test_simulate_takes_no_epsilon_or_exact(capsys, flag):
+    # a measured family average attaches its bounds at the family's own ε,
+    # and exact members are the default
+    with pytest.raises(SystemExit) as err:
+        main("simulate --what family-average -n 12 -m 8 -p 1/20 -R 0.333 --seed 7".split()
+             + flag)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_simulate_mc_needs_seed(capsys):
@@ -422,8 +420,6 @@ def test_simulate_error_prob_refuses_base_of_other_length(tmp_path, capsys):
     # an infinite epsilon printed "ratio": "nan" and exited 0 before
     ("bounds ratio -n 10 --epsilon inf", "finite epsilon >= 1"),
     ("sweep ratio --n-grid 10,100 --epsilon inf", "finite epsilon >= 1"),
-    ("simulate --what family-average -n 8 -m 4 -p 1/20 -R 0.5 --seed 1 --epsilon nan",
-     "epsilon must be positive"),
 ])
 def test_nan_or_out_of_range_bound_inputs_are_errors(capsys, argv, message):
     # each printed a value, nan or finite, or failed with "math domain

@@ -373,7 +373,7 @@ SIMULATE_FAMILY_AVERAGE_MC = (
     "{\n"
     '  "bound_family_average": 0.295491312645,\n'
     '  "bound_weighted_sum": 0.146894548729,\n'
-    '  "ci_upper": 0.0401724871622,\n'
+    '  "ci_upper": 0.185377712939,\n'
     '  "exact_value": "0.033635",\n'
     '  "n": 12,\n'
     '  "param_R": 0.333,\n'
@@ -392,7 +392,7 @@ SIMULATE_FAMILY_AVERAGE_EXACT = (
     "{\n"
     '  "bound_family_average": 0.295491312645,\n'
     '  "bound_weighted_sum": 0.146894548729,\n'
-    '  "ci_upper": 0.0394361035748,\n'
+    '  "ci_upper": 0.184886236185,\n'
     '  "exact_value": "42423709755989/1280000000000000",\n'
     '  "n": 12,\n'
     '  "param_R": 0.333,\n'

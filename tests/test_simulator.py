@@ -13,14 +13,21 @@ from hypothesis import strategies as st
 from dualhash.acceptance import criterion_5
 from dualhash.bounds import BoundReport, binary_entropy
 from dualhash.cqstate import CQState, d1_distance, holevo
-from dualhash.gf2 import BinaryMatrix, BitVector, LinearCode, complement_basis, dual, rank
+from dualhash.gf2 import (
+    BinaryMatrix,
+    BitVector,
+    EnumerationCapError,
+    LinearCode,
+    complement_basis,
+    dual,
+    rank,
+)
 from dualhash.hashfam import HashFamily, HashFamilySpec, kernel_code
 from dualhash.simulator import (
     CHUNK_PATTERN_CAP,
     ERROR_ENUM_CAP,
     MC_TRIALS,
     SAMPLE_PATTERN_CAP,
-    Z_99,
     _correct_weights,
     _coset_reps,
     _family_average_errors,
@@ -36,7 +43,12 @@ from dualhash.simulator import (
     parse_channel,
     wiretap_eval,
 )
-from dualhash.universality import CodeFamily, counterexample_family, random_code
+from dualhash.universality import (
+    CodeFamily,
+    counterexample_family,
+    epsilon_universal,
+    random_code,
+)
 
 
 def oracle_decode(c, y):
@@ -263,19 +275,73 @@ def test_family_average_code_family_exact():
     codes = [LinearCode.repetition(3), LinearCode.full(3)]
     fam = CodeFamily(codes, [1, 3])
     p = Fraction(1, 10)
-    res = family_average_error(fam, p, R=1.0, epsilon=2.0)
+    res = family_average_error(fam, p, R=1.0)
     expected = (exact_error_prob(codes[0], p) + 3 * exact_error_prob(codes[1], p)) / 4
     assert res.exact_value == expected
 
 
 def test_family_average_hash_family_with_ci():
     hf = HashFamily(HashFamilySpec("random_linear", 8, 4))
-    res = family_average_error(
-        hf, Fraction(1, 20), R=0.5, epsilon=1.0, sample_count=50, seed=3
-    )
+    res = family_average_error(hf, Fraction(1, 20), R=0.5, sample_count=50, seed=3)
     assert res.ci_upper is not None
     assert float(res.exact_value) <= res.ci_upper
     assert [b.formula_id for b in res.bounds] == ["family_average", "weighted_sum"]
+
+
+def test_every_countable_hash_kind_has_epsilon_one():
+    """family_average_error attaches its bounds to a HashFamily at ε = 1
+    without counting it; every hash kind that can be counted at n <= 10
+    measures exactly that."""
+    counted = 0
+    for kind in ("toeplitz", "modified_toeplitz", "random_linear"):
+        for n in range(1, 11):
+            for m in range(1, n + 1 - (kind == "modified_toeplitz")):
+                try:
+                    eps = epsilon_universal(HashFamily(HashFamilySpec(kind, n, m))).epsilon
+                except EnumerationCapError:
+                    continue
+                assert eps == 1, (kind, n, m)
+                counted += 1
+    assert counted == 129
+
+
+def test_code_family_average_bounds_take_its_counted_epsilon():
+    fam = counterexample_family(6)
+    assert epsilon_universal(fam).epsilon == 2
+    res = family_average_error(fam, Fraction(1, 10), R=0.5)
+    assert res.params["epsilon"] == 2.0
+    assert [b.inputs["epsilon"] for b in res.bounds] == [2.0, 2.0]
+
+
+def test_zero_code_family_average_bounds_take_epsilon_one():
+    """A family of {0} alone has ε = 0 and never errs; any positive ε
+    bounds it, and the bounds need one."""
+    res = family_average_error(CodeFamily([LinearCode.zero(5)]), Fraction(1, 10), R=0.0)
+    assert res.exact_value == 0
+    assert res.params["epsilon"] == 1.0
+    assert [b.inputs["epsilon"] for b in res.bounds] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("kind, n, m", [("random_linear", 8, 2), ("toeplitz", 8, 3)])
+def test_sampled_upper_limit_covers_the_exact_mean(kind, n, m):
+    """Over seeded samples of k members, the 99% upper limit falls below
+    the family's exact mean, counted over all its kernels, in at most 1% of
+    draws plus three binomial standard deviations.  A normal-approximation
+    limit missed it in about half the draws at k = 2."""
+    hf, p, draws = HashFamily(HashFamilySpec(kind, n, m)), Fraction(1, 100), 150
+    exact = family_average_error(CodeFamily.from_hash_family(hf), p, R=0.5).exact_value
+    allowed = draws * 0.01 + 3 * math.sqrt(draws * 0.01 * 0.99)
+    for k in (2, 5, 10):
+        misses = sum(family_average_error(hf, p, R=0.5, sample_count=k, seed=s).ci_upper < exact
+                     for s in range(draws))
+        assert misses <= allowed, (k, misses)
+
+
+def test_one_member_sample_has_a_positive_width_limit():
+    hf = HashFamily(HashFamilySpec("random_linear", 8, 6))
+    res = family_average_error(hf, Fraction(1, 50), R=0.25, sample_count=1, seed=6)
+    assert res.exact_value == Fraction(7351, 125000)
+    assert res.ci_upper == 1.0
 
 
 def test_family_average_bound_check_uses_the_report(monkeypatch):
@@ -302,7 +368,8 @@ def test_monte_carlo_error_prob_matches_exact(sample_members):
     (labels,), (leaders,) = _syndrome_tables([h.matrix.rows], 12)
     est = _mc_error_prob(labels, leaders, membership(LinearCode.zero(12)),
                          mc_errors(0, 12, trials, 0.05))
-    half_width = Z_99 * math.sqrt(est * (1 - est) / trials)
+    z_99 = 2.5758293035489004  # two-sided 99% normal quantile
+    half_width = z_99 * math.sqrt(est * (1 - est) / trials)
     assert abs(est - exact) <= half_width
 
 
@@ -738,21 +805,13 @@ def test_family_average_rejects_empty_sample_before_sampling(monkeypatch, sample
                                  sample_count=samples, seed=1)
 
 
-@pytest.mark.parametrize("R, epsilon, message", [
-    (2.0, 1.0, "R must be in"),
-    (-0.1, 1.0, "R must be in"),
-    (float("nan"), 1.0, "R must be in"),
-    (0.5, 0.0, "epsilon must be positive"),
-    (0.5, float("nan"), "epsilon must be positive"),
-])
-def test_family_average_rejects_rate_and_epsilon_before_sampling(monkeypatch, R, epsilon,
-                                                                 message):
+@pytest.mark.parametrize("R", [2.0, -0.1, float("nan")])
+def test_family_average_rejects_rate_before_sampling(monkeypatch, R):
     _refuse_sampling(monkeypatch)
     hf = HashFamily(HashFamilySpec("random_linear", 16, 8))
     for mode in ("exact", "monte_carlo"):
-        with pytest.raises(ValueError, match=message):
-            family_average_error(hf, Fraction(1, 10), R, epsilon=epsilon, mode=mode,
-                                 sample_count=256, seed=1)
+        with pytest.raises(ValueError, match="R must be in"):
+            family_average_error(hf, Fraction(1, 10), R, mode=mode, sample_count=256, seed=1)
 
 
 @pytest.mark.parametrize("n, samples", [
@@ -847,7 +906,7 @@ def test_family_average_refuses_length_beyond_cap_before_sampling(monkeypatch):
 
 
 def oracle_family_average(members, weights, c2, p, mode="exact", seed=None):
-    """family_average_error's mean and upper CI limit, one member at a time:
+    """family_average_error's mean and upper limit, one member at a time:
     exact through the member's oracle_leaders (a word decodes into C2 iff
     its error is a reached leader plus a word of C2), Monte Carlo through
     oracle_mc_error_prob with the member's own random.Random(seed + i)."""
@@ -865,10 +924,7 @@ def oracle_family_average(members, weights, c2, p, mode="exact", seed=None):
             values.append(oracle_mc_error_prob(rows, n, float(p), MC_TRIALS,
                                                random.Random(seed + i), c2))
     mean = sum(w * v for w, v in zip(weights, values)) / sum(weights)
-    fl = [float(v) for v in values]
-    mu = sum(fl) / len(fl)
-    var = sum((v - mu) ** 2 for v in fl) / max(len(fl) - 1, 1)
-    return mean, mu + Z_99 * math.sqrt(var / len(fl))
+    return mean, min(1.0, float(mean) + math.sqrt(math.log(100) / (2 * len(values))))
 
 
 @pytest.mark.parametrize("kind, n, m, samples, mode", [
@@ -900,7 +956,7 @@ def test_weighted_code_family_average_matches_per_member_oracle():
     codes = [random_code(7, t, rng) for t in (0, 1, 2, 3, 5, 7) for _ in range(4)]
     fam = CodeFamily(codes, [rng.randrange(1, 9) for _ in codes])
     for p in (Fraction(0), Fraction(1, 9), Fraction(1, 2)):
-        res = family_average_error(fam, p, R=0.5, epsilon=2.0)
+        res = family_average_error(fam, p, R=0.5)
         mean, _ = oracle_family_average(
             [dual(c).basis for c in fam.codes], fam.weights, LinearCode.zero(7), p
         )
@@ -941,7 +997,7 @@ def test_family_average_errors_equal_one_call_per_p_on_a_hash_family(monkeypatch
     n = 8
     c2 = {"none": None, "zero": LinearCode.zero(n), "e0": LinearCode(n, (1,))}[base]
     hf = HashFamily(HashFamilySpec("random_linear", n, 3))
-    kwargs = dict(epsilon=1.5, mode=mode, base=c2, sample_count=40, seed=11)
+    kwargs = dict(mode=mode, base=c2, sample_count=40, seed=11)
     batch = _family_average_errors(hf, BATCH_PS, 0.5, **kwargs)
     assert [record_bytes(r) for r in batch] == [
         record_bytes(family_average_error(hf, p, 0.5, **kwargs)) for p in BATCH_PS]
@@ -955,9 +1011,9 @@ def test_family_average_errors_equal_one_call_per_p_on_a_code_family():
              for extra in (0, 1, 2, 3, 5)]
     fam = CodeFamily(codes, [rng.randrange(1, 5) for _ in codes])
     for c2 in (None, base):
-        batch = _family_average_errors(fam, BATCH_PS, 0.4, epsilon=2.0, base=c2)
+        batch = _family_average_errors(fam, BATCH_PS, 0.4, base=c2)
         assert [record_bytes(r) for r in batch] == [
-            record_bytes(family_average_error(fam, p, 0.4, epsilon=2.0, base=c2))
+            record_bytes(family_average_error(fam, p, 0.4, base=c2))
             for p in BATCH_PS]
 
 

@@ -131,7 +131,7 @@ def test_merged_family_matches_brute_oracle_on_unmerged_list(n, data):
 
     p = Fraction(1, 10)
     expected = sum(w * exact_error_prob(c, p) for c, w in zip(codes, weights))
-    got = family_average_error(fam, p, R=0.0, epsilon=float(1 << n)).exact_value
+    got = family_average_error(fam, p, R=0.0).exact_value
     assert got == expected / sum(weights)
 
     # nested pairs of each kind, with repeats
