@@ -3,11 +3,13 @@ distillation, and wiretap security evaluation.
 
 Every decoding path uses one coset-leader table keyed by the syndromes Hx
 of ``gf2.syndromes``, labels and leaders computed once per code in one pass
-over all 2^n error patterns, H a code's dual basis or a hash member's own
-matrix (whose kernel is its code); the cap n <= 16 bounds that work.
+over all 2^n error patterns, H a code's dual basis, a CodeFamily member's
+parity rows (``universality._parity_rows``) or a hash member's own matrix
+(whose kernel is its code); the cap n <= 16 bounds that work.
 Family averages table a chunk of members in one pass.
 Exact wiretap leakage comes from the joint (phase, bit) error histogram
-over syndrome labels, capped at n <= 10 (4^n error pairs).
+over syndrome labels, capped at n <= 10 (4^n error pairs), and the leaky
+family's from each member's histogram of noise syndromes.
 Error probabilities are exact rationals.  A sampled family average, of
 exact or Monte Carlo members alike, carries a distribution-free one-sided
 99% upper limit.  A result carries its bounds, at the family's own ε, as
@@ -42,9 +44,8 @@ from .gf2 import (
     dual,
     span,
     syndromes,
-    walsh_hadamard,
 )
-from .universality import CodeFamily, _codeword_blocks, counterexample_family, epsilon_universal
+from .universality import CodeFamily, _parity_rows, counterexample_family, epsilon_universal
 
 __all__ = [
     "SimResult",
@@ -243,7 +244,7 @@ def _family_average_errors(family, ps, R, mode="exact", base=None, sample_count=
     if n > ERROR_ENUM_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
     if isinstance(family, CodeFamily):
-        members = [dual(c).basis for c in family.codes]
+        members = _parity_rows(family)
         weights = family.weights
         epsilon = float(epsilon_universal(family).epsilon) or 1.0
     else:
@@ -551,13 +552,17 @@ def _coset_key_leakage(tables, c1: LinearCode, c2: LinearCode) -> tuple[float, f
 
 def counterexample_leakage(n: int, p: float, family: CodeFamily | None = None,
                            seed: int | None = None) -> SimResult:
-    """Eve's exact mutual information about the coset key for the
-    zero-padded family, with the floor 1 - h(p).
+    """Eve's mutual information about the coset key, averaged over a
+    CodeFamily (by default the zero-padded leaky family), with the leaky
+    family's floor 1 - h(p).
 
     Alice sends a uniform element of the key coset over a noiseless channel
-    to Bob while Eve sees it through a binary symmetric channel; the last
-    bit survives hashing for every family member, so the information stays
-    bounded away from zero.
+    to Bob while Eve sees it through a binary symmetric channel; in the
+    leaky family the last bit survives hashing for every member, so the
+    information stays bounded away from zero.  A member C of dimension k
+    with parity rows H gives Eve C + E with law P(S = Hy)/|C|, S = HE the
+    noise syndrome, so I = n - k - H(S): one noise histogram by label per
+    member, and one math.fsum over the family, whatever the chunking.
     """
     if n > ERROR_ENUM_CAP:
         raise ValueError(f"n={n} exceeds cap {ERROR_ENUM_CAP}")
@@ -567,24 +572,22 @@ def counterexample_leakage(n: int, p: float, family: CodeFamily | None = None,
         family = counterexample_family(n, seed=seed)
     elif family.n != n:
         raise ValueError(f"family length {family.n} differs from n={n}")
-    # I([X]; Y) = H(Y) - H(Y | coset) = n - H(C + E), C uniform on the
-    # member, E the BSC noise; the shifted conditional law is coset
-    # independent.  In the Walsh domain uniform-on-C is the indicator of
-    # C^perp and the noise is (1-2p)^wt(x), so the law of C + E is
-    # 2^-n WHT([C^perp] (1-2p)^wt), with [C^perp] = WHT([C]) / |C|.
-    size = 1 << n
-    noise = np.float_power(1 - 2 * float(p), _pattern_weights(n)[0])
-    mi_acc = 0.0
-    for dim, w, words in _codeword_blocks(family, row_words=size):
-        law = np.zeros((len(words), size))
-        law[np.arange(len(words))[:, None], words] = 1.0
-        walsh_hadamard(law)
-        law *= noise * 2.0 ** -(n + dim)
-        walsh_hadamard(law)
+    weight, _ = _pattern_weights(n)
+    q = float(p)
+    noise = np.float_power(q, weight) * np.float_power(1 - q, n - weight)
+    rows = _parity_rows(family)
+    labelled = 1 << rows.shape[1]
+    entropies = []  # H(S) per member
+    chunk = max(1, CHUNK_PATTERN_CAP >> n)
+    for start in range(0, len(rows), chunk):
+        labels = syndromes(rows[start:start + chunk], n)
+        labels += np.arange(len(labels))[:, None] * labelled
+        law = np.bincount(labels.ravel(), np.broadcast_to(noise, labels.shape).ravel(),
+                          len(labels) * labelled).reshape(len(labels), labelled)
         logs = np.zeros_like(law)
         np.log2(law, out=logs, where=law > 0)
-        h_cond = -(law * logs).sum(axis=1)
-        mi_acc += w * float((n - h_cond).sum())
-    mi = mi_acc / family.total_weight
+        entropies += (-(law * logs).sum(axis=1)).tolist()
+    mi = math.fsum(w * (n - k - h) for w, k, h in
+                   zip(family.weights, family._dims.tolist(), entropies)) / family.total_weight
     floor = 1 - binary_entropy(min(p, 1 - p))
     return SimResult(mi, n, {"p": p, "floor": floor})

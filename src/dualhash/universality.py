@@ -245,7 +245,7 @@ class UniversalityReport:
 
 
 def _span_blocks(n: int, gens: np.ndarray, dims: np.ndarray, weights: np.ndarray,
-                 fam: np.ndarray, row_words: int = 1):
+                 fam: np.ndarray):
     """Yield (dim, weight, words) blocks covering every member of packed
     arrays of families of one length n, given family by family: member i
     spans the first dims[i] rows of gens[i], with weight weights[i], in
@@ -255,7 +255,7 @@ def _span_blocks(n: int, gens: np.ndarray, dims: np.ndarray, weights: np.ndarray
     of first occurrence: words[i] holds one member's span, each word plus
     k 2^n in the k-th family, so that the words index the families' counts
     stacked one row per family.  A block holds at most
-    COUNT_BLOCK_WORDS / max(2^dim, row_words) members, and at least one.
+    COUNT_BLOCK_WORDS / 2^dim members, and at least one.
     """
     stacked = int(fam[-1]) > 0
     dtype = np.int32 if int(fam[-1]) + 1 << n <= 1 << 31 else np.int64
@@ -267,7 +267,7 @@ def _span_blocks(n: int, gens: np.ndarray, dims: np.ndarray, weights: np.ndarray
                             | (by_weight[1:] != by_weight[:-1])) + 1
     for members in sorted(np.split(order, starts), key=lambda group: group[0]):
         dim, w = int(dims[members[0]]), int(weights[members[0]])
-        per_block = max(1, COUNT_BLOCK_WORDS // max(1 << dim, row_words))
+        per_block = max(1, COUNT_BLOCK_WORDS >> dim)
         for start in range(0, len(members), per_block):
             block = members[start:start + per_block]
             words = span(gens[block, :dim])
@@ -276,11 +276,31 @@ def _span_blocks(n: int, gens: np.ndarray, dims: np.ndarray, weights: np.ndarray
             yield dim, w, words
 
 
-def _codeword_blocks(family: CodeFamily, row_words: int = 1):
+def _codeword_blocks(family: CodeFamily):
     """``_span_blocks`` of one CodeFamily, each member spanned by its
     canonical basis: the words are codewords."""
     return _span_blocks(family.n, family.bases, family._dims, family._weight_array,
-                        np.zeros(len(family), dtype=np.int32), row_words)
+                        np.zeros(len(family), dtype=np.int32))
+
+
+def _parity_rows(family: CodeFamily) -> np.ndarray:
+    """Parity rows of every member, (members, n - t_min) int64 (n <= 62),
+    read off the packed canonical bases with no elimination.  A pivot, a
+    basis row's leading bit, is held by its row alone, so for a non-pivot
+    bit f, f plus the pivots of the rows holding f is orthogonal to every
+    row; pivot bits get zero rows.  Each member's rows are sorted, zero rows
+    first as ``_syndrome_tables`` pads, and the t_min zero rows that every
+    member has are dropped."""
+    leads = family.bases.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        leads |= leads >> shift
+    leads ^= leads >> 1
+    bit = np.arange(family.n, dtype=np.int64)
+    held = np.zeros((len(leads), family.n), dtype=np.int64)  # pivots of the rows holding each bit
+    for col, lead in zip(family.bases.T, leads.T):
+        held |= (col[:, None] >> bit & 1) * lead[:, None]
+    rows = np.sort(np.where(held == 1 << bit, 0, held | 1 << bit), axis=1)
+    return rows[:, family.t_min:]
 
 
 @dataclass(frozen=True)

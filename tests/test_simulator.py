@@ -707,6 +707,7 @@ def test_counterexample_leakage_floor():
     res = counterexample_leakage(5, 0.1)
     assert res.exact_value >= res.params["floor"] - 1e-9
     assert res.params["floor"] == 1 - binary_entropy(0.1)
+    assert counterexample_leakage(5, Fraction(1, 10)).exact_value == res.exact_value
 
 
 def test_counterexample_leakage_edge_channels():
@@ -722,6 +723,21 @@ def test_counterexample_custom_family():
     fam = counterexample_family(5)
     res = counterexample_leakage(5, 0.2, family=fam)
     assert res.exact_value >= 1 - binary_entropy(0.2) - 1e-9
+
+
+def test_leaky_family_paths_build_no_member_code(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dual code built for a member")
+
+    monkeypatch.setattr("dualhash.simulator.dual", refuse)
+    fam = counterexample_family(8)
+    family_average_error(fam, Fraction(1, 10), R=fam.t_min / 8)
+    whole = counterexample_leakage(8, 0.1, family=fam).exact_value
+    assert "codes" not in vars(fam)
+    # 2,795 members: 11 chunks by default, then 932 chunks and one chunk
+    for cap in (3 << 8, 1 << 20):
+        monkeypatch.setattr("dualhash.simulator.CHUNK_PATTERN_CAP", cap)
+        assert counterexample_leakage(8, 0.1, family=fam).exact_value == whole
 
 
 def oracle_counterexample_leakage(family, p):

@@ -266,17 +266,19 @@ def test_dual_measures_build_no_dual_code(monkeypatch):
     assert got == expected
 
 
-def test_codeword_blocks_respect_row_budget():
-    rng = random.Random(8)
-    n = 12
-    codes = [random_code(n, t, rng) for t in (0, 3, 7, 12) for _ in range(30)]
-    fam = CodeFamily(codes, [rng.randrange(1, 3) for _ in codes])
-    seen = {}
-    for dim, w, words in universality._codeword_blocks(fam, row_words=1 << n):
-        assert len(words) * (1 << n) <= max(universality.COUNT_BLOCK_WORDS, 1 << n)
-        for row in words.tolist():
-            seen[LinearCode.from_rows(n, row)] = w
-    assert seen == dict(zip(fam.codes, fam.weights))
+def test_parity_rows_span_each_member_dual():
+    rng = random.Random(37)
+    for n in range(1, 13):
+        for _ in range(6):
+            dims = [rng.randint(0, n) for _ in range(rng.randint(1, 6))]
+            dims += rng.choice(([], [0], [n], [0, n]))  # {0} and F_2^n
+            codes = [random_code(n, t, rng) for t in dims]
+            fam = CodeFamily(codes, [rng.randrange(1, 4) for _ in codes])
+            rows = universality._parity_rows(fam)
+            assert rows.shape == (len(fam), n - fam.t_min)
+            for code, member in zip(fam.codes, rows.tolist()):
+                assert member.count(0) == code.dim - fam.t_min
+                assert LinearCode.from_rows(n, member) == dual(code)
 
 
 def test_reports_walk_the_codewords_once(monkeypatch):
@@ -286,9 +288,9 @@ def test_reports_walk_the_codewords_once(monkeypatch):
     fam = tight_family(5, 2, Fraction(3, 2), 3)
     walks = []
 
-    def walk(family, row_words=1):
+    def walk(family):
         walks.append(family)
-        return blocks(family, row_words)
+        return blocks(family)
 
     blocks = universality._codeword_blocks
     monkeypatch.setattr(universality, "_codeword_blocks", walk)
@@ -1139,28 +1141,28 @@ def oracle_padded_family(n, inner):
     return fam
 
 
-def oracle_codeword_blocks(family, row_words):
+def oracle_codeword_blocks(family):
     """The member-by-member codeword blocks: members grouped by (dim,
     weight) in a dict, so groups come in order of first occurrence."""
     groups = {}
     for code, w in zip(family.codes, family.weights):
         groups.setdefault((code.dim, w), []).append(code)
     for (dim, w), codes in groups.items():
-        per_block = max(1, universality.COUNT_BLOCK_WORDS // max(1 << dim, row_words))
+        per_block = max(1, universality.COUNT_BLOCK_WORDS >> dim)
         for start in range(0, len(codes), per_block):
             yield dim, w, [list(c.codewords()) for c in codes[start:start + per_block]]
 
 
 def assert_same_blocks(fam, oracle):
-    """The same blocks in the same order, so float sums over them (the leaky
-    family's leakage) add in the same order.  Codewords within a member may
-    come in another order; the members of a block may not."""
-    for row_words in (1, 1 << fam.n):
-        got = [(dim, w, [sorted(m) for m in words.tolist()])
-               for dim, w, words in universality._codeword_blocks(fam, row_words)]
-        want = [(dim, w, [sorted(m) for m in words])
-                for dim, w, words in oracle_codeword_blocks(oracle, row_words)]
-        assert got == want
+    """The same blocks in the same order: every member with its weight, in
+    groups of equal (dim, weight) taken in order of first occurrence.
+    Codewords within a member may come in another order; the members of a
+    block may not."""
+    got = [(dim, w, [sorted(m) for m in words.tolist()])
+           for dim, w, words in universality._codeword_blocks(fam)]
+    want = [(dim, w, [sorted(m) for m in words])
+            for dim, w, words in oracle_codeword_blocks(oracle)]
+    assert got == want
 
 
 def assert_same_family(fam, oracle):
