@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BinaryMatrix, BitVector, LinearCode, kernel
+from .gf2 import BinaryMatrix, BitVector
 
 __all__ = [
     "HashFunction",
     "HashFamilySpec",
     "HashFamily",
     "apply_hash",
-    "kernel_code",
     "toeplitz_matrix",
     "toeplitz_rows",
     "modified_toeplitz_matrix",
@@ -138,18 +137,27 @@ class HashFamily:
         rng = random.Random(seed)
         return [rng.randrange(self.index_space) for _ in range(count)]
 
-    def sample_rows(self, count: int, seed: int) -> list[tuple[int, ...]]:
-        """The matrix rows of a seeded member sample, uniform over the index
-        space, without building a ``HashFunction``; random-linear rows are
-        read off the index."""
-        indices = self._sample_indices(count, seed)
+    def _rows(self, indices) -> np.ndarray:
+        """The rows of the members at ``indices``, (len(indices), m) int64, in
+        bulk: from ``toeplitz_rows`` ((T | I) shifts T's rows left by m and
+        adds the identity bits), or read off m n-bit random-linear indices."""
         n, m = self.n, self.m
+        if self.spec.kind == "random_linear":
+            r = np.array(indices, dtype=object)[:, None]
+            return ((r >> np.arange(0, m * n, n)) & ((1 << n) - 1)).astype(np.int64)
+        words = np.asarray(indices, dtype=np.int64)
         if self.spec.kind == "toeplitz":
-            return [toeplitz_matrix(n, m, r).rows for r in indices]
-        if self.spec.kind == "modified_toeplitz":
-            return [modified_toeplitz_matrix(n, m, r).rows for r in indices]
-        mask = (1 << n) - 1
-        return [tuple((r >> (i * n)) & mask for i in range(m)) for r in indices]
+            return toeplitz_rows(n, m, words)
+        return (toeplitz_rows(n - m, m, words) << m) | (1 << np.arange(m - 1, -1, -1))
+
+    def sample_rows(self, count: int, seed: int) -> np.ndarray:
+        """The rows of a seeded member sample, uniform over the index space,
+        as a (count, m) int64 array; rows or Toeplitz diagonal words of more
+        than 62 bits are refused before any index is drawn."""
+        width = self.n + self.m - 1 if self.spec.kind == "toeplitz" else self.n
+        if width > 62:
+            raise ValueError(f"{width}-bit rows or diagonal words do not fit int64")
+        return self._rows(self._sample_indices(count, seed))
 
 
 def apply_hash(h: HashFunction, x: BitVector) -> BitVector:
@@ -165,8 +173,3 @@ def apply_hash_schoolbook(h: HashFunction, x: BitVector) -> BitVector:
     The benchmark's numpy oracle is tested against this function.
     """
     return BitVector(h.m, h.matrix.mul_vector(x.value))
-
-
-def kernel_code(h: HashFunction) -> LinearCode:
-    return kernel(h.matrix)
-

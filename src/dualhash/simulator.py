@@ -6,7 +6,8 @@ of ``gf2.syndromes``, labels and leaders computed once per code in one pass
 over all 2^n error patterns, H a code's dual basis, a CodeFamily member's
 parity rows (``universality._parity_rows``) or a hash member's own matrix
 (whose kernel is its code); the cap n <= 16 bounds that work.
-Family averages table a chunk of members in one pass.
+Family averages take one (members, rows) array, table a chunk of members
+in one pass and sum one weighted histogram of error weights per family.
 Exact wiretap leakage comes from the joint (phase, bit) error histogram
 over syndrome labels, capped at n <= 10 (4^n error pairs), and the leaky
 family's from each member's histogram of noise syndromes.
@@ -101,31 +102,24 @@ def _pattern_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return weight, key
 
 
-def _syndrome_tables(row_sets, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _syndrome_tables(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Syndrome label of every n-bit word, and the coset leaders they key,
-    for K row sets at once: labels (K, 2^n) and leaders (K, 2^m), m the
-    longest row count.
-
-    labels[k, x] = H_k x, H_k the matrix of row_sets[k]; leaders[k, s] is
-    the least (weight, value) word labelled s, or -1 if none is (dependent
-    or padded rows reach fewer labels).  Rows spanning C^perp, a code's
-    dual basis or a hash member's own matrix rows, key the cosets of C;
-    which rows do so changes no leader.  Shorter row sets are padded with
-    zero rows on top, which changes no label.  The labels are
-    ``gf2.syndromes`` of the stacked row sets; the leaders take one
-    np.minimum.at per row, which needs no K 2^n array of flat indices or
-    keys.  n <= 16, and callers bound K 2^n, so every array is int32.
+    for the K row sets of a (K, m) int array: labels (K, 2^n) and leaders
+    (K, 2^m).  labels[k, x] = H_k x, H_k the matrix of rows[k]; leaders[k, s]
+    is the least (weight, value) word labelled s, or -1 if none is
+    (dependent or zero rows reach fewer labels).  Rows spanning C^perp, a
+    code's dual basis or a hash member's own matrix rows, key the cosets of
+    C; which rows do so changes no leader.  The leaders take one
+    np.minimum.at per row set, which needs no K 2^n array of flat indices
+    or keys.  n <= 16, and callers bound K 2^n, so every array is int32.
     """
     if n > ERROR_ENUM_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
-    count, m = len(row_sets), max(map(len, row_sets))
-    rows = np.zeros((count, m), dtype=np.int32)
-    for k, r in enumerate(row_sets):
-        rows[k, m - len(r):] = r
+    rows = np.asarray(rows, dtype=np.int32)
     labels = syndromes(rows, n)
     _, key = _pattern_weights(n)
     unreached = np.iinfo(np.int32).max
-    best = np.full((count, 1 << m), unreached, dtype=np.int32)
+    best = np.full((len(rows), 1 << rows.shape[1]), unreached, dtype=np.int32)
     for b, lab in zip(best, labels):
         np.minimum.at(b, lab, key)
     return labels, np.where(best < unreached, best & ((1 << n) - 1), -1)
@@ -157,30 +151,31 @@ def exact_error_prob(code, p) -> Fraction:
     if not 0 <= p <= Fraction(1, 2):
         raise ValueError("p must be in [0, 1/2]")
     _, leaders = _syndrome_tables([dual(c1).basis], c1.n)
-    (correct,) = _correct_weights(leaders, c2).tolist()
-    terms, den = _weight_terms(c1.n, p)
-    return Fraction(den - sum(cnt * t for cnt, t in zip(correct, terms)), den)
+    words = span(np.array(c2.basis, dtype=np.int64))
+    (correct,) = _correct_weights(leaders, words, c1.n).tolist()
+    return _mean_error(correct, 1, c1.n, p)
 
 
-def _weight_terms(n: int, p: Fraction) -> tuple[list[int], int]:
-    """With p = a/b, a word of weight w has probability t_w / b^n; returns
-    ([t_0, ..., t_n], b^n), t_w = a^w (b - a)^(n - w)."""
+def _mean_error(correct, total: int, n: int, p: Fraction) -> Fraction:
+    """(b^n W - sum_w t_w H_w) / (b^n W): the mean error probability of members
+    of total weight W whose weighted histogram of correctly decoded error
+    weights is H = ``correct``, with p = a/b and t_w = a^w (b - a)^(n - w)."""
     a, b = p.numerator, p.denominator
-    return [a**w * (b - a) ** (n - w) for w in range(n + 1)], b**n
+    den = b**n * total
+    return Fraction(den - sum(a**w * (b - a) ** (n - w) * h for w, h in enumerate(correct)), den)
 
 
-def _correct_weights(leaders: np.ndarray, c2: LinearCode) -> np.ndarray:
+def _correct_weights(leaders: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
     """Row k: the weight histogram of the errors that row k of the
-    _syndrome_tables leaders decodes into C2, a code inside that row's
-    code C1.  A word decodes correctly iff its error differs from its coset
-    leader by an element of C2.  Each member contributes its 2^rank reached
-    leaders times |C2| <= 2^(n - rank) words, so K members make at most
-    K 2^n."""
-    count, n = len(leaders), c2.n
+    _syndrome_tables leaders decodes into C2, a code of length n inside
+    that row's code C1, given by its codewords ``words``.  A word decodes
+    correctly iff its error differs from its coset leader by an element of
+    C2.  Each member contributes its 2^rank reached leaders times
+    |C2| <= 2^(n - rank) words, so K members make at most K 2^n."""
+    count = len(leaders)
     weight, _ = _pattern_weights(n)
     member, slot = np.nonzero(leaders >= 0)
-    correct = np.bitwise_xor.outer(leaders[member, slot],
-                                   span(np.array(c2.basis, dtype=np.int64)))
+    correct = np.bitwise_xor.outer(leaders[member, slot], words)
     flat = member[:, None] * (n + 1) + weight[correct]
     return np.bincount(flat.ravel(), minlength=count * (n + 1)).reshape(count, n + 1)
 
@@ -213,11 +208,10 @@ def family_average_error(
     trials).
 
     Members are tabled in chunks of at most CHUNK_PATTERN_CAP patterns
-    (_syndrome_tables).  An exact value comes from the member's weight
-    histogram; every member's error probability is over the same b^n
-    (p = a/b), so the mean is one integer sum over b^n times the total
-    weight.  Monte Carlo member i draws the random() stream of its own
-    random.Random(seed + i) (_mc_errors).
+    (_syndrome_tables).  An exact mean comes from one histogram of correctly
+    decoded error weights, each member's times its weight, summed over the
+    family in exact integers (_mean_error).  Monte Carlo member i draws the
+    random() stream of its own random.Random(seed + i) (_mc_errors).
     """
     (res,) = _family_average_errors(family, [p], R, mode, base, sample_count, seed)
     return res
@@ -227,7 +221,7 @@ def _family_average_errors(family, ps, R, mode="exact", base=None, sample_count=
                            seed=None) -> list[SimResult]:
     """family_average_error at each crossover probability of ``ps``, one
     SimResult per p, from one sample of members: each chunk's tables and,
-    in exact mode, its weight histograms are built once for every p.  In
+    in exact mode, the weighted histogram are built once for every p.  In
     monte_carlo mode the draws depend on p, so each p has its own
     _mc_errors stream, the one a single call would draw.  Every p is
     checked before any member is sampled."""
@@ -244,8 +238,8 @@ def _family_average_errors(family, ps, R, mode="exact", base=None, sample_count=
     if n > ERROR_ENUM_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
     if isinstance(family, CodeFamily):
-        members = _parity_rows(family)
-        weights = family.weights
+        members, weights = _parity_rows(family), family._weight_array
+        total = family.total_weight
         epsilon = float(epsilon_universal(family).epsilon) or 1.0
     else:
         epsilon = 1.0  # universal_2: Pr[Mx = 0] <= 2^-m at x != 0, met at some x
@@ -259,42 +253,41 @@ def _family_average_errors(family, ps, R, mode="exact", base=None, sample_count=
                 f"{SAMPLE_PATTERN_CAP}"
             )
         members = family.sample_rows(sample_count, seed)
-        weights = [1] * len(members)
+        weights, total = np.ones(sample_count, dtype=np.int64), sample_count
     c2 = base if base is not None else LinearCode.zero(n)
     if c2.n != n:
         raise ValueError("C2 is not a subcode of C1")
-    terms = [_weight_terms(n, pf) for pf in pfs]
-    if mode == "monte_carlo":
+    words = span(np.array(c2.basis, dtype=np.int64))
+    if mode == "exact":
+        # hist[w] = sum_k w_k correct_k[w] <= W 2^n, in Python ints past int64
+        dtype = np.int64 if total << n < 1 << 63 else object
+        hist = np.zeros(n + 1, dtype=dtype)
+    else:
         errors = [_mc_errors(range(seed, seed + len(members)), n, MC_TRIALS, float(pf))
                   for pf in pfs]
         inside = np.zeros(1 << n, dtype=bool)
-        inside[span(np.array(c2.basis, dtype=np.int64))] = True
-    values = [[] for _ in pfs]  # exact: b^n P(error) per member; monte carlo: the estimate
+        inside[words] = True
+        values = [[] for _ in pfs]  # each member's estimate
     chunk = max(1, CHUNK_PATTERN_CAP >> n)
     for start in range(0, len(members), chunk):
         labels, leaders = _syndrome_tables(members[start : start + chunk], n)
         if labels[:, list(c2.basis)].any():
             raise ValueError("C2 is not a subcode of C1")
         if mode == "exact":
-            correct = _correct_weights(leaders, c2).tolist()
-            for vals, (ts, den) in zip(values, terms):
-                vals += [den - sum(cnt * t for cnt, t in zip(row, ts)) for row in correct]
+            hist += (weights[start : start + chunk].astype(dtype, copy=False)
+                     @ _correct_weights(leaders, words, n).astype(dtype, copy=False))
         else:
             for vals, errs in zip(values, errors):
                 vals += [_mc_error_prob(lab, lead, inside, next(errs))
                          for lab, lead in zip(labels, leaders)]
         del labels, leaders  # free this chunk's tables before the next is built
-    total = sum(weights)
     k_start = 0 if base is not None else 1
     results = []
-    for pf, vals, (_, den) in zip(pfs, values, terms):
-        if mode == "exact":
-            # every member's error probability is over the same b^n
-            mean = Fraction(sum(w * v for w, v in zip(weights, vals)), den * total)
-        else:
-            mean = sum(w * v for w, v in zip(weights, vals)) / total
+    for i, pf in enumerate(pfs):
+        mean = (_mean_error(hist.tolist(), total, n, pf) if mode == "exact"
+                else sum(values[i]) / total)
         ci = (None if isinstance(family, CodeFamily)
-              else min(1.0, float(mean) + math.sqrt(math.log(100) / (2 * len(vals)))))
+              else min(1.0, float(mean) + math.sqrt(math.log(100) / (2 * sample_count))))
         w_binom = WeightDistribution.binomial(n, pf)
         results.append(SimResult(
             mean,

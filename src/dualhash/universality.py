@@ -34,7 +34,7 @@ from .gf2 import (
     syndromes,
     walsh_hadamard,
 )
-from .hashfam import HashFamily, HashFamilySpec, kernel_code, toeplitz_rows
+from .hashfam import HashFamily, HashFamilySpec, toeplitz_rows
 
 __all__ = [
     "CodeFamily",
@@ -183,14 +183,16 @@ class CodeFamily:
     @classmethod
     def from_hash_family(cls, hf) -> "CodeFamily":
         """Kernel family of a hash family.  All linear maps are built
-        weighted from their kernels; the Toeplitz kinds are enumerated."""
+        weighted from their kernels; the Toeplitz kinds are enumerated, the
+        kernels taken of their rows built in bulk (``HashFamily._rows``)."""
         if hf.spec.kind == "random_linear":
             return _linear_kernel_family(hf.n, hf.m)
         if hf.index_space > FAMILY_MEMBER_CAP:
             raise EnumerationCapError(
                 f"family of {hf.index_space} members exceeds cap {FAMILY_MEMBER_CAP}"
             )
-        return cls([kernel_code(h) for h in hf])
+        return cls([kernel(BinaryMatrix(tuple(rows), hf.n))
+                    for rows in hf._rows(np.arange(hf.index_space)).tolist()])
 
 
 class CodePairFamily:
@@ -289,8 +291,8 @@ def _parity_rows(family: CodeFamily) -> np.ndarray:
     basis row's leading bit, is held by its row alone, so for a non-pivot
     bit f, f plus the pivots of the rows holding f is orthogonal to every
     row; pivot bits get zero rows.  Each member's rows are sorted, zero rows
-    first as ``_syndrome_tables`` pads, and the t_min zero rows that every
-    member has are dropped."""
+    first, and the t_min zero rows that every member has are dropped:
+    ``_syndrome_tables`` takes the array as it is."""
     leads = family.bases.copy()
     for shift in (1, 2, 4, 8, 16, 32):
         leads |= leads >> shift
@@ -884,6 +886,6 @@ def counterexample_family(n: int, seed: int | None = None) -> CodeFamily:
         if seed is None:
             raise ValueError("family too large to enumerate; a seed is required")
         hf = HashFamily(HashFamilySpec("random_linear", n - 1, 2))
-        inner = CodeFamily(kernel(BinaryMatrix(rows, n - 1))
-                           for rows in hf.sample_rows(1 << 10, seed))
+        inner = CodeFamily(kernel(BinaryMatrix(tuple(rows), n - 1))
+                           for rows in hf.sample_rows(1 << 10, seed).tolist())
     return CodeFamily._packed(n, inner.bases << 1, inner._weight_array, inner.members)

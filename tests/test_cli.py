@@ -72,8 +72,9 @@ def test_analyze_rejects_oversized_family_before_enumerating(capsys, monkeypatch
     def no_rows(*args):
         raise AssertionError("rows built")
 
-    monkeypatch.setattr("dualhash.hashfam.kernel_code", no_members)
+    monkeypatch.setattr("dualhash.universality.kernel", no_members)
     monkeypatch.setattr("dualhash.universality.toeplitz_rows", no_rows)
+    monkeypatch.setattr(HashFamily, "_rows", no_rows)
     code, _, err = run(capsys, "analyze", "--kind", "toeplitz", "-n", "16", "-m", "8")
     assert code == 2
     assert "exceeds cap" in err
@@ -84,7 +85,8 @@ def test_analyze_modified_toeplitz_builds_no_member(capsys, monkeypatch):
     def no_members(*args):
         raise AssertionError("member built")
 
-    monkeypatch.setattr("dualhash.hashfam.kernel_code", no_members)
+    monkeypatch.setattr("dualhash.universality.kernel", no_members)
+    monkeypatch.setattr(HashFamily, "_rows", no_members)
     monkeypatch.setattr(HashFamily, "__getitem__", no_members)
     code, out, err = run(capsys, "analyze", "--kind", "modified-toeplitz", "-n", "14",
                          "-m", "5")

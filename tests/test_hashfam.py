@@ -5,14 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from dualhash.gf2 import BinaryMatrix, BitVector
+from dualhash.gf2 import BinaryMatrix, BitVector, kernel
 from dualhash.hashfam import (
     HashFamily,
     HashFamilySpec,
     HashFunction,
     apply_hash,
     apply_hash_schoolbook,
-    kernel_code,
     modified_toeplitz_matrix,
     toeplitz_matrix,
     toeplitz_rows,
@@ -139,24 +138,45 @@ def test_modified_toeplitz_always_surjective():
     fam = HashFamily(HashFamilySpec("modified_toeplitz", 7, 3))
     for h in fam:
         assert h.matrix.rank() == 3
-        assert kernel_code(h).dim == 4
+        assert kernel(h.matrix).dim == 4
 
 
 def test_sample_is_seeded():
     fam = HashFamily(HashFamilySpec("toeplitz", 10, 4))
-    assert fam.sample_rows(20, seed=5) == fam.sample_rows(20, seed=5)
-    assert fam.sample_rows(20, seed=5) != fam.sample_rows(20, seed=6)
+    assert np.array_equal(fam.sample_rows(20, seed=5), fam.sample_rows(20, seed=5))
+    assert not np.array_equal(fam.sample_rows(20, seed=5), fam.sample_rows(20, seed=6))
 
 
 @pytest.mark.parametrize("kind, n, m", [
     ("toeplitz", 10, 4), ("modified_toeplitz", 9, 3), ("random_linear", 12, 8),
     ("random_linear", 5, 5),
+    # m = 1, m = n, and a one-column Toeplitz block (n - m = 1)
+    ("toeplitz", 9, 1), ("modified_toeplitz", 8, 1), ("random_linear", 11, 1),
+    ("toeplitz", 6, 6), ("random_linear", 4, 4), ("modified_toeplitz", 7, 6),
+    # index spaces of 2 members: the sample holds index 0
+    ("modified_toeplitz", 2, 1), ("toeplitz", 1, 1), ("random_linear", 1, 1),
 ])
 def test_sample_rows_are_the_sampled_members_rows(sample_members, kind, n, m):
     fam = HashFamily(HashFamilySpec(kind, n, m))
     rows = fam.sample_rows(40, seed=9)
-    assert rows == [h.matrix.rows for h in sample_members(fam, 40, seed=9)]
-    assert all(type(r) is int for member in rows for r in member)
+    members = sample_members(fam, 40, seed=9)
+    want = np.array([h.matrix.rows for h in members], dtype=np.int64)
+    assert rows.dtype == want.dtype and rows.shape == want.shape == (40, m)
+    assert np.array_equal(rows, want)
+    if fam.index_space == 2:
+        assert fam[0] in members
+
+
+@pytest.mark.parametrize("kind, n, m", [
+    ("random_linear", 63, 1), ("toeplitz", 40, 24), ("modified_toeplitz", 63, 1),
+])
+def test_sample_rows_refuse_rows_wider_than_int64_before_drawing(monkeypatch, kind, n, m):
+    def refuse(*args):
+        raise AssertionError("index drawn")
+
+    monkeypatch.setattr(HashFamily, "_sample_indices", refuse)
+    with pytest.raises(ValueError, match="do not fit int64"):
+        HashFamily(HashFamilySpec(kind, n, m)).sample_rows(3, seed=1)
 
 
 def test_bad_shapes_rejected():

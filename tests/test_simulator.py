@@ -20,9 +20,11 @@ from dualhash.gf2 import (
     LinearCode,
     complement_basis,
     dual,
+    kernel,
     rank,
+    span,
 )
-from dualhash.hashfam import HashFamily, HashFamilySpec, kernel_code
+from dualhash.hashfam import HashFamily, HashFamilySpec
 from dualhash.simulator import (
     CHUNK_PATTERN_CAP,
     ERROR_ENUM_CAP,
@@ -364,7 +366,7 @@ def test_monte_carlo_error_prob_matches_exact(sample_members):
     # leaves C2 (here the zero code)
     h = sample_members(HashFamily(HashFamilySpec("random_linear", 12, 8)), 1, 0)[0]
     trials = 2000
-    exact = float(exact_error_prob(kernel_code(h), Fraction(1, 20)))
+    exact = float(exact_error_prob(kernel(h.matrix), Fraction(1, 20)))
     (labels,), (leaders,) = _syndrome_tables([h.matrix.rows], 12)
     est = _mc_error_prob(labels, leaders, membership(LinearCode.zero(12)),
                          mc_errors(0, 12, trials, 0.05))
@@ -378,7 +380,7 @@ def test_monte_carlo_error_prob_matches_exact(sample_members):
 @pytest.mark.parametrize("with_base", [False, True])
 def test_monte_carlo_equals_per_trial_loop(sample_members, n, m, p, with_base):
     h = sample_members(HashFamily(HashFamilySpec("random_linear", n, m)), 1, n)[0]
-    base = LinearCode(n, kernel_code(h).basis[:1]) if with_base else LinearCode.zero(n)
+    base = LinearCode(n, kernel(h.matrix).basis[:1]) if with_base else LinearCode.zero(n)
     (labels,), (leaders,) = _syndrome_tables([h.matrix.rows], n)
     inside = membership(base)
     for seed in (n * m, 0, -3, 2**32 + 1):
@@ -872,7 +874,8 @@ def test_family_average_decodes_hash_members_through_their_rows(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("kernel or dual code built for a member")
 
-    monkeypatch.setattr("dualhash.hashfam.kernel_code", refuse)
+    monkeypatch.setattr("dualhash.gf2.kernel", refuse)
+    monkeypatch.setattr("dualhash.universality.kernel", refuse)
     monkeypatch.setattr("dualhash.simulator.dual", refuse)
     for kind, n, m in (("random_linear", 8, 4), ("toeplitz", 8, 3),
                        ("modified_toeplitz", 9, 4)):
@@ -896,14 +899,16 @@ def _hash_members(sample_members):
 def test_hash_rows_decode_as_their_kernel_code(sample_members):
     deficient = 0
     for i, h in enumerate(_hash_members(sample_members)):
-        n, rows, code = h.n, h.matrix.rows, kernel_code(h)
+        n, rows, code = h.n, h.matrix.rows, kernel(h.matrix)
         deficient += h.matrix.rank() < h.m
-        # the member's rows and its kernel code's dual basis, one table each
-        labels, leaders = _syndrome_tables([rows, dual(code).basis], n)
+        # the member's rows and its kernel code's dual basis, topped up to
+        # m rows with zero rows (which change no label), one table each
+        parity = (0,) * (h.m - (n - code.dim)) + dual(code).basis
+        labels, leaders = _syndrome_tables([rows, parity], n)
         decoded = leaders[[[0], [1]], labels]  # each word's coset leader
         assert (decoded[0] == decoded[1]).all()
         for base in (LinearCode.zero(n), LinearCode(n, code.basis[:1])):
-            correct = _correct_weights(leaders, base)
+            correct = _correct_weights(leaders, span(np.array(base.basis, dtype=np.int64)), n)
             assert (correct[0] == correct[1]).all()
             errors = mc_errors(i, n, 50, 1 / 7)
             got = _mc_error_prob(labels[0], leaders[0], membership(base), errors)
@@ -970,14 +975,19 @@ def test_family_average_matches_per_member_oracle(sample_members, kind, n, m, sa
 def test_weighted_code_family_average_matches_per_member_oracle():
     rng = random.Random(8)
     codes = [random_code(7, t, rng) for t in (0, 1, 2, 3, 5, 7) for _ in range(4)]
-    fam = CodeFamily(codes, [rng.randrange(1, 9) for _ in codes])
-    for p in (Fraction(0), Fraction(1, 9), Fraction(1, 2)):
-        res = family_average_error(fam, p, R=0.5)
-        mean, _ = oracle_family_average(
-            [dual(c).basis for c in fam.codes], fam.weights, LinearCode.zero(7), p
-        )
-        assert res.exact_value == mean
-        assert res.ci_upper is None
+    light = CodeFamily(codes, [rng.randrange(1, 9) for _ in codes])
+    # weights near 2^62, each fitting int64, whose total and weighted
+    # histogram pass 2^63
+    heavy = CodeFamily(light.codes, [(1 << 62) - rng.randrange(1 << 40) for _ in light.codes])
+    assert heavy._weight_array.dtype == np.int64 and heavy.total_weight > 1 << 63
+    for fam in (light, heavy):
+        for p in (Fraction(0), Fraction(1, 9), Fraction(1, 2)):
+            res = family_average_error(fam, p, R=0.5)
+            mean, _ = oracle_family_average(
+                [dual(c).basis for c in fam.codes], fam.weights, LinearCode.zero(7), p
+            )
+            assert res.exact_value == mean
+            assert res.ci_upper is None
 
 
 def test_family_average_with_base_matches_per_member_oracle():
@@ -1008,8 +1018,8 @@ def test_family_average_errors_equal_one_call_per_p_on_a_hash_family(monkeypatch
     """Every sampled member has bit 0 of its rows cleared, so its kernel
     holds e_0 and the base span(e_0) lies in every member."""
     rows_of = HashFamily.sample_rows
-    monkeypatch.setattr(HashFamily, "sample_rows", lambda self, count, seed: [
-        tuple(r & ~1 for r in rows) for rows in rows_of(self, count, seed)])
+    monkeypatch.setattr(HashFamily, "sample_rows",
+                        lambda self, count, seed: rows_of(self, count, seed) & ~1)
     n = 8
     c2 = {"none": None, "zero": LinearCode.zero(n), "e0": LinearCode(n, (1,))}[base]
     hf = HashFamily(HashFamilySpec("random_linear", n, 3))
@@ -1066,18 +1076,19 @@ def test_family_average_chunks_stay_within_cap(monkeypatch):
 
 def test_syndrome_tables_match_syndrome_table_row_by_row():
     # each row of a batch equals the row set's own one-set table and the
-    # reference walk, padded with -1 past its 2^len(rows) labels
+    # reference walk; the batch holds m rows per set, zero and repeated
+    # rows among them
     rng = random.Random(10)
     for n in (1, 4, 7, 9):
-        row_sets = [tuple(rng.randrange(1 << n) for _ in range(rng.randrange(n + 1)))
-                    for _ in range(12)]
-        row_sets += [(), (0,) * n, (1, 1)] if n > 1 else [()]
-        labels, leaders = _syndrome_tables(row_sets, n)
-        for k, rows in enumerate(row_sets):
-            (lab,), (lead,) = _syndrome_tables([rows], n)
-            h = BinaryMatrix(rows, n)
-            assert labels[k].tolist() == lab.tolist() == [
-                h.mul_vector(x) for x in range(1 << n)]
-            assert leaders[k, : len(lead)].tolist() == lead.tolist() == \
-                oracle_leaders(rows, n)
-            assert (leaders[k, len(lead):] == -1).all()
+        for m in sorted({0, 1, 2, n // 2, n}):
+            row_sets = [tuple(rng.randrange(1 << n) for _ in range(m)) for _ in range(12)]
+            row_sets += [(0,) * m, (1,) * m]
+            labels, leaders = _syndrome_tables(row_sets, n)
+            assert labels.shape == (len(row_sets), 1 << n)
+            assert leaders.shape == (len(row_sets), 1 << m)
+            for k, rows in enumerate(row_sets):
+                (lab,), (lead,) = _syndrome_tables([rows], n)
+                h = BinaryMatrix(rows, n)
+                assert labels[k].tolist() == lab.tolist() == [
+                    h.mul_vector(x) for x in range(1 << n)]
+                assert leaders[k].tolist() == lead.tolist() == oracle_leaders(rows, n)
