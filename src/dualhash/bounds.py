@@ -4,13 +4,18 @@ Everything here is base-2: entropies, divergences, random-coding exponents,
 and the decoding / key-security bound formulas used by the simulator.  All
 1-D optimizations run over compact intervals with a coarse grid followed by
 ternary refinement (the optimized functions are unimodal on these
-intervals).  reliability_e evaluates its grids as numpy arrays and calls
-the scalar function only on the grid points near the array's maximum, which
-gives the result of the scalar scan.
+intervals).  Each scan in the library (reliability_e's s- and q-grids,
+gallager_family_bound's s-grid and the delta_biased_chi_c gain's s-grid)
+evaluates its grid as a numpy array and calls the scalar function only on
+the grid points near the array's maximum, which gives the result of the
+scalar scan.  Each grid is built once per (lo, hi, GRID_STEP), and the
+R-free terms E0(s, p), h(q) and d(q||p) once per (p, GRID_STEP), into
+small LRU caches of read-only arrays, so a call adds only its R terms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -77,15 +82,19 @@ def divergence(q: float, p: float) -> float:
     return acc
 
 
+def _e0(s: float, p: float) -> float:
+    """gallager_e0 without the range checks."""
+    e = 1.0 / (1.0 + s)
+    return s - (1 + s) * math.log2(p**e + (1 - p) ** e)
+
+
 def gallager_e0(s: float, p: float) -> float:
     """Random-coding exponent integrand for the binary symmetric channel."""
     if not 0 <= s <= 1:
         raise ValueError("s must be in [0, 1]")
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
-    e = 1.0 / (1.0 + s)
-    bracket = p**e + (1 - p) ** e
-    return s - (1 + s) * math.log2(bracket)
+    return _e0(s, p)
 
 
 def _refine(f, lo, hi, tol):
@@ -100,6 +109,18 @@ def _refine(f, lo, hi, tol):
     return x, f(x)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The scan's grid lo + (hi - lo) i / steps, i = 0..steps, read-only."""
+    steps = max(1, int(round((hi - lo) / step)))
+    return _read_only(lo + (hi - lo) * np.arange(steps + 1) / steps)
+
+
 def maximize_scalar(f, lo: float, hi: float, *, f_grid=None):
     """Grid scan (step GRID_STEP) plus ternary refinement to ARG_TOL;
     returns (argmax, max).
@@ -108,26 +129,26 @@ def maximize_scalar(f, lo: float, hi: float, *, f_grid=None):
     up to rounding.  The scan then calls f only on the grid points within
     SHORTLIST_TOL * max(1, |top|) of the array's maximum top, which hold
     every point where f is largest, and takes the first largest of those:
-    the index, grid value and result of the scan with f alone.
+    the index, grid value and result of the scan with f alone.  The grid is
+    built once per (lo, hi, GRID_STEP) and handed to f_grid read-only.
     """
-    steps = max(1, int(round((hi - lo) / GRID_STEP)))
-    grid = lo + (hi - lo) * np.arange(steps + 1) / steps  # lo + (hi - lo) i / steps
-    xs = grid.tolist()
+    grid = _grid(lo, hi, GRID_STEP)
+    steps = len(grid) - 1
     if f_grid is None:
-        candidates = range(len(xs))
+        candidates = range(len(grid))
     else:
         approx = f_grid(grid)
         top = float(np.max(approx))
         candidates = np.flatnonzero(
             approx >= top - SHORTLIST_TOL * max(1.0, abs(top))
         ).tolist()
-    vals = {j: f(xs[j]) for j in candidates}
+    vals = {j: f(float(grid[j])) for j in candidates}
     i = max(vals, key=vals.__getitem__)
-    a = xs[max(0, i - 1)]
-    b = xs[min(steps, i + 1)]
+    a = float(grid[max(0, i - 1)])
+    b = float(grid[min(steps, i + 1)])
     x, v = _refine(f, a, b, ARG_TOL)
     if vals[i] > v:
-        return xs[i], vals[i]
+        return float(grid[i]), vals[i]
     return x, v
 
 
@@ -139,22 +160,34 @@ def minimize_scalar(f, lo: float, hi: float, *, f_grid=None):
 
 def _type_exponent(q: float, p: float, R: float) -> float:
     """[1-h(q)-R]_+ + d(q||p): the divergence form of the reliability
-    function, before minimising over q."""
-    d = divergence(q, p)
-    if math.isinf(d):
+    function, before minimising over q.  binary_entropy's and divergence's
+    arithmetic, without their range checks."""
+    if (p == 0 and q > 0) or (p == 1 and q < 1):
         return math.inf
-    return max(1 - binary_entropy(q) - R, 0.0) + d
+    h = 0.0 if q in (0.0, 1.0) else -q * math.log2(q) - (1 - q) * math.log2(1 - q)
+    d = 0.0
+    if q > 0:
+        d += q * math.log2(q / p)
+    if q < 1:
+        d += (1 - q) * math.log2((1 - q) / (1 - p))
+    return max(1 - h - R, 0.0) + d
 
 
-def _gallager_e0_grid(s: np.ndarray, p: float) -> np.ndarray:
-    """gallager_e0 over an array of s, up to rounding."""
+# The R-free terms of the exponents on their grids, once per p: 16 entries
+# hold the 9 values of p of criterion 5's identity grid, each at 19 rates.
+@functools.lru_cache(maxsize=16)
+def _e0_grid(p: float, step: float) -> np.ndarray:
+    """gallager_e0(s, p) on the s-grid of [0, 1], up to rounding; read-only."""
+    s = _grid(0.0, 1.0, step)
     e = 1.0 / (1.0 + s)
-    return s - (1 + s) * np.log2(p**e + (1 - p) ** e)
+    return _read_only(s - (1 + s) * np.log2(p**e + (1 - p) ** e))
 
 
-def _type_exponent_grid(q: np.ndarray, p: float, R: float) -> np.ndarray:
-    """_type_exponent over an array of q in [0, 1/2] for p in [0, 1/2], up
-    to rounding: +inf where d(q||p) is."""
+@functools.lru_cache(maxsize=16)
+def _type_grids(p: float, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """h(q) and d(q||p) on the q-grid of [0, 1/2] for p in [0, 1/2], up to
+    rounding, read-only: d is +inf where d(q||p) is."""
+    q = _grid(0.0, 0.5, step)
     inner = q > 0
     qs = np.where(inner, q, 0.5)  # a stand-in where the q log q terms are 0
     h = np.where(inner, -qs * np.log2(qs) - (1 - qs) * np.log2(1 - qs), 0.0)
@@ -164,7 +197,7 @@ def _type_exponent_grid(q: np.ndarray, p: float, R: float) -> np.ndarray:
         with np.errstate(over="ignore"):  # q / p overflows to inf for tiny p
             d = (np.where(inner, qs * np.log2(qs / p), 0.0)
                  + (1 - q) * np.log2((1 - q) / (1 - p)))
-    return np.maximum(1 - h - R, 0.0) + d
+    return _read_only(h), _read_only(d)
 
 
 def reliability_e(R: float, p: float) -> tuple[float, float, float]:
@@ -179,16 +212,18 @@ def reliability_e(R: float, p: float) -> tuple[float, float, float]:
         raise ValueError("R must be in [0, 1]")
     if not 0 <= p <= 0.5:
         raise ValueError("p must be in [0, 1/2]")
+    e0 = _e0_grid(p, GRID_STEP)
+    h, d = _type_grids(p, GRID_STEP)
     s_star, e_val = maximize_scalar(
-        lambda s: -s * R + gallager_e0(s, p), 0.0, 1.0,
-        f_grid=lambda s: -s * R + _gallager_e0_grid(s, p),
+        lambda s: -s * R + _e0(s, p), 0.0, 1.0,
+        f_grid=lambda s: -s * R + e0,
     )
     e_val = max(e_val, 0.0)
-    _, q_val = minimize_scalar(
-        lambda q: _type_exponent(q, p, R), 0.0, 0.5,
-        f_grid=lambda q: _type_exponent_grid(q, p, R),
+    _, neg_q_val = maximize_scalar(
+        lambda q: -_type_exponent(q, p, R), 0.0, 0.5,
+        f_grid=lambda q: -(np.maximum(1 - h - R, 0.0) + d),
     )
-    return e_val, s_star, abs(e_val - q_val)
+    return e_val, s_star, abs(e_val + neg_q_val)
 
 
 def eta(l: float, x: float) -> float:
@@ -248,11 +283,11 @@ def gallager_family_bound(n: int, R: float, p: float, epsilon: float) -> BoundRe
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     log_eps = math.log2(epsilon)
-
-    def log_val(s):
-        return s * log_eps - n * (-s * R + gallager_e0(s, p))
-
-    s_star, lv = minimize_scalar(log_val, 0.0, 1.0)
+    e0 = _e0_grid(p, GRID_STEP)
+    s_star, lv = minimize_scalar(
+        lambda s: s * log_eps - n * (-s * R + _e0(s, p)), 0.0, 1.0,
+        f_grid=lambda s: s * log_eps - n * (-s * R + e0),
+    )
     value = 2.0**lv
     aux = {"s_star": s_star, "value_log2": lv}
     if p <= 0.5:
@@ -429,7 +464,13 @@ def qkd_bounds(
                 return 0.0
             return (s / (2 - s)) * (S - renyi_h(s, p_ph))
 
-        _, g = maximize_scalar(gain, 0.0, 1.0)
+        def gain_grid(s):
+            inner = s > 0
+            t = np.where(inner, s, 1.0)  # a stand-in where the gain is 0
+            renyi = np.log2(p_ph ** (1 - t) + (1 - p_ph) ** (1 - t)) / t
+            return np.where(inner, (t / (2 - t)) * (S - renyi), 0.0)
+
+        _, g = maximize_scalar(gain, 0.0, 1.0, f_grid=gain_grid)
         u = epsilon * (n + 1) / (4 * math.log(2)) + n
         value = 2 * eta(u, 2.0 ** (1 - n * g))
         return BoundReport(

@@ -276,12 +276,43 @@ def _scalar_scan_maximize(f, lo, hi, grid_step=1e-3, tol=1e-9):
     return x, v
 
 
-def _scalar_reliability_e(R, p):
+def _scalar_reliability_e(R, p, grid_step=1e-3):
     """reliability_e through the scalar scan alone."""
-    s_star, e_val = _scalar_scan_maximize(lambda s: -s * R + gallager_e0(s, p), 0.0, 1.0)
+    s_star, e_val = _scalar_scan_maximize(lambda s: -s * R + gallager_e0(s, p), 0.0, 1.0,
+                                          grid_step)
     e_val = max(e_val, 0.0)
-    _, q_neg = _scalar_scan_maximize(lambda q: -_type_exponent(q, p, R), 0.0, 0.5)
+    _, q_neg = _scalar_scan_maximize(
+        lambda q: -(max(1 - binary_entropy(q) - R, 0.0) + divergence(q, p)), 0.0, 0.5,
+        grid_step)
     return e_val, s_star, abs(e_val + q_neg)
+
+
+def _scalar_gallager_record(n, R, p, epsilon):
+    """gallager_family_bound(...).to_record() through the scalar scan alone."""
+    log_eps = math.log2(epsilon)
+    s_star, neg_lv = _scalar_scan_maximize(
+        lambda s: -(s * log_eps - n * (-s * R + gallager_e0(s, p))), 0.0, 1.0)
+    lv = -neg_lv
+    aux = {"s_star": s_star, "value_log2": lv}
+    if p <= 0.5:
+        e_val = _scalar_reliability_e(R, p)[0]
+        aux["loose_value"] = 2.0 ** (-n * e_val) * max(epsilon, 1.0)
+        aux["reliability_e"] = e_val
+    return BoundReport("family_average", 2.0**lv,
+                       {"n": n, "R": R, "p": p, "epsilon": epsilon}, aux=aux).to_record()
+
+
+def _scalar_chi_c_record(n, S, p_ph, epsilon):
+    """qkd_bounds(n, "delta_biased_chi_c", ...).to_record() through the
+    scalar scan alone."""
+    def gain(s):
+        return 0.0 if s == 0 else (s / (2 - s)) * (S - renyi_h(s, p_ph))
+
+    _, g = _scalar_scan_maximize(gain, 0.0, 1.0)
+    u = epsilon * (n + 1) / (4 * math.log(2)) + n
+    return BoundReport("delta_biased_chi_c", 2 * eta(u, 2.0 ** (1 - n * g)),
+                       {"n": n, "S": S, "epsilon": epsilon, "p_ph": p_ph},
+                       aux={"exponent": g, "u": u}).to_record()
 
 
 @settings(max_examples=150, deadline=None)
@@ -326,6 +357,65 @@ def test_reliability_e_equals_scalar_scan_on_criterion_5_points():
 
 
 @pytest.mark.parametrize("R", [0.0, 0.123, 0.5, 1.0])
-@pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 0.11, 0.4999, 0.5])
+@pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 1e-12, 0.11, 0.4999, 0.5])
 def test_reliability_e_equals_scalar_scan_at_the_edges(R, p):
     assert reliability_e(R, p) == _scalar_reliability_e(R, p)
+
+
+def test_reliability_e_equals_scalar_scan_at_random_points():
+    rng = np.random.default_rng(39)
+    for R, p in zip(rng.uniform(0, 1, 200).tolist(), rng.uniform(0, 0.5, 200).tolist()):
+        assert reliability_e(R, p) == _scalar_reliability_e(R, p)
+
+
+@pytest.mark.parametrize("n", [1, 12, 10**6])
+@pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 0.7, 1.0])
+def test_gallager_family_bound_equals_scalar_scan(n, epsilon, p):
+    for R in (0.0, 0.5, 1.0):
+        assert (gallager_family_bound(n, R, p, epsilon).to_record()
+                == _scalar_gallager_record(n, R, p, epsilon))
+
+
+@pytest.mark.parametrize("n", [10, 1000, 10**6])
+@pytest.mark.parametrize("p_ph", [0.0, 0.05, 0.5])
+def test_delta_biased_chi_c_equals_scalar_scan(n, p_ph):
+    for S, epsilon in ((0.0, 1.0), (0.4, 1.0), (0.4, 2.0), (1.0, 0.5)):
+        rep = qkd_bounds(n, "delta_biased_chi_c", S=S, p_ph=p_ph, epsilon=epsilon)
+        assert rep.to_record() == _scalar_chi_c_record(n, S, p_ph, epsilon)
+
+
+def test_cached_grids_are_read_only_and_bounded():
+    reliability_e(0.5, 0.1)
+    step = bounds.GRID_STEP
+    h, d = bounds._type_grids(0.1, step)
+    arrays = [bounds._grid(0.0, 1.0, step), bounds._grid(0.0, 0.5, step),
+              bounds._e0_grid(0.1, step), h, d]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    for cache in (bounds._grid, bounds._e0_grid, bounds._type_grids):
+        assert 0 < cache.cache_info().maxsize <= 16
+
+
+def test_patched_grid_step_gets_its_own_grids():
+    seen = []
+    maximize_scalar(lambda t: -t, 0.0, 1.0, f_grid=lambda g: seen.append(g) or -g)
+    for R, p in ((0.3, 0.05), (0.7, 0.0), (0.1, 0.5)):
+        reliability_e(R, p)  # fill the caches at the default step
+        with mock.patch.object(bounds, "GRID_STEP", 0.01):
+            maximize_scalar(lambda t: -t, 0.0, 1.0, f_grid=lambda g: seen.append(g) or -g)
+            assert reliability_e(R, p) == _scalar_reliability_e(R, p, grid_step=0.01)
+        assert reliability_e(R, p) == _scalar_reliability_e(R, p)
+    assert [len(g) for g in seen[:2]] == [1001, 101]
+    assert seen[1].tolist() == [i / 100 for i in range(101)]
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 0.05, 0.3, 0.5, 0.9, 1.0])
+def test_type_exponent_is_bit_equal_to_its_definition(p):
+    qs = [i / 1000 for i in range(501)] + [5e-324, 1e-300, 0.123456789]
+    assert 0.0 in qs and 0.5 in qs
+    for R in (0.0, 0.25, 0.5, 1.0):
+        for q in qs:
+            want = max(1 - binary_entropy(q) - R, 0.0) + divergence(q, p)
+            assert _type_exponent(q, p, R).hex() == want.hex()
