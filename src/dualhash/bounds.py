@@ -121,12 +121,12 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return _read_only(lo + (hi - lo) * np.arange(steps + 1) / steps)
 
 
-def maximize_scalar(f, lo: float, hi: float, *, f_grid=None):
+def maximize_scalar(f, lo: float, hi: float, *, f_grid):
     """Grid scan (step GRID_STEP) plus ternary refinement to ARG_TOL;
     returns (argmax, max).
 
-    f_grid, if given, evaluates f on a numpy array of grid points, equal to f
-    up to rounding.  The scan then calls f only on the grid points within
+    f_grid evaluates f on a numpy array of grid points, equal to f up to
+    rounding.  The scan calls f only on the grid points within
     SHORTLIST_TOL * max(1, |top|) of the array's maximum top, which hold
     every point where f is largest, and takes the first largest of those:
     the index, grid value and result of the scan with f alone.  The grid is
@@ -134,28 +134,15 @@ def maximize_scalar(f, lo: float, hi: float, *, f_grid=None):
     """
     grid = _grid(lo, hi, GRID_STEP)
     steps = len(grid) - 1
-    if f_grid is None:
-        candidates = range(len(grid))
-    else:
-        approx = f_grid(grid)
-        top = float(np.max(approx))
-        candidates = np.flatnonzero(
-            approx >= top - SHORTLIST_TOL * max(1.0, abs(top))
-        ).tolist()
+    approx = f_grid(grid)
+    top = float(np.max(approx))
+    candidates = np.flatnonzero(approx >= top - SHORTLIST_TOL * max(1.0, abs(top))).tolist()
     vals = {j: f(float(grid[j])) for j in candidates}
     i = max(vals, key=vals.__getitem__)
-    a = float(grid[max(0, i - 1)])
-    b = float(grid[min(steps, i + 1)])
-    x, v = _refine(f, a, b, ARG_TOL)
+    x, v = _refine(f, float(grid[max(0, i - 1)]), float(grid[min(steps, i + 1)]), ARG_TOL)
     if vals[i] > v:
         return float(grid[i]), vals[i]
     return x, v
-
-
-def minimize_scalar(f, lo: float, hi: float, *, f_grid=None):
-    neg_grid = None if f_grid is None else (lambda t: -f_grid(t))
-    x, v = maximize_scalar(lambda t: -f(t), lo, hi, f_grid=neg_grid)
-    return x, -v
 
 
 def _type_exponent(q: float, p: float, R: float) -> float:
@@ -270,24 +257,35 @@ def weighted_decoding_bound(W, R: float, epsilon: float, k_start: int = 1) -> Bo
     )
 
 
+# The largest block length a bound takes: n fits int64, as the array scans
+# take it, and every float an approach forms from n alone stays below 10^28
+# (n^1.5 in delta_biased_chi_b's eta_n of the d1 bound is the largest).
+BLOCK_LENGTH_CAP = 10**18
+
+
+def _check_block_length(n: int) -> None:
+    if not 1 <= n <= BLOCK_LENGTH_CAP:
+        raise ValueError("need block length n >= 1 and n <= 10^18")
+
+
 def gallager_family_bound(n: int, R: float, p: float, epsilon: float) -> BoundReport:
     """Average decoding error of an ε-almost universal family on a BSC.
 
     value is the optimized min over s of ε^s 2^(-n(-sR+E0(s,p))); aux holds
     the looser closed form 2^(-nE(R,p)) max(ε,1).
     """
-    if not n >= 1:
-        raise ValueError("need block length n >= 1")
+    _check_block_length(n)
     if not 0 <= R <= 1 or not 0 <= p <= 1:
         raise ValueError("need R in [0,1] and p in [0,1]")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     log_eps = math.log2(epsilon)
     e0 = _e0_grid(p, GRID_STEP)
-    s_star, lv = minimize_scalar(
-        lambda s: s * log_eps - n * (-s * R + _e0(s, p)), 0.0, 1.0,
-        f_grid=lambda s: s * log_eps - n * (-s * R + e0),
+    s_star, neg_lv = maximize_scalar(
+        lambda s: -(s * log_eps - n * (-s * R + _e0(s, p))), 0.0, 1.0,
+        f_grid=lambda s: -(s * log_eps - n * (-s * R + e0)),
     )
+    lv = -neg_lv
     value = 2.0**lv
     aux = {"s_star": s_star, "value_log2": lv}
     if p <= 0.5:
@@ -389,12 +387,7 @@ def _phase_sum_log2(n: int, S: float, epsilon: float, p_ph: float) -> float:
 
 
 def qkd_bounds(
-    n: int,
-    approach: str,
-    S: float | None = None,
-    l: int | None = None,
-    p_ph: float | None = None,
-    epsilon: float = 1.0,
+    n: int, approach: str, *, S: float, p_ph: float, epsilon: float, l: int | None = None
 ) -> BoundReport:
     """Closed-form key-security bounds, named by approach.
 
@@ -409,14 +402,11 @@ def qkd_bounds(
     delta_biased_chi_c: 2 η_u(2^(1 - n max_s (s/(2-s))(S - H_{1-s}(p_ph))))
       with u = ε(n+1)/(4 ln 2) + n.
     """
-    if not n >= 1:
-        raise ValueError("need block length n >= 1")
+    _check_block_length(n)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    if S is None or not 0 <= S <= 1:
-        raise ValueError("S must be given in [0, 1]")
-    if p_ph is None:
-        raise ValueError(f"{approach} needs p_ph")
+    if not 0 <= S <= 1:
+        raise ValueError("S must be in [0, 1]")
     if not 0 <= p_ph <= 1:
         raise ValueError("p_ph must be in [0, 1]")
     inputs = {"n": n, "S": S, "epsilon": epsilon, "p_ph": p_ph}
@@ -482,6 +472,7 @@ def qkd_bounds(
 
 def approach_ratio(n: int, epsilon: float) -> float:
     """Ratio of the phase-error trace bound to the δ-biased one."""
-    if n < 1 or not 1 <= epsilon < math.inf:
-        raise ValueError("need n >= 1 and a finite epsilon >= 1")
+    _check_block_length(n)
+    if not 1 <= epsilon < math.inf:
+        raise ValueError("need a finite epsilon >= 1")
     return 2**1.5 * math.sqrt(epsilon) / (4 + math.sqrt(n + 1) * math.sqrt(epsilon))

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import acceptance
 from .bounds import (
+    _check_block_length,
     _phase_sum_window_bound,
     approach_ratio,
     gallager_family_bound,
@@ -62,7 +63,7 @@ REQUIRED = {
     ("analyze", "tight"): ("-t", "--epsilon"),
     ("bounds", "reliability"): ("-R", "-p"),
     ("bounds", "gallager"): ("-n", "-R", "-p"),
-    ("bounds", "qkd"): ("-n", "--approach"),
+    ("bounds", "qkd"): ("-n", "--approach", "-S", "--p-ph"),
     ("bounds", "ratio"): ("-n",),
     ("simulate", "error-prob"): ("--code", "-p"),
     ("simulate", "family-average"): ("-n", "-m", "-p", "-R", "--seed"),
@@ -70,7 +71,7 @@ REQUIRED = {
     ("simulate", "counterexample"): ("-n", "-p"),
     ("simulate", "distill"): ("--c1", "--c2", "--key-a", "--key-b", "--seed"),
     ("sweep", "reliability"): ("--r-grid", "-p"),
-    ("sweep", "qkd"): ("--n-grid",),
+    ("sweep", "qkd"): ("--n-grid", "-S", "--p-ph"),
     ("sweep", "ratio"): ("--n-grid",),
 }
 
@@ -197,10 +198,8 @@ def _bound_record(args) -> dict:
     if args.topic == "gallager":
         return gallager_family_bound(args.n, args.R, args.p, args.epsilon).to_record()
     if args.topic == "qkd":
-        return qkd_bounds(
-            args.n, args.approach, S=args.S, l=args.l, p_ph=args.p_ph,
-            epsilon=args.epsilon,
-        ).to_record()
+        return qkd_bounds(args.n, args.approach, S=args.S, p_ph=args.p_ph,
+                          epsilon=args.epsilon, l=args.l).to_record()
     return {"n": args.n, "epsilon": args.epsilon,
             "ratio": approach_ratio(args.n, args.epsilon)}
 
@@ -279,6 +278,7 @@ def _cmd_verify(args) -> int:
 def _block_length(v: float) -> int:
     if not v.is_integer():
         raise ValueError(f"block length must be a whole number, got {v:g}")
+    _check_block_length(v)
     return int(v)
 
 

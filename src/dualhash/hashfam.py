@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +95,8 @@ class HashFamily:
 
     Indices encode the free parameters little-endian: index r of a Toeplitz
     family is the packed diagonal word, index r of the random_linear family
-    is the packed matrix (row 0 in the lowest n bits).
+    is the packed matrix (row 0 in the lowest n bits).  ``index_bits`` is
+    their width; the index space 2^index_bits is built on first use.
     """
 
     def __init__(self, spec: HashFamilySpec):
@@ -104,15 +106,19 @@ class HashFamily:
         self.spec = spec
         self.n, self.m = n, m
         if kind == "toeplitz":
-            self.index_space = 1 << (n + m - 1)
+            self.index_bits = n + m - 1
         elif kind == "modified_toeplitz":
             if m == n:
                 raise ValueError("modified_toeplitz needs n > m")
-            self.index_space = 1 << (n - 1)
+            self.index_bits = n - 1
         elif kind == "random_linear":
-            self.index_space = 1 << (m * n)
+            self.index_bits = m * n
         else:
             raise ValueError(f"unknown family kind: {kind}")
+
+    @cached_property
+    def index_space(self) -> int:
+        return 1 << self.index_bits
 
     @property
     def members(self) -> int:

@@ -56,7 +56,8 @@ __all__ = [
 
 AMBIENT_CAP = 20
 COUNT_BLOCK_WORDS = 1 << 16
-FAMILY_MEMBER_CAP = 1 << 16
+FAMILY_MEMBER_BITS = 16
+FAMILY_MEMBER_CAP = 1 << FAMILY_MEMBER_BITS
 TIGHT_FAMILY_CAP = 8
 
 
@@ -187,10 +188,7 @@ class CodeFamily:
         kernels taken of their rows built in bulk (``HashFamily._rows``)."""
         if hf.spec.kind == "random_linear":
             return _linear_kernel_family(hf.n, hf.m)
-        if hf.index_space > FAMILY_MEMBER_CAP:
-            raise EnumerationCapError(
-                f"family of {hf.index_space} members exceeds cap {FAMILY_MEMBER_CAP}"
-            )
+        _check_index_bits(hf)
         return cls([kernel(BinaryMatrix(tuple(rows), hf.n))
                     for rows in hf._rows(np.arange(hf.index_space)).tolist()])
 
@@ -427,6 +425,12 @@ def _parity_batches(families):
         yield n, group, _parity_counts(n, [members for _, members in group])
 
 
+def _check_index_bits(hf: HashFamily) -> None:
+    """Refuse a family past FAMILY_MEMBER_CAP from its index width alone."""
+    if hf.index_bits > FAMILY_MEMBER_BITS:
+        raise EnumerationCapError(f"family of 2^{hf.index_bits} members exceeds cap {FAMILY_MEMBER_CAP}")
+
+
 def _toeplitz_blocks(hf: HashFamily):
     """``_span_counts`` blocks of the plain-Toeplitz family's dual side:
     the 2^m XOR combinations of each member's rows, which span its dual
@@ -434,12 +438,12 @@ def _toeplitz_blocks(hf: HashFamily):
 
     A member with z zero combinations has rank m - log2 z, so each chunk
     of members is split by z.  The index range is walked in chunks of at
-    most COUNT_BLOCK_WORDS words.
+    most COUNT_BLOCK_WORDS words, rows built by ``HashFamily._rows``.
     """
-    n, m, total = hf.n, hf.m, hf.index_space
+    m, total = hf.m, hf.index_space
     per_chunk = max(1, COUNT_BLOCK_WORDS >> m)
     for start in range(0, total, per_chunk):
-        words = span(toeplitz_rows(n, m, np.arange(start, min(start + per_chunk, total))))
+        words = span(hf._rows(np.arange(start, min(start + per_chunk, total))))
         zeros = (words == 0).sum(axis=1)
         for z in np.unique(zeros).tolist():
             yield m + 1 - z.bit_length(), 1, words[zeros == z]
@@ -463,9 +467,9 @@ def _modified_toeplitz_counts(hf: HashFamily) -> _Counts:
     span and transform.  The plain side shifted left by n - k = m gives the
     dual side (``_other_side``).
     """
-    n, m, total = hf.n, hf.m, hf.index_space
+    n, m = hf.n, hf.m
     _check_ambient(n)
-    k = n - m
+    total, k = hf.index_space, n - m
     dtype, wide = _dtypes(total, n)
     rows = toeplitz_rows(n - 1, m, np.arange(1 << k) << (m - 1))
     counts = (span(rows[:, ::-1].astype(np.int32)) == 0).astype(dtype)
@@ -493,9 +497,8 @@ def _count(family) -> _Counts:
         return CodeFamily.from_hash_family(family)._counts
     if family.spec.kind == "modified_toeplitz":
         return _modified_toeplitz_counts(family)
+    _check_index_bits(family)
     n, m, total = family.n, family.m, family.index_space
-    if total > FAMILY_MEMBER_CAP:
-        raise EnumerationCapError(f"family of {total} members exceeds cap {FAMILY_MEMBER_CAP}")
     dual, plain = _span_counts(_toeplitz_blocks(family), n, 1, total)
     return _Counts(n, total, n - m, n, plain[0], dual[0])
 
@@ -682,19 +685,18 @@ def _gaussian_binomial(n: int, k: int) -> int:
     return num // den
 
 
-def _linear_kernel_count(n: int, m: int) -> int:
-    """Distinct kernels of the m x n matrices: subspaces of codim r <= m."""
-    return sum(_gaussian_binomial(n, r) for r in range(min(m, n) + 1))
-
-
 def _linear_kernel_family(n: int, m: int) -> CodeFamily:
     """Kernels of all 2^(mn) m x n matrices, built weighted.
 
     Every subspace K of codimension r <= min(m, n) is the kernel of exactly
     prod_{i<r} (2^m - 2^i) matrices, the injective maps F_2^n / K -> F_2^m.
-    The cap counts distinct members and is checked before any is built.
+    The cap counts distinct members and is checked before any is built; for
+    m >= 1, F_2^n and its 2^n - 1 hyperplanes exceed it if n > FAMILY_MEMBER_BITS.
     """
-    distinct = _linear_kernel_count(n, m)
+    if n > FAMILY_MEMBER_BITS:
+        raise EnumerationCapError(
+            f"family of at least 2^{n} distinct members exceeds cap {FAMILY_MEMBER_CAP}")
+    distinct = sum(_gaussian_binomial(n, r) for r in range(min(m, n) + 1))
     if distinct > FAMILY_MEMBER_CAP:
         raise EnumerationCapError(
             f"family of {distinct} distinct members exceeds cap {FAMILY_MEMBER_CAP}"
@@ -880,11 +882,11 @@ def counterexample_family(n: int, seed: int | None = None) -> CodeFamily:
     if n < 2:
         raise ValueError("need n >= 2")
     _check_ambient(n)
-    if _linear_kernel_count(n - 1, 2) <= FAMILY_MEMBER_CAP:
+    try:
         inner = _linear_kernel_family(n - 1, 2)
-    else:
+    except EnumerationCapError:
         if seed is None:
-            raise ValueError("family too large to enumerate; a seed is required")
+            raise ValueError("family too large to enumerate; a seed is required") from None
         hf = HashFamily(HashFamilySpec("random_linear", n - 1, 2))
         inner = CodeFamily(kernel(BinaryMatrix(tuple(rows), n - 1))
                            for rows in hf.sample_rows(1 << 10, seed).tolist())

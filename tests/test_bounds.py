@@ -25,7 +25,6 @@ from dualhash.bounds import (
     gallager_e0,
     gallager_family_bound,
     maximize_scalar,
-    minimize_scalar,
     qkd_bounds,
     reliability_e,
     renyi_h,
@@ -59,10 +58,29 @@ def test_gallager_e0_values():
 
 
 def test_scalar_optimizers():
-    x, v = maximize_scalar(lambda t: -(t - 0.3) ** 2, 0.0, 1.0)
+    # each objective takes a float or an array of grid points alike
+    def peak(t):
+        return -(t - 0.3) ** 2
+
+    def neg_bowl(t):
+        return -((t - 0.7) ** 2 + 1)
+
+    x, v = maximize_scalar(peak, 0.0, 1.0, f_grid=peak)
     assert abs(x - 0.3) < 1e-6 and abs(v) < 1e-12
-    x, v = minimize_scalar(lambda t: (t - 0.7) ** 2 + 1, 0.0, 1.0)
-    assert abs(x - 0.7) < 1e-6 and abs(v - 1) < 1e-12
+    x, v = maximize_scalar(neg_bowl, 0.0, 1.0, f_grid=neg_bowl)
+    assert abs(x - 0.7) < 1e-6 and abs(v + 1) < 1e-12
+
+
+def test_one_form_per_scan_and_per_qkd_input():
+    # the array objective is required and minimize_scalar is gone
+    assert not hasattr(bounds, "minimize_scalar")
+    with pytest.raises(TypeError, match="f_grid"):
+        maximize_scalar(lambda t: -t, 0.0, 1.0)
+    for missing in ("S", "p_ph", "epsilon"):
+        given = {k: v for k, v in {"S": 0.4, "p_ph": 0.05, "epsilon": 1.0}.items()
+                 if k != missing}
+        with pytest.raises(TypeError, match=missing):
+            qkd_bounds(1000, "phase_iid", **given)
 
 
 def test_reliability_zero_noise_exact():
@@ -141,8 +159,8 @@ def test_bound_report_is_a_plain_record():
 
 def test_qkd_phase_sum_decreases_with_sacrifice():
     p_ph = 0.05
-    lo = qkd_bounds(200, "phase_sum", S=binary_entropy(p_ph) + 0.05, p_ph=p_ph)
-    hi = qkd_bounds(200, "phase_sum", S=binary_entropy(p_ph) + 0.2, p_ph=p_ph)
+    lo = qkd_bounds(200, "phase_sum", S=binary_entropy(p_ph) + 0.05, p_ph=p_ph, epsilon=1.0)
+    hi = qkd_bounds(200, "phase_sum", S=binary_entropy(p_ph) + 0.2, p_ph=p_ph, epsilon=1.0)
     assert hi.value < lo.value
 
 
@@ -228,7 +246,7 @@ def test_phase_sum_block_length_cap_boundary(monkeypatch):
     with pytest.raises(ValueError, match="exceeds phase_sum block length cap"):
         _phase_sum_log2(cap + 1, 0.2, 1.0, p_ph=0.05)
     with pytest.raises(ValueError, match="exceeds phase_sum block length cap"):
-        qkd_bounds(10**16, "phase_sum", S=0.2, p_ph=0.5)
+        qkd_bounds(10**16, "phase_sum", S=0.2, p_ph=0.5, epsilon=1.0)
     # p_ph = 0 or 1 puts all weight on one k, so no window is walked
     assert _phase_sum_log2(10**16, 0.2, 1.0, p_ph=0.0) == -0.2 * 10**16
     assert _phase_sum_log2(10**16, 0.2, 1.0, p_ph=1.0) == 0.0
@@ -238,7 +256,7 @@ def test_phase_sum_block_length_cap_boundary(monkeypatch):
 def test_qkd_iid_and_deterministic_forms():
     p_ph, s_val, n = 0.05, binary_entropy(0.05) + 0.1, 500
     iid = qkd_bounds(n, "phase_iid", S=s_val, l=100, p_ph=p_ph, epsilon=1.0)
-    det = qkd_bounds(n, "phase_deterministic", S=s_val, l=100, p_ph=p_ph)
+    det = qkd_bounds(n, "phase_deterministic", S=s_val, l=100, p_ph=p_ph, epsilon=1.0)
     # the deterministic form pays a sqrt(n+1) factor
     assert abs(det.value / iid.value - math.sqrt(n + 1)) < 1e-6
     assert iid.aux["chi_value"] >= 0
@@ -252,7 +270,7 @@ def test_qkd_delta_biased_forms():
     assert chib.aux["d1_bound"] == d1.value
     assert chib.value >= 0 and chic.value >= 0
     with pytest.raises(ValueError):
-        qkd_bounds(n, "made_up", S=s_val, p_ph=p_ph)
+        qkd_bounds(n, "made_up", S=s_val, p_ph=p_ph, epsilon=1.0)
 
 
 def test_approach_ratio_monotone():
@@ -261,6 +279,41 @@ def test_approach_ratio_monotone():
     for epsilon in (0.5, float("inf")):
         with pytest.raises(ValueError):
             approach_ratio(10, epsilon)
+
+
+QKD_APPROACHES = ("phase_sum", "phase_iid", "phase_deterministic",
+                  "delta_biased_d1", "delta_biased_chi_b", "delta_biased_chi_c")
+
+
+def _block_length_calls(n):
+    calls = [lambda: gallager_family_bound(n, 0.5, 0.1, 1.0),
+             lambda: approach_ratio(n, 1.0)]
+    for approach in QKD_APPROACHES:
+        for p_ph in (0.0, 0.05):
+            calls.append(lambda a=approach, p=p_ph: qkd_bounds(n, a, S=0.4, p_ph=p,
+                                                               epsilon=1.0, l=100))
+    return calls
+
+
+@pytest.mark.parametrize("n", [0, -5, 10**18 + 1, int(1.7e308), 10**400],
+                         ids=["0", "-5", "10^18+1", "1.7e308", "10^400"])
+def test_block_length_outside_the_cap_is_refused_before_any_float(n):
+    # a 401-digit n raised OverflowError, and n near 1.7e308 made
+    # delta_biased_chi_c's value NaN, before
+    for call in _block_length_calls(n):
+        with pytest.raises(ValueError, match=r"need block length n >= 1 and n <= 10\^18"):
+            call()
+
+
+def test_every_approach_stays_finite_at_the_block_length_cap():
+    for call in _block_length_calls(bounds.BLOCK_LENGTH_CAP):
+        try:
+            rec = call()
+        except ValueError as exc:  # the k-window of 0 < p_ph < 1 has its own cap
+            assert "exceeds phase_sum block length cap" in str(exc)
+            continue
+        values = [rec] if isinstance(rec, float) else list(rec.to_record().values())
+        assert all(math.isfinite(v) for v in values if isinstance(v, float))
 
 
 def _scalar_scan_maximize(f, lo, hi, grid_step=1e-3, tol=1e-9):
@@ -341,10 +394,6 @@ def test_grid_shortlist_matches_scalar_scan(coeffs, quantum, lo, width, grid_ste
     expected = _scalar_scan_maximize(f, lo, hi, grid_step)
     with mock.patch.object(bounds, "GRID_STEP", grid_step):
         assert maximize_scalar(f, lo, hi, f_grid=f_grid) == expected
-        assert maximize_scalar(f, lo, hi) == expected
-        x, v = minimize_scalar(f, lo, hi, f_grid=f_grid)
-    x_neg, v_neg = _scalar_scan_maximize(lambda t: -f(t), lo, hi, grid_step)
-    assert (x, v) == (x_neg, -v_neg)
 
 
 def test_reliability_e_equals_scalar_scan_on_criterion_5_points():

@@ -3,12 +3,17 @@
 import csv
 import io
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import dualhash
 from dualhash.cli import (
     APPROACHES,
     GRID_POINT_CAP,
@@ -78,7 +83,65 @@ def test_analyze_rejects_oversized_family_before_enumerating(capsys, monkeypatch
     code, _, err = run(capsys, "analyze", "--kind", "toeplitz", "-n", "16", "-m", "8")
     assert code == 2
     assert "exceeds cap" in err
-    assert f"family of {1 << 23} members exceeds cap 65536" in err
+    assert "family of 2^23 members exceeds cap 65536" in err
+
+
+HUGE_N = str(10**400)  # 401 digits
+FLOAT_EDGE_N = str(int(1.7e308))
+
+
+OVERSIZED_INPUTS = [
+    # each took over 120 s, or printed "Exceeds the limit (4300 digits) for
+    # integer string conversion", before
+    ("analyze --kind random-linear -n 2000 -m 2000",
+     "family of at least 2^2000 distinct members exceeds cap 65536"),
+    ("analyze --kind random-linear -n 400 -m 400",
+     "family of at least 2^400 distinct members exceeds cap 65536"),
+    ("analyze --kind toeplitz -n 100000 -m 3", "family of 2^100002 members exceeds cap 65536"),
+    # each raised OverflowError, or reported a NaN value, before
+    (f"bounds gallager -n {HUGE_N} -R 0.5 -p 0.1", "n <= 10^18"),
+    (f"bounds ratio -n {HUGE_N}", "n <= 10^18"),
+    *((f"bounds qkd --approach {approach} -n {HUGE_N} -S 0.4 --p-ph 0.05", "n <= 10^18")
+      for approach in APPROACHES),
+    (f"bounds qkd --approach delta_biased_chi_c -n {FLOAT_EDGE_N} -S 0.4 --p-ph 0.05",
+     "n <= 10^18"),
+    ("sweep qkd --n-grid 1.7e308 -S 0.4 --p-ph 0.05", "n <= 10^18"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OVERSIZED_INPUTS, ids=[
+    argv.replace(HUGE_N, "10^400").replace(FLOAT_EDGE_N, "1.7e308")
+    for argv, _ in OVERSIZED_INPUTS])
+def test_oversized_input_is_refused_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *shlex.split(argv))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("toeplitz", "family of 2^100000000000 members exceeds cap 65536"),
+    ("modified-toeplitz", "ambient length 100000000000 exceeds cap 20"),
+    ("random-linear", "family of at least 2^100000000000 distinct members exceeds cap 65536"),
+])
+def test_huge_index_width_is_refused_under_an_address_space_limit(kind, message):
+    # 2^(n + m - 1) at n = 10^11 is a 12.5 GB integer: building the index
+    # space raised MemoryError in a child limited to 2 GB of address space
+    # (one OpenBLAS thread, whose buffers would otherwise grow with the cores)
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(dualhash.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualhash.cli", "analyze", "--kind", kind,
+         "-n", "100000000000", "-m", "1"],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, preexec_fn=limit,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_analyze_modified_toeplitz_builds_no_member(capsys, monkeypatch):
@@ -208,8 +271,8 @@ REQUIRED_OPTIONS = [
     ("analyze --kind toeplitz", {"-m": "2"}, {"-n": "4"}),
     ("bounds reliability", {"-R": "0.5", "-p": "0.1"}, {}),
     ("bounds gallager", {"-n": "100", "-R": "0.5", "-p": "0.05"}, {}),
-    ("bounds qkd", {"-n": "1000", "--approach": "phase_iid"},
-     {"-S": "0.4", "--p-ph": "0.05"}),
+    ("bounds qkd", {"-n": "1000", "--approach": "phase_iid", "-S": "0.4", "--p-ph": "0.05"},
+     {}),
     ("bounds ratio", {"-n": "100"}, {}),
     ("simulate --what error-prob", {"--code": "{dir}/c1.txt", "-p": "1/10"}, {}),
     ("simulate --what family-average",
@@ -222,7 +285,7 @@ REQUIRED_OPTIONS = [
      {"--c1": "{dir}/c1.txt", "--c2": "{dir}/c2.txt", "--key-a": "1010",
       "--key-b": "1010", "--seed": "3"}, {}),
     ("sweep reliability", {"--r-grid": "0.1,0.2", "-p": "0.1"}, {}),
-    ("sweep qkd", {"--n-grid": "1000,2000"}, {"-S": "0.4", "--p-ph": "0.05"}),
+    ("sweep qkd", {"--n-grid": "1000,2000", "-S": "0.4", "--p-ph": "0.05"}, {}),
     ("sweep ratio", {"--n-grid": "100,1000"}, {}),
 ]
 

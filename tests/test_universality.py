@@ -519,7 +519,11 @@ def test_tight_family_merges_repeated_members():
 def test_family_size_cap_before_enumeration():
     class Oversized:
         spec = HashFamilySpec("toeplitz", 16, 8)
-        index_space = FAMILY_MEMBER_CAP + 1
+        index_bits = 23
+
+        @property
+        def index_space(self):
+            raise AssertionError("index space built")
 
         def __getitem__(self, r):
             raise AssertionError("member built")
@@ -576,12 +580,12 @@ def test_toeplitz_row_counts_walk_in_chunks(monkeypatch, n, m):
     whole = _count(hf)
     chunks = []
 
-    def rows(n, m, diagonals):
-        chunks.append(len(diagonals))
-        return build(n, m, diagonals)
+    def rows(self, indices):
+        chunks.append(len(indices))
+        return build(self, indices)
 
-    build = universality.toeplitz_rows
-    monkeypatch.setattr(universality, "toeplitz_rows", rows)
+    build = HashFamily._rows
+    monkeypatch.setattr(HashFamily, "_rows", rows)
     monkeypatch.setattr(universality, "COUNT_BLOCK_WORDS", 4)
     chunked = _count(hf)
     assert sum(chunks) == hf.members and len(chunks) > 1
