@@ -268,6 +268,12 @@ def _check_block_length(n: int) -> None:
         raise ValueError("need block length n >= 1 and n <= 10^18")
 
 
+def _check_key_length(l: int) -> None:
+    """A key length takes the block length's cap: eta's l x stays finite."""
+    if not 0 <= l <= BLOCK_LENGTH_CAP:
+        raise ValueError("need key length l >= 0 and l <= 10^18")
+
+
 def gallager_family_bound(n: int, R: float, p: float, epsilon: float) -> BoundReport:
     """Average decoding error of an ε-almost universal family on a BSC.
 
@@ -411,6 +417,7 @@ def qkd_bounds(
         raise ValueError("p_ph must be in [0, 1]")
     inputs = {"n": n, "S": S, "epsilon": epsilon, "p_ph": p_ph}
     if l is not None:
+        _check_key_length(l)
         inputs["l"] = l
 
     if approach == "phase_sum":

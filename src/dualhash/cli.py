@@ -239,7 +239,10 @@ def _cmd_simulate(args) -> int:
         _emit(args, res.to_record())
         return 0
     if args.what == "counterexample":
-        res = counterexample_leakage(args.n, float(_fraction(args.p)), seed=args.seed)
+        p = _fraction(args.p)
+        if not 0 <= p <= 1:  # before float(p), which overflows past 1.8e308
+            raise ValueError("p must be in [0, 1]")
+        res = counterexample_leakage(args.n, float(p), seed=args.seed)
         rec = res.to_record()
         rec["seed"] = args.seed
         _emit(args, rec)

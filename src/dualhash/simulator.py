@@ -24,7 +24,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -471,48 +472,62 @@ def wiretap_eval(pxz, c1: LinearCode, c2: LinearCode, mode: str = "exact") -> Si
     phase-error probability and its implied bounds.  Requires identical
     phase-error marginals across qubits.
     """
+    (res,) = _wiretap_evals([(pxz, c1, c2)], mode)
+    return res
+
+
+def _wiretap_evals(cases, mode: str = "exact") -> list[SimResult]:
+    """wiretap_eval of each (pxz, c1, c2) of ``cases``, one SimResult per
+    case: every case is checked and its remaining phase error computed in
+    order, and in exact mode their leakages come from one stacked
+    _coset_key_leakages call."""
     if mode not in ("exact", "phase_only"):
         raise ValueError(f"unknown mode: {mode}")
-    tables = [np.asarray(t, dtype=float) for t in pxz]
-    if any(t.shape != (4,) for t in tables):
-        raise ValueError("need one 4-entry table (p00 p01 p10 p11) per qubit")
-    for t in tables:
-        if not (np.all(t >= 0) and abs(t.sum() - 1) <= 1e-9):
-            raise ValueError("each per-qubit table must be a distribution")
-    n = len(tables)
-    if not n == c1.n == c2.n:
-        raise ValueError(
-            f"channel has {n} qubits; codes of length {c1.n} and {c2.n}"
-        )
-    if not c1.contains_code(c2):
-        raise ValueError("C2 is not a subcode of C1")
-    if mode == "exact" and n > WIRETAP_EXACT_CAP:
-        raise ValueError(f"n={n} exceeds exact wiretap cap {WIRETAP_EXACT_CAP}")
-    p_ph_each = [t[2] + t[3] for t in tables]
-    if max(p_ph_each) - min(p_ph_each) > 1e-12:
-        raise ValueError("qubits must share the phase-error marginal")
-    p_ph = Fraction(float(p_ph_each[0])).limit_denominator(10**9)
-    p_ph_remaining = exact_error_prob((dual(c2), dual(c1)), p_ph)
-    l = c1.dim - c2.dim
-    d1_bound = 2 * math.sqrt(2) * math.sqrt(float(p_ph_remaining))
-    chi_bound = eta(l, float(p_ph_remaining))
-    params = {
-        "p_ph": float(p_ph),
-        "p_ph_remaining": str(p_ph_remaining),
-        "l": l,
-        "mode": mode,
-    }
-    value = float(p_ph_remaining)
-    if mode == "exact":
-        value, params["holevo"] = _coset_key_leakage(tables, c1, c2)
-    return SimResult(value, n, params, bounds=[
-        BoundReport("trace_distance", d1_bound, params),
-        BoundReport("holevo", chi_bound, params),
-    ])
+    results, exact = [], []
+    for pxz, c1, c2 in cases:
+        tables = [np.asarray(t, dtype=float) for t in pxz]
+        if any(t.shape != (4,) for t in tables):
+            raise ValueError("need one 4-entry table (p00 p01 p10 p11) per qubit")
+        for t in tables:
+            if not (np.all(t >= 0) and abs(t.sum() - 1) <= 1e-9):
+                raise ValueError("each per-qubit table must be a distribution")
+        n = len(tables)
+        if not n == c1.n == c2.n:
+            raise ValueError(
+                f"channel has {n} qubits; codes of length {c1.n} and {c2.n}"
+            )
+        if not c1.contains_code(c2):
+            raise ValueError("C2 is not a subcode of C1")
+        if mode == "exact" and n > WIRETAP_EXACT_CAP:
+            raise ValueError(f"n={n} exceeds exact wiretap cap {WIRETAP_EXACT_CAP}")
+        p_ph_each = [t[2] + t[3] for t in tables]
+        if max(p_ph_each) - min(p_ph_each) > 1e-12:
+            raise ValueError("qubits must share the phase-error marginal")
+        p_ph = Fraction(float(p_ph_each[0])).limit_denominator(10**9)
+        p_ph_remaining = exact_error_prob((dual(c2), dual(c1)), p_ph)
+        l = c1.dim - c2.dim
+        d1_bound = 2 * math.sqrt(2) * math.sqrt(float(p_ph_remaining))
+        chi_bound = eta(l, float(p_ph_remaining))
+        params = {
+            "p_ph": float(p_ph),
+            "p_ph_remaining": str(p_ph_remaining),
+            "l": l,
+            "mode": mode,
+        }
+        results.append(SimResult(float(p_ph_remaining), n, params, bounds=[
+            BoundReport("trace_distance", d1_bound, params),
+            BoundReport("holevo", chi_bound, params),
+        ]))
+        exact.append((tables, c1, c2))
+    if mode == "exact" and results:
+        for res, (d1, chi) in zip(results, _coset_key_leakages(exact)):
+            res.exact_value, res.params["holevo"] = d1, chi
+    return results
 
 
-def _coset_key_leakage(tables, c1: LinearCode, c2: LinearCode) -> tuple[float, float]:
-    """Trace distance from ideal and Holevo information of the coset key.
+def _coset_key_leakages(cases) -> list[tuple[float, float]]:
+    """Trace distance from ideal and Holevo information of the coset key,
+    for each (tables, C1, C2) of ``cases``.
 
     Eve's state splits into orthogonal blocks, one per bit-error word z and
     coset K of C2^perp holding the phase-error word.  In a block, key r
@@ -522,25 +537,56 @@ def _coset_key_leakage(tables, c1: LinearCode, c2: LinearCode) -> tuple[float, f
     and each block adds ||sqrt(q) sqrt(q)^T - diag(q)||_1 to d1.  That
     matrix has trace 0 and one positive eigenvalue lambda, so its norm is
     2 lambda, the root in [0, Q] of sum_J q_J / (lambda + q_J) = 1.
+
+    The joint law [x, z] is built by outer products, each entry the one
+    product np.kron would form.  Cases with the same number J of cosets
+    share one bisection: each case's [K, J, z] array becomes the columns
+    [J, K z] of one [J, blocks] stack, so each J sum runs down the rows in
+    the order of a single case's.  Memory: every case's q at once, plus two
+    arrays the size of the largest same-J group's stack.
     """
-    n = c1.n
-    joint = reduce(np.kron, [t.reshape(2, 2) for t in tables])  # [x, z]
-    labels = syndromes(c2.basis + tuple(complement_basis(c1, c2)), n)
-    q = np.zeros((1 << c1.dim, 1 << n))
-    np.add.at(q, labels, joint)
-    q = q.reshape(1 << c2.dim, 1 << (c1.dim - c2.dim), 1 << n)  # [K, J, z]
-    big_q = q.sum(axis=1, keepdims=True)
-    support = q > 0
-    ratio = np.divide(big_q, q, out=np.ones_like(q), where=support)
-    chi = float((q * np.log2(ratio)).sum())
-    lo, hi = np.zeros_like(big_q), big_q
-    terms = np.zeros_like(q)
+    qs, chis = [], []
+    for tables, c1, c2 in cases:
+        n = c1.n
+        joint = np.ones((1, 1))
+        for t in tables:
+            joint = (joint[:, None, :, None] * t.reshape(2, 2)[None, :, None, :]).reshape(
+                2 * len(joint), -1)  # [x, z]
+        labels = syndromes(c2.basis + tuple(complement_basis(c1, c2)), n)
+        q = np.zeros((1 << c1.dim, 1 << n))
+        np.add.at(q, labels, joint)
+        q = q.reshape(1 << c2.dim, 1 << (c1.dim - c2.dim), 1 << n)  # [K, J, z]
+        big_q = q.sum(axis=1, keepdims=True)
+        support = q > 0
+        ratio = np.divide(big_q, q, out=np.ones_like(q), where=support)
+        chis.append(float((q * np.log2(ratio)).sum()))
+        qs.append(q)
+    groups: dict[int, list[int]] = {}
+    for i, q in enumerate(qs):
+        groups.setdefault(q.shape[1], []).append(i)
+    d1s = [0.0] * len(qs)
+    for cosets, group in groups.items():
+        stack = np.concatenate(
+            [qs[i].transpose(1, 0, 2).reshape(cosets, -1) for i in group], axis=1)
+        lo = _leading_eigenvalues(stack)
+        widths = [qs[i].shape[0] * qs[i].shape[2] for i in group]
+        for i, end, width in zip(group, accumulate(widths), widths):
+            d1s[i] = 2 * float(lo[end - width:end].reshape(qs[i].shape[0], 1, -1).sum())
+    return list(zip(d1s, chis))
+
+
+def _leading_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """For each column q of ``stack`` [J, blocks], the root lambda in
+    [0, sum q] of sum_J q_J / (lambda + q_J) = 1, by BISECT_STEPS halvings."""
+    support = stack > 0
+    lo, hi = np.zeros(stack.shape[1]), stack.sum(axis=0)
+    terms = np.zeros_like(stack)
     for _ in range(BISECT_STEPS):
         mid = (lo + hi) / 2
-        np.divide(q, mid + q, out=terms, where=support)
-        above = terms.sum(axis=1, keepdims=True) > 1
+        np.divide(stack, mid + stack, out=terms, where=support)
+        above = terms.sum(axis=0) > 1
         lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-    return 2 * float(lo.sum()), chi
+    return lo
 
 
 def counterexample_leakage(n: int, p: float, family: CodeFamily | None = None,

@@ -308,5 +308,5 @@ def test_criterion_5_checks_the_weighted_sum_bound(monkeypatch):
 
 
 def test_criterion_6_fails_when_leakage_exceeds_its_bound(monkeypatch):
-    monkeypatch.setattr(simulator, "_coset_key_leakage", lambda *args: (9.0, 9.0))
+    monkeypatch.setattr(simulator, "_coset_key_leakages", lambda cases: [(9.0, 9.0)] * len(cases))
     assert acceptance.criterion_6(SEED) == (False, "n=3, p=0.05: leakage exceeds its bound")

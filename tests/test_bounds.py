@@ -316,6 +316,21 @@ def test_every_approach_stays_finite_at_the_block_length_cap():
         assert all(math.isfinite(v) for v in values if isinstance(v, float))
 
 
+@pytest.mark.parametrize("l", [-1, 10**18 + 1, 10**400], ids=["-1", "10^18+1", "10^400"])
+def test_key_length_outside_the_cap_is_refused(l):
+    # a 401-digit l raised OverflowError from eta's l x before
+    for approach in QKD_APPROACHES:
+        with pytest.raises(ValueError, match=r"need key length l >= 0 and l <= 10\^18"):
+            qkd_bounds(1000, approach, S=0.4, p_ph=0.05, epsilon=1.0, l=l)
+
+
+def test_holevo_forms_stay_finite_at_the_key_length_cap():
+    for approach in ("phase_sum", "phase_iid", "phase_deterministic"):
+        for l in (0, bounds.BLOCK_LENGTH_CAP):
+            rec = qkd_bounds(1000, approach, S=0.4, p_ph=0.05, epsilon=1.0, l=l)
+            assert math.isfinite(rec.aux["chi_value"])
+
+
 def _scalar_scan_maximize(f, lo, hi, grid_step=1e-3, tol=1e-9):
     """maximize_scalar as it was before its grid stage could run on arrays:
     f at every grid point, the first largest, then ternary refinement."""

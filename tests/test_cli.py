@@ -120,6 +120,26 @@ def test_oversized_input_is_refused_at_once(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv", [
+    *(f"bounds qkd --approach {approach} -n 1000 -S 0.4 --p-ph 0.05 -l {HUGE_N}"
+      for approach in ("phase_sum", "phase_iid", "phase_deterministic")),
+    f"sweep qkd --n-grid 1000 --approach phase_iid -S 0.4 --p-ph 0.05 -l {HUGE_N}",
+    "bounds qkd --approach phase_iid -n 1000 -S 0.4 --p-ph 0.05 -l -1",
+], ids=["phase_sum", "phase_iid", "phase_deterministic", "sweep_phase_iid", "negative"])
+def test_key_length_outside_the_cap_exits_2(capsys, argv):
+    # a 401-digit -l raised OverflowError from bounds.eta before
+    assert run(capsys, *shlex.split(argv)) == (
+        2, "", "error: need key length l >= 0 and l <= 10^18\n")
+
+
+@pytest.mark.parametrize("p", [HUGE_N, "-" + HUGE_N, f"{HUGE_N}/3"],
+                         ids=["10^400", "-10^400", "10^400/3"])
+def test_counterexample_probability_past_float_range_exits_2(capsys, p):
+    # float(p) raised OverflowError before the range check
+    assert run(capsys, "simulate", "--what", "counterexample", "-n", "5", "-p", p) == (
+        2, "", "error: p must be in [0, 1]\n")
+
+
 @pytest.mark.parametrize("kind, message", [
     ("toeplitz", "family of 2^100000000000 members exceeds cap 65536"),
     ("modified-toeplitz", "ambient length 100000000000 exceeds cap 20"),

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dualhash.gf2 import (
     kernel,
     rank,
     span,
+    syndromes,
 )
 from dualhash.hashfam import HashFamily, HashFamilySpec
 from dualhash.simulator import (
@@ -31,12 +33,15 @@ from dualhash.simulator import (
     MC_TRIALS,
     SAMPLE_PATTERN_CAP,
     _correct_weights,
+    _coset_key_leakages,
     _coset_reps,
+    _leading_eigenvalues,
     _family_average_errors,
     _mc_error_prob,
     _mc_errors,
     _random_below,
     _syndrome_tables,
+    _wiretap_evals,
     counterexample_leakage,
     decode,
     distill_keys,
@@ -633,6 +638,77 @@ def test_wiretap_exact_matches_dense_oracle():
         assert abs(res.params["holevo"] - holevo(rho)) < 1e-12
 
 
+def oracle_coset_key_leakage(tables, c1, c2):
+    """One case's (d1, chi) by the per-case formula: the joint law through
+    np.kron and its own 64-step bisection over the [K, J, z] array."""
+    n = c1.n
+    joint = reduce(np.kron, [np.asarray(t, dtype=float).reshape(2, 2) for t in tables])
+    labels = syndromes(c2.basis + tuple(complement_basis(c1, c2)), n)
+    q = np.zeros((1 << c1.dim, 1 << n))
+    np.add.at(q, labels, joint)
+    q = q.reshape(1 << c2.dim, 1 << (c1.dim - c2.dim), 1 << n)
+    big_q = q.sum(axis=1, keepdims=True)
+    support = q > 0
+    ratio = np.divide(big_q, q, out=np.ones_like(q), where=support)
+    chi = float((q * np.log2(ratio)).sum())
+    lo, hi = np.zeros_like(big_q), big_q
+    terms = np.zeros_like(q)
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        np.divide(q, mid + q, out=terms, where=support)
+        above = terms.sum(axis=1, keepdims=True) > 1
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return 2 * float(lo.sum()), chi
+
+
+def random_wiretap_case(n, rng, np_rng):
+    """A random nested pair of length n with a general, a dephasing or a
+    bit-flip-only channel."""
+    p = np_rng.uniform(0, 0.5)
+    pxz = [random_channel(n, np_rng), [(1 - p, 0.0, p, 0.0)] * n,
+           [(1 - p, p, 0.0, 0.0)] * n][rng.randrange(3)]
+    return ([np.asarray(t, dtype=float) for t in pxz], *random_nested_pair(n, rng))
+
+
+def test_stacked_leakages_equal_per_case_formula():
+    rng, np_rng = random.Random(41), np.random.default_rng(41)
+    for size in (1, 2, 5, 12, 30):
+        for _ in range(4):
+            cases = [random_wiretap_case(rng.randrange(1, 7), rng, np_rng)
+                     for _ in range(size)]
+            assert _coset_key_leakages(cases) == [oracle_coset_key_leakage(*c) for c in cases]
+
+
+def test_stacked_leakages_equal_per_case_formula_at_the_cap(monkeypatch):
+    rng, np_rng = random.Random(10), np.random.default_rng(10)
+    cases = [([np.asarray(t) for t in random_channel(10, np_rng)], LinearCode.full(10),
+              LinearCode.zero(10)),  # J = 2^10, one coset K
+             random_wiretap_case(3, rng, np_rng), random_wiretap_case(8, rng, np_rng)]
+    stacks = []
+
+    def spy(stack):
+        stacks.append(stack.shape)
+        return _leading_eigenvalues(stack)
+
+    monkeypatch.setattr("dualhash.simulator._leading_eigenvalues", spy)
+    assert _coset_key_leakages(cases) == [oracle_coset_key_leakage(*c) for c in cases]
+    # one stack per coset count J, none padded to the 2^10 cosets of the first case
+    widths: dict[int, int] = {}
+    for _, c1, c2 in cases:
+        cosets = 1 << (c1.dim - c2.dim)
+        widths[cosets] = widths.get(cosets, 0) + (1 << c2.dim) * (1 << c1.n)
+    assert sorted(stacks) == sorted(widths.items())
+
+
+@pytest.mark.parametrize("mode", ["exact", "phase_only"])
+def test_wiretap_evals_equal_single_calls(mode):
+    rng, np_rng = random.Random(5), np.random.default_rng(5)
+    cases = [random_wiretap_case(n, rng, np_rng) for n in (4, 1, 6, 3, 6, 2)]
+    stacked = _wiretap_evals(cases, mode)
+    assert [r.to_record() for r in stacked] == [
+        wiretap_eval(*c, mode=mode).to_record() for c in cases]
+
+
 def test_wiretap_oracle_sifted_state_normalizes():
     pxz = [(0.85, 0.05, 0.07, 0.03)] * 2
     rho = oracle_wiretap_state(pxz, LinearCode.full(2), LinearCode.zero(2))
@@ -669,10 +745,10 @@ def test_wiretap_exact_bounds_hold_beyond_dense_size(n):
 
 
 def test_wiretap_exact_refuses_n_above_cap_before_building(monkeypatch):
-    def no_kron(*args, **kwargs):
+    def no_leakage(*args, **kwargs):
         raise AssertionError("joint distribution built")
 
-    monkeypatch.setattr(np, "kron", no_kron)
+    monkeypatch.setattr("dualhash.simulator._coset_key_leakages", no_leakage)
     pxz = [(0.9, 0.0, 0.1, 0.0)] * 11
     with pytest.raises(ValueError, match="exceeds exact wiretap cap"):
         wiretap_eval(pxz, LinearCode.full(11), LinearCode.repetition(11))
