@@ -274,6 +274,18 @@ def _check_key_length(l: int) -> None:
         raise ValueError("need key length l >= 0 and l <= 10^18")
 
 
+# The largest ε a bound takes.  The largest float an approach forms from ε is
+# about ε times n or l (each at most 10^18): delta_biased_chi_c's 2 η_u with
+# u = ε(n + 1)/(4 ln 2) + n, and the Holevo forms' η_l of up to ε.  At this
+# cap those stay below 10^289, so no value or aux overflows to inf.
+EPSILON_CAP = 1e270
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon <= EPSILON_CAP:
+        raise ValueError("epsilon must be positive and at most 1e270")
+
+
 def gallager_family_bound(n: int, R: float, p: float, epsilon: float) -> BoundReport:
     """Average decoding error of an ε-almost universal family on a BSC.
 
@@ -283,8 +295,7 @@ def gallager_family_bound(n: int, R: float, p: float, epsilon: float) -> BoundRe
     _check_block_length(n)
     if not 0 <= R <= 1 or not 0 <= p <= 1:
         raise ValueError("need R in [0,1] and p in [0,1]")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     log_eps = math.log2(epsilon)
     e0 = _e0_grid(p, GRID_STEP)
     s_star, neg_lv = maximize_scalar(
@@ -409,8 +420,7 @@ def qkd_bounds(
       with u = ε(n+1)/(4 ln 2) + n.
     """
     _check_block_length(n)
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if not 0 <= S <= 1:
         raise ValueError("S must be in [0, 1]")
     if not 0 <= p_ph <= 1:

@@ -402,9 +402,16 @@ def syndromes(rows, n: int) -> np.ndarray:
 
     Two words share a label iff they differ by an element of the kernel of
     H, so with the rows spanning C^perp the labels key the cosets of C.  The
-    labels are the span of the column syndromes H e_j, in the dtype of the
-    rows (int64 for a list); the last axis has 2^n entries, callers bound n.
+    labels are the span of the column syndromes H e_j (``_column_syndromes``);
+    the last axis has 2^n entries, callers bound n.
     """
+    return span(_column_syndromes(rows, n))
+
+
+def _column_syndromes(rows, n: int) -> np.ndarray:
+    """c[..., j] = H e_j, the syndrome of bit j, for j < n, H the matrix whose
+    rows are the last axis of ``rows``, in the dtype of the rows (int64 for
+    a list)."""
     rows = np.asarray(rows)
     if ((rows < 0) | (rows >= 1 << n)).any():
         raise ValueError("row out of range for cols")
@@ -412,7 +419,7 @@ def syndromes(rows, n: int) -> np.ndarray:
         rows = rows.astype(np.int64)
     bits = (rows[..., None] >> np.arange(n, dtype=rows.dtype)) & 1
     shifts = np.arange(rows.shape[-1] - 1, -1, -1, dtype=rows.dtype)[:, None]
-    return span((bits << shifts).sum(axis=-2, dtype=rows.dtype))
+    return (bits << shifts).sum(axis=-2, dtype=rows.dtype)
 
 
 def complement_basis(c1: LinearCode, c2: LinearCode) -> list[int]:

@@ -1,13 +1,16 @@
 """Exact desk-scale channel simulation: decoding, family averages, key
 distillation, and wiretap security evaluation.
 
-Every decoding path uses one coset-leader table keyed by the syndromes Hx
-of ``gf2.syndromes``, labels and leaders computed once per code in one pass
-over all 2^n error patterns, H a code's dual basis, a CodeFamily member's
-parity rows (``universality._parity_rows``) or a hash member's own matrix
-(whose kernel is its code); the cap n <= 16 bounds that work.
-Family averages take one (members, rows) array, table a chunk of members
-in one pass and sum one weighted histogram of error weights per family.
+Every decoding path uses one coset-leader table, the least word of each
+syndrome Hx, H a code's dual basis, a CodeFamily member's parity rows
+(``universality._parity_rows``) or a hash member's own matrix (whose kernel
+is its code), built by one min-plus pass over the columns of H
+(``_coset_leaders``): (n - m + 1) 2^m steps for 2^m syndromes, at most 2^n,
+and the cap n <= 16 bounds that work.  A word is decoded through its
+syndrome, from ``BinaryMatrix.mul_vector`` or, for Monte Carlo trials, the
+labels of every word from ``gf2.syndromes``.  Family averages take one
+(members, rows) array, table a chunk of members in one pass and sum one
+weighted histogram of error weights per family.
 Exact wiretap leakage comes from the joint (phase, bit) error histogram
 over syndrome labels, capped at n <= 10 (4^n error pairs), and the leaky
 family's from each member's histogram of noise syndromes.
@@ -37,9 +40,11 @@ from .bounds import (
     weighted_decoding_bound,
 )
 from .gf2 import (
+    BinaryMatrix,
     BitVector,
     LinearCode,
     WeightDistribution,
+    _column_syndromes,
     _echelon,
     _reduce,
     complement_basis,
@@ -62,7 +67,7 @@ __all__ = [
 
 ERROR_ENUM_CAP = 16
 SAMPLE_PATTERN_CAP = 1 << 24  # sampled members times 2^n patterns each
-CHUNK_PATTERN_CAP = 1 << 16  # members times 2^n patterns labelled at once
+CHUNK_PATTERN_CAP = 1 << 15  # entries of the largest array a chunk of members builds
 MC_TRIALS = 2000  # Monte Carlo transmissions per sampled member
 MC_DRAW_CAP = 1 << 20  # Monte Carlo draws (members times trials times n) made at once
 WIRETAP_EXACT_CAP = 10
@@ -103,27 +108,49 @@ def _pattern_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return weight, key
 
 
-def _syndrome_tables(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Syndrome label of every n-bit word, and the coset leaders they key,
-    for the K row sets of a (K, m) int array: labels (K, 2^n) and leaders
-    (K, 2^m).  labels[k, x] = H_k x, H_k the matrix of rows[k]; leaders[k, s]
-    is the least (weight, value) word labelled s, or -1 if none is
-    (dependent or zero rows reach fewer labels).  Rows spanning C^perp, a
-    code's dual basis or a hash member's own matrix rows, key the cosets of
-    C; which rows do so changes no leader.  The leaders take one
-    np.minimum.at per row set, which needs no K 2^n array of flat indices
-    or keys.  n <= 16, and callers bound K 2^n, so every array is int32.
+def _seed_bits(n: int, m: int) -> int:
+    """Bits a whose 2^a words seed ``_coset_leaders``' table of 2^m labels."""
+    return min(n, m + 1)
+
+
+def _coset_leaders(rows, n: int) -> np.ndarray:
+    """Coset leaders of the K row sets of a (K, m) int array, (K, 2^m):
+    leaders[k, s] is the least (weight, value) word x with H_k x = s, H_k the
+    matrix of rows[k], or -1 if none is (dependent or zero rows reach fewer
+    labels).  Rows spanning C^perp, a code's dual basis or a hash member's
+    own matrix rows, key the cosets of C; which rows do so changes no leader.
+
+    A Viterbi pass over the syndrome trellis (Wolf 1978), for every end
+    label at once.  The key (wt(x) << n) | x of ``_pattern_weights`` adds over
+    disjoint supports, so the least key labelled s among the words on bits
+    < j + 1 is min(D_j[s], D_j[s ^ H e_j] + 2^n + 2^j), a minimum over the
+    same words.  D starts from the words on the first a = ``_seed_bits``
+    bits, one np.minimum.at per row set over their 2^a labels, and takes
+    each other bit in one gather and one np.minimum over the (K, 2^m)
+    table: (n - a) 2^m + 2^a <= 2^n steps per row set, and at m >= n - 1
+    the seed is every word.  n <= 16, so keys stay below (n + 1) 2^n < 2^30,
+    the mark of an unreached label, and the table is int32.
     """
     if n > ERROR_ENUM_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {ERROR_ENUM_CAP}")
     rows = np.asarray(rows, dtype=np.int32)
-    labels = syndromes(rows, n)
+    cols = _column_syndromes(rows, n)
+    count, m = rows.shape
+    a = _seed_bits(n, m)
     _, key = _pattern_weights(n)
-    unreached = np.iinfo(np.int32).max
-    best = np.full((len(rows), 1 << rows.shape[1]), unreached, dtype=np.int32)
-    for b, lab in zip(best, labels):
-        np.minimum.at(b, lab, key)
-    return labels, np.where(best < unreached, best & ((1 << n) - 1), -1)
+    unreached = 1 << 30
+    best = np.full((count, 1 << m), unreached, dtype=np.int32)
+    for b, lab in zip(best, span(cols[:, :a])):
+        np.minimum.at(b, lab, key[: 1 << a])
+    if a < n:  # the gather's buffers are built once: fresh ones cost page faults
+        index = np.arange(count)[:, None] << m | np.arange(1 << m)  # flat, into best
+        gather, step = np.empty_like(index), np.empty_like(best)
+        for j in range(a, n):
+            np.bitwise_xor(index, cols[:, j, None], out=gather)
+            np.take(best, gather, out=step, mode="clip")  # all in range; "clip" is unbuffered
+            step += (1 << n) + (1 << j)
+            np.minimum(best, step, out=best)
+    return np.where(best < unreached, best & ((1 << n) - 1), -1)
 
 
 def decode(c: LinearCode, y: BitVector) -> BitVector:
@@ -134,8 +161,9 @@ def decode(c: LinearCode, y: BitVector) -> BitVector:
     """
     if y.n != c.n:
         raise ValueError("length mismatch")
-    labels, leaders = _syndrome_tables([dual(c).basis], c.n)
-    return BitVector(c.n, y.value ^ int(leaders[0, labels[0, y.value]]))
+    rows = dual(c).basis
+    (leaders,) = _coset_leaders([rows], c.n)
+    return BitVector(c.n, y.value ^ int(leaders[BinaryMatrix(rows, c.n).mul_vector(y.value)]))
 
 
 def exact_error_prob(code, p) -> Fraction:
@@ -148,13 +176,24 @@ def exact_error_prob(code, p) -> Fraction:
     c1, c2 = (code, LinearCode.zero(code.n)) if isinstance(code, LinearCode) else code
     if not c1.contains_code(c2):
         raise ValueError("C2 is not a subcode of C1")
+    p = _crossover(p)
+    return _mean_error(_coset_weights(c1, c2), 1, c1.n, p)
+
+
+def _crossover(p) -> Fraction:
+    """p as a Fraction, refused outside [0, 1/2]."""
     p = Fraction(p)
     if not 0 <= p <= Fraction(1, 2):
         raise ValueError("p must be in [0, 1/2]")
-    _, leaders = _syndrome_tables([dual(c1).basis], c1.n)
-    words = span(np.array(c2.basis, dtype=np.int64))
-    (correct,) = _correct_weights(leaders, words, c1.n).tolist()
-    return _mean_error(correct, 1, c1.n, p)
+    return p
+
+
+def _coset_weights(c1: LinearCode, c2: LinearCode) -> list[int]:
+    """The weight histogram of the errors that decoding in C1 ⊇ C2 leaves in
+    C2 (``_correct_weights`` of C1's one table)."""
+    leaders = _coset_leaders([dual(c1).basis], c1.n)
+    (correct,) = _correct_weights(leaders, span(np.array(c2.basis, dtype=np.int64)), c1.n)
+    return correct.tolist()
 
 
 def _mean_error(correct, total: int, n: int, p: Fraction) -> Fraction:
@@ -168,11 +207,12 @@ def _mean_error(correct, total: int, n: int, p: Fraction) -> Fraction:
 
 def _correct_weights(leaders: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
     """Row k: the weight histogram of the errors that row k of the
-    _syndrome_tables leaders decodes into C2, a code of length n inside
-    that row's code C1, given by its codewords ``words``.  A word decodes
+    _coset_leaders leaders decodes into C2, a code of length n inside that
+    row's code C1, given by its codewords ``words``.  A word decodes
     correctly iff its error differs from its coset leader by an element of
     C2.  Each member contributes its 2^rank reached leaders times
-    |C2| <= 2^(n - rank) words, so K members make at most K 2^n."""
+    |C2| <= 2^(n - rank) words: at most K 2^m |C2| entries for K members of
+    m rows, which bounds a family average's chunk."""
     count = len(leaders)
     weight, _ = _pattern_weights(n)
     member, slot = np.nonzero(leaders >= 0)
@@ -208,11 +248,13 @@ def family_average_error(
     `mode` is "exact" or, for a HashFamily only, "monte_carlo" (MC_TRIALS
     trials).
 
-    Members are tabled in chunks of at most CHUNK_PATTERN_CAP patterns
-    (_syndrome_tables).  An exact mean comes from one histogram of correctly
-    decoded error weights, each member's times its weight, summed over the
-    family in exact integers (_mean_error).  Monte Carlo member i draws the
-    random() stream of its own random.Random(seed + i) (_mc_errors).
+    Members are tabled in chunks whose largest array holds at most
+    CHUNK_PATTERN_CAP entries (_coset_leaders), and C2 is checked against
+    every member's rows before any table is built.  An exact mean comes
+    from one histogram of correctly decoded error weights, each member's
+    times its weight, summed over the family in exact integers
+    (_mean_error).  Monte Carlo member i draws the random() stream of its
+    own random.Random(seed + i) (_mc_errors).
     """
     (res,) = _family_average_errors(family, [p], R, mode, base, sample_count, seed)
     return res
@@ -230,9 +272,7 @@ def _family_average_errors(family, ps, R, mode="exact", base=None, sample_count=
         raise ValueError(f"unknown mode: {mode}")
     if mode == "monte_carlo" and isinstance(family, CodeFamily):
         raise ValueError("monte_carlo mode needs a HashFamily")
-    pfs = [Fraction(p) for p in ps]
-    if not all(0 <= pf <= Fraction(1, 2) for pf in pfs):
-        raise ValueError("p must be in [0, 1/2]")
+    pfs = [_crossover(p) for p in ps]
     if not 0 <= R <= 1:
         raise ValueError("R must be in [0, 1]")
     n = family.n
@@ -258,6 +298,9 @@ def _family_average_errors(family, ps, R, mode="exact", base=None, sample_count=
     c2 = base if base is not None else LinearCode.zero(n)
     if c2.n != n:
         raise ValueError("C2 is not a subcode of C1")
+    weight, _ = _pattern_weights(n)
+    if any((weight[members & b] & 1).any() for b in c2.basis):  # some H_k b != 0
+        raise ValueError("C2 is not a subcode of C1")
     words = span(np.array(c2.basis, dtype=np.int64))
     if mode == "exact":
         # hist[w] = sum_k w_k correct_k[w] <= W 2^n, in Python ints past int64
@@ -269,19 +312,24 @@ def _family_average_errors(family, ps, R, mode="exact", base=None, sample_count=
         inside = np.zeros(1 << n, dtype=bool)
         inside[words] = True
         values = [[] for _ in pfs]  # each member's estimate
-    chunk = max(1, CHUNK_PATTERN_CAP >> n)
+    # a member's largest arrays: its 2^a seed labels, its 2^m leaders times
+    # |C2| in exact mode, its 2^n labels in Monte Carlo mode
+    m = members.shape[1]
+    size = max(1 << _seed_bits(n, m), len(words) << m, 1 << n if mode == "monte_carlo" else 1)
+    chunk = max(1, CHUNK_PATTERN_CAP // size)
     for start in range(0, len(members), chunk):
-        labels, leaders = _syndrome_tables(members[start : start + chunk], n)
-        if labels[:, list(c2.basis)].any():
-            raise ValueError("C2 is not a subcode of C1")
+        rows = members[start : start + chunk]
+        leaders = _coset_leaders(rows, n)
         if mode == "exact":
             hist += (weights[start : start + chunk].astype(dtype, copy=False)
                      @ _correct_weights(leaders, words, n).astype(dtype, copy=False))
         else:
+            labels = syndromes(rows, n)
             for vals, errs in zip(values, errors):
                 vals += [_mc_error_prob(lab, lead, inside, next(errs))
                          for lab, lead in zip(labels, leaders)]
-        del labels, leaders  # free this chunk's tables before the next is built
+            del labels
+        del leaders  # free this chunk's tables before the next is built
     k_start = 0 if base is not None else 1
     results = []
     for i, pf in enumerate(pfs):
@@ -394,9 +442,9 @@ def _mc_errors(seeds, n: int, trials: int, p: float):
 def _mc_error_prob(labels: np.ndarray, leaders: np.ndarray, inside: np.ndarray,
                    errors: np.ndarray) -> float:
     """Share of the error words ``errors`` (_mc_errors) that carry the
-    sent word 0 outside C2, through one row of the _syndrome_tables labels
-    and leaders of a code C1 ⊇ C2: every trial decodes in one gather
-    through the coset leaders by syndrome label.  ``inside`` is C2's
+    sent word 0 outside C2, through one row of the ``gf2.syndromes`` labels
+    and _coset_leaders leaders of a code C1 ⊇ C2: every trial decodes in one
+    gather through the coset leaders by syndrome label.  ``inside`` is C2's
     membership table over all 2^n words, built once per family.
     """
     decoded = errors ^ leaders[labels[errors]]
@@ -479,11 +527,13 @@ def wiretap_eval(pxz, c1: LinearCode, c2: LinearCode, mode: str = "exact") -> Si
 def _wiretap_evals(cases, mode: str = "exact") -> list[SimResult]:
     """wiretap_eval of each (pxz, c1, c2) of ``cases``, one SimResult per
     case: every case is checked and its remaining phase error computed in
-    order, and in exact mode their leakages come from one stacked
-    _coset_key_leakages call."""
+    order, from one coset-leader table and histogram of correctly decoded
+    weights per distinct (C1, C2), and in exact mode their leakages come
+    from one stacked _coset_key_leakages call."""
     if mode not in ("exact", "phase_only"):
         raise ValueError(f"unknown mode: {mode}")
     results, exact = [], []
+    correct = {}  # the correct-weight histogram of each distinct (C1, C2)
     for pxz, c1, c2 in cases:
         tables = [np.asarray(t, dtype=float) for t in pxz]
         if any(t.shape != (4,) for t in tables):
@@ -503,8 +553,10 @@ def _wiretap_evals(cases, mode: str = "exact") -> list[SimResult]:
         p_ph_each = [t[2] + t[3] for t in tables]
         if max(p_ph_each) - min(p_ph_each) > 1e-12:
             raise ValueError("qubits must share the phase-error marginal")
-        p_ph = Fraction(float(p_ph_each[0])).limit_denominator(10**9)
-        p_ph_remaining = exact_error_prob((dual(c2), dual(c1)), p_ph)
+        p_ph = _crossover(Fraction(float(p_ph_each[0])).limit_denominator(10**9))
+        if (c1, c2) not in correct:  # phase errors decode in C2^perp ⊇ C1^perp
+            correct[c1, c2] = _coset_weights(dual(c2), dual(c1))
+        p_ph_remaining = _mean_error(correct[c1, c2], 1, n, p_ph)
         l = c1.dim - c2.dim
         d1_bound = 2 * math.sqrt(2) * math.sqrt(float(p_ph_remaining))
         chi_bound = eta(l, float(p_ph_remaining))

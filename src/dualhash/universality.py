@@ -290,7 +290,8 @@ def _parity_rows(family: CodeFamily) -> np.ndarray:
     bit f, f plus the pivots of the rows holding f is orthogonal to every
     row; pivot bits get zero rows.  Each member's rows are sorted, zero rows
     first, and the t_min zero rows that every member has are dropped:
-    ``_syndrome_tables`` takes the array as it is."""
+    ``simulator._coset_leaders`` takes the array as it is, since a zero row
+    only leaves the labels with its bit set unreached."""
     leads = family.bases.copy()
     for shift in (1, 2, 4, 8, 16, 32):
         leads |= leads >> shift

@@ -331,6 +331,41 @@ def test_holevo_forms_stay_finite_at_the_key_length_cap():
             assert math.isfinite(rec.aux["chi_value"])
 
 
+def _epsilon_calls(epsilon, n=1000, l=100):
+    calls = [lambda: gallager_family_bound(n, 0.5, 0.1, epsilon)]
+    for approach in QKD_APPROACHES:
+        for p_ph in (0.0, 0.05):
+            calls.append(lambda a=approach, p=p_ph: qkd_bounds(n, a, S=0.4, p_ph=p,
+                                                               epsilon=epsilon, l=l))
+    return calls
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, 1e271, 1.7e308, 0.0, -1.0])
+def test_epsilon_outside_the_cap_is_refused_before_any_array(monkeypatch, epsilon):
+    # an infinite epsilon printed "inf" from every qkd approach, and gallager
+    # failed with "max() arg is an empty sequence" after a RuntimeWarning;
+    # 1e308 printed "inf" from delta_biased_chi_c and phase_iid's Holevo form
+    def refuse(*args, **kwargs):
+        raise AssertionError("array built before epsilon was checked")
+
+    for name in ("_e0_grid", "reliability_e", "maximize_scalar", "_phase_sum_log2"):
+        monkeypatch.setattr(bounds, name, refuse)
+    for call in _epsilon_calls(epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive and at most 1e270"):
+            call()
+
+
+def test_every_approach_stays_finite_at_the_epsilon_cap():
+    for n in (1, 1000, bounds.BLOCK_LENGTH_CAP):
+        for call in _epsilon_calls(bounds.EPSILON_CAP, n, l=bounds.BLOCK_LENGTH_CAP):
+            try:
+                rec = call().to_record()
+            except ValueError as exc:  # the k-window of 0 < p_ph < 1 has its own cap
+                assert "exceeds phase_sum block length cap" in str(exc)
+                continue
+            assert all(math.isfinite(v) for v in rec.values() if isinstance(v, float))
+
+
 def _scalar_scan_maximize(f, lo, hi, grid_step=1e-3, tol=1e-9):
     """maximize_scalar as it was before its grid stage could run on arrays:
     f at every grid point, the first largest, then ternary refinement."""

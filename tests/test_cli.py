@@ -132,6 +132,22 @@ def test_key_length_outside_the_cap_exits_2(capsys, argv):
         2, "", "error: need key length l >= 0 and l <= 10^18\n")
 
 
+@pytest.mark.parametrize("argv", [
+    *(f"bounds qkd --approach {approach} -n 1000 -S 0.4 --p-ph 0.05 -l 100 --epsilon inf"
+      for approach in APPROACHES),
+    "bounds qkd --approach delta_biased_chi_c -n 1000 -S 0.4 --p-ph 0.05 --epsilon 1e308",
+    "sweep qkd --n-grid 10,1000 --approach phase_iid -S 0.4 --p-ph 0.05 -l 100 --epsilon 1e308",
+    "sweep qkd --n-grid 1000 --approach phase_sum -S 0.4 --p-ph 0.05 --epsilon inf",
+    "bounds gallager -n 100 -R 0.5 -p 0.1 --epsilon inf",
+], ids=[*APPROACHES, "chi_c_1e308", "sweep_phase_iid_1e308", "sweep_phase_sum_inf",
+        "gallager_inf"])
+def test_epsilon_past_the_cap_exits_2(capsys, argv):
+    # each printed "inf" and exited 0, or (gallager) printed a RuntimeWarning
+    # and "error: max() arg is an empty sequence", before
+    assert run(capsys, *shlex.split(argv)) == (
+        2, "", "error: epsilon must be positive and at most 1e270\n")
+
+
 @pytest.mark.parametrize("p", [HUGE_N, "-" + HUGE_N, f"{HUGE_N}/3"],
                          ids=["10^400", "-10^400", "10^400/3"])
 def test_counterexample_probability_past_float_range_exits_2(capsys, p):

@@ -395,13 +395,14 @@ def test_span_of_no_generators_is_zero():
 def test_stacked_syndromes_match_per_set_calls():
     rng = random.Random(4)
     n = 6
-    sets = [[rng.randrange(1 << n) for _ in range(3)] for _ in range(5)]
+    sets = [[rng.randrange(1 << n) for _ in range(3)] for _ in range(5)] + [[0] * 3, [1] * 3]
     labels = syndromes(np.array(sets, dtype=np.int32), n)
-    assert labels.dtype == np.int32 and labels.shape == (5, 1 << n)
+    assert labels.dtype == np.int32 and labels.shape == (7, 1 << n)
     for lab, rows in zip(labels, sets):
         one = syndromes(rows, n)
         assert one.dtype == np.int64
-        assert lab.tolist() == one.tolist()
+        h = BinaryMatrix(tuple(rows), n)
+        assert lab.tolist() == one.tolist() == [h.mul_vector(x) for x in range(1 << n)]
     assert syndromes((), n).tolist() == [0] * (1 << n)
 
 

@@ -34,13 +34,13 @@ from dualhash.simulator import (
     SAMPLE_PATTERN_CAP,
     _correct_weights,
     _coset_key_leakages,
+    _coset_leaders,
     _coset_reps,
     _leading_eigenvalues,
     _family_average_errors,
     _mc_error_prob,
     _mc_errors,
     _random_below,
-    _syndrome_tables,
     _wiretap_evals,
     counterexample_leakage,
     decode,
@@ -170,20 +170,22 @@ def test_syndrome_table_matches_weight_ordered_walk(seed):
     n = rng.randrange(1, 13)
     c = random_code(n, rng.randrange(0, n + 1), rng)
     rows = dual(c).basis
-    assert _syndrome_tables([rows], n)[1][0].tolist() == oracle_leaders(rows, n)
+    assert _coset_leaders([rows], n)[0].tolist() == oracle_leaders(rows, n)
 
 
 def test_syndrome_table_edge_codes():
     # C = {0}: every word is its own coset, and H is the identity
-    (labels,), (leaders,) = _syndrome_tables([dual(LinearCode.zero(7)).basis], 7)
-    assert leaders.tolist() == labels.tolist() == list(range(1 << 7))
+    rows = dual(LinearCode.zero(7)).basis
+    (leaders,) = _coset_leaders([rows], 7)
+    assert leaders.tolist() == syndromes(rows, 7).tolist() == list(range(1 << 7))
     # C = F_2^n: one coset, led by 0
-    _, (leaders,) = _syndrome_tables([dual(LinearCode.full(7)).basis], 7)
+    (leaders,) = _coset_leaders([dual(LinearCode.full(7)).basis], 7)
     assert leaders.tolist() == [0]
     # n = 16, the cap: 2^(n-k) leaders, each in the coset its syndrome names
     c = random_code(16, 9, random.Random(4))
     h = BinaryMatrix(dual(c).basis, 16)
-    (labels,), (leaders,) = _syndrome_tables([h.rows], 16)
+    (leaders,) = _coset_leaders([h.rows], 16)
+    labels = syndromes(h.rows, 16)
     assert leaders.tolist() == oracle_leaders(h.rows, 16)
     assert len(leaders) == 1 << (16 - 9)
     assert all(h.mul_vector(x) == s for s, x in enumerate(leaders.tolist()))
@@ -192,7 +194,7 @@ def test_syndrome_table_edge_codes():
     # 00 and 11, and r = 0 reaches one label
     r = 0b0110
     for rows, want in (((r, r), [0, -1, -1, 0b0010]), ((0, 0), [0, -1, -1, -1])):
-        assert _syndrome_tables([rows], 4)[1][0].tolist() == want
+        assert _coset_leaders([rows], 4)[0].tolist() == want
         assert oracle_leaders(rows, 4) == want
 
 
@@ -372,9 +374,9 @@ def test_monte_carlo_error_prob_matches_exact(sample_members):
     h = sample_members(HashFamily(HashFamilySpec("random_linear", 12, 8)), 1, 0)[0]
     trials = 2000
     exact = float(exact_error_prob(kernel(h.matrix), Fraction(1, 20)))
-    (labels,), (leaders,) = _syndrome_tables([h.matrix.rows], 12)
-    est = _mc_error_prob(labels, leaders, membership(LinearCode.zero(12)),
-                         mc_errors(0, 12, trials, 0.05))
+    (leaders,) = _coset_leaders([h.matrix.rows], 12)
+    est = _mc_error_prob(syndromes(h.matrix.rows, 12), leaders,
+                         membership(LinearCode.zero(12)), mc_errors(0, 12, trials, 0.05))
     z_99 = 2.5758293035489004  # two-sided 99% normal quantile
     half_width = z_99 * math.sqrt(est * (1 - est) / trials)
     assert abs(est - exact) <= half_width
@@ -386,7 +388,7 @@ def test_monte_carlo_error_prob_matches_exact(sample_members):
 def test_monte_carlo_equals_per_trial_loop(sample_members, n, m, p, with_base):
     h = sample_members(HashFamily(HashFamilySpec("random_linear", n, m)), 1, n)[0]
     base = LinearCode(n, kernel(h.matrix).basis[:1]) if with_base else LinearCode.zero(n)
-    (labels,), (leaders,) = _syndrome_tables([h.matrix.rows], n)
+    labels, (leaders,) = syndromes(h.matrix.rows, n), _coset_leaders([h.matrix.rows], n)
     inside = membership(base)
     for seed in (n * m, 0, -3, 2**32 + 1):
         got = _mc_error_prob(labels, leaders, inside, mc_errors(seed, n, 300, p))
@@ -873,7 +875,7 @@ def test_family_average_rejects_bad_mode_before_any_work(monkeypatch):
         raise AssertionError("members evaluated before the mode was checked")
 
     monkeypatch.setattr(HashFamily, "sample_rows", refuse)
-    monkeypatch.setattr("dualhash.simulator._syndrome_tables", refuse)
+    monkeypatch.setattr("dualhash.simulator._coset_leaders", refuse)
     for family in (fam, hf):
         with pytest.raises(ValueError, match="unknown mode"):
             family_average_error(family, Fraction(1, 10), R=0.5, mode="bogus",
@@ -930,6 +932,29 @@ def test_family_average_rejects_base_outside_member_in_both_modes():
                                  base=LinearCode.repetition(6), sample_count=3, seed=1)
 
 
+def test_family_average_refuses_base_outside_one_member_before_any_table(monkeypatch):
+    # the base lies in every member but one, whose rows test it odd
+    def refuse(*args, **kwargs):
+        raise AssertionError("table built before the subcode check")
+
+    base = LinearCode.from_strings(["11000000", "00110011"])
+    codes = [LinearCode.from_rows(8, list(base.basis) + [1 << i]) for i in range(2, 8)]
+    codes.append(LinearCode.from_strings(["11000000", "00110010"]))
+    monkeypatch.setattr("dualhash.simulator._coset_leaders", refuse)
+    with pytest.raises(ValueError, match="C2 is not a subcode of C1"):
+        family_average_error(CodeFamily(codes), Fraction(1, 10), R=0.5, base=base)
+    # bit 0 of every sampled row cleared, but set again in the last member's row 0
+    rows_of = HashFamily.sample_rows
+    monkeypatch.setattr(HashFamily, "sample_rows",
+                        lambda self, count, seed: rows_of(self, count, seed) & ~1
+                        | np.eye(count, self.m, 1 - count, dtype=np.int64))
+    hf = HashFamily(HashFamilySpec("random_linear", 8, 3))
+    for mode in ("exact", "monte_carlo"):
+        with pytest.raises(ValueError, match="C2 is not a subcode of C1"):
+            family_average_error(hf, Fraction(1, 10), R=0.5, mode=mode,
+                                 base=LinearCode(8, (1,)), sample_count=100, seed=1)
+
+
 def test_subcode_of_another_length_is_refused():
     full4, rep3 = LinearCode.full(4), LinearCode.repetition(3)
     assert not full4.contains_code(rep3)
@@ -980,7 +1005,7 @@ def test_hash_rows_decode_as_their_kernel_code(sample_members):
         # the member's rows and its kernel code's dual basis, topped up to
         # m rows with zero rows (which change no label), one table each
         parity = (0,) * (h.m - (n - code.dim)) + dual(code).basis
-        labels, leaders = _syndrome_tables([rows, parity], n)
+        labels, leaders = syndromes([rows, parity], n), _coset_leaders([rows, parity], n)
         decoded = leaders[[[0], [1]], labels]  # each word's coset leader
         assert (decoded[0] == decoded[1]).all()
         for base in (LinearCode.zero(n), LinearCode(n, code.basis[:1])):
@@ -1026,21 +1051,33 @@ def oracle_family_average(members, weights, c2, p, mode="exact", seed=None):
 
 @pytest.mark.parametrize("kind, n, m, samples, mode", [
     ("random_linear", 6, 5, 300, "exact"),  # many rank-deficient members
-    ("random_linear", 10, 4, 77, "exact"),  # 77 is not a multiple of 64
+    ("random_linear", 10, 4, 77, "exact"),
     ("modified_toeplitz", 9, 4, 130, "exact"),
-    ("toeplitz", 12, 8, 37, "monte_carlo"),  # 37 is not a multiple of 16
+    ("toeplitz", 12, 8, 37, "monte_carlo"),  # 4,096 labels: one member per chunk
     ("random_linear", 5, 5, 70, "monte_carlo"),
-    ("random_linear", 16, 3, 3, "exact"),  # one member per chunk
+    ("random_linear", 16, 3, 3, "exact"),  # n = 16, the cap, in one chunk
 ])
-def test_family_average_matches_per_member_oracle(sample_members, kind, n, m, samples, mode):
+def test_family_average_matches_per_member_oracle(sample_members, monkeypatch, kind, n, m,
+                                                  samples, mode):
     hf = HashFamily(HashFamilySpec(kind, n, m))
     p, seed = Fraction(1, 7), 5
     members = [h.matrix.rows for h in sample_members(hf, samples, seed)]
     if (kind, n, m) == ("random_linear", 6, 5):
         assert sum(BinaryMatrix(r, n).rank() < m for r in members) >= 50
-    assert samples % max(1, CHUNK_PATTERN_CAP >> n) or samples == 3
+    # a small cap splits the sample into chunks, the last one partial but
+    # at n = 12 and n = 16
+    chunks = []
+
+    def recording(rows, n):
+        chunks.append(len(rows))
+        return _coset_leaders(rows, n)
+
+    monkeypatch.setattr("dualhash.simulator._coset_leaders", recording)
+    monkeypatch.setattr("dualhash.simulator.CHUNK_PATTERN_CAP", 1 << 9)
     res = family_average_error(hf, p, R=1 - m / n, mode=mode,
                                sample_count=samples, seed=seed)
+    assert sum(chunks) == samples
+    assert chunks[-1] < chunks[0] or n in (12, 16)
     mean, ci = oracle_family_average(members, [1] * samples, LinearCode.zero(n),
                                      p, mode, seed)
     assert res.exact_value == mean
@@ -1133,38 +1170,66 @@ def test_family_average_errors_check_every_p_before_sampling(monkeypatch, ps):
 
 
 def test_family_average_chunks_stay_within_cap(monkeypatch):
-    sizes = []
+    """Each chunk's largest arrays, the seed labels on the first
+    min(n, m + 1) bits and the leaders of _coset_leaders, the leaders times
+    |C2| of _correct_weights and Monte Carlo's labels of all 2^n words, hold
+    at most CHUNK_PATTERN_CAP entries unless the chunk is one member."""
+    chunks, sizes = [], []
 
-    def recording(row_sets, n):
-        tables = _syndrome_tables(row_sets, n)
-        sizes.append(tables[0].size)
-        return tables
+    def leaders(rows, n):
+        chunks.append(len(rows))
+        m = np.shape(rows)[1]
+        sizes.append(len(rows) << max(min(n, m + 1), m))
+        return _coset_leaders(rows, n)
 
-    monkeypatch.setattr("dualhash.simulator._syndrome_tables", recording)
-    for n, samples in ((12, 100), (16, 3), (8, 1000)):
-        hf = HashFamily(HashFamilySpec("random_linear", n, 4))
+    def correct(leaders, words, n):
+        sizes.append(np.count_nonzero(leaders >= 0) * len(words))
+        return _correct_weights(leaders, words, n)
+
+    def labels(rows, n):
+        sizes.append(len(rows) << n)
+        return syndromes(rows, n)
+
+    monkeypatch.setattr("dualhash.simulator._coset_leaders", leaders)
+    monkeypatch.setattr("dualhash.simulator._correct_weights", correct)
+    monkeypatch.setattr("dualhash.simulator.syndromes", labels)
+    rng = random.Random(3)
+    base = LinearCode.from_strings(["1100000000", "0011000011"])
+    fam = CodeFamily([LinearCode.from_rows(10, list(base.basis) + [rng.randrange(1 << 10)
+                                                                   for _ in range(3)])
+                      for _ in range(400)])
+    for family, mode, c2, samples in (
+        (HashFamily(HashFamilySpec("random_linear", 12, 4)), "exact", None, 100),
+        (HashFamily(HashFamilySpec("random_linear", 12, 8)), "exact", None, 1000),
+        (HashFamily(HashFamilySpec("random_linear", 12, 8)), "monte_carlo", None, 100),
+        (HashFamily(HashFamilySpec("random_linear", 16, 4)), "exact", None, 3),
+        (HashFamily(HashFamilySpec("random_linear", 16, 15)), "exact", None, 3),
+        (HashFamily(HashFamilySpec("random_linear", 8, 4)), "exact", None, 1000),
+        (fam, "exact", base, len(fam.weights)),  # 2^m leaders times |C2| = 4
+    ):
+        chunks.clear()
         sizes.clear()
-        family_average_error(hf, Fraction(1, 10), R=1 - 4 / n, sample_count=samples,
-                             seed=2)
-        assert max(sizes) <= CHUNK_PATTERN_CAP
-        assert sum(sizes) == samples << n
+        family_average_error(family, Fraction(1, 10), R=0.25, mode=mode, base=c2,
+                             sample_count=samples, seed=2)
+        assert sum(chunks) == samples
+        assert max(sizes) <= CHUNK_PATTERN_CAP or max(chunks) == 1
 
 
-def test_syndrome_tables_match_syndrome_table_row_by_row():
+def test_coset_leaders_match_oracle_row_by_row():
     # each row of a batch equals the row set's own one-set table and the
-    # reference walk; the batch holds m rows per set, zero and repeated
-    # rows among them
+    # reference walk, at every table width m from 0 to n + 1 (from a seed of
+    # 1 bit and n folded bits up to a seed of all n bits); the batch holds
+    # m rows per set: random, zero, repeated and dependent rows among them
     rng = random.Random(10)
-    for n in (1, 4, 7, 9):
-        for m in sorted({0, 1, 2, n // 2, n}):
+    for n in (1, 2, 4, 7, 9, 10):
+        for m in range(n + 2):
             row_sets = [tuple(rng.randrange(1 << n) for _ in range(m)) for _ in range(12)]
-            row_sets += [(0,) * m, (1,) * m]
-            labels, leaders = _syndrome_tables(row_sets, n)
-            assert labels.shape == (len(row_sets), 1 << n)
+            row_sets += [(0,) * m, (1,) * m, tuple(rng.randrange(1 << n) >> 1 for _ in range(m))]
+            if m >= 2:
+                r, s = rng.randrange(1 << n), rng.randrange(1 << n)
+                row_sets.append((r, s, r ^ s) + (r,) * (m - 3) if m >= 3 else (r, r))
+            leaders = _coset_leaders(row_sets, n)
             assert leaders.shape == (len(row_sets), 1 << m)
             for k, rows in enumerate(row_sets):
-                (lab,), (lead,) = _syndrome_tables([rows], n)
-                h = BinaryMatrix(rows, n)
-                assert labels[k].tolist() == lab.tolist() == [
-                    h.mul_vector(x) for x in range(1 << n)]
+                (lead,) = _coset_leaders([rows], n)
                 assert leaders[k].tolist() == lead.tolist() == oracle_leaders(rows, n)
