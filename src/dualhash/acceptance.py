@@ -409,21 +409,19 @@ def criterion_7(seed: int):
 
 def criterion_8(seed: int):
     """Randomized search finds (n+1)-almost universal permutation orbits
-    within budget, in plain and pair modes."""
+    within budget, for plain codes (C2 = {0}) and for pairs over a base C2."""
     n, t, budget = 12, 4, 200
     base = LinearCode.repetition(n)
     plain_ok = pair_ok = 0
     for s in range(50):
         try:
-            c = search_permuted_code(n, t, budget, seed + s, mode="plain")
+            c = search_permuted_code(n, t, budget, seed + s)
             if c.dim == t and permuted_epsilon(c) <= n + 1:
                 plain_ok += 1
         except SearchBudgetError:
             pass
         try:
-            c1, c2 = search_permuted_code(
-                n, t, budget, seed + s, base=base, mode="extension"
-            )
+            c1, c2 = search_permuted_code(n, t, budget, seed + s, base=base), base
             if (
                 c1.dim == t
                 and c1.contains_code(c2)

@@ -29,7 +29,7 @@ from .bounds import (
     qkd_bounds,
     reliability_e,
 )
-from .gf2 import BitVector, parse_code
+from .gf2 import BitVector, LinearCode, parse_code
 from .hashfam import HashFamily, HashFamilySpec
 from .simulator import (
     counterexample_leakage,
@@ -65,7 +65,7 @@ REQUIRED = {
     ("bounds", "gallager"): ("-n", "-R", "-p"),
     ("bounds", "qkd"): ("-n", "--approach", "-S", "--p-ph"),
     ("bounds", "ratio"): ("-n",),
-    ("simulate", "error-prob"): ("--code", "-p"),
+    ("simulate", "error-prob"): ("--c1", "-p"),
     ("simulate", "family-average"): ("-n", "-m", "-p", "-R", "--seed"),
     ("simulate", "wiretap"): ("--channel", "--c1", "--c2"),
     ("simulate", "counterexample"): ("-n", "-p"),
@@ -209,15 +209,15 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _code_pair(args) -> tuple[LinearCode, LinearCode]:
+    """(C1, C2) from the files of --c1 and --c2; no --c2 is C2 = {0}, a
+    plain code."""
+    c1 = parse_code(Path(args.c1).read_text())
+    c2 = parse_code(Path(args.c2).read_text()) if args.c2 else LinearCode.zero(c1.n)
+    return c1, c2
+
+
 def _cmd_simulate(args) -> int:
-    if args.what == "error-prob":
-        code = parse_code(Path(args.code).read_text())
-        target = code
-        if args.base:
-            target = (code, parse_code(Path(args.base).read_text()))
-        value = exact_error_prob(target, _fraction(args.p))
-        _emit(args, {"error_prob": value, "n": code.n, "p": args.p})
-        return 0
     if args.what == "family-average":
         res = family_average_error(
             _build_family(args),
@@ -231,13 +231,6 @@ def _cmd_simulate(args) -> int:
         rec["seed"] = args.seed
         _emit(args, rec)
         return 0
-    if args.what == "wiretap":
-        pxz = parse_channel(Path(args.channel).read_text())
-        c1 = parse_code(Path(args.c1).read_text())
-        c2 = parse_code(Path(args.c2).read_text())
-        res = wiretap_eval(pxz, c1, c2, mode="phase_only" if args.phase_only else "exact")
-        _emit(args, res.to_record())
-        return 0
     if args.what == "counterexample":
         p = _fraction(args.p)
         if not 0 <= p <= 1:  # before float(p), which overflows past 1.8e308
@@ -247,8 +240,16 @@ def _cmd_simulate(args) -> int:
         rec["seed"] = args.seed
         _emit(args, rec)
         return 0
-    c1 = parse_code(Path(args.c1).read_text())
-    c2 = parse_code(Path(args.c2).read_text())
+    c1, c2 = _code_pair(args)  # error-prob, wiretap and distill
+    if args.what == "error-prob":
+        value = exact_error_prob((c1, c2), _fraction(args.p))
+        _emit(args, {"error_prob": value, "n": c1.n, "p": args.p})
+        return 0
+    if args.what == "wiretap":
+        pxz = parse_channel(Path(args.channel).read_text())
+        res = wiretap_eval(pxz, c1, c2, mode="phase_only" if args.phase_only else "exact")
+        _emit(args, res.to_record())
+        return 0
     k_a = BitVector.from_string(args.key_a)
     k_b = BitVector.from_string(args.key_b)
     s_a, s_b, agree = distill_keys(k_a, k_b, c1, c2, args.seed)
@@ -358,10 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("error-prob", "family-average", "wiretap", "counterexample",
                  "distill"),
     )
-    p.add_argument("--code", help="code file (n k header, then basis rows)")
-    p.add_argument("--base", help="subcode file for coset decoding")
-    p.add_argument("--c1", help="outer code file")
-    p.add_argument("--c2", help="inner code file")
+    p.add_argument("--c1", help="outer code C1 file (n k header, then basis rows)")
+    p.add_argument("--c2", help="inner code C2 file, a subcode of C1; error-prob "
+                   "without it decodes C1 alone (C2 = {0})")
     p.add_argument("--channel", help="per-qubit channel table file")
     p.add_argument("--kind", default="random-linear", choices=sorted(HASH_KINDS))
     p.add_argument("-n", type=int, help="input length")

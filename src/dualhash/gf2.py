@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -240,6 +241,7 @@ class LinearCode:
         return cls.from_rows(n, [bits_from_string(r) for r in rows])
 
     @classmethod
+    @cache  # a frozen value, built once per length: plain codes score as (C, {0})
     def zero(cls, n: int) -> "LinearCode":
         return cls(n, ())
 

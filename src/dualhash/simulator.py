@@ -245,6 +245,8 @@ def family_average_error(
     rate t_min / n, with the family's minimum-dimension ε: 1 for every hash
     kind, else the counted one (1 for {0} alone, whose ε is 0; with a
     base, it counts the base's own words too, so the bounds are loose).
+    The weighted sum starts at error weight k = 1 when C2 = {0}, given or
+    not, and at k = 0 for a nonzero base.
     `mode` is "exact" or, for a HashFamily only, "monte_carlo" (MC_TRIALS
     trials).
 
@@ -330,7 +332,7 @@ def _family_average_errors(family, ps, R, mode="exact", base=None, sample_count=
                          for lab, lead in zip(labels, leaders)]
             del labels
         del leaders  # free this chunk's tables before the next is built
-    k_start = 0 if base is not None else 1
+    k_start = 0 if c2.dim else 1  # C2 = {0}, given or not, is plain decoding
     results = []
     for i, pf in enumerate(pfs):
         mean = (_mean_error(hist.tolist(), total, n, pf) if mode == "exact"

@@ -759,31 +759,26 @@ def tight_family(n: int, t: int, epsilon, x: int) -> CodeFamily:
                               size_a * (a > 0) + size_b * (b > a))
 
 
-def _orbit_epsilon(n: int, counts, size: int) -> Fraction:
-    """max over k ≥ 1 of 2^n counts[k] / (binom(n, k) size), as one
-    Fraction: counts[k] / binom(n, k) = counts[k] k! (n-k)! / n!, so the
-    largest integer counts[k] k! (n-k)! picks k."""
-    k = max(range(1, n + 1), key=lambda k: counts[k] * factorial(k) * factorial(n - k))
-    return Fraction(counts[k] << n, comb(n, k) * size)
-
-
 def permuted_epsilon(c: LinearCode) -> Fraction:
-    """Universality parameter of the bit-permutation orbit of a code.
-
-    Depends only on the weight distribution: max over k ≥ 1 of
-    2^n c[k] / (binom(n, k) |C|), c[k] the number of codewords of weight k.
-    """
-    return _orbit_epsilon(c.n, _weight_counts(c), len(c))
+    """Universality parameter of the bit-permutation orbit of a code: the
+    pair parameter of (C, {0}), max over k ≥ 1 of 2^n c[k] / (binom(n, k) |C|),
+    c[k] the number of codewords of weight k."""
+    return permuted_pair_epsilon(c, LinearCode.zero(c.n))
 
 
 def permuted_pair_epsilon(c1: LinearCode, c2: LinearCode) -> Fraction:
     """Pair universality parameter ε(C1/C2) of the permuted pair orbit:
     max over k ≥ 1 of 2^n (c1[k] - c2[k]) / (binom(n, k) |C1|), ci[k] the
-    number of words of weight k in Ci."""
+    number of words of weight k in Ci, as one Fraction: (c1[k] - c2[k]) /
+    binom(n, k) = (c1[k] - c2[k]) k! (n-k)! / n!, so the largest integer
+    (c1[k] - c2[k]) k! (n-k)! picks k.  C2 = {0} is a plain code."""
     if not c1.contains_code(c2):
         raise ValueError("C2 is not a subcode of C1")
-    counts = [a - b for a, b in zip(_weight_counts(c1), _weight_counts(c2))]
-    return _orbit_epsilon(c1.n, counts, len(c1))
+    n, counts = c1.n, _weight_counts(c1)
+    if c2.dim:  # {0}'s one word has weight 0, which k ≥ 1 never reads
+        counts = [a - b for a, b in zip(counts, _weight_counts(c2))]
+    k = max(range(1, n + 1), key=lambda k: counts[k] * factorial(k) * factorial(n - k))
+    return Fraction(counts[k] << n, comb(n, k) * len(c1))
 
 
 def _random_rows(n: int, t: int, rng: random.Random) -> tuple[int, ...]:
@@ -803,8 +798,15 @@ def random_code(n: int, t: int, rng: random.Random) -> LinearCode:
 
 
 def random_extension(base: LinearCode, t: int, rng: random.Random) -> LinearCode:
-    """Uniform t-dim code containing `base`, sampled in the quotient space."""
+    """Uniform t-dim code containing `base`, sampled in the quotient space.
+
+    Over the base {0} the quotient is the whole space and the lift is the
+    identity, so the draw is ``random_code(n, t, rng)`` itself, taken
+    directly.  Any other base of the whole space is returned with no draw.
+    """
     d2 = base.dim
+    if not d2:
+        return random_code(base.n, t, rng)
     if not d2 <= t <= base.n:
         raise ValueError("need dim(base) <= t <= n")
     q = base.n - d2
@@ -828,46 +830,31 @@ def search_permuted_code(
     budget: int,
     seed: int,
     base: LinearCode | None = None,
-    mode: str = "plain",
-):
-    """Randomized search for codes whose permutation orbit is (n+1)-almost
-    universal.
+) -> LinearCode:
+    """Randomized search for a t-dim code C1 ⊇ base whose permuted pair
+    orbit is (n+1)-almost universal: ε(C1/base) ≤ n+1.
 
-    plain: returns C with ε(C) ≤ n+1, dim C = t.
-    extension: base = C2; returns (C1, C2) with C2 ⊆ C1, dim C1 = t and
-      ε(C1/C2) ≤ n+1.
-    dual_pair: base = C2; returns (C1, C2) with C1 ⊆ C2, dim C1 = t and
-      ε(C1^⊥/C2^⊥) ≤ n+1, where C1^⊥ ⊇ C2^⊥ is drawn as in the extension
-      search with C2^⊥ as its base.
+    Each trial draws ``random_extension(base, t, rng)`` and scores it with
+    ``permuted_pair_epsilon``; base None means {0}, a plain code C1 with
+    ε(C1) ≤ n+1.  A dual pair C1 ⊆ C2 with ε(C1^⊥/C2^⊥) ≤ n+1 is the dual
+    of the search over ``dual(C2)`` at dimension n - t.  An exhausted
+    budget raises SearchBudgetError with the best C1 drawn.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    base = LinearCode.zero(n) if base is None else base
+    if base.n != n:
+        raise ValueError(f"base has length {base.n}, not n={n}")
     rng = random.Random(seed)
     target = Fraction(n + 1)
     best_eps, best = None, None
-    for trial in range(1, budget + 1):
-        if mode == "plain":
-            c = random_code(n, t, rng)
-            eps = permuted_epsilon(c)
-            result = c
-        elif mode == "extension":
-            if base is None:
-                raise ValueError("extension mode needs a base code")
-            c1 = random_extension(base, t, rng)
-            eps = permuted_pair_epsilon(c1, base)
-            result = (c1, base)
-        elif mode == "dual_pair":
-            if base is None:
-                raise ValueError("dual_pair mode needs a base code")
-            d1 = random_extension(dual(base), n - t, rng)
-            eps = permuted_pair_epsilon(d1, dual(base))
-            result = (dual(d1), base)
-        else:
-            raise ValueError(f"unknown mode: {mode}")
+    for _ in range(budget):
+        c1 = random_extension(base, t, rng)
+        eps = permuted_pair_epsilon(c1, base)
         if eps <= target:
-            return result
+            return c1
         if best_eps is None or eps < best_eps:
-            best_eps, best = eps, result
+            best_eps, best = eps, c1
     raise SearchBudgetError(best_eps, best, budget)
 
 

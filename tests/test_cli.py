@@ -5,10 +5,13 @@ import io
 import json
 import os
 import random
+import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -310,7 +313,7 @@ REQUIRED_OPTIONS = [
     ("bounds qkd", {"-n": "1000", "--approach": "phase_iid", "-S": "0.4", "--p-ph": "0.05"},
      {}),
     ("bounds ratio", {"-n": "100"}, {}),
-    ("simulate --what error-prob", {"--code": "{dir}/c1.txt", "-p": "1/10"}, {}),
+    ("simulate --what error-prob", {"--c1": "{dir}/c1.txt", "-p": "1/10"}, {}),
     ("simulate --what family-average",
      {"-n": "6", "-m": "3", "-p": "1/20", "-R": "0.5", "--seed": "1"},
      {"--samples": "3"}),
@@ -484,7 +487,7 @@ def test_simulate_error_prob_from_file(tmp_path, capsys):
     path = tmp_path / "rep3.txt"
     path.write_text(format_code(LinearCode.repetition(3)))
     code, out, _ = run(
-        capsys, "simulate", "--what", "error-prob", "--code", str(path),
+        capsys, "simulate", "--what", "error-prob", "--c1", str(path),
         "-p", "1/10",
     )
     assert code == 0
@@ -497,8 +500,8 @@ def test_simulate_error_prob_refuses_base_of_other_length(tmp_path, capsys):
     code_path.write_text(format_code(LinearCode.full(4)))
     base_path.write_text(format_code(LinearCode.repetition(3)))
     code, out, err = run(
-        capsys, "simulate", "--what", "error-prob", "--code", str(code_path),
-        "--base", str(base_path), "-p", "1/10",
+        capsys, "simulate", "--what", "error-prob", "--c1", str(code_path),
+        "--c2", str(base_path), "-p", "1/10",
     )
     assert code == 2
     assert out == ""
@@ -535,7 +538,7 @@ def test_nan_or_out_of_range_bound_inputs_are_errors(capsys, argv, message):
     "analyze --kind tight -n 6 -t 3 --epsilon 1/0",
     "simulate --what family-average -n 8 -m 4 -p 1/0 -R 0.5 --seed 1",
     "simulate --what counterexample -n 5 -p 1/0",
-    "simulate --what error-prob --code {d}/c.txt -p 1/0",
+    "simulate --what error-prob --c1 {d}/c.txt -p 1/0",
 ])
 def test_zero_denominator_fraction_is_an_error(tmp_path, capsys, argv):
     # each printed a ZeroDivisionError traceback and exited 1 before
@@ -785,3 +788,95 @@ def test_float_formatting_is_12_significant_digits(capsys):
     payload = json.loads(out)
     # values survive a 12-significant-digit round trip unchanged
     assert payload["E"] == float(f"{payload['E']:.12g}")
+
+
+# Valid base commands, one per target, with every valued flag given; run
+# in a directory that holds c1.txt (Hamming [7, 4]), c2.txt (the
+# repetition code inside it) and ch.txt (a 7-qubit channel table).
+EDGE_BASES = [
+    "bounds reliability -R 0.5 -p 0.1",
+    "bounds gallager -n 100 -R 0.5 -p 0.05 --epsilon 2",
+    *[f"bounds qkd --approach {a} -n 1000 -S 0.4 --p-ph 0.05 --epsilon 1 -l 3"
+      for a in APPROACHES],
+    "bounds ratio -n 100 --epsilon 2",
+    "sweep reliability --r-grid 0.1,0.2 -p 0.1",
+    "sweep qkd --n-grid 1000,2000 -S 0.4 --p-ph 0.05 --epsilon 1 -l 3",
+    "sweep qkd --approach phase_iid --n-grid 1000,2000 -S 0.4 --p-ph 0.05 --epsilon 1 -l 3",
+    "sweep ratio --n-grid 100,1000 --epsilon 2",
+    "analyze --kind toeplitz -n 6 -m 2",
+    "analyze --kind tight -n 5 -t 2 --epsilon 3/2 -x 3",
+    "analyze --kind counterexample -n 6 --seed 1",
+    "simulate --what family-average -n 6 -m 3 -p 1/20 -R 0.5 --seed 1 --samples 3",
+    "simulate --what counterexample -n 5 -p 1/10 --seed 1",
+    "simulate --what error-prob --c1 c1.txt -p 1/10",
+    "simulate --what error-prob --c1 c1.txt --c2 c2.txt -p 1/10",
+    "simulate --what wiretap --channel ch.txt --c1 c1.txt --c2 c2.txt",
+    "simulate --what distill --c1 c1.txt --c2 c2.txt --key-a 1011001 --key-b 1011011 --seed 3",
+]
+# zero, signs, a subnormal, the float range and past it, 10^19 past int64,
+# a value just below 1, a fraction, a zero denominator and a tiny fraction
+EDGE_VALUES = [
+    "0", "-1", "1e-320", "1e308", "-1e308", "nan", "inf", "-inf",
+    "1" + "0" * 400, "-1" + "0" * 400, str(10**19), "0.999999999", "1/3", "1/0",
+    "1/1" + "0" * 400,
+]
+EDGE_SECONDS = 10
+INF_OR_NAN = re.compile(r"(?i)\b(nan|-?inf(inity)?)\b")
+
+
+class _Alarm(Exception):
+    pass
+
+
+def _ring(signum, frame):
+    raise _Alarm
+
+
+@pytest.mark.parametrize("base", EDGE_BASES)
+def test_every_valued_flag_at_every_extreme_is_refused_or_finite(tmp_path, capsys,
+                                                                 monkeypatch, base):
+    """Each valued flag of a valid command, swapped alone for each extreme
+    value, exits 0 with finite output and an empty stderr, or 2 with an
+    error line; no case raises, warns or runs past EDGE_SECONDS."""
+    (tmp_path / "c1.txt").write_text(
+        format_code(LinearCode.from_strings(["1000110", "0100101", "0010011", "0001111"])))
+    (tmp_path / "c2.txt").write_text(format_code(LinearCode.repetition(7)))
+    (tmp_path / "ch.txt").write_text("0.8 0.1 0.06 0.04\n" * 7)
+    monkeypatch.chdir(tmp_path)
+    words = shlex.split(base)
+    first = next(i for i, w in enumerate(words) if w.startswith("-"))
+    assert run(capsys, *words)[0] == 0
+    previous = signal.signal(signal.SIGALRM, _ring)
+    faults = []
+    try:
+        for i in range(first, len(words), 2):
+            flag = words[i]
+            for value in EDGE_VALUES:
+                # attached, so that argparse reads "-inf" as a value
+                argv = [*words[:i], flag + ("=" if flag.startswith("--") else "") + value,
+                        *words[i + 2:]]
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    signal.alarm(EDGE_SECONDS)
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                    except Exception as exc:  # _Alarm included
+                        code = f"raised {exc!r}"
+                    finally:
+                        signal.alarm(0)
+                out, err = capsys.readouterr()
+                if code == 0:
+                    fault = "inf or nan printed" if INF_OR_NAN.search(out) else err
+                elif code == 2:
+                    fault = "" if "error" in (err.splitlines() or [""])[-1] else f"stderr {err!r}"
+                else:
+                    fault = f"exit {code}"
+                if caught:
+                    fault += f" warned {caught[0].message}"
+                if fault:
+                    faults.append((" ".join(argv)[:120], fault[-200:]))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert not faults

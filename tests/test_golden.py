@@ -628,8 +628,8 @@ SIMULATE_DISTILL = (
 
 
 @pytest.mark.parametrize("argv, expected", [
-    ("simulate --what error-prob --code {d}/c1.txt -p 1/10", SIMULATE_ERROR_PROB),
-    ("simulate --what error-prob --code {d}/c1.txt --base {d}/c2.txt -p 1/10",
+    ("simulate --what error-prob --c1 {d}/c1.txt -p 1/10", SIMULATE_ERROR_PROB),
+    ("simulate --what error-prob --c1 {d}/c1.txt --c2 {d}/c2.txt -p 1/10",
      SIMULATE_ERROR_PROB_BASE),
     ("simulate --what wiretap --channel {d}/ch.txt --c1 {d}/c1.txt --c2 {d}/c2.txt",
      SIMULATE_WIRETAP),

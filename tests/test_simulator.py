@@ -331,6 +331,18 @@ def test_zero_code_family_average_bounds_take_epsilon_one():
     assert [b.inputs["epsilon"] for b in res.bounds] == [1.0, 1.0]
 
 
+def test_zero_base_attaches_the_bounds_of_no_base():
+    """C2 = {0} given as a base is plain decoding: the same record as no
+    base, whose weighted sum starts at k = 1.  An explicit {0} started it
+    at k = 0, 0.5349891250000001 against 0.468559 here."""
+    fam = CodeFamily.from_hash_family(HashFamily(HashFamilySpec("modified_toeplitz", 6, 2)))
+    plain = family_average_error(fam, Fraction(1, 10), R=0.5)
+    zero = family_average_error(fam, Fraction(1, 10), R=0.5, base=LinearCode.zero(6))
+    assert zero.to_record() == plain.to_record()
+    assert plain.bounds[1].inputs["k_start"] == 1
+    assert plain.bounds[1].value == pytest.approx(0.468559)
+
+
 @pytest.mark.parametrize("kind, n, m", [("random_linear", 8, 2), ("toeplitz", 8, 3)])
 def test_sampled_upper_limit_covers_the_exact_mean(kind, n, m):
     """Over seeded samples of k members, the 99% upper limit falls below

@@ -424,7 +424,8 @@ def test_random_rows_and_random_code_draw_one_stream():
 def test_random_extension_of_the_whole_space_draws_nothing():
     """t = n over a base of dimension n is the base itself, with no draw;
     every draw with q = n - dim(base) > 0 is the quotient-space lift it
-    was, with the rng left in the same state."""
+    was, with the rng left in the same state, and over {0} it is
+    random_code's draw."""
     def lifted_draw(base, t, rng):
         q = base.n - base.dim
         comp = gf2.complement_basis(LinearCode.full(base.n), base)
@@ -446,11 +447,14 @@ def test_random_extension_of_the_whole_space_draws_nothing():
         for seed in range(5):
             for base in (LinearCode(n, ()), random_code(n, rng.randrange(n), rng)):
                 for t in range(base.dim, n + 1):
-                    rngs = [random.Random(seed), random.Random(seed)]
+                    rngs = [random.Random(seed) for _ in range(3)]
                     got = random_extension(base, t, rngs[0])
                     assert got == lifted_draw(base, t, rngs[1])
                     assert got.dim == t and got.contains_code(base)
                     assert rngs[0].getstate() == rngs[1].getstate()
+                    if not base.dim:
+                        assert got == random_code(n, t, rngs[2])
+                        assert rngs[0].getstate() == rngs[2].getstate()
 
 
 def _weighted_code_family():
@@ -922,20 +926,89 @@ def test_permuted_epsilons_match_the_fraction_formula():
 
 
 def test_search_modes_and_budget_error():
-    c = search_permuted_code(10, 3, 200, seed=0, mode="plain")
+    """The three former modes are three calls of one search: a plain code
+    (no base), an outer code over a base, and a dual pair as the dual of
+    the search over the dual base at dimension n - t."""
+    c = search_permuted_code(10, 3, 200, seed=0)
     assert c.dim == 3 and permuted_epsilon(c) <= 11
     base = LinearCode.repetition(10)
-    c1, c2 = search_permuted_code(10, 3, 200, seed=0, base=base, mode="extension")
-    assert c1.contains_code(c2) and permuted_pair_epsilon(c1, c2) <= 11
-    d1, d2 = search_permuted_code(10, 3, 200, seed=0, base=dual(base), mode="dual_pair")
+    c1 = search_permuted_code(10, 3, 200, seed=0, base=base)
+    assert c1.dim == 3 and c1.contains_code(base)
+    assert permuted_pair_epsilon(c1, base) <= 11
+    d1, d2 = dual(search_permuted_code(10, 7, 200, seed=0, base=base)), dual(base)
     assert d2.contains_code(d1) and d1.dim == 3
     assert permuted_pair_epsilon(dual(d1), dual(d2)) <= 11
     with pytest.raises(SearchBudgetError) as err:
         # seed 58 draws the repetition code first, whose orbit parameter is
         # 2^(n-1) > n+1, so a 1-trial budget must be exhausted
-        search_permuted_code(6, 1, 1, seed=58, mode="plain")
+        search_permuted_code(6, 1, 1, seed=58)
     assert err.value.trials == 1
     assert err.value.best_epsilon > 7
+    assert err.value.best == LinearCode.repetition(6)
+    with pytest.raises(ValueError, match="base has length 8, not n=5"):
+        # drew length-8 codes and scored them against n + 1 = 6
+        search_permuted_code(5, 2, 10, seed=0, base=LinearCode.repetition(8))
+
+
+def former_search(n, t, budget, seed, base, mode):
+    """The search as its three modes ran it, one trial loop per mode, each
+    trial scored by the Fraction formula; returns ("found", result) or
+    ("budget", (best epsilon, best result, trials))."""
+    rng = random.Random(seed)
+    best_eps = best = None
+    for _ in range(budget):
+        if mode == "plain":
+            c = random_code(n, t, rng)
+            eps, result = fraction_permuted_epsilon(c), c
+        elif mode == "extension":
+            c1 = random_extension(base, t, rng)
+            eps, result = fraction_permuted_epsilon(c1, base), (c1, base)
+        else:  # dual_pair: base = C2 ⊇ C1, C1^⊥ drawn over C2^⊥
+            d1 = random_extension(dual(base), n - t, rng)
+            eps, result = fraction_permuted_epsilon(d1, dual(base)), (dual(d1), base)
+        if eps <= n + 1:
+            return "found", result
+        if best_eps is None or eps < best_eps:
+            best_eps, best = eps, result
+    return "budget", (best_eps, best, budget)
+
+
+def one_search(n, t, budget, seed, base, mode):
+    """The same request through the one search, in the former mode's terms."""
+    search_t, search_base = ((n - t, dual(base)) if mode == "dual_pair"
+                             else (t, None if mode == "plain" else base))
+    wrap = {"plain": lambda c: c, "extension": lambda c: (c, base),
+            "dual_pair": lambda c: (dual(c), base)}[mode]
+    try:
+        return "found", wrap(search_permuted_code(n, search_t, budget, seed, base=search_base))
+    except SearchBudgetError as err:
+        return "budget", (err.best_epsilon, wrap(err.best), err.trials)
+
+
+@pytest.mark.parametrize("mode", ["plain", "extension", "dual_pair"])
+def test_one_search_matches_each_former_mode(mode):
+    """On 1,000 seeds with n = 4..10 and budgets of 1 or 2 trials, the one loop
+    returns what the former mode returned, and raises with the same best
+    epsilon, best result and trial count; both outcomes occur."""
+    rng = random.Random(43)
+    outcomes = set()
+    for seed in range(1000):
+        n = rng.randrange(4, 11)
+        # a search at dimension 1 fails often enough for both outcomes
+        t = rng.choice([1, 1, rng.randrange(1, n)])
+        if mode == "dual_pair":
+            t = n - t
+        if mode == "extension":
+            base = random_code(n, rng.choice([0, rng.randrange(0, t + 1)]), rng)
+        elif mode == "dual_pair":
+            base = random_code(n, rng.randrange(t, n + 1), rng)
+        else:
+            base = None
+        budget = rng.randrange(1, 3)
+        got = one_search(n, t, budget, seed, base, mode)
+        assert got == former_search(n, t, budget, seed, base, mode), (seed, n, t)
+        outcomes.add(got[0])
+    assert outcomes == {"found", "budget"}
 
 
 def test_counterexample_family_structure():
